@@ -18,14 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import verdict as v
+from .derived import fixpoint_chain
 from .errors import InputError
-from .free_categories import (
-    FreeCategory,
-    _endoset_idempotents,
-    below,
-    has_all_zeros,
-    objects,
-)
+from .free_categories import FreeCategory, below, has_all_zeros, objects
 from .inverse_semigroups import Semimodeloid, InverseSemigroupTable
 
 
@@ -181,21 +176,10 @@ def iterate_categorical(
     """The chain M, D(M), ..., D^rounds(M) with the first repeat index,
     mirroring the modeloid iteration.  Only the input is verified; the
     derivative of a categorical modeloid is again one."""
-    if rounds < 0:
-        raise InputError("rounds must be non-negative")
     result = verify_categorical_modeloid(M)
     if not result:
         raise InputError(f"not a categorical modeloid ({result.describe()})")
-    chain = [M]
-    stabilized: int | None = None
-    for _ in range(rounds):
-        nxt = categorical_derivative(chain[-1], check=False)
-        if nxt.members == chain[-1].members:
-            stabilized = len(chain) - 1
-            chain.extend([nxt] * (rounds + 1 - len(chain)))
-            break
-        chain.append(nxt)
-    return chain, stabilized
+    return fixpoint_chain(M, lambda N: categorical_derivative(N, check=False), rounds)
 
 
 def endoset_as_semimodeloid(

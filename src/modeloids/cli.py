@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import fileformats as ff
@@ -36,7 +37,8 @@ from .ef_games import (
     extract_certificate,
     format_certificate,
 )
-from .errors import BoundExceededError, InputError, ParseError
+from .derived import fixpoint_chain
+from .errors import BoundExceededError, InputError
 from .free_categories import (
     skolem_inverses,
     verify_category,
@@ -188,6 +190,15 @@ def _table_with_inverses(
     return resolve_inverses(sf.mul, sf.neutral, sf.zero)
 
 
+def _semimodeloid_instance(text: str) -> tuple[Semimodeloid | None, Verdict]:
+    sf = ff.parse_semimodeloid_file(text)
+    table, verdict = _table_with_inverses(sf)
+    if not verdict.ok:
+        return None, verdict
+    sm = Semimodeloid(table, frozenset(sf.members))
+    return sm, verify_semimodeloid(sm)
+
+
 def _categorical_instance(text: str) -> tuple[CategoricalModeloid | None, Verdict]:
     cf = ff.parse_categorical_modeloid_file(text)
     c = cf.to_category()
@@ -213,28 +224,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     elif cfg.kind == "modeloid":
         verdict = verify_modeloid(ff.parse_modeloid_file(text))
     elif cfg.kind == "semimodeloid":
-        sf = ff.parse_semimodeloid_file(text)
-        table, verdict = _table_with_inverses(sf)
-        if verdict.ok:
-            verdict = verify_semimodeloid(Semimodeloid(table, frozenset(sf.members)))
+        _, verdict = _semimodeloid_instance(text)
     else:
         _, verdict = _categorical_instance(text)
     return _emit_verdict(cfg, verdict)
-
-
-def _chain_sizes(levels, stabilized) -> list[tuple[str, str]]:
-    records = [
-        ("sizes", " ".join(str(len(level)) for level in levels)),
-        ("stabilized", "none" if stabilized is None else str(stabilized)),
-    ]
-    return records
-
-
-def _stabilization(levels) -> int | None:
-    for i in range(len(levels) - 1):
-        if levels[i] == levels[i + 1]:
-            return i
-    return None
 
 
 def cmd_derive(cfg: RunConfig) -> int:
@@ -250,40 +243,23 @@ def cmd_derive(cfg: RunConfig) -> int:
             " ".join("-" if not m else ",".join(f"{a}>{b}" for a, b in m) for m in lv)
             for lv in levels
         ]
-    elif cfg.kind == "semimodeloid":
-        sf = ff.parse_semimodeloid_file(text)
-        table, verdict = _table_with_inverses(sf)
-        if verdict.ok:
-            sm = Semimodeloid(table, frozenset(sf.members))
-            verdict = verify_semimodeloid(sm)
-        if not verdict.ok:
-            return _emit_verdict(cfg, verdict)
-        steps = [sm]
-        for _ in range(cfg.rounds):
-            nxt = semimodeloid_derivative(steps[-1])
-            if nxt.members == steps[-1].members:
-                break
-            steps.append(nxt)
-        while len(steps) < cfg.rounds + 1:
-            steps.append(steps[-1])
-        levels = [sorted(step.members) for step in steps]
-        dump = [" ".join(str(x) for x in lv) for lv in levels]
     else:
-        M, verdict = _categorical_instance(text)
+        if cfg.kind == "semimodeloid":
+            start, verdict = _semimodeloid_instance(text)
+            step = semimodeloid_derivative
+        else:
+            start, verdict = _categorical_instance(text)
+            step = partial(categorical_derivative, check=False)
         if not verdict.ok:
             return _emit_verdict(cfg, verdict)
-        steps = [M]
-        for _ in range(cfg.rounds):
-            nxt = categorical_derivative(steps[-1], check=False)
-            if nxt.members == steps[-1].members:
-                break
-            steps.append(nxt)
-        while len(steps) < cfg.rounds + 1:
-            steps.append(steps[-1])
-        levels = [sorted(step.members) for step in steps]
+        chain, stabilized = fixpoint_chain(start, step, cfg.rounds)
+        levels = [sorted(x.members) for x in chain]
         dump = [" ".join(str(x) for x in lv) for lv in levels]
 
-    records = _chain_sizes(levels, _stabilization(levels))
+    records = [
+        ("sizes", " ".join(str(len(level)) for level in levels)),
+        ("stabilized", "none" if stabilized is None else str(stabilized)),
+    ]
     if cfg.fmt == "machine":
         width = len(str(len(levels) - 1))
         for j, rendered in enumerate(dump):
@@ -406,13 +382,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from(ns)
         return handlers[cfg.command](cfg)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except BoundExceededError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except InputError as err:
+    except (BoundExceededError, InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -25,6 +25,7 @@ from typing import Iterable
 
 from . import verdict as v
 from .categorical import CategoricalModeloid, categorical_derivative
+from .derived import fact, fixpoint_chain
 from .errors import BoundExceededError, InputError
 from .free_categories import FreeCategory
 from .structures import (
@@ -67,15 +68,12 @@ class CategoryD:
         raise InputError("structure is not a side of this category")
 
     @property
+    @fact
     def _index(self) -> dict[tuple[int, int, tuple], int]:
-        cached = self.__dict__.get("_index_map")
-        if cached is None:
-            cached = {
-                (self._side(p.left), self._side(p.right), p.pairs): i
-                for i, p in enumerate(self.morphisms)
-            }
-            object.__setattr__(self, "_index_map", cached)
-        return cached
+        return {
+            (self._side(p.left), self._side(p.right), p.pairs): i
+            for i, p in enumerate(self.morphisms)
+        }
 
     def index_of(self, p: PartialIso) -> int:
         key = (self._side(p.left), self._side(p.right), p.pairs)
@@ -175,18 +173,9 @@ def build_category_D(
 def derivative_levels(category: CategoryD, m: int) -> list[frozenset[int]]:
     """Member sets of D^0 .. D^m starting from all morphisms.  The chain
     is decreasing, so once a step changes nothing the tail is constant."""
-    if m < 0:
-        raise InputError("rounds must be non-negative")
-    current = CategoricalModeloid.everything(category.ambient)
-    levels = [current.members]
-    for _ in range(m):
-        nxt = categorical_derivative(current, check=False)
-        if nxt.members == current.members:
-            levels.extend([current.members] * (m + 1 - len(levels)))
-            break
-        levels.append(nxt.members)
-        current = nxt
-    return levels
+    start = CategoricalModeloid.everything(category.ambient)
+    chain, _ = fixpoint_chain(start, lambda M: categorical_derivative(M, check=False), m)
+    return [M.members for M in chain]
 
 
 def surviving_maps(

@@ -18,10 +18,10 @@ checks are provided so their agreement stays observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from . import verdict as v
+from .derived import fact
 from .errors import InputError
 from .inverse_semigroups import InverseSemigroupTable, find_neutral, find_zero
 
@@ -54,14 +54,9 @@ class FreeCategory:
             if len(self.inv) != n or any(not (0 <= x < n) for x in self.inv):
                 raise InputError("inverse table must list one in-range morphism each")
 
+    @fact
     def __hash__(self):
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(
-                (self.morphism_count, self.star, self.dom, self.cod, self.comp, self.inv)
-            )
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return hash((self.morphism_count, self.star, self.dom, self.cod, self.comp, self.inv))
 
     def exists(self, m: int) -> bool:
         return m != self.star
@@ -93,11 +88,16 @@ def kleene_eq(c: FreeCategory, a: int, b: int) -> bool:
     return a == b
 
 
+@fact
 def verify_category(c: FreeCategory) -> v.Verdict:
     """Axioms in order: composability (a composite exists exactly when
     both parts exist and dom meets cod), associativity, identity laws.
     Strictness of dom and cod on star is part of the representation and
     enforced at construction."""
+    return _check_category(c)
+
+
+def _check_category(c: FreeCategory) -> v.Verdict:
     n, star, dom, cod, comp = c.morphism_count, c.star, c.dom, c.cod, c.comp
     for f in range(n):
         for g in range(n):
@@ -215,11 +215,7 @@ def endoset(c: FreeCategory, X: int) -> tuple[int, ...]:
     return homset(c, X, X)
 
 
-def is_idempotent_morphism(c: FreeCategory, e: int) -> bool:
-    return c.comp[e][e] == e
-
-
-@lru_cache(maxsize=None)
+@fact
 def _endoset_idempotents(c: FreeCategory, X: int) -> tuple[int, ...]:
     return tuple(e for e in endoset(c, X) if c.comp[e][e] == e)
 

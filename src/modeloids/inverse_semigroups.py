@@ -22,6 +22,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from . import verdict as v
+from .derived import fact
 from .errors import BoundExceededError, InputError
 from .partial_bijections import Carrier, PartialBijection
 
@@ -84,9 +85,14 @@ def associativity_witness(mul: MulTable) -> tuple[int, int, int] | None:
     return None
 
 
+@fact
 def verify_inverse_semigroup(table: InverseSemigroupTable) -> v.Verdict:
     """Axioms in checking order: associativity, x*x'*x = x, (x')' = x,
     idempotent commutation, then any declared neutral and zero."""
+    return _check_inverse_semigroup(table)
+
+
+def _check_inverse_semigroup(table: InverseSemigroupTable) -> v.Verdict:
     mul, inv, n = table.mul, table.inv, table.order
     bad = associativity_witness(mul)
     if bad is not None:
@@ -116,6 +122,7 @@ def verify_inverse_semigroup(table: InverseSemigroupTable) -> v.Verdict:
     return v.passed()
 
 
+@fact
 def idempotents(table: InverseSemigroupTable) -> tuple[int, ...]:
     return tuple(x for x in range(table.order) if table.mul[x][x] == x)
 
@@ -221,10 +228,16 @@ def characterize(mul_rows: Sequence[Sequence[int]]) -> CharacterizationReport:
     return CharacterizationReport(axiomatic, unique, regular and commuting)
 
 
+@fact
+def _below(table: InverseSemigroupTable) -> tuple[frozenset[int], ...]:
+    # entry x holds every s <= x: the products x*e with e idempotent
+    idem = idempotents(table)
+    return tuple(frozenset(row[e] for e in idem) for row in table.mul)
+
+
 def natural_leq(table: InverseSemigroupTable, s: int, x: int) -> bool:
     """s <= x in the natural partial order: s = x*e for some idempotent e."""
-    mul = table.mul
-    return any(mul[x][e] == s for e in idempotents(table))
+    return s in _below(table)[x]
 
 
 def find_neutral(table: InverseSemigroupTable) -> int | None:
@@ -246,11 +259,9 @@ def atoms(table: InverseSemigroupTable) -> frozenset[int]:
     zero = find_zero(table)
     if zero is None:
         raise InputError("atoms are only defined in the presence of a zero")
+    below = _below(table)
     return frozenset(
-        x
-        for x in range(table.order)
-        if x != zero
-        and all(f in (x, zero) for f in range(table.order) if natural_leq(table, f, x))
+        x for x in range(table.order) if x != zero and below[x] <= {x, zero}
     )
 
 
@@ -348,9 +359,14 @@ def _require_inverse_monoid_with_zero(table: InverseSemigroupTable) -> tuple[int
     return neutral, zero
 
 
+@fact
 def verify_semimodeloid(sm: Semimodeloid) -> v.Verdict:
     """Axioms in order: product closure, inverse closure, downward closure
     under the natural order, neutral membership."""
+    return _check_semimodeloid(sm)
+
+
+def _check_semimodeloid(sm: Semimodeloid) -> v.Verdict:
     neutral, _zero = _require_inverse_monoid_with_zero(sm.ambient)
     mul, inv = sm.ambient.mul, sm.ambient.inv
     members = sorted(sm.members)
@@ -362,10 +378,11 @@ def verify_semimodeloid(sm: Semimodeloid) -> v.Verdict:
     for x in members:
         if inv[x] not in member_set:
             return v.violated("inverse", (x,))
+    below = _below(sm.ambient)
     for x in members:
-        for y in range(sm.ambient.order):
-            if natural_leq(sm.ambient, y, x) and y not in member_set:
-                return v.violated("downward", (y, x))
+        missing = below[x] - member_set
+        if missing:
+            return v.violated("downward", (min(missing), x))
     if neutral not in member_set:
         return v.violated("neutral", (neutral,))
     return v.passed()
@@ -382,18 +399,17 @@ def semimodeloid_derivative(sm: Semimodeloid) -> Semimodeloid:
         raise InputError(f"not a semimodeloid ({result.describe()})")
     table = sm.ambient
     mul, inv = table.mul, table.inv
-    idem = idempotents(table)
     targets = idempotent_atoms(table)
     if not targets:
         return sm
 
-    below = {x: frozenset(mul[x][e] for e in idem) for x in sm.members}
+    below = _below(table)
     members = sorted(sm.members)
     dom_reach: dict[int, set[int]] = {a: set() for a in targets}
     cod_reach: dict[int, set[int]] = {a: set() for a in targets}
     for x in members:
-        dom_side = frozenset(mul[mul[inv[x]][x]][e] for e in idem)
-        cod_side = frozenset(mul[mul[x][inv[x]]][e] for e in idem)
+        dom_side = below[mul[inv[x]][x]]
+        cod_side = below[mul[x][inv[x]]]
         for a in targets:
             if a in dom_side:
                 dom_reach[a] |= below[x]

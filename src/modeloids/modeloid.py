@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import verdict as v
+from .derived import fact, fixpoint_chain
 from .errors import InputError
 from .partial_bijections import (
     Carrier,
@@ -56,9 +57,14 @@ def _domain_subsets(f: PartialBijection) -> Iterable[frozenset[int]]:
             yield frozenset(chosen)
 
 
+@fact
 def verify_modeloid(M: Modeloid) -> v.Verdict:
     """Check the four closure axioms, in order: composition, inverse,
     restriction (to every subset of the domain), identity element."""
+    return _check_modeloid(M)
+
+
+def _check_modeloid(M: Modeloid) -> v.Verdict:
     members = _sorted_members(M)
     member_set = M.members
     for f in members:
@@ -148,22 +154,10 @@ def iterate_derivative(M: Modeloid, rounds: int) -> tuple[list[Modeloid], int | 
     """The chain M, D(M), ..., D^rounds(M) plus the first index k with
     D^(k+1) = D^k, or None when no repeat shows up within the chain.
 
-    Once the chain repeats it is constant, so the tail is filled without
-    recomputation.  The derivative of a modeloid is again a modeloid, so
-    only the input is verified.
+    The derivative of a modeloid is again a modeloid, so only the input
+    is verified.
     """
-    if rounds < 0:
-        raise InputError("rounds must be non-negative")
     result = verify_modeloid(M)
     if not result:
         raise InputError(f"not a modeloid ({result.describe()})")
-    chain = [M]
-    stabilized: int | None = None
-    for _ in range(rounds):
-        nxt = Modeloid(M.carrier, _derivative_members(chain[-1]))
-        if nxt.members == chain[-1].members:
-            stabilized = len(chain) - 1
-            chain.extend([nxt] * (rounds + 1 - len(chain)))
-            break
-        chain.append(nxt)
-    return chain, stabilized
+    return fixpoint_chain(M, lambda N: derivative(N, check=False), rounds)

@@ -2,10 +2,11 @@
 
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from modeloids import cli
+from modeloids import cli, free_categories, inverse_semigroups, modeloid
 from modeloids.categorical import CategoricalModeloid
 from modeloids.ef_games import extract_certificate, format_certificate
 from modeloids.fileformats import (
@@ -17,8 +18,8 @@ from modeloids.fileformats import (
 )
 from modeloids.free_categories import semigroup_to_one_object_category
 from modeloids.inverse_semigroups import Semimodeloid, from_partial_bijections
-from modeloids.modeloid import full_modeloid
-from modeloids.partial_bijections import Carrier, enumerate_all
+from modeloids.modeloid import full_modeloid, modeloid_closure
+from modeloids.partial_bijections import Carrier, PartialBijection, enumerate_all
 from modeloids.structures import parse_structures
 
 PURE_SETS = """structure P2
@@ -69,9 +70,14 @@ MONOID_CATEGORY = (
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
-    table2, _ = from_partial_bijections(enumerate_all(Carrier(2)))
+    table2, elems = from_partial_bijections(enumerate_all(Carrier(2)))
     cat = semigroup_to_one_object_category(table2)
     catmod = format_categorical_modeloid_file(CategoricalModeloid.everything(cat))
+    # the closure of {0 -> 1} again, as table indices (star is 7)
+    closure = modeloid_closure(
+        [PartialBijection.from_pairs(Carrier(2), [(0, 1)])], Carrier(2)
+    )
+    shrinking = frozenset(i for i, f in enumerate(elems) if f in closure.members)
 
     texts = {
         "sets.txt": PURE_SETS,
@@ -99,6 +105,12 @@ def files(tmp_path_factory):
         )
         + "\n",
         "mod3.txt": format_modeloid_file(full_modeloid(Carrier(3))),
+        "semimodeloid-shrink.txt": format_semimodeloid_file(
+            Semimodeloid(table2, shrinking)
+        ),
+        "categorical-modeloid-shrink.txt": format_categorical_modeloid_file(
+            CategoricalModeloid.from_members(cat, shrinking | {cat.star})
+        ),
     }
     paths = {}
     for name, text in texts.items():
@@ -350,6 +362,29 @@ class TestDerive:
         assert code == 0
         assert out == "sizes: 8 8 8 8\nstabilized: 0\n"
 
+    @pytest.mark.parametrize(
+        "kind, first, rest",
+        [
+            ("semimodeloid", "0 1 2 3 5 6", "0 1 2 6"),
+            ("categorical-modeloid", "0 1 2 3 5 6 7", "0 1 2 6 7"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "rounds, stabilized", [(0, "none"), (1, "none"), (2, "1"), (3, "1")]
+    )
+    def test_shrinking_chain(self, files, capsys, kind, first, rest, rounds, stabilized):
+        code, out, _ = run(
+            capsys, "derive", kind, files[f"{kind}-shrink.txt"],
+            "--rounds", str(rounds), "--format", "machine",
+        )
+        assert code == 0
+        levels = [first] + [rest] * rounds
+        assert out.splitlines() == [
+            *(f"level-{j}: {level}" for j, level in enumerate(levels)),
+            "sizes: " + " ".join(str(len(level.split())) for level in levels),
+            f"stabilized: {stabilized}",
+        ]
+
     def test_broken_input_reports_verdict_instead(self, files, capsys):
         code, out, _ = run(
             capsys, "derive", "semimodeloid", files["semileft.txt"], "--rounds", "2"
@@ -364,6 +399,43 @@ class TestDerive:
         )
         assert code == 2
         assert "--rounds" in err
+
+
+class TestVerifyOncePerRequest:
+    """A request checks the axioms of each table instance once, however
+    many library calls ask for the verdict."""
+
+    CHECKERS = (
+        (free_categories, "_check_category"),
+        (inverse_semigroups, "_check_inverse_semigroup"),
+        (inverse_semigroups, "_check_semimodeloid"),
+        (modeloid, "_check_modeloid"),
+    )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("derive", "modeloid", "shrink.txt", "--rounds", "3"),
+            ("derive", "semimodeloid", "semimodeloid-shrink.txt", "--rounds", "3"),
+            ("derive", "categorical-modeloid", "catmod-noinv.txt", "--rounds", "3"),
+            ("verify", "semimodeloid", "semi.txt"),
+            ("verify", "categorical-modeloid", "catmod-noinv.txt"),
+            ("embed", "f2.txt"),
+        ],
+    )
+    def test_each_instance_checked_once(self, files, capsys, monkeypatch, args):
+        checked = []
+        for module, name in self.CHECKERS:
+
+            def counting(instance, check=getattr(module, name)):
+                checked.append(instance)
+                return check(instance)
+
+            monkeypatch.setattr(module, name, counting)
+        argv = [files.get(a, a) for a in args]
+        assert run(capsys, *argv)[0] == 0
+        assert checked
+        assert set(Counter(map(id, checked)).values()) == {1}
 
 
 class TestEmbed:

@@ -2,7 +2,9 @@
 natural order, and the one-object correspondence with tables."""
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -197,6 +199,34 @@ class TestNaturalOrder:
 
     def test_star_below_star(self):
         assert natural_leq(DISCRETE, DISCRETE.star, DISCRETE.star)
+
+
+class TestFactsLiveOnTheInstance:
+    """Derived facts are kept on the category itself, so they neither keep
+    a dropped category alive nor mix up categories with equal content."""
+
+    @staticmethod
+    def chain_category():
+        # the five-element chain under min is an inverse monoid, 4 neutral
+        rows = [[min(i, j) for j in range(5)] for i in range(5)]
+        table = InverseSemigroupTable.from_rows(rows, list(range(5)))
+        return semigroup_to_one_object_category(table)
+
+    def test_dropped_category_is_freed(self):
+        c = self.chain_category()
+        assert verify_category(c)
+        assert below(c, 3) == {0, 1, 2, 3}
+        assert natural_leq(c, 1, 3)
+        ref = weakref.ref(c)
+        del c
+        gc.collect()
+        assert ref() is None
+
+    def test_equal_categories_agree(self):
+        c, d = self.chain_category(), self.chain_category()
+        assert c == d and c is not d
+        for t in range(c.morphism_count):
+            assert below(c, t) == below(d, t)
 
 
 class TestZerosAndAtoms:
