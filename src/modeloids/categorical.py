@@ -20,13 +20,13 @@ from typing import Iterable
 from . import verdict as v
 from .derived import fixpoint_chain
 from .errors import InputError
-from .free_categories import FreeCategory, below, has_all_zeros, objects
+from .free_categories import Ambient, has_all_zeros, objects
 from .inverse_semigroups import Semimodeloid, InverseSemigroupTable
 
 
 @dataclass(frozen=True)
 class CategoricalModeloid:
-    ambient: FreeCategory
+    ambient: Ambient
     members: frozenset[int]
 
     def __post_init__(self):
@@ -36,17 +36,17 @@ class CategoricalModeloid:
             raise InputError("member index out of range")
 
     @classmethod
-    def everything(cls, ambient: FreeCategory) -> "CategoricalModeloid":
+    def everything(cls, ambient: Ambient) -> "CategoricalModeloid":
         return cls(ambient, frozenset(range(ambient.morphism_count)))
 
     @classmethod
     def from_members(
-        cls, ambient: FreeCategory, members: Iterable[int]
+        cls, ambient: Ambient, members: Iterable[int]
     ) -> "CategoricalModeloid":
         return cls(ambient, frozenset(members))
 
 
-def _require_ambient(c: FreeCategory):
+def _require_ambient(c: Ambient):
     # Structural preconditions only; the cubic category axioms are the
     # caller's to establish (they never change under derivatives).
     if not has_all_zeros(c):
@@ -59,19 +59,17 @@ def verify_categorical_modeloid(M: CategoricalModeloid) -> v.Verdict:
     closure, membership of every existing object."""
     c = M.ambient
     _require_ambient(c)
-    comp, inv = c.comp, c.inv
     members = sorted(M.members)
     member_set = M.members
     for a in members:
-        row = comp[a]
         for b in members:
-            if row[b] not in member_set:
+            if c.compose(a, b) not in member_set:
                 return v.violated("composition", (a, b))
     for a in members:
-        if inv[a] not in member_set:
+        if c.inv[a] not in member_set:
             return v.violated("inverse", (a,))
     for b in members:
-        for a in sorted(below(c, b)):
+        for a in sorted(c.below(b)):
             if a not in member_set:
                 return v.violated("downward", (a, b))
     for X in objects(c):
@@ -91,7 +89,7 @@ def _member_endoset_zero(M: CategoricalModeloid, X: int) -> int:
     c = M.ambient
     endos = _member_homset(M, X, X)
     for z in endos:
-        if all(c.comp[z][p] == z and c.comp[p][z] == z for p in endos):
+        if all(c.compose(z, p) == z and c.compose(p, z) == z for p in endos):
             return z
     raise InputError(f"the member endoset at {X} has no zero")
 
@@ -105,9 +103,9 @@ def member_idempotent_atoms(M: CategoricalModeloid, X: int) -> tuple[int, ...]:
     member_endos = set(endos)
     found = []
     for a in endos:
-        if a == c.star or a == zero or c.comp[a][a] != a:
+        if a == c.star or a == zero or c.compose(a, a) != a:
             continue
-        if all(e in (a, zero) for e in below(c, a) if e in member_endos):
+        if all(e in (a, zero) for e in c.below(a) if e in member_endos):
             found.append(a)
     return tuple(found)
 
@@ -126,18 +124,18 @@ def homset_derivative(M: CategoricalModeloid, X: int, Y: int) -> frozenset[int]:
     if not dom_atoms and not cod_atoms:
         return frozenset(hom)
 
-    comp, inv = c.comp, c.inv
+    inv = c.inv
     dom_covered: dict[int, set[int]] = {a: set() for a in dom_atoms}
     cod_covered: dict[int, set[int]] = {b: set() for b in cod_atoms}
     for h in hom:
-        down_h = below(c, h)
+        down_h = c.below(h)
         if dom_atoms:
-            down_dom = below(c, comp[inv[h]][h])
+            down_dom = c.below(c.compose(inv[h], h))
             for a in dom_atoms:
                 if a in down_dom:
                     dom_covered[a] |= down_h
         if cod_atoms:
-            down_cod = below(c, comp[h][inv[h]])
+            down_cod = c.below(c.compose(h, inv[h]))
             for b in cod_atoms:
                 if b in down_cod:
                     cod_covered[b] |= down_h
@@ -203,7 +201,7 @@ def endoset_as_semimodeloid(
     for f in endos:
         row = []
         for g in endos:
-            fg = c.comp[f][g]
+            fg = c.compose(f, g)
             if fg not in index:
                 raise InputError(f"member endoset at {X} is not closed under composition")
             row.append(index[fg])

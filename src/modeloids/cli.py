@@ -7,7 +7,9 @@ chains), ``embed`` (partial-bijection representation of a table).
 
 Exit codes: 0 success or equivalent; 1 axiom violation or not
 equivalent; 2 malformed input or exceeded bound; 3 unreadable file;
-4 the two equivalence methods disagree (never reconciled silently).
+4 the two equivalence methods disagree (never reconciled silently);
+5 internal error (the program failed, e.g. ran out of recursion depth;
+one ``error: internal`` line on stderr, no answer is given).
 
 ``--format machine`` prints the same key:value lines sorted by key,
 with booleans as lowercase true/false; repeated runs on identical
@@ -388,6 +390,11 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except Exception as err:
+        # Exit 0 or 1 would read as an answer, so a failure of the program
+        # itself gets a code of its own.
+        print(f"error: internal {type(err).__name__}: {err}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

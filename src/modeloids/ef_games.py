@@ -5,7 +5,10 @@ assembles the free-logic inverse category whose existing morphisms are
 the partial isomorphisms between the four side pairs (A,A), (A,B),
 (B,A), (B,B).  Its objects are the full identities id_A and id_B, the
 zero of each endoset is the constants-only map, and the full morphism
-set is a categorical modeloid.
+set is a categorical modeloid.  No composition table is built: the
+``PartialIsoAmbient`` composes two maps on demand and looks the result
+up, and it lists the natural-order down-set of a map as its
+restrictions that keep the constant pairs.
 
 ``ef_equiv_derivative`` decides m-round equivalence by applying the
 categorical derivative m times and asking whether any map from id_A to
@@ -21,13 +24,12 @@ checks against the literal back-and-forth conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import product
 
 from . import verdict as v
 from .categorical import CategoricalModeloid, categorical_derivative
 from .derived import fact, fixpoint_chain
 from .errors import BoundExceededError, InputError
-from .free_categories import FreeCategory
 from .structures import (
     PartialIso,
     Structure,
@@ -41,18 +43,61 @@ DEFAULT_EF_UNIVERSE_BOUND = 5
 
 
 @dataclass(frozen=True, eq=False)
+class PartialIsoAmbient:
+    """Category D as the derivative reads it, composed on demand.
+
+    ``morphisms[i]`` is the partial isomorphism at index i and star sits
+    at index ``len(morphisms)``.  ``dom``, ``cod`` and ``inv`` are tables;
+    ``index`` finds a map by (dom object, cod object, pairs), and
+    ``constants[X]`` lists the constant elements of object X's structure.
+    No composition table is built: ``compose`` composes two maps and looks
+    the result up, and ``below`` enumerates restrictions.
+    """
+
+    morphism_count: int
+    star: int
+    dom: tuple[int, ...]
+    cod: tuple[int, ...]
+    inv: tuple[int, ...]
+    morphisms: tuple[PartialIso, ...]
+    index: dict[tuple[int, int, tuple], int]
+    constants: dict[int, tuple[int, ...]]
+
+    @fact
+    def compose(self, f: int, g: int) -> int:
+        """f after g: map composition where dom f meets cod g, else star."""
+        if f == self.star or g == self.star or self.dom[f] != self.cod[g]:
+            return self.star
+        fwd = dict(self.morphisms[f].pairs)
+        composed = tuple((a, fwd[b]) for a, b in self.morphisms[g].pairs if b in fwd)
+        return self.index[(self.dom[g], self.cod[f], composed)]
+
+    @fact
+    def below(self, t: int) -> frozenset[int]:
+        """Everything <= t.  In the natural order of partial isomorphisms
+        s <= t means s is a restriction of t, and every restriction that
+        keeps the constant pairs is a morphism: so these are the subsets
+        of t's pairs that contain the constant pairs."""
+        if t == self.star:
+            return frozenset((t,))
+        X, Y = self.dom[t], self.cod[t]
+        fixed = set(zip(self.constants[X], self.constants[Y]))
+        # each pair is kept, or dropped unless it is a constant pair
+        choices = [((p,),) if p in fixed else ((p,), ()) for p in self.morphisms[t].pairs]
+        return frozenset(self.index[(X, Y, sum(kept, ()))] for kept in product(*choices))
+
+
+@dataclass(frozen=True, eq=False)
 class CategoryD:
     """The partial-isomorphism category of a structure pair.
 
-    ``morphisms[i]`` is the partial isomorphism at ambient index i; the
-    ambient's star sits at index ``len(morphisms)``.  When ``left`` and
-    ``right`` are the same structure the category has a single object.
+    When ``left`` and ``right`` are the same structure the category has a
+    single object.
     """
 
     left: Structure
     right: Structure
-    ambient: FreeCategory
-    morphisms: tuple[PartialIso, ...]
+    ambient: PartialIsoAmbient
     object_a: int
     object_b: int
 
@@ -60,27 +105,16 @@ class CategoryD:
     def star(self) -> int:
         return self.ambient.star
 
+    @property
+    def morphisms(self) -> tuple[PartialIso, ...]:
+        return self.ambient.morphisms
+
     def _side(self, S: Structure) -> int:
         if S == self.left:
             return 0
         if S == self.right:
             return 1
         raise InputError("structure is not a side of this category")
-
-    @property
-    @fact
-    def _index(self) -> dict[tuple[int, int, tuple], int]:
-        return {
-            (self._side(p.left), self._side(p.right), p.pairs): i
-            for i, p in enumerate(self.morphisms)
-        }
-
-    def index_of(self, p: PartialIso) -> int:
-        key = (self._side(p.left), self._side(p.right), p.pairs)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise InputError("map is not a morphism of this category") from None
 
     def object_of(self, S: Structure) -> int:
         return (self.object_a, self.object_b)[self._side(S)]
@@ -108,74 +142,52 @@ def _check_pair(A: Structure, B: Structure, max_universe: int):
 def build_category_D(
     A: Structure, B: Structure, max_universe: int = DEFAULT_EF_UNIVERSE_BOUND
 ) -> CategoryD:
-    """Assemble the category; composition is map composition where the
-    side in the middle matches and star everywhere else."""
+    """Enumerate the four side-pair blocks of partial isomorphisms and
+    tabulate dom, cod and inv; composition is left to the ambient."""
     _check_pair(A, B, max_universe)
-    one_object = A == B
-    sides = {0: A, 1: B}
-
-    def tag(S: Structure) -> int:
-        return 0 if (one_object or S == A) else 1
-
+    sides = (A,) if A == B else (A, B)
     morphisms: list[PartialIso] = []
     tags: list[tuple[int, int]] = []
-    index: dict[tuple[int, int, tuple], int] = {}
-    for lt, rt in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        if one_object and (lt, rt) != (0, 0):
-            continue
-        block = enumerate_partial_isos(sides[lt], sides[rt], max_universe)
-        for iso in sorted(block, key=lambda p: p.pairs):
-            index[(lt, rt, iso.pairs)] = len(morphisms)
-            morphisms.append(iso)
-            tags.append((lt, rt))
+    for lt in range(len(sides)):
+        for rt in range(len(sides)):
+            block = enumerate_partial_isos(sides[lt], sides[rt], max_universe)
+            for iso in sorted(block, key=lambda p: p.pairs):
+                morphisms.append(iso)
+                tags.append((lt, rt))
 
     n = len(morphisms)
     star = n
-    id_pairs = {s: identity_iso(sides[s]).pairs for s in (0, 1)}
-    obj = {s: index[(tag(sides[s]), tag(sides[s]), id_pairs[s])] for s in (0, 1)}
-
+    obj = [morphisms.index(identity_iso(S)) for S in sides]
     dom = tuple(obj[lt] for lt, _ in tags) + (star,)
     cod = tuple(obj[rt] for _, rt in tags) + (star,)
-
-    lookups = [dict(p.pairs) for p in morphisms]
-    comp_rows = []
-    for f in range(n):
-        flt, frt = tags[f]
-        fwd = lookups[f]
-        row = [star] * (n + 1)
-        for g in range(n):
-            glt, grt = tags[g]
-            if grt != flt:
-                continue
-            composed = tuple(
-                (a, fwd[b]) for a, b in morphisms[g].pairs if b in fwd
-            )
-            row[g] = index[(glt, frt, composed)]
-        comp_rows.append(tuple(row))
-    comp_rows.append((star,) * (n + 1))
-
+    index = {(dom[i], cod[i], p.pairs): i for i, p in enumerate(morphisms)}
     inv = tuple(
-        index[(rt, lt, tuple(sorted((b, a) for a, b in morphisms[i].pairs)))]
-        for i, (lt, rt) in enumerate(tags)
+        index[(cod[i], dom[i], tuple(sorted((b, a) for a, b in p.pairs)))]
+        for i, p in enumerate(morphisms)
     ) + (star,)
 
-    ambient = FreeCategory(
+    ambient = PartialIsoAmbient(
         morphism_count=n + 1,
         star=star,
         dom=dom,
         cod=cod,
-        comp=tuple(comp_rows),
         inv=inv,
+        morphisms=tuple(morphisms),
+        index=index,
+        constants={obj[s]: S.constants for s, S in enumerate(sides)},
     )
-    return CategoryD(A, B, ambient, tuple(morphisms), obj[0], obj[1])
+    return CategoryD(A, B, ambient, obj[0], obj[-1])
 
 
-def derivative_levels(category: CategoryD, m: int) -> list[frozenset[int]]:
-    """Member sets of D^0 .. D^m starting from all morphisms.  The chain
-    is decreasing, so once a step changes nothing the tail is constant."""
+@fact
+def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]:
+    """Member sets of D^0 .. D^m starting from all morphisms, kept on the
+    category so that the equivalence answer and the certificate of one
+    run share them.  The chain is decreasing, so once a step changes
+    nothing the tail is constant."""
     start = CategoricalModeloid.everything(category.ambient)
     chain, _ = fixpoint_chain(start, lambda M: categorical_derivative(M, check=False), m)
-    return [M.members for M in chain]
+    return tuple(M.members for M in chain)
 
 
 def surviving_maps(

@@ -18,12 +18,30 @@ checks are provided so their agreement stays observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Protocol, Sequence
 
 from . import verdict as v
 from .derived import fact
 from .errors import InputError
 from .inverse_semigroups import InverseSemigroupTable, find_neutral, find_zero
+
+
+class Ambient(Protocol):
+    """What the categorical derivative reads of an inverse category: the
+    dom, cod and inv tables, composition one entry at a time, and the
+    natural-order down-set of a morphism.  ``FreeCategory`` reads both
+    from its table; the partial-isomorphism category of ``ef_games``
+    computes them on demand."""
+
+    morphism_count: int
+    star: int
+    dom: tuple[int, ...]
+    cod: tuple[int, ...]
+    inv: tuple[int, ...] | None
+
+    def compose(self, f: int, g: int) -> int: ...
+
+    def below(self, t: int) -> frozenset[int]: ...
 
 
 @dataclass(frozen=True)
@@ -57,6 +75,16 @@ class FreeCategory:
     @fact
     def __hash__(self):
         return hash((self.morphism_count, self.star, self.dom, self.cod, self.comp, self.inv))
+
+    def compose(self, f: int, g: int) -> int:
+        """f after g, read from the table."""
+        return self.comp[f][g]
+
+    @fact
+    def below(self, t: int) -> frozenset[int]:
+        """Everything <= t; computed as the composites of t with the
+        idempotents of End(dom t)."""
+        return frozenset(self.comp[t][e] for e in _endoset_idempotents(self, self.dom[t]))
 
     def exists(self, m: int) -> bool:
         return m != self.star
@@ -190,17 +218,17 @@ def verify_inverse_category_equational(c: FreeCategory) -> v.Verdict:
     return v.passed()
 
 
-def is_object(c: FreeCategory, m: int) -> bool:
+def is_object(c: Ambient, m: int) -> bool:
     """True when m equals its own domain; star qualifies formally."""
     return c.dom[m] == m
 
 
-def objects(c: FreeCategory) -> tuple[int, ...]:
+def objects(c: Ambient) -> tuple[int, ...]:
     """The existing objects, in index order."""
     return tuple(m for m in range(c.morphism_count) if m != c.star and c.dom[m] == m)
 
 
-def homset(c: FreeCategory, X: int, Y: int) -> tuple[int, ...]:
+def homset(c: Ambient, X: int, Y: int) -> tuple[int, ...]:
     """Every morphism with domain X and codomain Y; star shows up only in
     homset(star, star)."""
     for end in (X, Y):
@@ -211,7 +239,7 @@ def homset(c: FreeCategory, X: int, Y: int) -> tuple[int, ...]:
     )
 
 
-def endoset(c: FreeCategory, X: int) -> tuple[int, ...]:
+def endoset(c: Ambient, X: int) -> tuple[int, ...]:
     return homset(c, X, X)
 
 
@@ -220,35 +248,35 @@ def _endoset_idempotents(c: FreeCategory, X: int) -> tuple[int, ...]:
     return tuple(e for e in endoset(c, X) if c.comp[e][e] == e)
 
 
-def natural_leq(c: FreeCategory, s: int, t: int) -> bool:
+def natural_leq(c: Ambient, s: int, t: int) -> bool:
     """s <= t: s = t composed with some idempotent endomorphism of the
     common domain object."""
     if c.dom[s] != c.dom[t] or c.cod[s] != c.cod[t]:
         raise InputError("the natural order only compares morphisms of one homset")
-    return any(c.comp[t][e] == s for e in _endoset_idempotents(c, c.dom[s]))
+    return s in c.below(t)
 
 
-def below(c: FreeCategory, t: int) -> frozenset[int]:
-    """Everything <= t; computed as the composites of t with the
-    idempotents of End(dom t)."""
-    return frozenset(c.comp[t][e] for e in _endoset_idempotents(c, c.dom[t]))
+def below(c: Ambient, t: int) -> frozenset[int]:
+    """Everything <= t in the ambient's natural order."""
+    return c.below(t)
 
 
-def zero_of_endoset(c: FreeCategory, X: int) -> int | None:
+def zero_of_endoset(c: Ambient, X: int) -> int | None:
     endos = endoset(c, X)
     for z in endos:
-        if all(c.comp[z][p] == z and c.comp[p][z] == z for p in endos):
+        if all(c.compose(z, p) == z and c.compose(p, z) == z for p in endos):
             return z
     return None
 
 
-def has_all_zeros(c: FreeCategory) -> bool:
+@fact
+def has_all_zeros(c: Ambient) -> bool:
     """Every existing object's endoset has a zero (End(star) always has
     one, star itself)."""
     return all(zero_of_endoset(c, X) is not None for X in objects(c))
 
 
-def is_atom(c: FreeCategory, a: int, X: int) -> bool:
+def is_atom(c: Ambient, a: int, X: int) -> bool:
     """An existing, non-zero element of End(X) with nothing strictly
     between it and the zero."""
     if not is_object(c, X):

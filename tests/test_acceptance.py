@@ -12,6 +12,7 @@ import sys
 import time
 
 import pytest
+from dense_ambient import dense_table
 
 from modeloids.categorical import (
     CategoricalModeloid,
@@ -296,7 +297,9 @@ def test_08_unique_and_equational_inverse_checks_agree(announce):
     ]
     corpus.append(DISCRETE)
     corpus.append(
-        build_category_D(pure_structure("P", 2), pure_structure("Q", 3)).ambient
+        dense_table(
+            build_category_D(pure_structure("P", 2), pure_structure("Q", 3)).ambient
+        )
     )
 
     disagreements = 0

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from modeloids import cli, free_categories, inverse_semigroups, modeloid
+from modeloids import cli, ef_games, free_categories, inverse_semigroups, modeloid
 from modeloids.categorical import CategoricalModeloid
 from modeloids.ef_games import extract_certificate, format_certificate
 from modeloids.fileformats import (
@@ -438,6 +438,27 @@ class TestVerifyOncePerRequest:
         assert set(Counter(map(id, checked)).values()) == {1}
 
 
+class TestEfDerivesOnce:
+    def test_certificate_reuses_the_derivative_levels(self, files, capsys, monkeypatch, tmp_path):
+        stepped = []
+        step = ef_games.categorical_derivative
+
+        def counting(M, check=True):
+            stepped.append(M.members)
+            return step(M, check=check)
+
+        monkeypatch.setattr(ef_games, "categorical_derivative", counting)
+        code, _, _ = run(
+            capsys, "ef", files["sets.txt"],
+            "--left", "P2", "--right", "P3", "--rounds", "2",
+            "--certificate", str(tmp_path / "cert.txt"),
+        )
+        assert code == 0
+        assert (tmp_path / "cert.txt").exists()
+        assert stepped
+        assert len(stepped) == len(set(stepped))
+
+
 class TestEmbed:
     def test_semilattice_representation(self, files, capsys):
         code, out, _ = run(capsys, "embed", files["semilattice.txt"])
@@ -496,6 +517,25 @@ class TestSubprocess:
         assert first.stdout.decode() == (
             "equivalent: true\nmethod: derivative\noracle-agrees: true\nrounds: 2\n"
         )
+
+    def test_internal_error_exits_5(self, tmp_path):
+        # thousands of rounds exhaust the recursion depth of the game oracle
+        path = tmp_path / "c3.txt"
+        path.write_text(
+            "vocabulary\n  relation E 2\n\n"
+            "structure C3\n  universe 3\n  relation E (0,1) (1,2) (2,0)\n",
+            encoding="utf-8",
+        )
+        cmd = [
+            sys.executable, "-m", "modeloids.cli",
+            "ef", str(path), "--left", "C3", "--right", "C3", "--rounds", "3000",
+        ]
+        done = subprocess.run(cmd, capture_output=True, text=True)
+        assert done.returncode == 5
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: internal RecursionError")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
 
     def test_exit_code_propagates(self, files):
         cmd = [

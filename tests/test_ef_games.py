@@ -5,8 +5,14 @@ import math
 import random
 
 import pytest
+from dense_ambient import dense_table
 
-from modeloids.categorical import CategoricalModeloid, verify_categorical_modeloid
+from modeloids import free_categories
+from modeloids.categorical import (
+    CategoricalModeloid,
+    categorical_derivative,
+    verify_categorical_modeloid,
+)
 from modeloids.ef_games import (
     BackAndForthCertificate,
     build_category_D,
@@ -91,10 +97,10 @@ class TestBuild:
                 Structure.build("B", 2, POINTED, {"E": [(1, 0)]}, {"c": 1}),
             ),
         ]:
-            cat = build_category_D(A, B)
-            assert verify_category(cat.ambient).ok
-            assert verify_inverse_category_unique(cat.ambient).ok
-            assert has_all_zeros(cat.ambient)
+            table = dense_table(build_category_D(A, B).ambient)
+            assert verify_category(table).ok
+            assert verify_inverse_category_unique(table).ok
+            assert has_all_zeros(table)
 
     def test_zero_of_endoset_is_the_constants_only_identity(self):
         A = Structure.build("A", 3, POINTED, {"E": [(0, 1)]}, {"c": 1})
@@ -116,7 +122,7 @@ class TestBuild:
         cat = build_category_D(A, A)
         assert objects(cat.ambient) == (cat.object_a,)
         assert cat.object_a == cat.object_b
-        table = one_object_to_semigroup(cat.ambient)
+        table = one_object_to_semigroup(dense_table(cat.ambient))
         assert table.order == 7
         assert verify_inverse_semigroup(table).ok
 
@@ -136,6 +142,76 @@ class TestBuild:
             build_category_D(pure("A", 6), pure("B", 1))
         with pytest.raises(BoundExceededError):
             ef_equiv_oracle(pure("A", 6), pure("B", 1), 1)
+
+
+def random_pointed(rng, name):
+    size = rng.randint(1, 3)
+    tuples = {(a, b) for a in range(size) for b in range(size) if rng.random() < 0.4}
+    return Structure.build(name, size, POINTED, {"E": tuples}, {"c": rng.randrange(size)})
+
+
+class TestPartialIsoAmbient:
+    """The on-demand composition and down-sets of D against composition
+    of the maps themselves and against the materialised table."""
+
+    @staticmethod
+    def pairs(seed):
+        rng = random.Random(seed)
+        for _ in range(6):
+            A, B = random_pointed(rng, "A"), random_pointed(rng, "B")
+            yield A, B
+            yield A, A
+
+    def test_compose_is_map_composition(self):
+        for A, B in self.pairs(31):
+            cat = build_category_D(A, B)
+            amb, maps = cat.ambient, cat.morphisms
+            where = {p: i for i, p in enumerate(maps)}
+            for f in range(amb.morphism_count):
+                for g in range(amb.morphism_count):
+                    if amb.star in (f, g) or maps[g].right != maps[f].left:
+                        expected = amb.star
+                    else:
+                        expected = where[maps[f].compose(maps[g])]
+                    assert amb.compose(f, g) == expected
+
+    def test_below_is_composition_with_idempotents(self):
+        for A, B in self.pairs(32):
+            amb = build_category_D(A, B).ambient
+            table = dense_table(amb)
+            n = table.morphism_count
+            for t in range(n):
+                X = table.dom[t]
+                idempotents = [
+                    e
+                    for e in range(n)
+                    if table.dom[e] == table.cod[e] == X and table.comp[e][e] == e
+                ]
+                assert amb.below(t) == {table.comp[t][e] for e in idempotents}
+
+    def test_zero_scan_once_per_ambient(self, monkeypatch):
+        scanned = []
+        scan = free_categories.zero_of_endoset
+
+        def counting(c, X):
+            scanned.append(X)
+            return scan(c, X)
+
+        monkeypatch.setattr(free_categories, "zero_of_endoset", counting)
+        cat = build_category_D(pure("A", 2), pure("B", 3))
+        M = CategoricalModeloid.everything(cat.ambient)
+        for _ in range(3):
+            M = categorical_derivative(M, check=False)
+        assert sorted(scanned) == sorted(objects(cat.ambient))
+
+    def test_pure_five_versus_five_at_four_rounds(self):
+        A, B = pure("A", 5), pure("B", 5)
+        cat = build_category_D(A, B)
+        assert ef_equiv_derivative(A, B, 4, category=cat)[0]
+        assert ef_equiv_oracle(A, B, 4)
+        cert = extract_certificate(A, B, 4, category=cat)
+        assert cert is not None
+        assert len(cert.levels) == 5
 
 
 class TestFrozenAnswers:
