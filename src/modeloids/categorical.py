@@ -21,7 +21,7 @@ from . import verdict as v
 from .derived import fixpoint_chain
 from .errors import InputError
 from .free_categories import Ambient, has_all_zeros, objects
-from .inverse_semigroups import Semimodeloid, InverseSemigroupTable
+from .inverse_semigroups import InverseSemigroupTable, Semimodeloid, absorbing
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,10 @@ def _member_homset(M: CategoricalModeloid, X: int, Y: int) -> list[int]:
 
 
 def _member_endoset_zero(M: CategoricalModeloid, X: int) -> int:
-    c = M.ambient
-    endos = _member_homset(M, X, X)
-    for z in endos:
-        if all(c.compose(z, p) == z and c.compose(p, z) == z for p in endos):
-            return z
-    raise InputError(f"the member endoset at {X} has no zero")
+    zero = absorbing(M.ambient.compose, _member_homset(M, X, X))
+    if zero is None:
+        raise InputError(f"the member endoset at {X} has no zero")
+    return zero
 
 
 def member_idempotent_atoms(M: CategoricalModeloid, X: int) -> tuple[int, ...]:

@@ -83,7 +83,6 @@ class RunConfig:
     right: str | None = None
     rounds: int = 0
     certificate: Path | None = None
-    seed: int | None = None
     max_universe: int = DEFAULT_EF_UNIVERSE_BOUND
 
     def __post_init__(self):
@@ -158,8 +157,6 @@ def cmd_ef(cfg: RunConfig) -> int:
         ("method", "derivative"),
         ("oracle-agrees", _bool(agrees)),
     ]
-    if cfg.seed is not None:
-        records.append(("seed", str(cfg.seed)))
     _emit(cfg, records)
 
     if not agrees:
@@ -322,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
             dest="fmt",
             help="machine prints sorted key:value lines",
         )
-        p.add_argument("--seed", type=int, default=None, help="echoed for provenance")
 
     p = sub.add_parser("validate", help="parse and validate a structure file")
     common(p)
@@ -363,7 +359,7 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         "path": ns.file,
         "fmt": ns.fmt,
     }
-    for name in ("kind", "left", "right", "rounds", "certificate", "seed"):
+    for name in ("kind", "left", "right", "rounds", "certificate"):
         if hasattr(ns, name) and getattr(ns, name) is not None:
             chosen[name] = getattr(ns, name)
     if hasattr(ns, "max_universe"):

@@ -325,19 +325,15 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
             ):
                 return v.violated("membership", (j, f.pairs))
     for j in range(cert.rounds):
-        deeper, shallower = cert.levels[j + 1], cert.levels[j]
-        for f in sorted(deeper, key=lambda p: p.pairs):
-            fset = set(f.pairs)
-            for a in range(A.universe_size):
-                if not any(
-                    fset <= set(g.pairs) and a in g.domain() for g in shallower
-                ):
-                    return v.violated("forth", (j, a, f.pairs))
-            for b in range(B.universe_size):
-                if not any(
-                    fset <= set(g.pairs) and b in g.codomain() for g in shallower
-                ):
-                    return v.violated("back", (j, b, f.pairs))
+        shallower = [(set(g.pairs), g) for g in cert.levels[j]]
+        for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
+            above = [g for gset, g in shallower if gset.issuperset(f.pairs)]
+            missed = set(range(A.universe_size)).difference(*(g.domain() for g in above))
+            if missed:
+                return v.violated("forth", (j, min(missed), f.pairs))
+            missed = set(range(B.universe_size)).difference(*(g.codomain() for g in above))
+            if missed:
+                return v.violated("back", (j, min(missed), f.pairs))
     return v.passed()
 
 

@@ -5,7 +5,9 @@ satisfying x*x'*x = x, (x')' = x, and commutation of the idempotents
 x*x' and y*y'.  Three classically equivalent presentations (the axioms,
 uniqueness of inverses, regularity plus commuting idempotents) are each
 checked from scratch by ``characterize`` so the equivalence itself stays
-testable.  ``from_partial_bijections`` turns a closed set of partial
+testable.  The laws read bare rows, so ``free_categories`` runs the same
+functions on the composition tables of inverse categories.
+``from_partial_bijections`` turns a closed set of partial
 bijections into an abstract table, and ``wagner_preston`` goes the other
 way, realizing any verified table as partial bijections on itself.
 
@@ -48,12 +50,7 @@ class InverseSemigroupTable:
 
     def __post_init__(self):
         n = self.order
-        if n < 1:
-            raise InputError("table order must be at least 1")
-        if len(self.mul) != n or any(len(row) != n for row in self.mul):
-            raise InputError("multiplication table must be order x order")
-        if any(not (0 <= entry < n) for row in self.mul for entry in row):
-            raise InputError("multiplication entry out of range")
+        _check_square(self.mul, n)
         if len(self.inv) != n or any(not (0 <= x < n) for x in self.inv):
             raise InputError("inverse table must list one in-range element per element")
         for claimed in (self.neutral, self.zero):
@@ -71,6 +68,15 @@ class InverseSemigroupTable:
         return cls(len(rows), tuple(tuple(r) for r in rows), tuple(inv), neutral, zero)
 
 
+def _check_square(mul: MulTable, n: int) -> None:
+    if n < 1:
+        raise InputError("table order must be at least 1")
+    if len(mul) != n or any(len(row) != n for row in mul):
+        raise InputError("multiplication table must be order x order")
+    if any(not (0 <= entry < n) for row in mul for entry in row):
+        raise InputError("multiplication entry out of range")
+
+
 def associativity_witness(mul: MulTable) -> tuple[int, int, int] | None:
     n = len(mul)
     for x in range(n):
@@ -85,18 +91,9 @@ def associativity_witness(mul: MulTable) -> tuple[int, int, int] | None:
     return None
 
 
-@fact
-def verify_inverse_semigroup(table: InverseSemigroupTable) -> v.Verdict:
-    """Axioms in checking order: associativity, x*x'*x = x, (x')' = x,
-    idempotent commutation, then any declared neutral and zero."""
-    return _check_inverse_semigroup(table)
-
-
-def _check_inverse_semigroup(table: InverseSemigroupTable) -> v.Verdict:
-    mul, inv, n = table.mul, table.inv, table.order
-    bad = associativity_witness(mul)
-    if bad is not None:
-        return v.violated("associativity", bad)
+def inverse_laws(mul: MulTable, inv: Sequence[int]) -> v.Verdict:
+    """In order: x*x'*x = x, (x')' = x, and x*x' commutes with y*y'."""
+    n = len(mul)
     for x in range(n):
         if mul[mul[x][inv[x]]][x] != x:
             return v.violated("regularity", (x,))
@@ -109,6 +106,68 @@ def _check_inverse_semigroup(table: InverseSemigroupTable) -> v.Verdict:
             f = mul[y][inv[y]]
             if mul[e][f] != mul[f][e]:
                 return v.violated("idempotent-commutation", (x, y))
+    return v.passed()
+
+
+def partners(mul: MulTable, x: int) -> list[int]:
+    """Every y with x*y*x = x and y*x*y = y (the generalized inverses of
+    x), in index order."""
+    row_x = mul[x]
+    return [
+        y for y in range(len(mul)) if mul[row_x[y]][x] == x and mul[mul[y][x]][y] == y
+    ]
+
+
+def _noncommuting_idempotents(mul: MulTable) -> tuple[int, int] | None:
+    idem = [e for e in range(len(mul)) if mul[e][e] == e]
+    for e in idem:
+        for f in idem:
+            if mul[e][f] != mul[f][e]:
+                return (e, f)
+    return None
+
+
+def absorbing(compose, elements: Sequence[int]) -> int | None:
+    """The first z of ``elements`` with compose(z, p) = compose(p, z) = z
+    for every p among them: the zero of that subset, if it has one."""
+    for z in elements:
+        if all(compose(z, p) == z and compose(p, z) == z for p in elements):
+            return z
+    return None
+
+
+def _neutral_of(mul: MulTable) -> int | None:
+    n = len(mul)
+    for e in range(n):
+        if all(mul[e][x] == x and mul[x][e] == x for x in range(n)):
+            return e
+    return None
+
+
+def _zero_of(mul: MulTable) -> int | None:
+    return absorbing(lambda x, y: mul[x][y], range(len(mul)))
+
+
+def table_from_rows(mul: MulTable, inv: Sequence[int]) -> InverseSemigroupTable:
+    """The table of the rows, with its neutral and zero recorded when present."""
+    return InverseSemigroupTable(len(mul), mul, tuple(inv), _neutral_of(mul), _zero_of(mul))
+
+
+@fact
+def verify_inverse_semigroup(table: InverseSemigroupTable) -> v.Verdict:
+    """Axioms in checking order: associativity, x*x'*x = x, (x')' = x,
+    idempotent commutation, then any declared neutral and zero."""
+    return _check_inverse_semigroup(table)
+
+
+def _check_inverse_semigroup(table: InverseSemigroupTable) -> v.Verdict:
+    mul, n = table.mul, table.order
+    bad = associativity_witness(mul)
+    if bad is not None:
+        return v.violated("associativity", bad)
+    laws = inverse_laws(mul, table.inv)
+    if not laws:
+        return laws
     if table.neutral is not None:
         e = table.neutral
         for x in range(n):
@@ -129,12 +188,7 @@ def idempotents(table: InverseSemigroupTable) -> tuple[int, ...]:
 
 def inverses_of(table: InverseSemigroupTable, x: int) -> frozenset[int]:
     """All y with x*y*x = x and y*x*y = y."""
-    mul = table.mul
-    return frozenset(
-        y
-        for y in range(table.order)
-        if mul[mul[x][y]][x] == x and mul[mul[y][x]][y] == y
-    )
+    return frozenset(partners(table.mul, x))
 
 
 def resolve_inverses(
@@ -145,35 +199,33 @@ def resolve_inverses(
     """Recover the inverse map from bare multiplication.
 
     Succeeds exactly when every element has one generalized inverse; the
-    verdict names the first obstruction otherwise.  Absent claims for
-    neutral and zero are filled in by scanning.
+    verdict names the first obstruction otherwise, associativity first.
+    Absent claims for neutral and zero are filled in by scanning.
     """
     rows = tuple(tuple(r) for r in mul_rows)
     n = len(rows)
-    probe = InverseSemigroupTable(n, rows, tuple(range(n)))
-    w = associativity_witness(rows)
-    if w is not None:
-        return None, v.violated("associativity", w)
-    chosen = []
-    for x in range(n):
-        candidates = inverses_of(probe, x)
-        if not candidates:
-            return None, v.violated("regularity", x)
-        if len(candidates) > 1:
-            # several inverses force a non-commuting idempotent pair
-            idem = idempotents(probe)
-            for e in idem:
-                for f in idem:
-                    if rows[e][f] != rows[f][e]:
-                        return None, v.violated("idempotent-commutation", (e, f))
-            return None, v.violated("inverse-uniqueness", (x, tuple(sorted(candidates))))
-        chosen.append(next(iter(candidates)))
-    if neutral is None:
-        neutral = find_neutral(probe)
-    if zero is None:
-        zero = find_zero(probe)
-    table = InverseSemigroupTable(n, rows, tuple(chosen), neutral, zero)
-    return table, verify_inverse_semigroup(table)
+    _check_square(rows, n)
+    found = [partners(rows, x) for x in range(n)]
+    stuck = next((x for x in range(n) if len(found[x]) != 1), None)
+    if stuck is not None or any(c is not None and not 0 <= c < n for c in (neutral, zero)):
+        # no table to verify, so check here the axiom it would report first
+        w = associativity_witness(rows)
+        if w is not None:
+            return None, v.violated("associativity", w)
+    if stuck is not None:
+        if not found[stuck]:
+            return None, v.violated("regularity", stuck)
+        # several inverses force a non-commuting idempotent pair
+        pair = _noncommuting_idempotents(rows)
+        if pair is not None:
+            return None, v.violated("idempotent-commutation", pair)
+        return None, v.violated("inverse-uniqueness", (stuck, tuple(found[stuck])))
+    neutral = _neutral_of(rows) if neutral is None else neutral
+    zero = _zero_of(rows) if zero is None else zero
+    table = InverseSemigroupTable(n, rows, tuple(c[0] for c in found), neutral, zero)
+    verdict = verify_inverse_semigroup(table)
+    # like the failure branches, return no table that is not associative
+    return (None if verdict.axiom == "associativity" else table), verdict
 
 
 @dataclass(frozen=True)
@@ -200,16 +252,15 @@ def characterize(mul_rows: Sequence[Sequence[int]]) -> CharacterizationReport:
     """
     mul: MulTable = tuple(tuple(r) for r in mul_rows)
     n = len(mul)
+    _check_square(mul, n)
     if associativity_witness(mul) is not None:
         raise InputError("table is not associative")
-    probe = InverseSemigroupTable(n, mul, tuple(range(n)))
-    candidate_sets = [sorted(inverses_of(probe, x)) for x in range(n)]
+    candidate_sets = [partners(mul, x) for x in range(n)]
 
     unique = all(len(c) == 1 for c in candidate_sets)
 
     regular = all(len(c) > 0 for c in candidate_sets)
-    idems = [x for x in range(n) if mul[x][x] == x]
-    commuting = all(mul[e][f] == mul[f][e] for e in idems for f in idems)
+    commuting = _noncommuting_idempotents(mul) is None
 
     axiomatic = False
     if regular:
@@ -220,11 +271,7 @@ def characterize(mul_rows: Sequence[Sequence[int]]) -> CharacterizationReport:
                 raise BoundExceededError(
                     f"inverse-map search space {space}+ exceeds {AXIOMATIC_SEARCH_CAP}"
                 )
-        for choice in product(*candidate_sets):
-            candidate = InverseSemigroupTable(n, mul, tuple(choice))
-            if verify_inverse_semigroup(candidate).ok:
-                axiomatic = True
-                break
+        axiomatic = any(inverse_laws(mul, choice) for choice in product(*candidate_sets))
     return CharacterizationReport(axiomatic, unique, regular and commuting)
 
 
@@ -241,17 +288,11 @@ def natural_leq(table: InverseSemigroupTable, s: int, x: int) -> bool:
 
 
 def find_neutral(table: InverseSemigroupTable) -> int | None:
-    for e in range(table.order):
-        if all(table.mul[e][x] == x and table.mul[x][e] == x for x in range(table.order)):
-            return e
-    return None
+    return _neutral_of(table.mul)
 
 
 def find_zero(table: InverseSemigroupTable) -> int | None:
-    for z in range(table.order):
-        if all(table.mul[z][x] == z and table.mul[x][z] == z for x in range(table.order)):
-            return z
-    return None
+    return _zero_of(table.mul)
 
 
 def atoms(table: InverseSemigroupTable) -> frozenset[int]:
@@ -299,11 +340,7 @@ def from_partial_bijections(
         if f.inverse() not in index:
             raise InputError(f"not closed under inverse: {f.pairs}")
         inv_row.append(index[f.inverse()])
-    table = InverseSemigroupTable(len(elements), tuple(mul_rows), tuple(inv_row))
-    table = InverseSemigroupTable(
-        table.order, table.mul, table.inv, find_neutral(table), find_zero(table)
-    )
-    return table, tuple(elements)
+    return table_from_rows(tuple(mul_rows), inv_row), tuple(elements)
 
 
 def wagner_preston(table: InverseSemigroupTable) -> tuple[PartialBijection, ...]:

@@ -212,6 +212,7 @@ class TestPartialIsoAmbient:
         cert = extract_certificate(A, B, 4, category=cat)
         assert cert is not None
         assert len(cert.levels) == 5
+        assert verify_certificate(cert).ok
 
 
 class TestFrozenAnswers:

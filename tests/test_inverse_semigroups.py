@@ -25,6 +25,7 @@ from modeloids.inverse_semigroups import (
     idempotents,
     inverses_of,
     natural_leq,
+    resolve_inverses,
     semimodeloid_derivative,
     verify_inverse_semigroup,
     verify_semimodeloid,
@@ -134,6 +135,15 @@ class TestInversesAndCharacterization:
     def test_characterize_requires_associativity(self):
         with pytest.raises(InputError):
             characterize([[1, 1], [0, 0]])
+
+    def test_resolve_reports_associativity_before_regularity(self):
+        # 0*0 = 1 and 1*0 = 1: neither element has a generalized inverse,
+        # and (0*0)*0 = 1 differs from 0*(0*0) = 0
+        table, verdict = resolve_inverses([[1, 0], [1, 0]])
+        assert table is None
+        assert (verdict.axiom, verdict.witness) == ("associativity", (0, 0, 0))
+        table, verdict = resolve_inverses([[1, 0], [1, 0]], neutral=5)
+        assert table is None and verdict.axiom == "associativity"
 
     def test_report_shape(self):
         report = CharacterizationReport(True, True, True)
