@@ -8,8 +8,9 @@ chains), ``embed`` (partial-bijection representation of a table).
 Exit codes: 0 success or equivalent; 1 axiom violation or not
 equivalent; 2 malformed input or exceeded bound; 3 unreadable file;
 4 the two equivalence methods disagree (never reconciled silently);
-5 internal error (the program failed, e.g. ran out of recursion depth;
-one ``error: internal`` line on stderr, no answer is given).
+5 internal error (the program itself failed, e.g. an unexpected
+exception in a library call; one ``error: internal`` line on stderr, no
+answer is given).
 
 ``--format machine`` prints the same key:value lines sorted by key,
 with booleans as lowercase true/false; repeated runs on identical

@@ -13,8 +13,12 @@ restrictions that keep the constant pairs.
 ``ef_equiv_derivative`` decides m-round equivalence by applying the
 categorical derivative m times and asking whether any map from id_A to
 id_B survives.  ``ef_equiv_oracle`` decides the same question by a
-memoized game-tree recursion that shares no code with the derivative.
-The two must always agree; the command-line front-end runs both.
+memoized game-tree recursion that shares no code with the derivative:
+Spoiler plays only fresh elements, so each position fixes the rounds
+left, holds one memo entry and is pruned as soon as it is not a partial
+isomorphism, and the recursion is never deeper than the smaller
+universe, whatever the number of rounds.  The two must always agree;
+the command-line front-end runs both.
 
 A positive derivative answer can be externalized: ``extract_certificate``
 returns the chain I_j = D^j ∩ Part(A,B), which ``verify_certificate``
@@ -24,7 +28,7 @@ checks against the literal back-and-forth conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from . import verdict as v
 from .categorical import CategoricalModeloid, categorical_derivative
@@ -228,41 +232,42 @@ def ef_equiv_oracle(
     m: int,
     max_universe: int = DEFAULT_EF_UNIVERSE_BOUND,
 ) -> bool:
-    """Independent game-tree answer.
+    """Independent game-tree answer over fresh moves.
 
-    win(p, 0) asks whether the accumulated pairs form a partial
-    isomorphism; win(p, k) demands an answering move on either side.
-    Checking only at the leaves is enough: a restriction of a partial
-    isomorphism to a superset of the constant pairs is again one.
+    Duplicator wins a position with k rounds left when its pairs form a
+    partial isomorphism and, if k > 0, every element Spoiler picks
+    outside the domain (range) has an answer outside the range (domain)
+    that wins with k - 1 left.  Replaying a used element never helps
+    Spoiler, since Duplicator repeats its answer and fewer rounds are
+    easier; answering with a used element breaks injectivity or
+    functionality.  A position that is not a partial isomorphism is lost
+    at once, as restrictions of partial isomorphisms are again ones.
+    Every move adds one pair, so k follows from the position: the memo
+    holds one entry per position and the recursion is never deeper than
+    the smaller universe, whatever m is.
     """
     _check_pair(A, B, max_universe)
     if m < 0:
         raise InputError("rounds must be non-negative")
-    memo: dict[tuple[tuple[tuple[int, int], ...], int], bool] = {}
+    start = frozenset(constant_pairs(A, B))
+    final_size = len(start) + m  # a position this large has no rounds left
+    memo: dict[frozenset[tuple[int, int]], bool] = {}
 
-    def win(position: frozenset[tuple[int, int]], k: int) -> bool:
-        key = (tuple(sorted(position)), k)
-        if key not in memo:
-            if k == 0:
-                out = pairs_are_partial_iso(A, B, position)
-            else:
-                out = all(
-                    any(
-                        win(position | {(a, b)}, k - 1)
-                        for b in range(B.universe_size)
-                    )
-                    for a in range(A.universe_size)
-                ) and all(
-                    any(
-                        win(position | {(a, b)}, k - 1)
-                        for a in range(A.universe_size)
-                    )
-                    for b in range(B.universe_size)
-                )
-            memo[key] = out
-        return memo[key]
+    def win(position: frozenset[tuple[int, int]]) -> bool:
+        if position not in memo:
+            memo[position] = pairs_are_partial_iso(A, B, position) and (
+                len(position) == final_size or every_pick_answered(position)
+            )
+        return memo[position]
 
-    return win(frozenset(constant_pairs(A, B)), m)
+    def every_pick_answered(position: frozenset[tuple[int, int]]) -> bool:
+        fresh_a = set(range(A.universe_size)).difference(a for a, _ in position)
+        fresh_b = set(range(B.universe_size)).difference(b for _, b in position)
+        return all(
+            any(win(position | {(a, b)}) for b in fresh_b) for a in fresh_a
+        ) and all(any(win(position | {(a, b)}) for a in fresh_a) for b in fresh_b)
+
+    return win(start)
 
 
 @dataclass(frozen=True)
@@ -325,9 +330,14 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
             ):
                 return v.violated("membership", (j, f.pairs))
     for j in range(cert.rounds):
-        shallower = [(set(g.pairs), g) for g in cert.levels[j]]
+        # the maps of level j above f are those with f among their restrictions
+        extensions: dict[tuple[tuple[int, int], ...], list[PartialIso]] = {}
+        for g in cert.levels[j]:
+            for size in range(len(g.pairs) + 1):
+                for kept in combinations(g.pairs, size):
+                    extensions.setdefault(kept, []).append(g)
         for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
-            above = [g for gset, g in shallower if gset.issuperset(f.pairs)]
+            above = extensions.get(f.pairs, ())
             missed = set(range(A.universe_size)).difference(*(g.domain() for g in above))
             if missed:
                 return v.violated("forth", (j, min(missed), f.pairs))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundExceededError, InputError, ParseError
 
@@ -219,30 +219,34 @@ def pairs_are_partial_iso(
     if not set(constant_pairs(A, B)) <= pairs:
         return False
     forward = dict(pairs)
-    for (_, arity), tuples_a, tuples_b in zip(
-        A.vocabulary.relations, A.relations, B.relations
-    ):
-        if not _preserves(forward, arity, tuples_a, tuples_b):
+    backward = {b: a for a, b in pairs}
+    for tuples_a, tuples_b in zip(A.relations, B.relations):
+        if not (
+            _maps_into(forward, tuples_a, tuples_b)
+            and _maps_into(backward, tuples_b, tuples_a)
+        ):
             return False
     return True
 
 
-def _preserves(forward, arity, tuples_a, tuples_b) -> bool:
-    dom = sorted(forward)
-    for combo in _tuples_over(dom, arity):
-        image = tuple(forward[x] for x in combo)
-        if (combo in tuples_a) != (image in tuples_b):
+def _maps_into(f: dict[int, int], tuples: Iterable[tuple[int, ...]], target) -> bool:
+    """Every tuple that lies inside f's domain has its image in target.
+    For an injective f, this in both directions is preservation both
+    ways, at a cost in the number of tuples, not |domain|^arity."""
+    inside, image = f.__contains__, f.__getitem__
+    for t in tuples:
+        if all(map(inside, t)) and tuple(map(image, t)) not in target:
             return False
     return True
 
 
-def _tuples_over(dom: Sequence[int], arity: int) -> Iterator[tuple[int, ...]]:
-    if arity == 0:
-        yield ()
-        return
-    for rest in _tuples_over(dom, arity - 1):
-        for x in dom:
-            yield rest + (x,)
+def _by_element(tuples: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
+    """The tuples that mention each element."""
+    at: dict[int, list[tuple[int, ...]]] = {}
+    for t in tuples:
+        for x in set(t):
+            at.setdefault(x, []).append(t)
+    return at
 
 
 def is_partial_iso(p: PartialIso) -> bool:
@@ -267,44 +271,40 @@ def enumerate_partial_isos(
     if not pairs_are_partial_iso(A, B, base):
         return frozenset()
     found: list[PartialIso] = []
-    relation_triples = [
-        (arity, tuples_a, tuples_b)
-        for (_, arity), tuples_a, tuples_b in zip(
-            A.vocabulary.relations, A.relations, B.relations
-        )
+    forward = dict(base)
+    backward = {b: a for a, b in base}
+
+    # Only tuples mentioning the new pair need checking; older ones were
+    # checked when their pairs arrived.
+    relations = [
+        (_by_element(tuples_a), tuples_b, _by_element(tuples_b), tuples_a)
+        for tuples_a, tuples_b in zip(A.relations, B.relations)
     ]
 
-    def consistent_with(forward: dict[int, int], a: int) -> bool:
-        # Only tuples mentioning the new source need checking; older ones
-        # were checked when their sources arrived.
-        dom = sorted(forward)
-        for arity, tuples_a, tuples_b in relation_triples:
-            for combo in _tuples_over(dom, arity):
-                if a not in combo:
-                    continue
-                image = tuple(forward[x] for x in combo)
-                if (combo in tuples_a) != (image in tuples_b):
-                    return False
+    def consistent_with(a: int, b: int) -> bool:
+        for at_a, tuples_b, at_b, tuples_a in relations:
+            if not (
+                _maps_into(forward, at_a.get(a, ()), tuples_b)
+                and _maps_into(backward, at_b.get(b, ()), tuples_a)
+            ):
+                return False
         return True
 
-    free_sources = [a for a in range(A.universe_size) if a not in dict(base)]
-    used_targets = set(b for _, b in base)
+    free_sources = [a for a in range(A.universe_size) if a not in forward]
 
-    def grow(start: int, forward: dict[int, int]):
+    def grow(start: int):
         found.append(PartialIso.from_pairs(A, B, forward.items()))
         for i in range(start, len(free_sources)):
             a = free_sources[i]
             for b in range(B.universe_size):
-                if b in used_targets:
+                if b in backward:
                     continue
-                forward[a] = b
-                used_targets.add(b)
-                if consistent_with(forward, a):
-                    grow(i + 1, forward)
-                del forward[a]
-                used_targets.discard(b)
+                forward[a], backward[b] = b, a
+                if consistent_with(a, b):
+                    grow(i + 1)
+                del forward[a], backward[b]
 
-    grow(0, dict(base))
+    grow(0)
     return frozenset(found)
 
 

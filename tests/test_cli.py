@@ -247,6 +247,24 @@ class TestEf:
         assert "oracle-agrees: false" in out
         assert "invariant breach" in err
 
+    def test_high_arity_relation_answers(self, capsys, tmp_path):
+        # the one 9-ary tuple of A spans all five elements: four picks
+        # cannot see it, five can
+        path = tmp_path / "nine.txt"
+        path.write_text(
+            "vocabulary\n  relation R 9\n"
+            "structure A\n  universe 5\n  relation R (0,1,2,3,4,0,1,2,3)\n"
+            "structure B\n  universe 5\n",
+            encoding="utf-8",
+        )
+        for rounds, expected_code, answer in [("4", 0, "true"), ("5", 1, "false")]:
+            code, out, _ = run(
+                capsys, "ef", str(path), "--left", "A", "--right", "B", "--rounds", rounds
+            )
+            assert code == expected_code
+            assert f"equivalent: {answer}" in out
+            assert "oracle-agrees: true" in out
+
 
 class TestVerify:
     def test_semigroup_ok(self, files, capsys):
@@ -544,8 +562,23 @@ class TestSubprocess:
             "equivalent: true\nmethod: derivative\noracle-agrees: true\nrounds: 2\n"
         )
 
-    def test_internal_error_exits_5(self, tmp_path):
-        # thousands of rounds exhaust the recursion depth of the game oracle
+    def test_internal_error_exits_5(self, files, capsys, monkeypatch):
+        # a failure inside the program, not in the input, stands for any bug
+        def broken(*args, **kwargs):
+            raise RuntimeError("category construction failed")
+
+        monkeypatch.setattr(cli, "build_category_D", broken)
+        code, out, err = run(
+            capsys, "ef", files["sets.txt"], "--left", "P2", "--right", "P3", "--rounds", "2"
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: internal RuntimeError")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_thousands_of_rounds_answer(self, tmp_path):
+        # the oracle's recursion depth is bounded by the universe, not by m
         path = tmp_path / "c3.txt"
         path.write_text(
             "vocabulary\n  relation E 2\n\n"
@@ -557,11 +590,10 @@ class TestSubprocess:
             "ef", str(path), "--left", "C3", "--right", "C3", "--rounds", "3000",
         ]
         done = subprocess.run(cmd, capture_output=True, text=True)
-        assert done.returncode == 5
-        assert done.stdout == ""
-        assert done.stderr.startswith("error: internal RecursionError")
-        assert done.stderr.count("\n") == 1
-        assert "Traceback" not in done.stderr
+        assert done.returncode == 0
+        assert "equivalent: true" in done.stdout.splitlines()
+        assert "oracle-agrees: true" in done.stdout.splitlines()
+        assert done.stderr == ""
 
     def test_exit_code_propagates(self, files):
         cmd = [

@@ -3,11 +3,15 @@ game-tree oracle, plus back-and-forth certificates."""
 
 import math
 import random
+import sys
 
 import pytest
 from dense_ambient import dense_table
+from generated import relabel, structure_pairs
+from hypothesis import given
+from hypothesis import strategies as st
 
-from modeloids import free_categories
+from modeloids import ef_games, free_categories
 from modeloids.categorical import (
     CategoricalModeloid,
     categorical_derivative,
@@ -45,6 +49,7 @@ from modeloids.structures import (
 
 EMPTY = Vocabulary()
 ORDER = Vocabulary(relations=(("L", 2),))
+DIGRAPH = Vocabulary(relations=(("E", 2),))
 POINTED = Vocabulary(relations=(("E", 2),), constants=("c",))
 
 
@@ -68,6 +73,20 @@ def naive_win(A, B, position, k):
         any(naive_win(A, B, position | {(a, b)}, k - 1) for a in range(A.universe_size))
         for b in range(B.universe_size)
     )
+
+
+def directed_cycle(name, labels):
+    """The cycle labels[0] -> labels[1] -> ... -> labels[0]."""
+    n = len(labels)
+    edges = [(labels[i], labels[(i + 1) % n]) for i in range(n)]
+    return Structure.build(name, n, DIGRAPH, {"E": edges})
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 def part_count(p, q):
@@ -277,6 +296,38 @@ class TestOracle:
             for m in range(3):
                 assert ef_equiv_oracle(A, B, m) == naive_win(A, B, frozenset(), m)
 
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The stack depth of every position check the oracle makes."""
+        depths = []
+        check = ef_games.pairs_are_partial_iso
+
+        def counting(*args):
+            depths.append(stack_depth())
+            return check(*args)
+
+        monkeypatch.setattr(ef_games, "pairs_are_partial_iso", counting)
+        return depths
+
+    def test_each_position_is_checked_once(self, checks):
+        # every checked position is the start or a one-pair extension of a
+        # partial isomorphism, so 1 + |A||B||Part(A,B)| bounds the checks
+        A = directed_cycle("A", (0, 1, 2, 3, 4))
+        B = directed_cycle("B", (2, 4, 1, 0, 3))
+        bound = 1 + 5 * 5 * len(enumerate_partial_isos(A, B))
+        assert bound == 4526
+        assert ef_equiv_oracle(A, B, 10)
+        assert len(checks) <= bound
+
+    def test_rounds_beyond_the_universe_add_no_work(self, checks):
+        C3 = directed_cycle("C3", (0, 1, 2))
+        seen = []
+        for m in (3, 5000):
+            checks.clear()
+            assert ef_equiv_oracle(C3, C3, m)
+            seen.append((len(checks), max(checks)))
+        assert seen[0] == seen[1]
+
 
 class TestInvariants:
     def random_structure(self, rng, name):
@@ -385,6 +436,15 @@ class TestCertificates:
         assert report.axiom in ("forth", "back")
         assert report.witness is not None
 
+    def test_cover_must_come_from_extensions(self):
+        # (1,1) covers element 1 but does not extend (0,0)
+        A, B = pure("A", 2), pure("B", 2)
+        low, other = PartialIso.from_pairs(A, B, [(0, 0)]), PartialIso.from_pairs(A, B, [(1, 1)])
+        cert = BackAndForthCertificate(A, B, 1, (frozenset({low, other}), frozenset({low})))
+        report = verify_certificate(cert)
+        assert report.axiom == "forth"
+        assert report.witness == (0, 1, ((0, 0),))
+
     def test_mismatched_level_count(self):
         A = pure("A", 1)
         with pytest.raises(InputError):
@@ -429,3 +489,36 @@ class TestCrossValidation:
                     ef_equiv_derivative(A, B, m, category=cat)[0]
                     == ef_equiv_oracle(A, B, m)
                 )
+
+
+class TestGeneratedPairs:
+    """Generated pairs with constants and relations of arity 1 to 3: the
+    oracle, the naive recursion and the derivative agree, certificates
+    verify, and relabelling or swapping the sides keeps the answer."""
+
+    @given(structure_pairs(), st.integers(0, 3))
+    def test_three_routes_agree(self, pair, m):
+        A, B = pair
+        expected = naive_win(A, B, frozenset(constant_pairs(A, B)), m)
+        assert ef_equiv_oracle(A, B, m) == expected
+        assert ef_equiv_derivative(A, B, m)[0] == expected
+
+    @given(structure_pairs(), st.integers(0, 3))
+    def test_extracted_certificates_verify(self, pair, m):
+        A, B = pair
+        cat = build_category_D(A, B)
+        cert = extract_certificate(A, B, m, category=cat)
+        assert (cert is not None) == ef_equiv_derivative(A, B, m, category=cat)[0]
+        if cert is not None:
+            assert verify_certificate(cert).ok
+
+    @given(st.data())
+    def test_relabelling_and_swapping_keep_the_answer(self, data):
+        A, B = data.draw(structure_pairs())
+        m = data.draw(st.integers(0, 3))
+        A2 = relabel(A, data.draw(st.permutations(range(A.universe_size))), "A")
+        B2 = relabel(B, data.draw(st.permutations(range(B.universe_size))), "B")
+        answer = ef_equiv_oracle(A, B, m)
+        for left, right in [(A2, B), (A, B2), (B, A)]:
+            assert ef_equiv_oracle(left, right, m) == answer
+            assert ef_equiv_derivative(left, right, m)[0] == answer

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from generated import structure_pairs, structures_over
 
 from modeloids.errors import BoundExceededError, InputError, ParseError
 from modeloids.partial_bijections import Carrier, enumerate_all
@@ -181,25 +182,6 @@ class TestParsing:
         assert A.name == "A"
 
 
-@st.composite
-def structures_over(draw, vocabulary, name):
-    size = draw(st.integers(min_value=1, max_value=3))
-    relations = {}
-    for rel_name, arity in vocabulary.relations:
-        universe = range(size)
-        tuples = draw(
-            st.sets(
-                st.tuples(*([st.sampled_from(universe)] * arity)), max_size=4
-            )
-        )
-        relations[rel_name] = tuples
-    constants = {
-        c: draw(st.integers(min_value=0, max_value=size - 1))
-        for c in vocabulary.constants
-    }
-    return Structure.build(name, size, vocabulary, relations, constants)
-
-
 class TestFormatRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -288,6 +270,17 @@ class TestEnumeration:
         B = Structure.build("B", 3, GRAPH, {"E": [(1, 0), (0, 2)]}, {"c": 1})
         got = {frozenset(p.pairs) for p in enumerate_partial_isos(A, B)}
         assert got == oracle_partial_isos(A, B)
+
+    @given(structure_pairs())
+    def test_generated_pairs_against_literal_oracle(self, pair):
+        A, B = pair
+        literal = oracle_partial_isos(A, B)
+        assert {frozenset(p.pairs) for p in enumerate_partial_isos(A, B)} == literal
+        for size in range(min(A.universe_size, B.universe_size) + 1):
+            for sources in itertools.combinations(range(A.universe_size), size):
+                for targets in itertools.permutations(range(B.universe_size), size):
+                    pairs = frozenset(zip(sources, targets))
+                    assert pairs_are_partial_iso(A, B, pairs) == (pairs in literal)
 
     def test_oracle_agreement_on_pure_sets(self):
         A = Structure.build("A", 3, EMPTY)
