@@ -20,9 +20,7 @@ input are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -72,58 +70,37 @@ VERIFY_KINDS = (
 DERIVE_KINDS = ("modeloid", "semimodeloid", "categorical-modeloid")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, normalized from argparse."""
-
-    command: str
-    path: Path
-    fmt: str = "text"
-    kind: str | None = None
-    left: str | None = None
-    right: str | None = None
-    rounds: int = 0
-    certificate: Path | None = None
-    max_universe: int = DEFAULT_EF_UNIVERSE_BOUND
-
-    def __post_init__(self):
-        if self.rounds < 0:
-            raise InputError("--rounds must be non-negative")
-        if self.max_universe < 1:
-            raise InputError("--max-universe must be positive")
-
-
 def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _emit(cfg: RunConfig, records: list[tuple[str, str]]):
-    if cfg.fmt == "machine":
+def _emit(args: argparse.Namespace, records: list[tuple[str, str]]):
+    if args.fmt == "machine":
         records = sorted(records)
     for key, value in records:
         print(f"{key}: {value}")
 
 
-def _emit_verdict(cfg: RunConfig, verdict: Verdict) -> int:
+def _emit_verdict(args: argparse.Namespace, verdict: Verdict) -> int:
     records = [("ok", _bool(verdict.ok))]
     if not verdict.ok:
         records.append(("axiom", verdict.axiom))
         records.append(("witness", str(verdict.witness)))
-    _emit(cfg, records)
+    _emit(args, records)
     return 0 if verdict.ok else 1
 
 
-def _read(cfg: RunConfig) -> str:
-    return cfg.path.read_text(encoding="utf-8")
+def _read(args: argparse.Namespace) -> str:
+    return args.file.read_text(encoding="utf-8")
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    vocabulary, structures = parse_structures(_read(cfg))
+def cmd_validate(args: argparse.Namespace) -> int:
+    vocabulary, structures = parse_structures(_read(args))
     relations = " ".join(f"{n}/{a}" for n, a in vocabulary.relations) or "none"
     constants = " ".join(vocabulary.constants) or "none"
     names = " ".join(s.name for s in structures) or "none"
     _emit(
-        cfg,
+        args,
         [
             ("ok", "true"),
             ("structures", names),
@@ -141,43 +118,43 @@ def _pick_structure(structures, name: str):
     raise InputError(f"no structure named {name} in the file")
 
 
-def cmd_ef(cfg: RunConfig) -> int:
-    _, structures = parse_structures(_read(cfg))
-    A = _pick_structure(structures, cfg.left)
-    B = _pick_structure(structures, cfg.right)
-    category = build_category_D(A, B, cfg.max_universe)
+def cmd_ef(args: argparse.Namespace) -> int:
+    _, structures = parse_structures(_read(args))
+    A = _pick_structure(structures, args.left)
+    B = _pick_structure(structures, args.right)
+    category = build_category_D(A, B, args.max_universe)
     by_derivative, _witness = ef_equiv_derivative(
-        A, B, cfg.rounds, category=category
+        A, B, args.rounds, category=category
     )
-    by_oracle = ef_equiv_oracle(A, B, cfg.rounds, cfg.max_universe)
+    by_oracle = ef_equiv_oracle(A, B, args.rounds, args.max_universe)
     agrees = by_derivative == by_oracle
 
     records = [
         ("equivalent", _bool(by_derivative)),
-        ("rounds", str(cfg.rounds)),
+        ("rounds", str(args.rounds)),
         ("method", "derivative"),
         ("oracle-agrees", _bool(agrees)),
     ]
-    _emit(cfg, records)
+    _emit(args, records)
 
     if not agrees:
         print(
             "invariant breach: derivative says "
             f"{_bool(by_derivative)}, game oracle says {_bool(by_oracle)} "
-            f"for left={cfg.left} right={cfg.right} rounds={cfg.rounds}",
+            f"for left={args.left} right={args.right} rounds={args.rounds}",
             file=sys.stderr,
         )
         return 4
 
-    if cfg.certificate is not None:
-        cert = extract_certificate(A, B, cfg.rounds, category=category)
+    if args.certificate is not None:
+        cert = extract_certificate(A, B, args.rounds, category=category)
         if cert is None:
             print(
-                f"no certificate: not equivalent at {cfg.rounds} rounds",
+                f"no certificate: not equivalent at {args.rounds} rounds",
                 file=sys.stderr,
             )
         else:
-            cfg.certificate.write_text(format_certificate(cert), encoding="utf-8")
+            args.certificate.write_text(format_certificate(cert), encoding="utf-8")
     return 0 if by_derivative else 1
 
 
@@ -200,59 +177,56 @@ def _semimodeloid_instance(text: str) -> tuple[Semimodeloid | None, Verdict]:
 
 
 def _categorical_instance(text: str) -> tuple[CategoricalModeloid | None, Verdict]:
-    cf = ff.parse_categorical_modeloid_file(text)
-    c = cf.to_category()
+    c, members = ff.parse_categorical_modeloid_file(text)
     if c.inv is None:
         verdict = verify_inverse_category_unique(c)
         if not verdict.ok:
             return None, verdict
         c = skolem_inverses(c)
-    M = CategoricalModeloid.from_members(c, cf.members)
+    M = CategoricalModeloid.from_members(c, members)
     return M, verify_categorical_modeloid(M)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    text = _read(cfg)
-    if cfg.kind == "semigroup":
+def cmd_verify(args: argparse.Namespace) -> int:
+    text = _read(args)
+    if args.kind == "semigroup":
         _, verdict = _table_with_inverses(ff.parse_semigroup_file(text))
-    elif cfg.kind == "category":
-        verdict = verify_category(ff.parse_category_file(text).to_category())
-    elif cfg.kind == "inverse-category":
-        verdict = verify_inverse_category_unique(
-            ff.parse_category_file(text).to_category()
-        )
-    elif cfg.kind == "modeloid":
+    elif args.kind == "category":
+        verdict = verify_category(ff.parse_category_file(text))
+    elif args.kind == "inverse-category":
+        verdict = verify_inverse_category_unique(ff.parse_category_file(text))
+    elif args.kind == "modeloid":
         verdict = verify_modeloid(ff.parse_modeloid_file(text))
-    elif cfg.kind == "semimodeloid":
+    elif args.kind == "semimodeloid":
         _, verdict = _semimodeloid_instance(text)
     else:
         _, verdict = _categorical_instance(text)
-    return _emit_verdict(cfg, verdict)
+    return _emit_verdict(args, verdict)
 
 
-def cmd_derive(cfg: RunConfig) -> int:
-    text = _read(cfg)
-    if cfg.kind == "modeloid":
+def cmd_derive(args: argparse.Namespace) -> int:
+    text = _read(args)
+    if args.kind == "modeloid":
         M = ff.parse_modeloid_file(text)
         verdict = verify_modeloid(M)
         if not verdict.ok:
-            return _emit_verdict(cfg, verdict)
-        chain, stabilized = iterate_derivative(M, cfg.rounds)
+            return _emit_verdict(args, verdict)
+        chain, stabilized = iterate_derivative(M, args.rounds)
         levels = [sorted(x.pairs for x in step.members) for step in chain]
         dump = [
             " ".join("-" if not m else ",".join(f"{a}>{b}" for a, b in m) for m in lv)
             for lv in levels
         ]
     else:
-        if cfg.kind == "semimodeloid":
+        if args.kind == "semimodeloid":
             start, verdict = _semimodeloid_instance(text)
             step = semimodeloid_derivative
         else:
             start, verdict = _categorical_instance(text)
             step = partial(categorical_derivative, check=False)
         if not verdict.ok:
-            return _emit_verdict(cfg, verdict)
-        chain, stabilized = fixpoint_chain(start, step, cfg.rounds)
+            return _emit_verdict(args, verdict)
+        chain, stabilized = fixpoint_chain(start, step, args.rounds)
         levels = [sorted(x.members) for x in chain]
         dump = [" ".join(str(x) for x in lv) for lv in levels]
 
@@ -260,19 +234,19 @@ def cmd_derive(cfg: RunConfig) -> int:
         ("sizes", " ".join(str(len(level)) for level in levels)),
         ("stabilized", "none" if stabilized is None else str(stabilized)),
     ]
-    if cfg.fmt == "machine":
+    if args.fmt == "machine":
         width = len(str(len(levels) - 1))
         for j, rendered in enumerate(dump):
             records.append((f"level-{j:0{width}d}", rendered))
-    _emit(cfg, records)
+    _emit(args, records)
     return 0
 
 
-def cmd_embed(cfg: RunConfig) -> int:
-    sf = ff.parse_semigroup_file(_read(cfg))
+def cmd_embed(args: argparse.Namespace) -> int:
+    sf = ff.parse_semigroup_file(_read(args))
     table, verdict = _table_with_inverses(sf)
     if not verdict.ok:
-        return _emit_verdict(cfg, verdict)
+        return _emit_verdict(args, verdict)
     omegas = wagner_preston(table)
     mul = table.mul
     n = table.order
@@ -299,7 +273,7 @@ def cmd_embed(cfg: RunConfig) -> int:
             ("order-faithful", _bool(faithful)),
         ]
     )
-    _emit(cfg, records)
+    _emit(args, records)
     return 0 if (injective and multiplicative and faithful) else 1
 
 
@@ -353,22 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    chosen = {
-        "command": ns.command,
-        "path": ns.file,
-        "fmt": ns.fmt,
-    }
-    for name in ("kind", "left", "right", "rounds", "certificate"):
-        if hasattr(ns, name) and getattr(ns, name) is not None:
-            chosen[name] = getattr(ns, name)
-    if hasattr(ns, "max_universe"):
-        chosen["max_universe"] = ns.max_universe
-    assert set(chosen) <= fields
-    return RunConfig(**chosen)
-
-
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     handlers = {
@@ -379,8 +337,11 @@ def main(argv=None) -> int:
         "embed": cmd_embed,
     }
     try:
-        cfg = _config_from(ns)
-        return handlers[cfg.command](cfg)
+        if getattr(ns, "rounds", 0) < 0:
+            raise InputError("--rounds must be non-negative")
+        if getattr(ns, "max_universe", 1) < 1:
+            raise InputError("--max-universe must be positive")
+        return handlers[ns.command](ns)
     except (BoundExceededError, InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

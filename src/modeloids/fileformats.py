@@ -53,14 +53,6 @@ from .partial_bijections import Carrier, PartialBijection
 
 _PAIR = re.compile(r"\((\d+),(\d+)\)")
 
-KINDS = (
-    "semigroup",
-    "category",
-    "modeloid",
-    "semimodeloid",
-    "categorical-modeloid",
-)
-
 
 def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -188,27 +180,9 @@ def parse_semimodeloid_file(text: str) -> SemigroupFile:
     return _parse_table_body(lines, "semimodeloid", want_members=True)
 
 
-@dataclass(frozen=True)
-class CategoryFile:
-    """Raw contents of a category-shaped file."""
-
-    morphism_count: int
-    star: int
-    dom: tuple[int, ...]
-    cod: tuple[int, ...]
-    comp: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...] | None = None
-    members: tuple[int, ...] | None = None
-
-    def to_category(self) -> FreeCategory:
-        return FreeCategory(
-            self.morphism_count, self.star, self.dom, self.cod, self.comp, self.inv
-        )
-
-
 def _parse_category_body(
     lines: list[tuple[int, list[str]]], kind: str, want_members: bool
-) -> CategoryFile:
+) -> tuple[FreeCategory, tuple[int, ...] | None]:
     count: int | None = None
     fields: dict = {}
     rows: dict[str, tuple[int, ...]] = {}
@@ -261,24 +235,20 @@ def _parse_category_body(
         raise ParseError(f"expected {count} comp rows, found {len(comp_rows)}", 1)
     if want_members and members is None:
         raise ParseError("missing members line", 1)
-    return CategoryFile(
-        count,
-        fields["star"],
-        rows["dom"],
-        rows["cod"],
-        tuple(comp_rows),
-        rows.get("inv"),
-        members,
+    category = FreeCategory(
+        count, fields["star"], rows["dom"], rows["cod"], tuple(comp_rows), rows.get("inv")
     )
+    return category, members
 
 
-def parse_category_file(text: str) -> CategoryFile:
+def parse_category_file(text: str) -> FreeCategory:
     lines = list(_lines(text))
     _expect_header(lines, "category")
-    return _parse_category_body(lines, "category", want_members=False)
+    return _parse_category_body(lines, "category", want_members=False)[0]
 
 
-def parse_categorical_modeloid_file(text: str) -> CategoryFile:
+def parse_categorical_modeloid_file(text: str) -> tuple[FreeCategory, tuple[int, ...]]:
+    """The ambient category and the sorted member morphisms."""
     lines = list(_lines(text))
     _expect_header(lines, "categorical-modeloid")
     return _parse_category_body(lines, "categorical-modeloid", want_members=True)

@@ -96,9 +96,6 @@ class FreeCategory:
         idempotents of End(dom t)."""
         return frozenset(self.comp[t][e] for e in _endoset_idempotents(self, self.dom[t]))
 
-    def exists(self, m: int) -> bool:
-        return m != self.star
-
     @classmethod
     def from_rows(
         cls,

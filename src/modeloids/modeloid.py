@@ -135,7 +135,7 @@ def _derivative_members(M: Modeloid) -> frozenset[PartialBijection]:
     return frozenset(f for f in member_set if extendable(f))
 
 
-def derivative(M: Modeloid, check: bool = True) -> Modeloid:
+def derivative(M: Modeloid) -> Modeloid:
     """Members extendable by every source and every target within M.
 
     A member f survives iff for every carrier element a there are b with
@@ -143,10 +143,9 @@ def derivative(M: Modeloid, check: bool = True) -> Modeloid:
     already in the domain the only functional union is f itself, so the
     condition there collapses to membership of f.
     """
-    if check:
-        result = verify_modeloid(M)
-        if not result:
-            raise InputError(f"not a modeloid ({result.describe()})")
+    result = verify_modeloid(M)
+    if not result:
+        raise InputError(f"not a modeloid ({result.describe()})")
     return Modeloid(M.carrier, _derivative_members(M))
 
 
@@ -160,4 +159,4 @@ def iterate_derivative(M: Modeloid, rounds: int) -> tuple[list[Modeloid], int | 
     result = verify_modeloid(M)
     if not result:
         raise InputError(f"not a modeloid ({result.describe()})")
-    return fixpoint_chain(M, lambda N: derivative(N, check=False), rounds)
+    return fixpoint_chain(M, lambda N: Modeloid(N.carrier, _derivative_members(N)), rounds)

@@ -68,20 +68,11 @@ class PartialBijection:
     def from_pairs(cls, carrier: Carrier, pairs: Iterable[tuple[int, int]]) -> "PartialBijection":
         return cls(carrier, tuple(sorted(set((a, b) for a, b in pairs))))
 
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     def domain(self) -> frozenset[int]:
         return frozenset(a for a, _ in self.pairs)
 
     def codomain(self) -> frozenset[int]:
         return frozenset(b for _, b in self.pairs)
-
-    def apply(self, x: int) -> int:
-        for a, b in self.pairs:
-            if a == x:
-                return b
-        raise InputError(f"{x} is not in the domain")
 
     def compose(self, other: "PartialBijection") -> "PartialBijection":
         """self after other, defined on other's preimage of dom(self).

@@ -164,9 +164,6 @@ class PartialIso:
     def codomain(self) -> frozenset[int]:
         return frozenset(b for _, b in self.pairs)
 
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     def compose(self, other: "PartialIso") -> "PartialIso":
         """self after other; defined where other lands in self's domain.
         Both maps are assumed functional (enumerated isos always are)."""

@@ -214,6 +214,16 @@ class TestEf:
         assert code == 2
         assert "--rounds" in err
 
+    def test_nonpositive_universe_bound_exits_2(self, files, capsys):
+        code, out, err = run(
+            capsys, "ef", files["sets.txt"],
+            "--left", "P2", "--right", "P3", "--rounds", "1", "--max-universe", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-universe must be positive\n"
+        assert "Traceback" not in err
+
     def test_certificate_matches_library_rendering(self, files, capsys, tmp_path):
         cert_path = tmp_path / "cert.txt"
         code, _, err = run(
@@ -417,11 +427,15 @@ class TestDerive:
         assert "sizes" not in out
 
     def test_negative_rounds_exit_2(self, files, capsys):
-        code, _, err = run(
-            capsys, "derive", "modeloid", files["shrink.txt"], "--rounds", "-2"
-        )
-        assert code == 2
-        assert "--rounds" in err
+        for kind, name in (
+            ("modeloid", "shrink.txt"),
+            ("semimodeloid", "semimodeloid-shrink.txt"),
+            ("categorical-modeloid", "categorical-modeloid-shrink.txt"),
+        ):
+            code, out, err = run(capsys, "derive", kind, files[name], "--rounds", "-2")
+            assert code == 2
+            assert out == ""
+            assert err == "error: --rounds must be non-negative\n"
 
 
 class TestVerifyOncePerRequest:

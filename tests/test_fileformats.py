@@ -146,7 +146,7 @@ class TestModeloidFiles:
 class TestCategoryFiles:
     def test_round_trip(self):
         c = semigroup_to_one_object_category(SEMILATTICE)
-        assert parse_category_file(format_category_file(c)).to_category() == c
+        assert parse_category_file(format_category_file(c)) == c
 
     def test_round_trip_without_inverses(self):
         import dataclasses
@@ -154,7 +154,7 @@ class TestCategoryFiles:
         c = dataclasses.replace(
             semigroup_to_one_object_category(SEMILATTICE), inv=None
         )
-        parsed = parse_category_file(format_category_file(c)).to_category()
+        parsed = parse_category_file(format_category_file(c))
         assert parsed.inv is None
         assert parsed.comp == c.comp
 
@@ -162,18 +162,17 @@ class TestCategoryFiles:
         c = semigroup_to_one_object_category(SEMILATTICE)
         M = CategoricalModeloid.everything(c)
         text = format_categorical_modeloid_file(M)
-        cf = parse_categorical_modeloid_file(text)
-        assert cf.to_category() == c
-        assert frozenset(cf.members) == M.members
+        category, members = parse_categorical_modeloid_file(text)
+        assert category == c
+        assert frozenset(members) == M.members
 
     def test_star_constraint_enforced_on_build(self):
         text = (
             "category\nmorphisms 2\nstar 1\ndom 0 0\ncod 0 1\n"
             "comp 0 1\ncomp 1 1\n"
         )
-        cf = parse_category_file(text)
         with pytest.raises(InputError):
-            cf.to_category()
+            parse_category_file(text)
 
     @pytest.mark.parametrize(
         "drop,needle",

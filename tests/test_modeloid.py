@@ -192,11 +192,6 @@ class TestDerivative:
         with pytest.raises(InputError):
             derivative(Modeloid.from_members(c, [identity_map(c)]))
 
-    def test_unchecked_skips_verification(self):
-        c = Carrier(2)
-        bad = Modeloid.from_members(c, [identity_map(c)])
-        derivative(bad, check=False)  # no error: caller took responsibility
-
 
 class TestIteration:
     def test_full_set_stabilizes_immediately(self):
