@@ -47,7 +47,7 @@ class CategoricalModeloid:
 
 
 def _require_ambient(c: Ambient):
-    # Structural preconditions only; the cubic category axioms are the
+    # Structural preconditions only; the category axioms are the
     # caller's to establish (they never change under derivatives).
     if not has_all_zeros(c):
         raise InputError("the ambient category must have a zero in every endoset")

@@ -48,6 +48,7 @@ from .free_categories import (
 from .inverse_semigroups import (
     InverseSemigroupTable,
     Semimodeloid,
+    generators,
     natural_leq,
     resolve_inverses,
     semimodeloid_derivative,
@@ -178,10 +179,12 @@ def _semimodeloid_instance(text: str) -> tuple[Semimodeloid | None, Verdict]:
 
 def _categorical_instance(text: str) -> tuple[CategoricalModeloid | None, Verdict]:
     c, members = ff.parse_categorical_modeloid_file(text)
+    # a declared inv row skips no check: the table must be an inverse
+    # category, and inv must list its unique partners
+    verdict = verify_inverse_category_unique(c)
+    if not verdict.ok:
+        return None, verdict
     if c.inv is None:
-        verdict = verify_inverse_category_unique(c)
-        if not verdict.ok:
-            return None, verdict
         c = skolem_inverses(c)
     M = CategoricalModeloid.from_members(c, members)
     return M, verify_categorical_modeloid(M)
@@ -251,13 +254,18 @@ def cmd_embed(args: argparse.Namespace) -> int:
     mul = table.mul
     n = table.order
     injective = len(set(omegas)) == n
+    # wagner_preston has verified associativity, so the products with
+    # generators g carry omega(a*b) = omega(a) o omega(b) to every b by
+    # induction on the length of b as a word in them
+    gens = generators(lambda x, y: mul[x][y], range(n))
     multiplicative = all(
-        omegas[mul[a][b]] == omegas[a].compose(omegas[b])
+        omegas[mul[a][g]] == omegas[a].compose(omegas[g])
         for a in range(n)
-        for b in range(n)
+        for g in gens
     )
+    pair_sets = [frozenset(omega.pairs) for omega in omegas]
     faithful = all(
-        natural_leq(table, a, b) == omegas[a].is_restriction_of(omegas[b])
+        natural_leq(table, a, b) == (pair_sets[a] <= pair_sets[b])
         for a in range(n)
         for b in range(n)
     )

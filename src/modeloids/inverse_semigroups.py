@@ -7,6 +7,8 @@ uniqueness of inverses, regularity plus commuting idempotents) are each
 checked from scratch by ``characterize`` so the equivalence itself stays
 testable.  The laws read bare rows, so ``free_categories`` runs the same
 functions on the composition tables of inverse categories.
+Associativity is decided by Light's test on a greedy generating set
+(``generators``), which also serves the closure checks elsewhere.
 ``from_partial_bijections`` turns a closed set of partial
 bijections into an abstract table, and ``wagner_preston`` goes the other
 way, realizing any verified table as partial bijections on itself.
@@ -77,7 +79,60 @@ def _check_square(mul: MulTable, n: int) -> None:
         raise InputError("multiplication entry out of range")
 
 
+def generators(compose, elements: Sequence) -> list | None:
+    """A generating set G of ``elements`` under right multiplication, or
+    None at the first product it forms that falls outside them.
+
+    Scans ``elements`` in order and keeps one as a generator when it is
+    not yet reached, that is, not a product g1*g2*...*gk of generators so
+    far, multiplied left to right.  Every reached element is multiplied by
+    every generator exactly once, so the scan costs |elements|*|G|
+    products.  On return the reached set is all of ``elements`` and is
+    closed under right multiplication by G.  A null semigroup needs every
+    element as a generator.
+    """
+    element_set = set(elements)
+    gens: list = []
+    reached: set = set()
+    for x in elements:
+        if x in reached:
+            continue
+        gens.append(x)
+        # elements reached before meet the new generator only, newly
+        # reached ones meet every generator
+        pending = [(r, (x,)) for r in reached] + [(x, gens)]
+        reached.add(x)
+        while pending:
+            a, by = pending.pop()
+            for g in by:
+                p = compose(a, g)
+                if p not in element_set:
+                    return None
+                if p not in reached:
+                    reached.add(p)
+                    pending.append((p, gens))
+    return gens
+
+
 def associativity_witness(mul: MulTable) -> tuple[int, int, int] | None:
+    """The first (x, y, z) in index order with (x*y)*z != x*(y*z), or None.
+
+    Light's test runs first: (x*g)*y = x*(g*y) for every generator g and
+    all x, y, at n^2*|G| lookups.  The elements a with (x*a)*y = x*(a*y)
+    for all x, y are closed under the product in any magma, and the
+    generators reach every element, so a pass proves associativity.  Only
+    a failure pays the cubic scan, which finds the first witness.
+    """
+    n = len(mul)
+    for g in generators(lambda x, y: mul[x][y], range(n)):
+        row_g = mul[g]
+        for row_x in mul:
+            if mul[row_x[g]] != tuple(map(row_x.__getitem__, row_g)):
+                return _first_associativity_witness(mul)
+    return None
+
+
+def _first_associativity_witness(mul: MulTable) -> tuple[int, int, int] | None:
     n = len(mul)
     for x in range(n):
         row_x = mul[x]

@@ -59,6 +59,14 @@ LEFT_ZERO = "semigroup\norder 2\nmul 0 0\nmul 1 1\n"
 BARE_SEMILATTICE = "semigroup\norder 2\nmul 0 1\nmul 1 1\n"
 SEMILATTICE = "semigroup\norder 2\nmul 0 1\nmul 1 1\ninv 0 1\nneutral 0\nzero 1\n"
 
+# a one-object table with a declared inv row that is no category:
+# (1*1)*1 = 3 but 1*(1*1) = 0
+NON_ASSOCIATIVE_CATMOD = (
+    "categorical-modeloid\nmorphisms 5\nstar 4\ndom 0 0 0 0 4\ncod 0 0 0 0 4\n"
+    "comp 0 1 2 3 4\ncomp 1 2 3 3 4\ncomp 2 0 3 3 4\ncomp 3 3 3 3 4\n"
+    "comp 4 4 4 4 4\ninv 0 1 2 3 4\nmembers 0 1 2 3\n"
+)
+
 # one-object category on the monoid {1, a, a^2} with a^3 = a^2: a is not
 # regular, so this is a category but not an inverse category
 MONOID_CATEGORY = (
@@ -87,6 +95,7 @@ def files(tmp_path_factory):
         "bare.txt": BARE_SEMILATTICE,
         "semilattice.txt": SEMILATTICE,
         "monoidcat.txt": MONOID_CATEGORY,
+        "catmod-nonassoc.txt": NON_ASSOCIATIVE_CATMOD,
         "broken.txt": "structure\n",
         "badmod.txt": "modeloid\ncarrier 2\nmap (0,1)\n",
         "f2.txt": format_semigroup_file(table2),
@@ -343,6 +352,16 @@ class TestVerify:
         assert code == 1
         assert "ok: false" in out
 
+    @pytest.mark.parametrize("command", [("verify",), ("derive", "--rounds", "2")])
+    def test_categorical_modeloid_with_inverse_rows_checks_the_category(
+        self, files, capsys, command
+    ):
+        verb, *rest = command
+        path = files["catmod-nonassoc.txt"]
+        code, out, _ = run(capsys, verb, "categorical-modeloid", path, *rest)
+        assert code == 1
+        assert out == "ok: false\naxiom: associativity\nwitness: (1, 1, 1)\n"
+
 
 class TestDerive:
     def test_modeloid_machine_dump(self, files, capsys):
@@ -476,7 +495,7 @@ class TestVerifyOncePerRequest:
 
 
 class TestAssociativityOncePerRequest:
-    """A table without an inv row gets one cubic associativity scan: the
+    """A table without an inv row gets one associativity check: the
     inverse map is resolved without one, and the verdict makes one."""
 
     @pytest.mark.parametrize(
@@ -558,6 +577,48 @@ class TestEmbed:
         code, out, _ = run(capsys, "embed", files["leftzero.txt"])
         assert code == 1
         assert "ok: false" in out
+
+    def test_swapped_images_match_the_check_on_every_pair(
+        self, files, capsys, monkeypatch
+    ):
+        table, _ = from_partial_bijections(enumerate_all(Carrier(2)))
+        n = table.order
+        omegas = inverse_semigroups.wagner_preston(table)
+        for i in range(n):
+            for j in range(i + 1, n):
+                swapped = list(omegas)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                monkeypatch.setattr(cli, "wagner_preston", lambda t, s=tuple(swapped): s)
+                expected = all(
+                    swapped[table.mul[a][b]] == swapped[a].compose(swapped[b])
+                    for a in range(n)
+                    for b in range(n)
+                )
+                out = run(capsys, "embed", files["f2.txt"])[1].splitlines()
+                assert out[-2] == f"multiplicative: {cli._bool(expected)}"
+
+
+class TestModeloidClosureOnGenerators:
+    def test_compositions_grow_with_members_times_generators(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        M = full_modeloid(Carrier(4))
+        members = sorted(M.members, key=lambda f: f.pairs)
+        gens = inverse_semigroups.generators(PartialBijection.compose, members)
+        path = tmp_path / "mod4.txt"
+        path.write_text(format_modeloid_file(M), encoding="utf-8")
+        calls = 0
+        compose = PartialBijection.compose
+
+        def counting(f, g):
+            nonlocal calls
+            calls += 1
+            return compose(f, g)
+
+        monkeypatch.setattr(PartialBijection, "compose", counting)
+        assert run(capsys, "verify", "modeloid", str(path)) == (0, "ok: true\n", "")
+        # a scan over all pairs makes 209 * 209 = 43 681
+        assert 0 < calls <= len(members) * (len(gens) + 1)
 
 
 class TestSubprocess:

@@ -8,19 +8,25 @@ oracles for the derived expectations frozen here.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
+from dense_ambient import dense_table
+from reference_scans import cubic_associativity_witness
 
+from modeloids.ef_games import build_category_D
 from modeloids.errors import InputError
 from modeloids.inverse_semigroups import (
     CharacterizationReport,
     InverseSemigroupTable,
     Semimodeloid,
+    associativity_witness,
     atoms,
     characterize,
     find_neutral,
     find_zero,
     from_partial_bijections,
+    generators,
     idempotent_atoms,
     idempotents,
     inverses_of,
@@ -40,6 +46,7 @@ from modeloids.partial_bijections import (
     identity_map,
     partial_identity,
 )
+from modeloids.structures import Structure, Vocabulary
 
 # --- small fixed tables -----------------------------------------------------
 
@@ -189,6 +196,102 @@ class TestOrderAndAtoms:
         assert set(idempotents(table)) == {
             i for i, f in enumerate(elements) if f.is_idempotent()
         }
+
+
+def right_closure(compose, gens):
+    """Every left-to-right product of one or more of ``gens``."""
+    reached, frontier = set(gens), list(gens)
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            p = compose(a, g)
+            if p not in reached:
+                reached.add(p)
+                frontier.append(p)
+    return reached
+
+
+def rows_of(mul):
+    return lambda x, y: mul[x][y]
+
+
+class TestGenerators:
+    def test_right_closure_is_every_element(self):
+        tables = [SEMILATTICE, Z2] + [table_of_all_maps(n)[0] for n in (1, 2, 3, 4)]
+        for table in tables:
+            gens = generators(rows_of(table.mul), range(table.order))
+            assert right_closure(rows_of(table.mul), gens) == set(range(table.order))
+        # the rook monoid on 4 points: far fewer generators than elements
+        assert len(gens) < table.order // 10
+
+    def test_each_reached_element_meets_each_generator_once(self):
+        table, _ = table_of_all_maps(4)
+        calls = []
+
+        def compose(x, y):
+            calls.append((x, y))
+            return table.mul[x][y]
+
+        gens = generators(compose, range(table.order))
+        assert sorted(calls) == sorted(product(range(table.order), gens))
+
+    def test_members_of_a_modeloid(self):
+        members = sorted(enumerate_all(Carrier(3)), key=lambda f: f.pairs)
+        gens = generators(PartialBijection.compose, members)
+        assert right_closure(PartialBijection.compose, gens) == set(members)
+
+    def test_product_leaving_the_set(self):
+        assert generators(lambda x, y: (x + y) % 5, [0, 1, 2]) is None
+        # only an element reached before a generator, times that generator
+        assert generators(lambda x, y: 5 if (x, y) == (0, 1) else x, [0, 1]) is None
+        c = Carrier(2)
+        swap = PartialBijection.from_pairs(c, [(0, 1), (1, 0)])
+        shift = PartialBijection.from_pairs(c, [(0, 1)])
+        assert generators(PartialBijection.compose, [identity_map(c), swap]) is not None
+        # shift after shift is the empty map, which is not listed
+        assert generators(PartialBijection.compose, [identity_map(c), shift]) is None
+
+    def test_null_semigroup_needs_every_element(self):
+        for n in (1, 2, 7):
+            assert generators(lambda x, y: 0, range(n)) == list(range(n))
+
+
+def mutations(mul, rng, count):
+    """``count`` copies of the table, each with one entry changed."""
+    n = len(mul)
+    for _ in range(count):
+        rows = [list(r) for r in mul]
+        x, y = rng.randrange(n), rng.randrange(n)
+        rows[x][y] = rng.choice([v for v in range(n) if v != mul[x][y]])
+        yield tuple(tuple(r) for r in rows)
+
+
+class TestAssociativityMatchesScan:
+    """Light's test decides, the cubic scan names the first witness."""
+
+    def test_every_table_up_to_order_3(self):
+        count = 0
+        for n in (1, 2, 3):
+            for entries in product(range(n), repeat=n * n):
+                mul = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+                assert associativity_witness(mul) == cubic_associativity_witness(mul)
+                count += 1
+        assert count == 1 + 16 + 19683
+
+    def test_mutated_rook_monoid(self):
+        table, _ = table_of_all_maps(4)
+        assert associativity_witness(table.mul) is None
+        for mul in mutations(table.mul, random.Random(7), 4):
+            assert associativity_witness(mul) == cubic_associativity_witness(mul)
+
+    def test_mutated_category_table(self):
+        E = Vocabulary(relations=(("E", 2),))
+        C4 = Structure.build("C4", 4, E, {"E": [(0, 1), (1, 2), (2, 3), (3, 0)]})
+        P4 = Structure.build("P4", 4, E, {"E": [(0, 1), (1, 2), (2, 3)]})
+        comp = dense_table(build_category_D(C4, P4).ambient).comp
+        assert associativity_witness(comp) is None
+        for mul in mutations(comp, random.Random(11), 4):
+            assert associativity_witness(mul) == cubic_associativity_witness(mul)
 
 
 class TestFromPartialBijections:

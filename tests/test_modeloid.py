@@ -10,10 +10,12 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_scans import check_modeloid_by_pairs
 
 from modeloids.errors import InputError
 from modeloids.modeloid import (
     Modeloid,
+    _check_modeloid,
     derivative,
     full_modeloid,
     iterate_derivative,
@@ -107,6 +109,17 @@ class TestVerify:
         result = verify_modeloid(Modeloid.from_members(c, [identity_map(c)]))
         assert result.witness is not None
         assert "restriction" in result.describe()
+
+    def test_matches_the_pair_scan_with_each_member_removed(self):
+        full = full_modeloid(Carrier(3))
+        cases = [full] + [
+            Modeloid(full.carrier, full.members - {f}) for f in full.members
+        ]
+        for M in cases:
+            assert _check_modeloid(M) == check_modeloid_by_pairs(M)
+        # every member is a product of others, so each removal breaks
+        # composition and the witness comes from the pair scan
+        assert all(_check_modeloid(M).axiom == "composition" for M in cases[1:])
 
     def test_member_carrier_mismatch_rejected(self):
         with pytest.raises(InputError):
