@@ -52,9 +52,10 @@ from .modeloid import Modeloid
 from .partial_bijections import Carrier, PartialBijection
 
 _PAIR = re.compile(r"\((\d+),(\d+)\)")
+_NumberedLines = Iterator[tuple[int, list[str]]]
 
 
-def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
+def _lines(text: str) -> _NumberedLines:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
@@ -68,26 +69,28 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise ParseError(f"{what} must be an integer, got {token!r}", line_no) from None
 
 
-def _int_row(tokens: list[str], line_no: int, what: str) -> tuple[int, ...]:
-    return tuple(_int(t, line_no, what) for t in tokens)
+def _int_row(
+    tokens: list[str], line_no: int, what: str, shared: dict[int, int]
+) -> tuple[int, ...]:
+    """The row's integers, with one object per distinct value via ``shared``."""
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        # names the first token that is no integer
+        values = [_int(t, line_no, what) for t in tokens]
+    return tuple(map(shared.setdefault, values, values))
 
 
-def _expect_header(lines: list[tuple[int, list[str]]], kind: str):
-    if not lines:
+def _expect_header(lines: _NumberedLines, kind: str):
+    """Consume the first line of ``lines``, which must name ``kind``."""
+    first = next(lines, None)
+    if first is None:
         raise ParseError("empty file", 1)
-    line_no, tokens = lines[0]
+    line_no, tokens = first
     if tokens != [kind]:
         raise ParseError(
             f"expected header {kind!r}, got {' '.join(tokens)!r}", line_no
         )
-
-
-def _single_int_field(fields: dict, key: str, line_no: int, tokens: list[str]):
-    if key in fields:
-        raise ParseError(f"{key} declared twice", line_no)
-    if len(tokens) != 1:
-        raise ParseError(f"{key} needs exactly one value", line_no)
-    fields[key] = _int(tokens[0], line_no, key)
 
 
 @dataclass(frozen=True)
@@ -110,156 +113,109 @@ class SemigroupFile:
         )
 
 
-def _parse_table_body(
-    lines: list[tuple[int, list[str]]], kind: str, want_members: bool
-) -> SemigroupFile:
-    order: int | None = None
-    mul_rows: list[tuple[int, ...]] = []
+@dataclass(frozen=True)
+class _Layout:
+    """The directives of a square-table file; see the module docstring."""
+
+    size: str  # the element count, at least 1
+    block: str  # ``size`` rows of ``size`` entries each
+    rows: tuple[str, ...]  # optional rows of ``size`` entries
+    ints: tuple[str, ...]  # optional single integers
+    required: tuple[str, ...]  # rows and integers that must be present
+    too_small: str
+    short_row: str  # formatted with the row's name
+
+
+# its names are the fields of SemigroupFile, which the parsers fill by name
+_SEMIGROUP = _Layout(
+    "order", "mul", ("inv",), ("neutral", "zero"), (),
+    "order must be at least 1", "{} row must list one entry per element",
+)
+_CATEGORY = _Layout(
+    "morphisms", "comp", ("dom", "cod", "inv"), ("star",), ("star", "dom", "cod"),
+    "need at least the non-existing morphism", "{} must list one entry per morphism",
+)
+
+
+def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members: bool):
+    """Every directive after the header by name; the block as a tuple of rows."""
+    _expect_header(lines, kind)
+    size_key, block_key = layout.size, layout.block
     fields: dict = {}
-    inv: tuple[int, ...] | None = None
-    members: tuple[int, ...] | None = None
-    for line_no, tokens in lines[1:]:
+    block: list[tuple[int, ...]] = []
+    shared: dict[int, int] = {}
+    for line_no, tokens in lines:
         head, rest = tokens[0], tokens[1:]
-        if head == "order":
-            if order is not None:
-                raise ParseError("order declared twice", line_no)
-            if len(rest) != 1:
-                raise ParseError("order needs exactly one value", line_no)
-            order = _int(rest[0], line_no, "order")
-            if order < 1:
-                raise ParseError("order must be at least 1", line_no)
-        elif head == "mul":
-            if order is None:
-                raise ParseError("order must come before mul rows", line_no)
-            if len(mul_rows) == order:
-                raise ParseError(f"more than {order} mul rows", line_no)
-            row = _int_row(rest, line_no, "mul entry")
-            if len(row) != order:
-                raise ParseError(f"mul row needs {order} entries", line_no)
-            mul_rows.append(row)
-        elif head == "inv":
-            if inv is not None:
-                raise ParseError("inv declared twice", line_no)
-            inv = _int_row(rest, line_no, "inv entry")
-            if order is None or len(inv) != order:
-                raise ParseError("inv row must list one entry per element", line_no)
-        elif head in ("neutral", "zero"):
-            _single_int_field(fields, head, line_no, rest)
+        size = fields.get(size_key)
+        if head == block_key:
+            if size is None:
+                raise ParseError(f"{size_key} must come before {head} rows", line_no)
+            if len(block) == size:
+                raise ParseError(f"more than {size} {head} rows", line_no)
+            row = _int_row(rest, line_no, f"{head} entry", shared)
+            if len(row) != size:
+                raise ParseError(f"{head} row needs {size} entries", line_no)
+            block.append(row)
+        elif head in fields:
+            raise ParseError(f"{head} declared twice", line_no)
         elif head == "members" and want_members:
-            if members is not None:
-                raise ParseError("members declared twice", line_no)
-            members = tuple(sorted(set(_int_row(rest, line_no, "member"))))
+            fields[head] = tuple(sorted(set(_int_row(rest, line_no, "member", shared))))
+        elif head in layout.rows:
+            row = _int_row(rest, line_no, f"{head} entry", shared)
+            if size is None or len(row) != size:
+                raise ParseError(layout.short_row.format(head), line_no)
+            fields[head] = row
+        elif head == size_key or head in layout.ints:
+            if len(rest) != 1:
+                raise ParseError(f"{head} needs exactly one value", line_no)
+            fields[head] = _int(rest[0], line_no, head)
+            if head == size_key and fields[head] < 1:
+                raise ParseError(layout.too_small, line_no)
         else:
             raise ParseError(f"unexpected directive {head!r} in {kind} file", line_no)
-    if order is None:
-        raise ParseError("missing order line", 1)
-    if len(mul_rows) != order:
-        raise ParseError(f"expected {order} mul rows, found {len(mul_rows)}", 1)
-    if want_members and members is None:
+    for needed in (size_key,) + layout.required:
+        if needed not in fields:
+            raise ParseError(f"missing {needed} line", 1)
+    if len(block) != fields[size_key]:
+        raise ParseError(
+            f"expected {fields[size_key]} {block_key} rows, found {len(block)}", 1
+        )
+    if want_members and "members" not in fields:
         raise ParseError("missing members line", 1)
-    return SemigroupFile(
-        order,
-        tuple(mul_rows),
-        inv,
-        fields.get("neutral"),
-        fields.get("zero"),
-        members,
-    )
+    fields[block_key] = tuple(block)
+    return fields
 
 
 def parse_semigroup_file(text: str) -> SemigroupFile:
-    lines = list(_lines(text))
-    _expect_header(lines, "semigroup")
-    return _parse_table_body(lines, "semigroup", want_members=False)
+    return SemigroupFile(**_parse_body(_lines(text), "semigroup", _SEMIGROUP, False))
 
 
 def parse_semimodeloid_file(text: str) -> SemigroupFile:
     """Same layout as a semigroup file plus a ``members`` line."""
-    lines = list(_lines(text))
-    _expect_header(lines, "semimodeloid")
-    return _parse_table_body(lines, "semimodeloid", want_members=True)
+    return SemigroupFile(**_parse_body(_lines(text), "semimodeloid", _SEMIGROUP, True))
 
 
-def _parse_category_body(
-    lines: list[tuple[int, list[str]]], kind: str, want_members: bool
-) -> tuple[FreeCategory, tuple[int, ...] | None]:
-    count: int | None = None
-    fields: dict = {}
-    rows: dict[str, tuple[int, ...]] = {}
-    comp_rows: list[tuple[int, ...]] = []
-    members: tuple[int, ...] | None = None
-    for line_no, tokens in lines[1:]:
-        head, rest = tokens[0], tokens[1:]
-        if head == "morphisms":
-            if count is not None:
-                raise ParseError("morphisms declared twice", line_no)
-            if len(rest) != 1:
-                raise ParseError("morphisms needs exactly one value", line_no)
-            count = _int(rest[0], line_no, "morphisms")
-            if count < 1:
-                raise ParseError("need at least the non-existing morphism", line_no)
-        elif head == "star":
-            _single_int_field(fields, "star", line_no, rest)
-        elif head in ("dom", "cod", "inv"):
-            if head in rows:
-                raise ParseError(f"{head} declared twice", line_no)
-            row = _int_row(rest, line_no, f"{head} entry")
-            if count is None or len(row) != count:
-                raise ParseError(
-                    f"{head} must list one entry per morphism", line_no
-                )
-            rows[head] = row
-        elif head == "comp":
-            if count is None:
-                raise ParseError("morphisms must come before comp rows", line_no)
-            if len(comp_rows) == count:
-                raise ParseError(f"more than {count} comp rows", line_no)
-            row = _int_row(rest, line_no, "comp entry")
-            if len(row) != count:
-                raise ParseError(f"comp row needs {count} entries", line_no)
-            comp_rows.append(row)
-        elif head == "members" and want_members:
-            if members is not None:
-                raise ParseError("members declared twice", line_no)
-            members = tuple(sorted(set(_int_row(rest, line_no, "member"))))
-        else:
-            raise ParseError(f"unexpected directive {head!r} in {kind} file", line_no)
-    if count is None:
-        raise ParseError("missing morphisms line", 1)
-    if "star" not in fields:
-        raise ParseError("missing star line", 1)
-    for needed in ("dom", "cod"):
-        if needed not in rows:
-            raise ParseError(f"missing {needed} line", 1)
-    if len(comp_rows) != count:
-        raise ParseError(f"expected {count} comp rows, found {len(comp_rows)}", 1)
-    if want_members and members is None:
-        raise ParseError("missing members line", 1)
-    category = FreeCategory(
-        count, fields["star"], rows["dom"], rows["cod"], tuple(comp_rows), rows.get("inv")
-    )
-    return category, members
+def _category(fields: dict) -> FreeCategory:
+    keys = ("morphisms", "star", "dom", "cod", "comp", "inv")
+    return FreeCategory(*map(fields.get, keys))
 
 
 def parse_category_file(text: str) -> FreeCategory:
-    lines = list(_lines(text))
-    _expect_header(lines, "category")
-    return _parse_category_body(lines, "category", want_members=False)[0]
+    return _category(_parse_body(_lines(text), "category", _CATEGORY, False))
 
 
 def parse_categorical_modeloid_file(text: str) -> tuple[FreeCategory, tuple[int, ...]]:
     """The ambient category and the sorted member morphisms."""
-    lines = list(_lines(text))
-    _expect_header(lines, "categorical-modeloid")
-    return _parse_category_body(lines, "categorical-modeloid", want_members=True)
+    fields = _parse_body(_lines(text), "categorical-modeloid", _CATEGORY, True)
+    return _category(fields), fields["members"]
 
 
 def parse_modeloid_file(text: str) -> Modeloid:
-    lines = list(_lines(text))
+    lines = _lines(text)
     _expect_header(lines, "modeloid")
     carrier: Carrier | None = None
     maps: list[PartialBijection] = []
-    for line_no, tokens in lines[1:]:
+    for line_no, tokens in lines:
         head, rest = tokens[0], tokens[1:]
         if head == "carrier":
             if carrier is not None:

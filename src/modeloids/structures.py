@@ -176,16 +176,6 @@ class PartialIso:
             tuple((a, lookup[b]) for a, b in other.pairs if b in lookup),
         )
 
-    def inverse(self) -> "PartialIso":
-        return PartialIso.from_pairs(
-            self.right, self.left, ((b, a) for a, b in self.pairs)
-        )
-
-    def is_restriction_of(self, other: "PartialIso") -> bool:
-        if self.left != other.left or self.right != other.right:
-            raise InputError("cannot compare maps between different structures")
-        return set(self.pairs) <= set(other.pairs)
-
 
 def identity_iso(A: Structure) -> PartialIso:
     return PartialIso(A, A, tuple((x, x) for x in range(A.universe_size)))

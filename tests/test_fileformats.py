@@ -86,6 +86,122 @@ class TestSemigroupFiles:
             sf.to_table()
 
 
+S = "semigroup\norder 1\nmul 0\n"
+SM = "semimodeloid\norder 1\nmul 0\nmembers 0\n"
+C = "category\nmorphisms 1\nstar 0\ndom 0\ncod 0\ncomp 0\n"
+CM = "categorical-modeloid\nmorphisms 1\nstar 0\ndom 0\ncod 0\ncomp 0\nmembers 0\n"
+
+# (parser, text, message, line) for every diagnostic of both table layouts
+DIAGNOSTICS = [
+    (parse_semigroup_file, "", "empty file", 1),
+    (parse_semigroup_file, "# nothing\n\n", "empty file", 1),
+    (parse_semigroup_file, "\norder 1\n", "expected header 'semigroup', got 'order 1'", 2),
+    (parse_category_file, S, "expected header 'category', got 'semigroup'", 1),
+    (parse_semimodeloid_file, C, "expected header 'semimodeloid', got 'category'", 1),
+    (parse_categorical_modeloid_file, "category\n", "expected header "
+     "'categorical-modeloid', got 'category'", 1),
+    (parse_semigroup_file, "semigroup\norder 1\norder 1\n", "order declared twice", 3),
+    (parse_semigroup_file, "semigroup\norder 1 2\n", "order needs exactly one value", 2),
+    (parse_semigroup_file, "semigroup\norder\n", "order needs exactly one value", 2),
+    (parse_semigroup_file, "semigroup\norder x\n", "order must be an integer, got 'x'", 2),
+    (parse_semigroup_file, "semigroup\norder 0\n", "order must be at least 1", 2),
+    (parse_semigroup_file, "semigroup\nmul 0\n", "order must come before mul rows", 2),
+    (parse_semigroup_file, S + "mul 0\n", "more than 1 mul rows", 4),
+    (parse_semigroup_file, "semigroup\norder 2\nmul 0 1\nmul x 0\n",
+     "mul entry must be an integer, got 'x'", 4),
+    (parse_semigroup_file, "semigroup\norder 1\nmul 0 0\n", "mul row needs 1 entries", 3),
+    (parse_semigroup_file, S + "inv 0\ninv 0\n", "inv declared twice", 5),
+    (parse_semigroup_file, S + "inv y\n", "inv entry must be an integer, got 'y'", 4),
+    (parse_semigroup_file, "semigroup\ninv 0\n", "inv row must list one entry per element", 2),
+    (parse_semigroup_file, S + "inv 0 0\n", "inv row must list one entry per element", 4),
+    (parse_semigroup_file, S + "neutral 0\nneutral 0\n", "neutral declared twice", 5),
+    (parse_semigroup_file, S + "neutral 0 0\n", "neutral needs exactly one value", 4),
+    (parse_semigroup_file, S + "neutral n\n", "neutral must be an integer, got 'n'", 4),
+    (parse_semigroup_file, S + "zero 0\nzero 0\n", "zero declared twice", 5),
+    (parse_semigroup_file, S + "zero\n", "zero needs exactly one value", 4),
+    (parse_semigroup_file, S + "zero z\n", "zero must be an integer, got 'z'", 4),
+    (parse_semigroup_file, S + "members 0\n",
+     "unexpected directive 'members' in semigroup file", 4),
+    (parse_semigroup_file, S + "star 0\n", "unexpected directive 'star' in semigroup file", 4),
+    (parse_semigroup_file, "semigroup\nneutral 0\n", "missing order line", 1),
+    (parse_semigroup_file, "semigroup\norder 2\nmul 0 1\n", "expected 2 mul rows, found 1", 1),
+    (parse_semimodeloid_file, SM + "members 0\n", "members declared twice", 5),
+    (parse_semimodeloid_file, "semimodeloid\norder 1\nmul 0\nmembers 0 q\n",
+     "member must be an integer, got 'q'", 4),
+    (parse_semimodeloid_file, SM + "comp 0\n",
+     "unexpected directive 'comp' in semimodeloid file", 5),
+    (parse_semimodeloid_file, "semimodeloid\nmembers 0\n", "missing order line", 1),
+    (parse_semimodeloid_file, "semimodeloid\norder 1\n", "expected 1 mul rows, found 0", 1),
+    (parse_semimodeloid_file, "semimodeloid\norder 1\nmul 0\n", "missing members line", 1),
+    (parse_category_file, C + "morphisms 1\n", "morphisms declared twice", 7),
+    (parse_category_file, "category\nmorphisms\n", "morphisms needs exactly one value", 2),
+    (parse_category_file, "category\nmorphisms m\n",
+     "morphisms must be an integer, got 'm'", 2),
+    (parse_category_file, "category\nmorphisms 0\n",
+     "need at least the non-existing morphism", 2),
+    (parse_category_file, "category\ncomp 0\n", "morphisms must come before comp rows", 2),
+    (parse_category_file, C + "comp 0\n", "more than 1 comp rows", 7),
+    (parse_category_file, "category\nmorphisms 1\ncomp c\n",
+     "comp entry must be an integer, got 'c'", 3),
+    (parse_category_file, "category\nmorphisms 1\ncomp 0 0\n", "comp row needs 1 entries", 3),
+    (parse_category_file, C + "star 0\n", "star declared twice", 7),
+    (parse_category_file, "category\nstar\n", "star needs exactly one value", 2),
+    (parse_category_file, "category\nstar s\n", "star must be an integer, got 's'", 2),
+    (parse_category_file, C + "dom 0\n", "dom declared twice", 7),
+    (parse_category_file, C + "cod 0\n", "cod declared twice", 7),
+    (parse_category_file, C + "inv 0\ninv 0\n", "inv declared twice", 8),
+    (parse_category_file, "category\nmorphisms 1\ndom d\n",
+     "dom entry must be an integer, got 'd'", 3),
+    (parse_category_file, "category\nmorphisms 1\ncod 0 e\n",
+     "cod entry must be an integer, got 'e'", 3),
+    (parse_category_file, C + "inv i\n", "inv entry must be an integer, got 'i'", 7),
+    (parse_category_file, "category\ndom 0\n", "dom must list one entry per morphism", 2),
+    (parse_category_file, C.replace("cod 0", "cod 0 0"),
+     "cod must list one entry per morphism", 5),
+    (parse_category_file, C + "inv\n", "inv must list one entry per morphism", 7),
+    (parse_category_file, C + "members 0\n",
+     "unexpected directive 'members' in category file", 7),
+    (parse_category_file, C + "order 1\n", "unexpected directive 'order' in category file", 7),
+    (parse_category_file, "category\nstar 0\n", "missing morphisms line", 1),
+    (parse_category_file, "category\nmorphisms 1\ndom 0\n", "missing star line", 1),
+    (parse_category_file, "category\nmorphisms 1\nstar 0\ncod 0\n", "missing dom line", 1),
+    (parse_category_file, "category\nmorphisms 1\nstar 0\ndom 0\n", "missing cod line", 1),
+    (parse_category_file, C.replace("comp 0\n", ""), "expected 1 comp rows, found 0", 1),
+    (parse_categorical_modeloid_file, CM + "members 0\n", "members declared twice", 8),
+    (parse_categorical_modeloid_file, CM.replace("members 0", "members 0 -"),
+     "member must be an integer, got '-'", 7),
+    (parse_categorical_modeloid_file, CM + "mul 0\n",
+     "unexpected directive 'mul' in categorical-modeloid file", 8),
+    (parse_categorical_modeloid_file, CM.replace("members 0\n", ""),
+     "missing members line", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,text,message,line",
+    DIAGNOSTICS,
+    ids=[f"{parse.__name__}-{message}" for parse, _, message, _ in DIAGNOSTICS],
+)
+def test_diagnostic_text_and_line(parse, text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
+def test_equal_entries_share_one_object():
+    # above 256 CPython makes a new int per conversion, so only the parse
+    # can keep the 90 000 entries of this table at 300 objects
+    n = 300
+    rows = "".join(
+        "mul " + " ".join(str((i + j) % n) for j in range(n)) + "\n" for i in range(n)
+    )
+    sf = parse_semigroup_file(f"semigroup\norder {n}\n{rows}")
+    entries = [x for row in sf.mul for x in row]
+    assert sf.mul[0][299] == sf.mul[1][298] == 299
+    assert len({id(x) for x in entries}) == len(set(entries)) == n
+
+
 class TestSemimodeloidFiles:
     def test_round_trip(self):
         table, _ = from_partial_bijections(enumerate_all(Carrier(2)))
