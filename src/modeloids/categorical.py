@@ -2,11 +2,12 @@
 
 A categorical modeloid is a set of morphisms closed under composition,
 inverses and the natural partial order, containing every existing object.
-The derivative acts homset by homset: within Hom(X, Y) a morphism
+The derivative is defined homset by homset: within Hom(X, Y) a morphism
 survives when, for every idempotent atom of the member endoset at X, some
 member above it covers that atom on the domain side, and symmetrically at
-Y on the codomain side.  The union over all object pairs (star paired
-with itself when present) is the categorical derivative.
+Y on the codomain side.  A down-set stays in its homset, so one cover
+pass over all members takes every homset at once, star included (its
+endoset has no atoms), with each end object's atoms found once.
 
 Endosets of a categorical modeloid collapse to semimodeloids, which is
 how the one-object theory re-enters the categorical one.
@@ -15,7 +16,7 @@ how the one-object theory re-enters the categorical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from . import verdict as v
 from .derived import fixpoint_chain
@@ -85,8 +86,8 @@ def _member_homset(M: CategoricalModeloid, X: int, Y: int) -> list[int]:
     )
 
 
-def _member_endoset_zero(M: CategoricalModeloid, X: int) -> int:
-    zero = absorbing(M.ambient.compose, _member_homset(M, X, X))
+def _endoset_zero(M: CategoricalModeloid, X: int, endos: list[int]) -> int:
+    zero = absorbing(M.ambient.compose, endos)
     if zero is None:
         raise InputError(f"the member endoset at {X} has no zero")
     return zero
@@ -97,7 +98,7 @@ def member_idempotent_atoms(M: CategoricalModeloid, X: int) -> tuple[int, ...]:
     idempotents with no member strictly between them and the zero."""
     c = M.ambient
     endos = _member_homset(M, X, X)
-    zero = _member_endoset_zero(M, X)
+    zero = _endoset_zero(M, X, endos)
     member_endos = set(endos)
     found = []
     for a in endos:
@@ -108,6 +109,30 @@ def member_idempotent_atoms(M: CategoricalModeloid, X: int) -> tuple[int, ...]:
     return tuple(found)
 
 
+def _covered(c: Ambient, candidates: Collection[int], atoms: dict) -> frozenset[int]:
+    """One cover step: h covers an atom a of atoms[dom h] below h'h on the
+    domain side, and one of atoms[cod h] below hh' on the codomain side,
+    for every f below h.  The candidates kept are those covered for every
+    atom at both their ends.  Down-sets stay inside a homset, so a pass
+    over many homsets gives each homset's own answer."""
+    inv = c.inv
+    covers: tuple[dict, dict] = ({}, {})  # per side: atom -> maps covered for it
+    for h in candidates:
+        ends = ((c.dom[h], inv[h], h), (c.cod[h], h, inv[h]))
+        for cover, (X, f, g) in zip(covers, ends):
+            if atoms[X]:
+                down = c.below(c.compose(f, g))
+                for a in atoms[X]:
+                    if a in down:
+                        cover.setdefault(a, set()).update(c.below(h))
+    return frozenset(
+        f
+        for f in candidates
+        if all(f in covers[0].get(a, ()) for a in atoms[c.dom[f]])
+        and all(f in covers[1].get(b, ()) for b in atoms[c.cod[f]])
+    )
+
+
 def homset_derivative(M: CategoricalModeloid, X: int, Y: int) -> frozenset[int]:
     """Members of Hom(X, Y) whose every domain-side atom requirement and
     codomain-side atom requirement is covered by some larger member."""
@@ -116,39 +141,15 @@ def homset_derivative(M: CategoricalModeloid, X: int, Y: int) -> frozenset[int]:
         raise InputError("homset derivative needs object arguments")
     if X not in M.members or Y not in M.members:
         raise InputError("homset derivative needs objects of the modeloid")
-    hom = _member_homset(M, X, Y)
-    dom_atoms = member_idempotent_atoms(M, X)
-    cod_atoms = member_idempotent_atoms(M, Y)
-    if not dom_atoms and not cod_atoms:
-        return frozenset(hom)
-
-    inv = c.inv
-    dom_covered: dict[int, set[int]] = {a: set() for a in dom_atoms}
-    cod_covered: dict[int, set[int]] = {b: set() for b in cod_atoms}
-    for h in hom:
-        down_h = c.below(h)
-        if dom_atoms:
-            down_dom = c.below(c.compose(inv[h], h))
-            for a in dom_atoms:
-                if a in down_dom:
-                    dom_covered[a] |= down_h
-        if cod_atoms:
-            down_cod = c.below(c.compose(h, inv[h]))
-            for b in cod_atoms:
-                if b in down_cod:
-                    cod_covered[b] |= down_h
-    return frozenset(
-        f
-        for f in hom
-        if all(f in dom_covered[a] for a in dom_atoms)
-        and all(f in cod_covered[b] for b in cod_atoms)
-    )
+    atoms = {Z: member_idempotent_atoms(M, Z) for Z in (X, Y)}
+    return _covered(c, _member_homset(M, X, Y), atoms)
 
 
 def categorical_derivative(
     M: CategoricalModeloid, check: bool = True
 ) -> CategoricalModeloid:
-    """Union of the homset derivatives over all object pairs of M."""
+    """The homset derivatives of every homset of M at once: one cover
+    step over all members, with the atoms of each end object found once."""
     if check:
         result = verify_categorical_modeloid(M)
         if not result:
@@ -156,14 +157,9 @@ def categorical_derivative(
     else:
         _require_ambient(M.ambient)
     c = M.ambient
-    object_list = [X for X in objects(c) if X in M.members]
-    survivors: set[int] = set()
-    for X in object_list:
-        for Y in object_list:
-            survivors |= homset_derivative(M, X, Y)
-    if c.star in M.members:
-        survivors |= homset_derivative(M, c.star, c.star)
-    return CategoricalModeloid(c, frozenset(survivors))
+    ends = {c.dom[m] for m in M.members} | {c.cod[m] for m in M.members}
+    atoms = {X: member_idempotent_atoms(M, X) for X in ends}
+    return CategoricalModeloid(c, _covered(c, M.members, atoms))
 
 
 def iterate_categorical(
@@ -193,7 +189,7 @@ def endoset_as_semimodeloid(
     if X not in M.members:
         raise InputError(f"object {X} is not a member")
     endos = _member_homset(M, X, X)
-    zero = _member_endoset_zero(M, X)
+    zero = _endoset_zero(M, X, endos)
     index = {m: i for i, m in enumerate(endos)}
     rows = []
     for f in endos:

@@ -124,26 +124,44 @@ class _Layout:
     required: tuple[str, ...]  # rows and integers that must be present
     too_small: str
     short_row: str  # formatted with the row's name
+    out_of_range: dict[str, str]  # by directive: an entry not below the size
 
 
 # its names are the fields of SemigroupFile, which the parsers fill by name
 _SEMIGROUP = _Layout(
     "order", "mul", ("inv",), ("neutral", "zero"), (),
     "order must be at least 1", "{} row must list one entry per element",
+    {
+        "mul": "multiplication entry out of range",
+        "inv": "inverse table must list one in-range element per element",
+        "neutral": "declared neutral/zero out of range",
+        "zero": "declared neutral/zero out of range",
+        "members": "member index out of range",
+    },
 )
 _CATEGORY = _Layout(
     "morphisms", "comp", ("dom", "cod", "inv"), ("star",), ("star", "dom", "cod"),
     "need at least the non-existing morphism", "{} must list one entry per morphism",
+    {
+        "comp": "composition entry out of range",
+        "dom": "dom table must list one in-range morphism each",
+        "cod": "cod table must list one in-range morphism each",
+        "inv": "inverse table must list one in-range morphism each",
+        "star": "star index out of range",
+        "members": "member index out of range",
+    },
 )
 
 
 def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members: bool):
-    """Every directive after the header by name; the block as a tuple of rows."""
+    """Every directive after the header by name; the block as a tuple of rows.
+    Entries are range-checked against the size once every line is read."""
     _expect_header(lines, kind)
     size_key, block_key = layout.size, layout.block
     fields: dict = {}
     block: list[tuple[int, ...]] = []
     shared: dict[int, int] = {}
+    entries: list[tuple[int, str, tuple[int, ...]]] = []  # (line, directive, values)
     for line_no, tokens in lines:
         head, rest = tokens[0], tokens[1:]
         size = fields.get(size_key)
@@ -156,21 +174,26 @@ def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members:
             if len(row) != size:
                 raise ParseError(f"{head} row needs {size} entries", line_no)
             block.append(row)
+            entries.append((line_no, head, row))
         elif head in fields:
             raise ParseError(f"{head} declared twice", line_no)
         elif head == "members" and want_members:
             fields[head] = tuple(sorted(set(_int_row(rest, line_no, "member", shared))))
+            entries.append((line_no, head, fields[head]))
         elif head in layout.rows:
             row = _int_row(rest, line_no, f"{head} entry", shared)
             if size is None or len(row) != size:
                 raise ParseError(layout.short_row.format(head), line_no)
             fields[head] = row
+            entries.append((line_no, head, row))
         elif head == size_key or head in layout.ints:
             if len(rest) != 1:
                 raise ParseError(f"{head} needs exactly one value", line_no)
             fields[head] = _int(rest[0], line_no, head)
             if head == size_key and fields[head] < 1:
                 raise ParseError(layout.too_small, line_no)
+            if head != size_key:
+                entries.append((line_no, head, (fields[head],)))
         else:
             raise ParseError(f"unexpected directive {head!r} in {kind} file", line_no)
     for needed in (size_key,) + layout.required:
@@ -182,6 +205,10 @@ def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members:
         )
     if want_members and "members" not in fields:
         raise ParseError("missing members line", 1)
+    size = fields[size_key]
+    for line_no, head, values in entries:
+        if values and (min(values) < 0 or max(values) >= size):
+            raise ParseError(layout.out_of_range[head], line_no)
     fields[block_key] = tuple(block)
     return fields
 

@@ -1,10 +1,12 @@
 """The exhaustive scans that the library runs only after a cheaper check
-on generators has failed.
+on generators has failed, and the categorical derivative read literally.
 
 The library proves associativity by Light's test and composition closure
 by closing the generators of the members; these scans test every triple
 or pair in index order, and the tests require the same verdict and the
-same first witness from both.
+same first witness from both.  The library takes the categorical
+derivative in one cover pass; the reference asks, for each member and
+each atom, whether some member above it covers that atom.
 """
 
 from itertools import combinations
@@ -43,3 +45,40 @@ def check_modeloid_by_pairs(M) -> v.Verdict:
     if identity_map(M.carrier) not in M.members:
         return v.violated("identity", ())
     return v.passed()
+
+
+def _member_atoms(M, X):
+    """Non-zero idempotents of the member endoset at X with no member
+    strictly between them and its zero (none at star)."""
+    c = M.ambient
+    endos = [m for m in M.members if c.dom[m] == X and c.cod[m] == X]
+    zero = next(
+        z for z in endos if all(c.compose(z, m) == z == c.compose(m, z) for m in endos)
+    )
+    return [
+        a
+        for a in endos
+        if a not in (c.star, zero)
+        and c.compose(a, a) == a
+        and all(e in (a, zero) for e in endos if e in c.below(a))
+    ]
+
+
+def categorical_derivative_by_covers(M) -> frozenset[int]:
+    """The members f such that every atom a at dom f lies below h'h, and
+    every atom b at cod f below hh', for some member h >= f each."""
+    c = M.ambient
+    ends = {c.dom[f] for f in M.members} | {c.cod[f] for f in M.members}
+    atoms = {X: _member_atoms(M, X) for X in ends}
+    kept = set()
+    for f in M.members:
+        above = [h for h in M.members if f in c.below(h)]
+        if all(
+            any(a in c.below(c.compose(c.inv[h], h)) for h in above)
+            for a in atoms[c.dom[f]]
+        ) and all(
+            any(b in c.below(c.compose(h, c.inv[h])) for h in above)
+            for b in atoms[c.cod[f]]
+        ):
+            kept.add(f)
+    return frozenset(kept)

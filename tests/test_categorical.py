@@ -5,7 +5,12 @@ one-object view."""
 import random
 
 import pytest
+from dense_ambient import dense_table
+from generated import structure_pairs
+from hypothesis import given
+from reference_scans import categorical_derivative_by_covers
 
+from modeloids import categorical
 from modeloids.categorical import (
     CategoricalModeloid,
     categorical_derivative,
@@ -15,6 +20,7 @@ from modeloids.categorical import (
     member_idempotent_atoms,
     verify_categorical_modeloid,
 )
+from modeloids.ef_games import build_category_D
 from modeloids.errors import InputError
 from modeloids.free_categories import (
     FreeCategory,
@@ -29,6 +35,7 @@ from modeloids.inverse_semigroups import (
 )
 from modeloids.modeloid import Modeloid, derivative, modeloid_closure
 from modeloids.partial_bijections import Carrier, PartialBijection, enumerate_all
+from modeloids.structures import Structure, Vocabulary
 
 DISCRETE = FreeCategory(
     3, 2, (0, 1, 2), (0, 1, 2), ((0, 2, 2), (2, 1, 2), (2, 2, 2)), (0, 1, 2)
@@ -220,6 +227,56 @@ class TestDerivative:
             categorical_derivative(CM, check=False).members
             == categorical_derivative(CM).members
         )
+
+
+def assert_chain_matches_reference(ambient):
+    """At every level down to the fixpoint: the whole derivative equals
+    the literal reference, and each homset derivative its restriction."""
+    M = CategoricalModeloid.everything(ambient)
+    levels = 0
+    while True:
+        expected = categorical_derivative_by_covers(M)
+        assert categorical_derivative(M, check=False).members == expected
+        for X in objects(ambient):
+            for Y in objects(ambient):
+                hom = {f for f in expected if ambient.dom[f] == X and ambient.cod[f] == Y}
+                assert homset_derivative(M, X, Y) == hom
+        levels += 1
+        if expected == M.members:
+            return levels
+        M = CategoricalModeloid(ambient, expected)
+
+
+class TestOneCoverPass:
+    """The one-pass derivative on multi-object categories, against the
+    reference that checks each member's atoms one by one."""
+
+    @given(structure_pairs())
+    def test_generated_pairs(self, pair):
+        ambient = build_category_D(*pair).ambient
+        assert len(objects(ambient)) == 2
+        assert_chain_matches_reference(ambient)
+
+    def test_dense_cycle_and_path(self):
+        E = Vocabulary(relations=(("E", 2),))
+        C4 = Structure.build("C4", 4, E, {"E": [(0, 1), (1, 2), (2, 3), (3, 0)]})
+        P4 = Structure.build("P4", 4, E, {"E": [(0, 1), (1, 2), (2, 3)]})
+        table = dense_table(build_category_D(C4, P4).ambient)
+        assert assert_chain_matches_reference(table) > 1
+
+    def test_atoms_found_once_per_end_object(self, monkeypatch):
+        calls = []
+        real = categorical.member_idempotent_atoms
+
+        def counted(M, X):
+            calls.append(X)
+            return real(M, X)
+
+        monkeypatch.setattr(categorical, "member_idempotent_atoms", counted)
+        A, B = Structure.build("A", 2, Vocabulary()), Structure.build("B", 3, Vocabulary())
+        D = build_category_D(A, B)
+        categorical_derivative(CategoricalModeloid.everything(D.ambient), check=False)
+        assert sorted(calls) == sorted([D.object_a, D.object_b, D.ambient.star])
 
 
 class TestEndosetView:

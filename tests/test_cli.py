@@ -362,6 +362,27 @@ class TestVerify:
         assert code == 1
         assert out == "ok: false\naxiom: associativity\nwitness: (1, 1, 1)\n"
 
+    @pytest.mark.parametrize(
+        "argv,text,message",
+        [
+            (["verify", "category"], MONOID_CATEGORY.replace("star 3", "star 9"),
+             "line 3: star index out of range"),
+            (["verify", "semigroup"], "semigroup\norder 2\nmul 0 9\nmul 1 1\n",
+             "line 3: multiplication entry out of range"),
+            (["embed"], "semigroup\norder 2\nmul 0 9\nmul 1 1\n",
+             "line 3: multiplication entry out of range"),
+            (["verify", "semigroup"], SEMILATTICE.replace("neutral 0", "neutral 7"),
+             "line 6: declared neutral/zero out of range"),
+            (["verify", "semimodeloid"], "semimodeloid\norder 1\nmul 0\nmembers 0 99\n",
+             "line 4: member index out of range"),
+        ],
+        ids=["star", "mul", "embed-mul", "neutral", "members"],
+    )
+    def test_range_errors_name_their_line(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "table.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run(capsys, *argv, str(path)) == (2, "", f"error: {message}\n")
+
 
 class TestDerive:
     def test_modeloid_machine_dump(self, files, capsys):

@@ -5,6 +5,7 @@ import pytest
 from modeloids.categorical import CategoricalModeloid
 from modeloids.errors import InputError, ParseError
 from modeloids.fileformats import (
+    SemigroupFile,
     format_categorical_modeloid_file,
     format_category_file,
     format_modeloid_file,
@@ -79,10 +80,13 @@ class TestSemigroupFiles:
             parse_semigroup_file("semigroup\norder 2\nmul 0 1\nmul x 0\n")
         assert err.value.line == 4
 
-    def test_range_checks_are_deferred_to_construction(self):
-        # parsing is purely lexical; entry 9 only trips the table constructor
-        sf = parse_semigroup_file("semigroup\norder 2\nmul 0 9\nmul 1 0\ninv 0 1\n")
-        with pytest.raises(InputError):
+    def test_range_errors_name_their_line(self):
+        # the parse names the row with entry 9; the constructor still checks
+        with pytest.raises(ParseError) as err:
+            parse_semigroup_file("semigroup\norder 2\nmul 0 9\nmul 1 0\ninv 0 1\n")
+        assert str(err.value) == "line 3: multiplication entry out of range"
+        sf = SemigroupFile(2, ((0, 9), (1, 0)), (0, 1))
+        with pytest.raises(InputError, match="multiplication entry out of range"):
             sf.to_table()
 
 
@@ -174,6 +178,31 @@ DIAGNOSTICS = [
      "unexpected directive 'mul' in categorical-modeloid file", 8),
     (parse_categorical_modeloid_file, CM.replace("members 0\n", ""),
      "missing members line", 1),
+    # entries out of range name their line, also when the size comes later
+    (parse_semigroup_file, "semigroup\norder 2\nmul 0 9\nmul 1 0\n",
+     "multiplication entry out of range", 3),
+    (parse_semigroup_file, "semigroup\norder 2\nmul 0 1\nmul -1 0\n",
+     "multiplication entry out of range", 4),
+    (parse_semigroup_file, S + "inv 1\n",
+     "inverse table must list one in-range element per element", 4),
+    (parse_semigroup_file, S + "neutral 7\n", "declared neutral/zero out of range", 4),
+    (parse_semigroup_file, S + "zero -1\n", "declared neutral/zero out of range", 4),
+    (parse_semigroup_file, "semigroup\nneutral 7\norder 1\nmul 0\n",
+     "declared neutral/zero out of range", 2),
+    (parse_semimodeloid_file, SM.replace("members 0", "members 0 99"),
+     "member index out of range", 4),
+    (parse_category_file, C.replace("star 0", "star 9"), "star index out of range", 3),
+    (parse_category_file, C.replace("dom 0", "dom 1"),
+     "dom table must list one in-range morphism each", 4),
+    (parse_category_file, C.replace("cod 0", "cod -1"),
+     "cod table must list one in-range morphism each", 5),
+    (parse_category_file, C.replace("comp 0", "comp 3"), "composition entry out of range", 6),
+    (parse_category_file, C + "inv 2\n",
+     "inverse table must list one in-range morphism each", 7),
+    (parse_category_file, "category\nstar 9\nmorphisms 1\ndom 0\ncod 0\ncomp 0\n",
+     "star index out of range", 2),
+    (parse_categorical_modeloid_file, CM.replace("members 0", "members 4"),
+     "member index out of range", 7),
 ]
 
 
