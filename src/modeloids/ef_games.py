@@ -28,12 +28,13 @@ checks against the literal back-and-forth conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from . import verdict as v
 from .categorical import CategoricalModeloid, categorical_derivative
 from .derived import fact, fixpoint_chain
 from .errors import BoundExceededError, InputError
+from .partial_bijections import reach_above
 from .structures import (
     PartialIso,
     Structure,
@@ -318,7 +319,7 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
 
     Every level must be a non-empty set of actual partial isomorphisms,
     and each map in I_{j+1} must extend within I_j to cover any chosen
-    element on either side.
+    element on either side (read from ``reach_above`` of I_j).
     """
     A, B = cert.left, cert.right
     for j, level in enumerate(cert.levels):
@@ -330,18 +331,13 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
             ):
                 return v.violated("membership", (j, f.pairs))
     for j in range(cert.rounds):
-        # the maps of level j above f are those with f among their restrictions
-        extensions: dict[tuple[tuple[int, int], ...], list[PartialIso]] = {}
-        for g in cert.levels[j]:
-            for size in range(len(g.pairs) + 1):
-                for kept in combinations(g.pairs, size):
-                    extensions.setdefault(kept, []).append(g)
+        reach = reach_above(cert.levels[j])
         for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
-            above = extensions.get(f.pairs, ())
-            missed = set(range(A.universe_size)).difference(*(g.domain() for g in above))
+            sources, targets = reach.get(f.pairs, ((), ()))
+            missed = set(range(A.universe_size)).difference(sources)
             if missed:
                 return v.violated("forth", (j, min(missed), f.pairs))
-            missed = set(range(B.universe_size)).difference(*(g.codomain() for g in above))
+            missed = set(range(B.universe_size)).difference(targets)
             if missed:
                 return v.violated("back", (j, min(missed), f.pairs))
     return v.passed()

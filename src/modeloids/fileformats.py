@@ -155,7 +155,7 @@ _CATEGORY = _Layout(
 
 def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members: bool):
     """Every directive after the header by name; the block as a tuple of rows.
-    Entries are range-checked against the size once every line is read."""
+    Entries are range-checked, then star's dom and cod, once all lines are read."""
     _expect_header(lines, kind)
     size_key, block_key = layout.size, layout.block
     fields: dict = {}
@@ -209,6 +209,9 @@ def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members:
     for line_no, head, values in entries:
         if values and (min(values) < 0 or max(values) >= size):
             raise ParseError(layout.out_of_range[head], line_no)
+    for line_no, head, values in entries:
+        if head in ("dom", "cod") and values[fields["star"]] != fields["star"]:
+            raise ParseError("the non-existing morphism must be its own dom and cod", line_no)
     fields[block_key] = tuple(block)
     return fields
 

@@ -4,14 +4,14 @@ A modeloid is a set of partial bijections over one carrier that is closed
 under composition, inverse and restriction, and contains the full identity.
 The derivative keeps exactly the members that can be extended, as pair
 sets, by any prescribed source (and, symmetrically, any prescribed target)
-without leaving the modeloid.  Iterating the derivative is the engine
-behind the equivalence checks elsewhere in the package.
+without leaving the modeloid; one cover pass, ``reach_above``, decides
+it.  Iterating the derivative is the engine behind the equivalence
+checks elsewhere in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from . import verdict as v
@@ -23,6 +23,8 @@ from .partial_bijections import (
     PartialBijection,
     enumerate_all,
     identity_map,
+    reach_above,
+    restrictions,
 )
 
 
@@ -51,13 +53,6 @@ def _sorted_members(M: Modeloid) -> list[PartialBijection]:
     return sorted(M.members, key=lambda f: f.pairs)
 
 
-def _domain_subsets(f: PartialBijection) -> Iterable[frozenset[int]]:
-    dom = sorted(f.domain())
-    for k in range(len(dom) + 1):
-        for chosen in combinations(dom, k):
-            yield frozenset(chosen)
-
-
 @fact
 def verify_modeloid(M: Modeloid) -> v.Verdict:
     """Check the four closure axioms, in order: composition, inverse,
@@ -80,9 +75,9 @@ def _check_modeloid(M: Modeloid) -> v.Verdict:
         if f.inverse() not in member_set:
             return v.violated("inverse", (f.pairs,))
     for f in members:
-        for subset in _domain_subsets(f):
-            if f.restrict(subset) not in member_set:
-                return v.violated("restriction", (f.pairs, tuple(sorted(subset))))
+        for kept in restrictions(f.pairs):
+            if PartialBijection(M.carrier, kept) not in member_set:
+                return v.violated("restriction", (f.pairs, tuple(a for a, _ in kept)))
     if identity_map(M.carrier) not in member_set:
         return v.violated("identity", ())
     return v.passed()
@@ -121,23 +116,12 @@ def modeloid_closure(seed: Iterable[PartialBijection], carrier: Carrier) -> Mode
 
 
 def _derivative_members(M: Modeloid) -> frozenset[PartialBijection]:
-    universe = M.carrier.elements()
-    member_set = M.members
-
-    def extendable(f: PartialBijection) -> bool:
-        for a in universe:
-            if not any(
-                (g := f.extend(a, b)) is not None and g in member_set for b in universe
-            ):
-                return False
-        for a in universe:
-            if not any(
-                (g := f.extend(b, a)) is not None and g in member_set for b in universe
-            ):
-                return False
-        return True
-
-    return frozenset(f for f in member_set if extendable(f))
+    n = M.carrier.size
+    reach = reach_above(M.members)
+    # M is restriction-closed: a member above f that reaches a restricts to f ∪ {(a, b)}
+    return frozenset(
+        f for f in M.members if all(len(side) == n for side in reach[f.pairs])
+    )
 
 
 def derivative(M: Modeloid) -> Modeloid:
@@ -146,7 +130,9 @@ def derivative(M: Modeloid) -> Modeloid:
     A member f survives iff for every carrier element a there are b with
     f union {(a, b)} in M and b' with f union {(b', a)} in M.  For a
     already in the domain the only functional union is f itself, so the
-    condition there collapses to membership of f.
+    condition there collapses to membership of f.  Since M is closed
+    under restriction, one ``reach_above`` pass decides it: the members
+    above f must reach every element with domains and with ranges.
     """
     result = verify_modeloid(M)
     if not result:

@@ -13,6 +13,7 @@ between them); it carries the structure this package is built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import BoundExceededError, InputError
@@ -101,22 +102,6 @@ class PartialBijection:
                 raise InputError(f"restriction element {x} leaves the carrier")
         return PartialBijection(self.carrier, tuple(p for p in self.pairs if p[0] in allowed))
 
-    def extend(self, a: int, b: int) -> "PartialBijection | None":
-        """The pair-set union with (a, b), or None when that is no longer
-        functional or injective.  Extending by a pair already present is a
-        no-op, which makes membership questions about extensions collapse
-        onto the map itself."""
-        if a not in self.carrier or b not in self.carrier:
-            raise InputError(f"pair ({a}, {b}) leaves the carrier")
-        if (a, b) in self.pairs:
-            return self
-        lookup = dict(self.pairs)
-        if a in lookup:
-            return None
-        if b in set(lookup.values()):
-            return None
-        return PartialBijection.from_pairs(self.carrier, self.pairs + ((a, b),))
-
     def is_restriction_of(self, other: "PartialBijection") -> bool:
         """True iff this map's pairs are a subset of the other's."""
         if self.carrier != other.carrier:
@@ -151,6 +136,27 @@ def partial_identity(carrier: Carrier, elements: Iterable[int]) -> PartialBiject
     ((0, 0), (2, 2))
     """
     return identity_map(carrier).restrict(elements)
+
+
+def restrictions(pairs: tuple) -> Iterator[tuple]:
+    """Every restriction of a map in pair form, by size; sorted pairs give
+    sorted restrictions."""
+    for size in range(len(pairs) + 1):
+        yield from combinations(pairs, size)
+
+
+def reach_above(maps: Iterable) -> dict[tuple, tuple[set[int], set[int]]]:
+    """The back-and-forth cover step for maps in sorted pair form: for
+    every restriction r of one of the maps, keyed by r's pairs, the union
+    of the domains and the union of the ranges of the maps above r."""
+    reach: dict[tuple, tuple[set[int], set[int]]] = {}
+    for g in maps:
+        sources, targets = {a for a, _ in g.pairs}, {b for _, b in g.pairs}
+        for kept in restrictions(g.pairs):
+            domains, ranges = reach.setdefault(kept, (set(), set()))
+            domains |= sources
+            ranges |= targets
+    return reach
 
 
 def enumerate_all(

@@ -6,13 +6,17 @@ by closing the generators of the members; these scans test every triple
 or pair in index order, and the tests require the same verdict and the
 same first witness from both.  The library takes the categorical
 derivative in one cover pass; the reference asks, for each member and
-each atom, whether some member above it covers that atom.
+each atom, whether some member above it covers that atom.  The library
+checks certificates with the cover step ``reach_above``; the reference
+indexes each level by restriction and unions the domains and ranges of
+the extensions it lists.
 """
 
 from itertools import combinations
 
 from modeloids import verdict as v
 from modeloids.partial_bijections import identity_map
+from modeloids.structures import pairs_are_partial_iso
 
 
 def cubic_associativity_witness(mul):
@@ -82,3 +86,30 @@ def categorical_derivative_by_covers(M) -> frozenset[int]:
         ):
             kept.add(f)
     return frozenset(kept)
+
+
+def verify_certificate_by_extensions(cert) -> v.Verdict:
+    """The back-and-forth conditions, each level j indexed from its maps'
+    restrictions to the maps of level j that extend them."""
+    A, B = cert.left, cert.right
+    for j, level in enumerate(cert.levels):
+        if not level:
+            return v.violated("non-empty", j)
+        for f in sorted(level, key=lambda p: p.pairs):
+            if f.left != A or f.right != B or not pairs_are_partial_iso(A, B, f.pairs):
+                return v.violated("membership", (j, f.pairs))
+    for j in range(cert.rounds):
+        extensions = {}
+        for g in cert.levels[j]:
+            for size in range(len(g.pairs) + 1):
+                for kept in combinations(g.pairs, size):
+                    extensions.setdefault(kept, []).append(g)
+        for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
+            above = extensions.get(f.pairs, ())
+            missed = set(range(A.universe_size)).difference(*(g.domain() for g in above))
+            if missed:
+                return v.violated("forth", (j, min(missed), f.pairs))
+            missed = set(range(B.universe_size)).difference(*(g.codomain() for g in above))
+            if missed:
+                return v.violated("back", (j, min(missed), f.pairs))
+    return v.passed()

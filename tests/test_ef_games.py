@@ -10,6 +10,7 @@ from dense_ambient import dense_table
 from generated import relabel, structure_pairs
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_scans import verify_certificate_by_extensions
 
 from modeloids import ef_games, free_categories
 from modeloids.categorical import (
@@ -445,6 +446,15 @@ class TestCertificates:
         assert report.axiom == "forth"
         assert report.witness == (0, 1, ((0, 0),))
 
+    def test_back_names_the_least_missed_element(self):
+        # (0,0) covers all of A but reaches neither 1 nor 2 in B
+        A, B = pure("A", 1), pure("B", 3)
+        f = PartialIso.from_pairs(A, B, [(0, 0)])
+        cert = BackAndForthCertificate(A, B, 1, (frozenset({f}), frozenset({f})))
+        report = verify_certificate(cert)
+        assert report == verify_certificate_by_extensions(cert)
+        assert (report.axiom, report.witness) == ("back", (0, 1, ((0, 0),)))
+
     def test_mismatched_level_count(self):
         A = pure("A", 1)
         with pytest.raises(InputError):
@@ -462,6 +472,32 @@ class TestCertificates:
         A, B = pure("A", 1), pure("B", 2)
         cert = extract_certificate(A, B, 0)
         assert "\n  map\n" in format_certificate(cert)
+
+
+class TestCertificateReference:
+    """verify_certificate against the extension-index scan, on the levels
+    D^j ∩ Part(A,B) of generated pairs with one map dropped from or added
+    to each level: the same verdict, axiom and witness."""
+
+    @given(st.data())
+    def test_mutated_certificates_get_the_reference_verdict(self, data):
+        A, B = data.draw(structure_pairs())
+        m = data.draw(st.integers(0, 3))
+        cat = build_category_D(A, B)
+        part = cat.part(A, B)
+        # with Part(A,B) empty, an added empty map fails membership
+        pool = sorted((cat.morphisms[i] for i in part), key=lambda p: p.pairs)
+        pool = pool or [PartialIso(A, B, ())]
+        levels = []
+        for members in derivative_levels(cat, m):
+            level = {cat.morphisms[i] for i in part if i in members}
+            if level and data.draw(st.booleans()):
+                level.remove(data.draw(st.sampled_from(sorted(level, key=lambda p: p.pairs))))
+            else:
+                level.add(data.draw(st.sampled_from(pool)))
+            levels.append(frozenset(level))
+        cert = BackAndForthCertificate(A, B, m, tuple(levels))
+        assert verify_certificate(cert) == verify_certificate_by_extensions(cert)
 
 
 class TestCrossValidation:

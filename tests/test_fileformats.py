@@ -203,6 +203,14 @@ DIAGNOSTICS = [
      "star index out of range", 2),
     (parse_categorical_modeloid_file, CM.replace("members 0", "members 4"),
      "member index out of range", 7),
+    # star must be its own dom and cod, also when star's line comes later
+    (parse_category_file,
+     "category\nmorphisms 2\ndom 0 0\ncod 0 1\ncomp 0 1\ncomp 1 1\nstar 1\n",
+     "the non-existing morphism must be its own dom and cod", 3),
+    (parse_categorical_modeloid_file,
+     "categorical-modeloid\nmorphisms 2\nstar 1\ndom 0 1\ncod 1 0\n"
+     "comp 0 1\ncomp 1 1\nmembers 0\n",
+     "the non-existing morphism must be its own dom and cod", 5),
 ]
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from reference_scans import check_modeloid_by_pairs
 
 from modeloids.errors import InputError
+from modeloids.verdict import Verdict
 from modeloids.modeloid import (
     Modeloid,
     _check_modeloid,
@@ -120,6 +121,25 @@ class TestVerify:
         # every member is a product of others, so each removal breaks
         # composition and the witness comes from the pair scan
         assert all(_check_modeloid(M).axiom == "composition" for M in cases[1:])
+        # partial identities compose by intersection, so removing one that
+        # no two others meet in breaks restriction (or identity) first
+        axioms = set()
+        for n in (2, 3):
+            ids = modeloid_closure([], Carrier(n))
+            for f in ids.members:
+                M = Modeloid(ids.carrier, ids.members - {f})
+                assert _check_modeloid(M) == check_modeloid_by_pairs(M)
+                axioms.add(_check_modeloid(M).axiom)
+        assert axioms == {"composition", "restriction", "identity"}
+
+    def test_restriction_witness_names_the_missing_domain(self):
+        c = Carrier(2)
+        ident = ((0, 0), (1, 1))
+        alone = Modeloid.from_members(c, [identity_map(c)])
+        without_0 = Modeloid(c, modeloid_closure([], c).members - {partial_identity(c, [0])})
+        for M, witness in [(alone, (ident, ())), (without_0, (ident, (0,)))]:
+            assert _check_modeloid(M) == check_modeloid_by_pairs(M)
+            assert _check_modeloid(M) == Verdict(False, "restriction", witness)
 
     def test_member_carrier_mismatch_rejected(self):
         with pytest.raises(InputError):
@@ -231,6 +251,26 @@ class TestIteration:
     def test_negative_rounds_rejected(self):
         with pytest.raises(InputError):
             iterate_derivative(full_modeloid(Carrier(2)), -1)
+
+    def test_every_level_matches_the_oracle(self):
+        rng = random.Random(31)
+        cases = [random_modeloid(rng, n) for n in (1, 2, 3, 4) for _ in range(8)]
+        # frozen: these seeds give chains 27, 19, 16 and 59, 51, 39, 31
+        c = Carrier(4)
+        for seed in [
+            [((0, 2), (1, 3), (2, 0))],
+            [((0, 3), (1, 2), (2, 1)), ((0, 2), (1, 3), (2, 0), (3, 1)), ((2, 3), (3, 2))],
+        ]:
+            cases.append(modeloid_closure([PartialBijection(c, p) for p in seed], c))
+        indices, sizes = set(), []
+        for M in cases:
+            chain, stabilized = iterate_derivative(M, 4)
+            for earlier, later in zip(chain, chain[1:]):
+                assert later.members == oracle_derivative(earlier)
+            indices.add(stabilized)
+            sizes.append([len(N.members) for N in chain])
+        assert sizes[-2:] == [[27, 19, 16, 16, 16], [59, 51, 39, 31, 31]]
+        assert {0, 1, 2, 3} <= indices
 
     def test_stabilization_within_member_count(self):
         rng = random.Random(99)

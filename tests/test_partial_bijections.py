@@ -183,21 +183,6 @@ class TestRestriction:
         assert not h <= f
 
 
-class TestExtension:
-    def test_extend_fresh_pair(self):
-        f = PartialBijection.from_pairs(Carrier(3), [(0, 1)])
-        assert f.extend(1, 2).pairs == ((0, 1), (1, 2))
-
-    def test_extend_existing_pair_is_identity(self):
-        f = PartialBijection.from_pairs(Carrier(3), [(0, 1)])
-        assert f.extend(0, 1) == f
-
-    def test_extend_conflicting_source_or_target(self):
-        f = PartialBijection.from_pairs(Carrier(3), [(0, 1)])
-        assert f.extend(0, 2) is None
-        assert f.extend(2, 1) is None
-
-
 class TestIdempotents:
     def test_partial_identities_are_idempotent(self):
         c = Carrier(3)
