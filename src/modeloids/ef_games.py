@@ -323,6 +323,8 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
     """
     A, B = cert.left, cert.right
     for j, level in enumerate(cert.levels):
+        if j and level == cert.levels[j - 1]:
+            continue  # scanned where it first appeared
         if not level:
             return v.violated("non-empty", j)
         for f in sorted(level, key=lambda p: p.pairs):
@@ -331,7 +333,8 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
             ):
                 return v.violated("membership", (j, f.pairs))
     for j in range(cert.rounds):
-        reach = reach_above(cert.levels[j])
+        if j == 0 or cert.levels[j] != cert.levels[j - 1]:
+            reach = reach_above(cert.levels[j])
         for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
             sources, targets = reach.get(f.pairs, ((), ()))
             missed = set(range(A.universe_size)).difference(sources)

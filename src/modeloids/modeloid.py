@@ -86,33 +86,29 @@ def _check_modeloid(M: Modeloid) -> v.Verdict:
 def modeloid_closure(seed: Iterable[PartialBijection], carrier: Carrier) -> Modeloid:
     """The smallest modeloid containing the seed maps.
 
-    Fixpoint iteration: add the identity, then close under composition,
-    inverse, and dropping single pairs (single drops generate every
-    restriction).
+    Right products from the identity by G (the seeds, their inverses and the
+    identity minus each point), breadth first, in |members|·|G| compositions.
+    Every product of G is in any modeloid with the seeds; the products are
+    closed under inverse, as G is, and under restriction, as f|D = f∘id_D.
+
+    >>> sorted(f.pairs for f in modeloid_closure([], Carrier(2)).members)
+    [(), ((0, 0),), ((0, 0), (1, 1)), ((1, 1),)]
+    >>> swap = PartialBijection(Carrier(2), ((0, 1), (1, 0)))
+    >>> len(modeloid_closure([swap], Carrier(2)).members)
+    7
     """
-    current: set[PartialBijection] = {identity_map(carrier)}
+    ident = identity_map(carrier)
+    gens = {ident.restrict(set(carrier.elements()) - {x}) for x in carrier.elements()}
     for f in seed:
         if f.carrier != carrier:
             raise InputError("seed map is over a different carrier")
-        current.add(f)
-    frontier = set(current)
-    while frontier:
-        fresh: set[PartialBijection] = set()
-
-        def note(candidate: PartialBijection):
-            if candidate not in current:
-                fresh.add(candidate)
-
-        for f in frontier:
-            note(f.inverse())
-            for a, _ in f.pairs:
-                note(f.restrict(f.domain() - {a}))
-            for g in current:
-                note(f.compose(g))
-                note(g.compose(f))
-        current |= fresh
-        frontier = fresh
-    return Modeloid(carrier, frozenset(current))
+        gens |= {f, f.inverse()}
+    reached, queue = {ident}, [ident]
+    for f in queue:  # the queue grows while it is read: breadth first
+        fresh = {f.compose(g) for g in gens} - reached
+        reached |= fresh
+        queue += fresh
+    return Modeloid(carrier, frozenset(reached))
 
 
 def _derivative_members(M: Modeloid) -> frozenset[PartialBijection]:

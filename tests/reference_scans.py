@@ -9,14 +9,20 @@ derivative in one cover pass; the reference asks, for each member and
 each atom, whether some member above it covers that atom.  The library
 checks certificates with the cover step ``reach_above``; the reference
 indexes each level by restriction and unions the domains and ranges of
-the extensions it lists.
+the extensions it lists.  The library closes seed maps to a modeloid by
+right products with generators; the reference composes every new map
+with every map so far, both ways, and drops single pairs, until nothing
+new appears.  The library decides equivalence by the categorical
+derivative on all of category D; the reference iterates the back-and-forth
+cover step ``reach_above`` on Part(A,B) alone.
 """
 
 from itertools import combinations
 
 from modeloids import verdict as v
-from modeloids.partial_bijections import identity_map
-from modeloids.structures import pairs_are_partial_iso
+from modeloids.modeloid import Modeloid
+from modeloids.partial_bijections import identity_map, reach_above
+from modeloids.structures import enumerate_partial_isos, pairs_are_partial_iso
 
 
 def cubic_associativity_witness(mul):
@@ -49,6 +55,24 @@ def check_modeloid_by_pairs(M) -> v.Verdict:
     if identity_map(M.carrier) not in M.members:
         return v.violated("identity", ())
     return v.passed()
+
+
+def closure_by_frontier(seed, carrier):
+    """The smallest modeloid containing the seed maps, by a fixpoint loop:
+    add the identity, then close under composition, inverse and dropping
+    single pairs (single drops generate every restriction)."""
+    current = {identity_map(carrier), *seed}
+    frontier = set(current)
+    while frontier:
+        fresh = set()
+        for f in frontier:
+            fresh.add(f.inverse())
+            fresh.update(f.restrict(f.domain() - {a}) for a, _ in f.pairs)
+            for g in current:
+                fresh.update((f.compose(g), g.compose(f)))
+        frontier = fresh - current
+        current |= frontier
+    return Modeloid(carrier, frozenset(current))
 
 
 def _member_atoms(M, X):
@@ -113,3 +137,21 @@ def verify_certificate_by_extensions(cert) -> v.Verdict:
             if missed:
                 return v.violated("back", (j, min(missed), f.pairs))
     return v.passed()
+
+
+def reach_above_chain(A, B, m):
+    """I_0 = Part(A,B), and I_{j+1} the maps f of I_j whose extensions in
+    I_j reach every element of A with their domains and every element of
+    B with their ranges: the chain up to I_m, each level in pair form."""
+    level = enumerate_partial_isos(A, B)
+    levels = [level]
+    for _ in range(m):
+        reach = reach_above(level)
+        level = frozenset(
+            f
+            for f in level
+            if len(reach[f.pairs][0]) == A.universe_size
+            and len(reach[f.pairs][1]) == B.universe_size
+        )
+        levels.append(level)
+    return [frozenset(f.pairs for f in level) for level in levels]

@@ -10,7 +10,7 @@ from dense_ambient import dense_table
 from generated import relabel, structure_pairs
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_scans import verify_certificate_by_extensions
+from reference_scans import reach_above_chain, verify_certificate_by_extensions
 
 from modeloids import ef_games, free_categories
 from modeloids.categorical import (
@@ -410,6 +410,21 @@ class TestCertificates:
         cert = BackAndForthCertificate(A, A, 3, tuple([frozenset({ident})] * 4))
         assert verify_certificate(cert).ok
 
+    def test_equal_levels_build_one_cover(self, monkeypatch):
+        # pure 3v3 is stable from level 0: five equal levels, one cover
+        calls = []
+        real = ef_games.reach_above
+
+        def counted(maps):
+            calls.append(maps)
+            return real(maps)
+
+        monkeypatch.setattr(ef_games, "reach_above", counted)
+        cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
+        assert len(set(cert.levels)) == 1
+        assert verify_certificate(cert).ok
+        assert len(calls) == 1
+
     def test_empty_level_rejected(self):
         A = pure("A", 1)
         cert = BackAndForthCertificate(A, A, 1, (frozenset({PartialIso.from_pairs(A, A, [(0, 0)])}), frozenset()))
@@ -558,3 +573,23 @@ class TestGeneratedPairs:
         for left, right in [(A2, B), (A, B2), (B, A)]:
             assert ef_equiv_oracle(left, right, m) == answer
             assert ef_equiv_derivative(left, right, m)[0] == answer
+
+
+class TestUniverseFour:
+    """Generated pairs of universe up to 4, where the naive recursion is
+    too slow: each level D^j ∩ Part(A,B) equals the reference chain of
+    ``reach_above`` on Part(A,B), and the oracle answers whether its last
+    level is non-empty."""
+
+    @given(structure_pairs(max_universe=4), st.integers(0, 3))
+    def test_levels_match_the_reach_above_chain(self, pair, m):
+        A, B = pair
+        cat = build_category_D(A, B)
+        part = cat.part(A, B)
+        levels = [
+            frozenset(cat.morphisms[i].pairs for i in part if i in members)
+            for members in derivative_levels(cat, m)
+        ]
+        reference = reach_above_chain(A, B, m)
+        assert levels == reference
+        assert ef_equiv_oracle(A, B, m) == bool(reference[-1])

@@ -21,8 +21,9 @@ def test_docstring_examples():
         failed, tried = doctest.testmod(module)
         assert failed == 0, info.name
         attempted += tried
-    # the seven examples of partial_bijections at least
-    assert attempted >= 7
+    # the seven examples of partial_bijections and the three of
+    # modeloid.modeloid_closure at least
+    assert attempted >= 10
 
 
 @pytest.mark.parametrize("demo", ["round_equivalence.py", "tables_to_partial_maps.py"])

@@ -10,7 +10,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_scans import check_modeloid_by_pairs
+from reference_scans import check_modeloid_by_pairs, closure_by_frontier
 
 from modeloids.errors import InputError
 from modeloids.verdict import Verdict
@@ -178,6 +178,43 @@ class TestClosure:
         assert f in M.members
         again = modeloid_closure(sorted(M.members, key=lambda g: g.pairs), c)
         assert again.members == M.members
+
+    def test_matches_the_frontier_loop(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            c = Carrier(rng.randint(1, 4))
+            pool = sorted(enumerate_all(c), key=lambda f: f.pairs)
+            seed = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            assert modeloid_closure(seed, c) == closure_by_frontier(seed, c)
+
+    def test_swap_and_cycle_give_every_map_at_carrier_5(self):
+        # the frontier loop takes seconds here, so compare with the full set
+        c = Carrier(5)
+        swap = PartialBijection.from_pairs(c, [(0, 1), (1, 0), (2, 2), (3, 3), (4, 4)])
+        cycle = PartialBijection.from_pairs(c, [(x, (x + 1) % 5) for x in range(5)])
+        assert modeloid_closure([swap, cycle], c) == full_modeloid(c)
+
+    def test_one_right_product_per_member_and_generator(self, monkeypatch):
+        # G: the swap and the 4-cycle, the cycle's inverse and the four
+        # identities missing one point; 209 members times 7 generators
+        c = Carrier(4)
+        swap = PartialBijection.from_pairs(c, [(0, 1), (1, 0), (2, 2), (3, 3)])
+        cycle = PartialBijection.from_pairs(c, [(x, (x + 1) % 4) for x in range(4)])
+        calls = []
+        real = PartialBijection.compose
+
+        def counted(f, g):
+            calls.append((f, g))
+            return real(f, g)
+
+        monkeypatch.setattr(PartialBijection, "compose", counted)
+        M = modeloid_closure([swap, cycle], c)
+        assert len(M.members) == 209
+        assert len(calls) <= 209 * 7
+
+    def test_seed_over_another_carrier_rejected(self):
+        with pytest.raises(InputError, match="seed map is over a different carrier"):
+            modeloid_closure([identity_map(Carrier(3))], Carrier(2))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 3))
