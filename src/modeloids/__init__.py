@@ -27,6 +27,7 @@ from .ef_games import (
     ef_equiv_oracle,
     extract_certificate,
     format_certificate,
+    homset_levels,
     surviving_maps,
     verify_certificate,
 )

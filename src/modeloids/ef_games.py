@@ -12,8 +12,16 @@ restrictions that keep the constant pairs.
 
 ``ef_equiv_derivative`` decides m-round equivalence by applying the
 categorical derivative m times and asking whether any map from id_A to
-id_B survives.  ``ef_equiv_oracle`` decides the same question by a
-memoized game-tree recursion that shares no code with the derivative:
+id_B survives.  The chain it steps (``homset_levels``) starts from
+Hom(A,B) and the partial identities of A and B, not from all of D: the
+step decides a map from the maps above it, which share its homset, and
+from the atoms of the endosets at its ends, which are partial identities
+that survive every level.  So the other homsets never feed back, and the
+chain on all of D (``derivative_levels``, the paper's route) stays as the
+reference it must agree with.
+
+``ef_equiv_oracle`` decides the same question by a memoized game-tree
+recursion that shares no code with the derivative:
 Spoiler plays only fresh elements, so each position fixes the rounds
 left, holds one memo entry and is pruned as soon as it is not a partial
 isomorphism, and the recursion is never deeper than the smaller
@@ -21,8 +29,9 @@ universe, whatever the number of rounds.  The two must always agree;
 the command-line front-end runs both.
 
 A positive derivative answer can be externalized: ``extract_certificate``
-returns the chain I_j = D^j ∩ Part(A,B), which ``verify_certificate``
-checks against the literal back-and-forth conditions.
+returns the chain I_j = D^j ∩ Part(A,B), read from the same homset
+chain, which ``verify_certificate`` checks against the literal
+back-and-forth conditions.
 """
 
 from __future__ import annotations
@@ -186,13 +195,46 @@ def build_category_D(
 
 @fact
 def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]:
-    """Member sets of D^0 .. D^m starting from all morphisms, kept on the
-    category so that the equivalence answer and the certificate of one
-    run share them.  The chain is decreasing, so once a step changes
+    """Member sets of D^0 .. D^m starting from all morphisms: the paper's
+    chain on all of D.  The chain is decreasing, so once a step changes
     nothing the tail is constant."""
     start = CategoricalModeloid.everything(category.ambient)
     chain, _ = fixpoint_chain(start, lambda M: categorical_derivative(M, check=False), m)
     return tuple(M.members for M in chain)
+
+
+@fact
+def homset_levels(
+    category: CategoryD, m: int, X: Structure, Y: Structure
+) -> tuple[frozenset[int], ...]:
+    """D^j ∩ Hom(id_X, id_Y) for j = 0 .. m, kept on the category so that
+    the equivalence answer and the certificate of one run share them.
+
+    The same categorical step as ``derivative_levels``, started from
+    Hom(X,Y) and the partial identities of X and Y instead of all of D.
+    This is exact:
+
+    - The step decides a member of Hom(X,Y) from the members above it,
+      which lie in the same homset, and from the idempotent atoms of the
+      endosets at its two ends.
+    - Those atoms are the partial identities that fix the constants plus
+      one point.
+    - Every partial identity survives every level, because the full
+      identity lies above it and covers every atom.  So the atoms never
+      change.
+    - The other homsets therefore never feed back into Hom(X,Y).
+    """
+    c = category.ambient
+    hom = frozenset(category.part(X, Y))
+    ends = {category.object_of(X), category.object_of(Y)}
+    identities = (
+        i
+        for i, p in enumerate(category.morphisms)
+        if c.dom[i] in ends and c.cod[i] == c.dom[i] and all(a == b for a, b in p.pairs)
+    )
+    start = CategoricalModeloid(c, hom.union(identities))
+    chain, _ = fixpoint_chain(start, lambda M: categorical_derivative(M, check=False), m)
+    return tuple(M.members & hom for M in chain)
 
 
 def surviving_maps(
@@ -200,12 +242,8 @@ def surviving_maps(
 ) -> tuple[PartialIso, ...]:
     """Part(X,Y) ∩ D^m for any side pair, star excluded; the general
     form of the equivalence query, sorted for determinism."""
-    final = derivative_levels(category, m)[-1]
-    return tuple(
-        category.morphisms[i]
-        for i in sorted(category.part(X, Y))
-        if i in final
-    )
+    final = homset_levels(category, m, X, Y)[-1]
+    return tuple(category.morphisms[i] for i in sorted(final))
 
 
 def ef_equiv_derivative(
@@ -216,7 +254,9 @@ def ef_equiv_derivative(
     category: CategoryD | None = None,
 ) -> tuple[bool, PartialIso | None]:
     """m-round equivalence via the derivative; the witness is a largest
-    surviving map from id_A to id_B, or None if none survive."""
+    surviving map from id_A to id_B, or None if none survive.  The chain
+    starts from Hom(A,B) and the partial identities of A and B, which
+    gives the same D^m ∩ Hom(A,B) as all of D (see ``homset_levels``)."""
     if m < 0:
         raise InputError("rounds must be non-negative")
     if category is None:
@@ -298,17 +338,18 @@ def extract_certificate(
     max_universe: int = DEFAULT_EF_UNIVERSE_BOUND,
     category: CategoryD | None = None,
 ) -> BackAndForthCertificate | None:
-    """I_j = D^j ∩ Part(A,B); absent when nothing survives m rounds."""
+    """I_j = D^j ∩ Part(A,B); absent when nothing survives m rounds.  The
+    levels come from the chain started at Hom(A,B) and the partial
+    identities of A and B, which the other homsets never feed back into
+    (see ``homset_levels``)."""
     if m < 0:
         raise InputError("rounds must be non-negative")
     if category is None:
         category = build_category_D(A, B, max_universe)
-    part_ab = category.part(A, B)
-    levels = []
-    for members in derivative_levels(category, m):
-        levels.append(
-            frozenset(category.morphisms[i] for i in part_ab if i in members)
-        )
+    levels = [
+        frozenset(category.morphisms[i] for i in members)
+        for members in homset_levels(category, m, A, B)
+    ]
     if not levels[-1]:
         return None
     return BackAndForthCertificate(A, B, m, tuple(levels))
@@ -333,7 +374,10 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
             ):
                 return v.violated("membership", (j, f.pairs))
     for j in range(cert.rounds):
-        if j == 0 or cert.levels[j] != cert.levels[j - 1]:
+        if j and cert.levels[j] == cert.levels[j - 1]:
+            if cert.levels[j + 1] == cert.levels[j]:
+                continue  # the same pair as the one before, which passed
+        else:
             reach = reach_above(cert.levels[j])
         for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
             sources, targets = reach.get(f.pairs, ((), ()))

@@ -556,6 +556,33 @@ class TestEfDerivesOnce:
         assert stepped
         assert len(stepped) == len(set(stepped))
 
+    def test_endosets_enter_only_as_partial_identities(self, capsys, monkeypatch, tmp_path):
+        # the chain for Hom(S3,S4) starts from that homset and the partial
+        # identities; End(S3) and End(S4) no longer enter whole
+        handed = []
+        step = ef_games.categorical_derivative
+
+        def recording(M, check=True):
+            handed.append(M)
+            return step(M, check=check)
+
+        monkeypatch.setattr(ef_games, "categorical_derivative", recording)
+        sets = tmp_path / "sets.txt"
+        sets.write_text("structure S3\n  universe 3\n\nstructure S4\n  universe 4\n")
+        code, _, _ = run(
+            capsys, "ef", str(sets), "--left", "S3", "--right", "S4",
+            "--rounds", "3", "--certificate", str(tmp_path / "cert.txt"),
+        )
+        assert code == 0
+        assert (tmp_path / "cert.txt").exists()
+        assert handed
+        for M in handed:
+            c = M.ambient
+            for i in M.members:
+                assert i != c.star
+                if c.dom[i] == c.cod[i]:
+                    assert all(a == b for a, b in c.morphisms[i].pairs)
+
 
 class TestEmbed:
     def test_semilattice_representation(self, files, capsys):

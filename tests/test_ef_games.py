@@ -26,6 +26,7 @@ from modeloids.ef_games import (
     ef_equiv_oracle,
     extract_certificate,
     format_certificate,
+    homset_levels,
     surviving_maps,
     verify_certificate,
 )
@@ -425,6 +426,22 @@ class TestCertificates:
         assert verify_certificate(cert).ok
         assert len(calls) == 1
 
+    def test_repeated_level_pairs_are_scanned_once(self, monkeypatch):
+        # pure 3v3 at m=4: four equal level pairs, one forth and back scan
+        looked_up = []
+        real = ef_games.reach_above
+
+        class Counted(dict):
+            def get(self, key, default=None):
+                looked_up.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(ef_games, "reach_above", lambda maps: Counted(real(maps)))
+        cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
+        assert len(set(cert.levels)) == 1
+        assert verify_certificate(cert).ok
+        assert len(looked_up) == len(cert.levels[0])
+
     def test_empty_level_rejected(self):
         A = pure("A", 1)
         cert = BackAndForthCertificate(A, A, 1, (frozenset({PartialIso.from_pairs(A, A, [(0, 0)])}), frozenset()))
@@ -579,17 +596,29 @@ class TestUniverseFour:
     """Generated pairs of universe up to 4, where the naive recursion is
     too slow: each level D^j ∩ Part(A,B) equals the reference chain of
     ``reach_above`` on Part(A,B), and the oracle answers whether its last
-    level is non-empty."""
+    level is non-empty.  On every side pair, the chain started from one
+    homset and the partial identities equals that homset's block of the
+    chain on all of D."""
 
     @given(structure_pairs(max_universe=4), st.integers(0, 3))
     def test_levels_match_the_reach_above_chain(self, pair, m):
         A, B = pair
         cat = build_category_D(A, B)
         part = cat.part(A, B)
+        full = derivative_levels(cat, m)
         levels = [
             frozenset(cat.morphisms[i].pairs for i in part if i in members)
-            for members in derivative_levels(cat, m)
+            for members in full
         ]
         reference = reach_above_chain(A, B, m)
         assert levels == reference
         assert ef_equiv_oracle(A, B, m) == bool(reference[-1])
+        for X in (A, B):
+            for Y in (A, B):
+                block = frozenset(cat.part(X, Y))
+                assert homset_levels(cat, m, X, Y) == tuple(
+                    members & block for members in full
+                )
+                assert surviving_maps(cat, m, X, Y) == tuple(
+                    cat.morphisms[i] for i in sorted(full[-1] & block)
+                )
