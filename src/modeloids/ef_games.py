@@ -20,6 +20,14 @@ that survive every level.  So the other homsets never feed back, and the
 chain on all of D (``derivative_levels``, the paper's route) stays as the
 reference it must agree with.
 
+Asking one pair for m = 0, 1, 2, ... builds D once.  ``build_category_D``
+keeps the D of its latest call and returns it again when called with the
+same two structure objects, so its compositions, down-sets and homset
+chains carry over from one call to the next.  Each homset chain is
+stepped only as far as the largest m asked for, and not past its
+fixpoint.  At most one D is kept: a call on another pair drops it first.
+A caller that holds a D can still pass it as ``category=``.
+
 ``ef_equiv_oracle`` decides the same question by a memoized game-tree
 recursion that shares no code with the derivative:
 Spoiler plays only fresh elements, so each position fixes the rounds
@@ -153,12 +161,28 @@ def _check_pair(A: Structure, B: Structure, max_universe: int):
             )
 
 
+# The D of the latest ``build_category_D`` call, or None.
+_latest: CategoryD | None = None
+
+
 def build_category_D(
     A: Structure, B: Structure, max_universe: int = DEFAULT_EF_UNIVERSE_BOUND
 ) -> CategoryD:
     """Enumerate the four side-pair blocks of partial isomorphisms and
-    tabulate dom, cod and inv; composition is left to the ambient."""
+    tabulate dom, cod and inv; composition is left to the ambient.
+
+    Called again with the same two structure objects (``is``, not ``==``),
+    it returns the D it built last, with the compositions, down-sets and
+    homset chains already derived on it.  Only that one D is kept: a call
+    on another pair drops it before building, so the module never holds
+    more than one.  Callers that keep a D themselves pass it on as
+    ``category=``.
+    """
+    global _latest
     _check_pair(A, B, max_universe)
+    if _latest is not None and _latest.left is A and _latest.right is B:
+        return _latest
+    _latest = None
     sides = (A,) if A == B else (A, B)
     morphisms: list[PartialIso] = []
     tags: list[tuple[int, int]] = []
@@ -190,7 +214,8 @@ def build_category_D(
         index=index,
         constants={obj[s]: S.constants for s, S in enumerate(sides)},
     )
-    return CategoryD(A, B, ambient, obj[0], obj[-1])
+    _latest = CategoryD(A, B, ambient, obj[0], obj[-1])
+    return _latest
 
 
 @fact
@@ -203,12 +228,40 @@ def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]
     return tuple(M.members for M in chain)
 
 
+@dataclass(eq=False)
+class _HomsetChain:
+    """D^j ∩ Hom(X,Y) for j = 0 .. as far as asked so far, and the level
+    the next step starts from.  ``stable`` is set once a step changes
+    nothing: the chain then ends at its fixpoint level."""
+
+    hom: frozenset[int]
+    last: CategoricalModeloid
+    levels: list[frozenset[int]]
+    stable: bool = False
+
+
 @fact
+def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> _HomsetChain:
+    c = category.ambient
+    hom = frozenset(category.part(X, Y))
+    ends = {category.object_of(X), category.object_of(Y)}
+    identities = (
+        i
+        for i, p in enumerate(category.morphisms)
+        if c.dom[i] in ends and c.cod[i] == c.dom[i] and all(a == b for a, b in p.pairs)
+    )
+    start = CategoricalModeloid(c, hom.union(identities))
+    return _HomsetChain(hom, start, [start.members & hom])
+
+
 def homset_levels(
     category: CategoryD, m: int, X: Structure, Y: Structure
 ) -> tuple[frozenset[int], ...]:
-    """D^j ∩ Hom(id_X, id_Y) for j = 0 .. m, kept on the category so that
-    the equivalence answer and the certificate of one run share them.
+    """D^j ∩ Hom(id_X, id_Y) for j = 0 .. m, read from one chain per
+    (X, Y) kept on the category, so that the equivalence answer and the
+    certificate of every m share it.  The chain is stepped only as far as
+    the largest m asked for and never past its fixpoint; the levels
+    beyond the fixpoint repeat it.
 
     The same categorical step as ``derivative_levels``, started from
     Hom(X,Y) and the partial identities of X and Y instead of all of D.
@@ -224,17 +277,21 @@ def homset_levels(
       change.
     - The other homsets therefore never feed back into Hom(X,Y).
     """
-    c = category.ambient
-    hom = frozenset(category.part(X, Y))
-    ends = {category.object_of(X), category.object_of(Y)}
-    identities = (
-        i
-        for i, p in enumerate(category.morphisms)
-        if c.dom[i] in ends and c.cod[i] == c.dom[i] and all(a == b for a, b in p.pairs)
-    )
-    start = CategoricalModeloid(c, hom.union(identities))
-    chain, _ = fixpoint_chain(start, lambda M: categorical_derivative(M, check=False), m)
-    return tuple(M.members & hom for M in chain)
+    if m < 0:
+        raise InputError("rounds must be non-negative")
+    chain = _homset_chain(category, X, Y)
+    missing = m + 1 - len(chain.levels)
+    if missing > 0 and not chain.stable:
+        grown, stabilized = fixpoint_chain(
+            chain.last, lambda M: categorical_derivative(M, check=False), missing
+        )
+        if stabilized is not None:
+            grown = grown[: stabilized + 1]
+            chain.stable = True
+        chain.last = grown[-1]
+        chain.levels += (M.members & chain.hom for M in grown[1:])
+    levels = chain.levels[: m + 1]
+    return tuple(levels) + (levels[-1],) * (m + 1 - len(levels))
 
 
 def surviving_maps(

@@ -74,7 +74,7 @@ class FreeCategory:
                 raise InputError(f"{name} table must list one in-range morphism each")
         if len(self.comp) != n or any(len(row) != n for row in self.comp):
             raise InputError("composition table must be square")
-        if any(not (0 <= x < n) for row in self.comp for x in row):
+        if any(min(row) < 0 or max(row) >= n for row in self.comp):
             raise InputError("composition entry out of range")
         if self.dom[self.star] != self.star or self.cod[self.star] != self.star:
             raise InputError("the non-existing morphism must be its own dom and cod")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import verdict as v
@@ -75,7 +76,7 @@ def _check_square(mul: MulTable, n: int) -> None:
         raise InputError("table order must be at least 1")
     if len(mul) != n or any(len(row) != n for row in mul):
         raise InputError("multiplication table must be order x order")
-    if any(not (0 <= entry < n) for row in mul for entry in row):
+    if any(min(row) < 0 or max(row) >= n for row in mul):
         raise InputError("multiplication entry out of range")
 
 
@@ -124,10 +125,13 @@ def associativity_witness(mul: MulTable) -> tuple[int, int, int] | None:
     a failure pays the cubic scan, which finds the first witness.
     """
     n = len(mul)
+    if n == 1:
+        # an itemgetter of one index returns a bare entry, not a row
+        return _first_associativity_witness(mul)
     for g in generators(lambda x, y: mul[x][y], range(n)):
-        row_g = mul[g]
+        times_g = itemgetter(*mul[g])  # row of x -> x*(g*y) for every y
         for row_x in mul:
-            if mul[row_x[g]] != tuple(map(row_x.__getitem__, row_g)):
+            if mul[row_x[g]] != times_g(row_x):
                 return _first_associativity_witness(mul)
     return None
 

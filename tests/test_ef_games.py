@@ -1,9 +1,13 @@
 """Equivalence of finite structures: the derivative route against the
 game-tree oracle, plus back-and-forth certificates."""
 
+import gc
 import math
 import random
 import sys
+import weakref
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from dense_ambient import dense_table
@@ -622,3 +626,85 @@ class TestUniverseFour:
                 assert surviving_maps(cat, m, X, Y) == tuple(
                     cat.morphisms[i] for i in sorted(full[-1] & block)
                 )
+
+
+def readme_loop(A, B, rounds=4):
+    """The README's library loop: the answer and the certificate for
+    m = 0 .. rounds, each call building D from the structures alone."""
+    return [
+        (ef_equiv_derivative(A, B, m), extract_certificate(A, B, m))
+        for m in range(rounds + 1)
+    ]
+
+
+class TestSharedCategory:
+    """Repeated calls on the same two structure objects read one D and one
+    homset chain per side pair, and give what a fresh D gives."""
+
+    @given(structure_pairs())
+    def test_loop_matches_fresh_categories(self, pair):
+        A, B = pair
+        for m, (answer, cert) in enumerate(readme_loop(A, B)):
+            A2, B2 = replace(A), replace(B)
+            fresh = build_category_D(A2, B2)
+            assert ef_equiv_derivative(A2, B2, m, category=fresh) == answer
+            assert extract_certificate(A2, B2, m, category=fresh) == cert
+
+    @given(structure_pairs())
+    def test_loop_enumerates_each_block_once(self, pair):
+        A, B = pair
+        calls = []
+        real = ef_games.enumerate_partial_isos
+
+        def counted(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        with mock.patch.object(ef_games, "enumerate_partial_isos", counted):
+            readme_loop(A, B)
+            assert len(calls) == 4
+            readme_loop(A, A)
+            assert len(calls) == 5
+
+    def test_only_the_latest_category_is_kept(self):
+        A, B = pure("A", 3), pure("B", 3)
+        readme_loop(A, B)
+        first = weakref.ref(build_category_D(A, B))
+        assert build_category_D(A, B) is first()
+        # equal copies are another pair: the first D is dropped before the
+        # blocks of the new one are enumerated, so two are never alive
+        alive = []
+        real = ef_games.enumerate_partial_isos
+
+        def watching(*args):
+            gc.collect()
+            alive.append(first() is not None)
+            return real(*args)
+
+        A2, B2 = replace(A), replace(B)
+        with mock.patch.object(ef_games, "enumerate_partial_isos", watching):
+            assert build_category_D(A2, B2).left is A2
+        assert alive == [False] * 4
+
+    def test_homset_levels_in_any_order_match_a_fresh_category(self):
+        # L4/L5 stabilizes at index 3, so (1, 2, 0, 9) resumes a chain
+        # that is not yet stable and (6, 2, 9) slices and pads a stable one;
+        # each answer is compared with a D built anew from equal copies
+        for A, B in [(chain("A", 4), chain("B", 5)), (pure("A", 2), pure("B", 3))]:
+            for order in [(6, 2, 9), (1, 2, 0, 9)]:
+                cat = build_category_D(replace(A), replace(B))
+                for m in order:
+                    for X in (A, B):
+                        for Y in (A, B):
+                            fresh = build_category_D(replace(A), replace(B))
+                            assert homset_levels(cat, m, X, Y) == homset_levels(
+                                fresh, m, X, Y
+                            )
+
+    def test_chain_stops_at_its_fixpoint(self):
+        C = directed_cycle("C3", [0, 1, 2])
+        cat = build_category_D(C, C)
+        levels = homset_levels(cat, 3000, C, C)
+        assert len(levels) == 3001
+        stabilized = next(j for j in range(3000) if levels[j] == levels[j + 1])
+        assert len(ef_games._homset_chain(cat, C, C).levels) <= stabilized + 2

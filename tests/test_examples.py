@@ -3,6 +3,7 @@
 import doctest
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import modeloids
+from modeloids import ef_games
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def test_docstring_examples():
@@ -33,3 +36,20 @@ def test_demo_exits_0(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_readme_library_example(monkeypatch):
+    # the two ef_equiv_derivative calls on C3/P3 share one D: its four
+    # blocks are enumerated once, not once per call
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    enumerated = []
+    real = ef_games.enumerate_partial_isos
+
+    def counted(*args):
+        enumerated.append(tuple(S.name for S in args[:2]))
+        return real(*args)
+
+    monkeypatch.setattr(ef_games, "enumerate_partial_isos", counted)
+    exec(block, {})
+    assert sorted(enumerated) == [("C3", "C3"), ("C3", "P3"), ("P3", "C3"), ("P3", "P3")]
