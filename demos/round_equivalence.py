@@ -2,9 +2,10 @@
 
 A directed 3-cycle and a directed 3-path have the same number of
 vertices and almost the same edges, yet the path has a dead end the
-cycle lacks.  The walkthrough builds the category of partial
-isomorphism side pairs once, asks the derivative for every round count,
-and cross-checks each answer against the game-tree oracle.  A reversed
+cycle lacks.  The walkthrough builds the part of the category of
+partial isomorphisms that the derivative reads (the maps between the two
+digraphs and the partial identities) once, asks the derivative for every
+round count, and cross-checks each answer against the game-tree oracle.  A reversed
 cycle then shows the equivalent case together with its certificate.
 """
 
@@ -27,7 +28,10 @@ REVERSED = Structure.build("R3", 3, GRAPH, relations={"E": [(1, 0), (2, 1), (0, 
 def compare(A, B, rounds):
     category = build_category_D(A, B)
     print(f"{A.name} vs {B.name}")
-    print(f"  {len(category.morphisms)} morphisms in the ambient category,")
+    print(
+        f"  {len(category.morphisms)} of the {len(category.whole.morphisms)} morphisms"
+        " of the category are read by the derivative,"
+    )
     print(f"  {len(category.part(A, B))} partial isomorphisms {A.name} -> {B.name}")
     for m in range(rounds + 1):
         answer, witness = ef_equiv_derivative(A, B, m, category=category)

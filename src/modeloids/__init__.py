@@ -31,7 +31,7 @@ from .ef_games import (
     surviving_maps,
     verify_certificate,
 )
-from .errors import BoundExceededError, InputError, ParseError
+from .errors import BoundExceededError, InputError, OutsideAmbientError, ParseError
 from .fileformats import (
     format_categorical_modeloid_file,
     format_category_file,

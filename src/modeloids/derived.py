@@ -11,19 +11,24 @@ from .errors import InputError
 def fact(compute):
     """Decorator: compute(instance, *args) runs once per instance and args.
 
-    The value is kept in the instance's ``__dict__``, which frozen
-    dataclasses leave out of equality and hashing, so it is dropped with
-    the instance instead of pinning it as a module-level cache would.
+    Each fact keeps one dict, keyed by the argument tuple, in the
+    instance's ``__dict__``, which frozen dataclasses leave out of
+    equality and hashing, so it is dropped with the instance instead of
+    pinning it as a module-level cache would.
     """
-    name = compute.__qualname__
+    slot = f"_fact {compute.__module__}.{compute.__qualname__}"
 
     @wraps(compute)
     def lookup(instance, *args):
-        facts = vars(instance).setdefault("_facts", {})
-        key = (name, *args)
-        if key not in facts:
-            facts[key] = compute(instance, *args)
-        return facts[key]
+        facts = instance.__dict__.get(slot)
+        if facts is None:
+            facts = instance.__dict__[slot] = {}
+        try:
+            return facts[args]
+        except KeyError:
+            pass
+        value = facts[args] = compute(instance, *args)
+        return value
 
     return lookup
 

@@ -1,7 +1,7 @@
 """Ehrenfeucht-Fraissé equivalence by two independent routes.
 
-Given structures A and B over one vocabulary, ``build_category_D``
-assembles the free-logic inverse category whose existing morphisms are
+Given structures A and B over one vocabulary, the category D of the
+pair is the free-logic inverse category whose existing morphisms are
 the partial isomorphisms between the four side pairs (A,A), (A,B),
 (B,A), (B,B).  Its objects are the full identities id_A and id_B, the
 zero of each endoset is the constants-only map, and the full morphism
@@ -19,6 +19,13 @@ from the atoms of the endosets at its ends, which are partial identities
 that survive every level.  So the other homsets never feed back, and the
 chain on all of D (``derivative_levels``, the paper's route) stays as the
 reference it must agree with.
+
+So ``build_category_D`` builds only the part of D that this chain reads:
+Hom(A,B), Hom(B,A) (the inverses) and the partial identities of A and B,
+which are generated as restrictions of id_A and id_B without a search.
+All of D, with the part as its index prefix, is built on first read of
+``CategoryD.whole``; only ``derivative_levels`` and the endoset queries
+read it.  For A == B the part is all of D.
 
 Asking one pair for m = 0, 1, 2, ... builds D once.  ``build_category_D``
 keeps the D of its latest call and returns it again when called with the
@@ -50,7 +57,7 @@ from itertools import product
 from . import verdict as v
 from .categorical import CategoricalModeloid, categorical_derivative
 from .derived import fact, fixpoint_chain
-from .errors import BoundExceededError, InputError
+from .errors import BoundExceededError, InputError, OutsideAmbientError
 from .partial_bijections import reach_above
 from .structures import (
     PartialIso,
@@ -73,7 +80,9 @@ class PartialIsoAmbient:
     ``index`` finds a map by (dom object, cod object, pairs), and
     ``constants[X]`` lists the constant elements of object X's structure.
     No composition table is built: ``compose`` composes two maps and looks
-    the result up, and ``below`` enumerates restrictions.
+    the result up, and ``below`` enumerates restrictions.  An ambient may
+    hold only part of D; a composite outside it raises
+    ``OutsideAmbientError``.
     """
 
     morphism_count: int
@@ -92,7 +101,12 @@ class PartialIsoAmbient:
             return self.star
         fwd = dict(self.morphisms[f].pairs)
         composed = tuple((a, fwd[b]) for a, b in self.morphisms[g].pairs if b in fwd)
-        return self.index[(self.dom[g], self.cod[f], composed)]
+        try:
+            return self.index[(self.dom[g], self.cod[f], composed)]
+        except KeyError:
+            raise OutsideAmbientError(
+                f"{f} after {g} is not a morphism of this ambient"
+            ) from None
 
     @fact
     def below(self, t: int) -> frozenset[int]:
@@ -111,10 +125,16 @@ class PartialIsoAmbient:
 
 @dataclass(frozen=True, eq=False)
 class CategoryD:
-    """The partial-isomorphism category of a structure pair.
+    """The partial-isomorphism category of a structure pair, or the part
+    of it that the ``ef`` chain reads.
 
-    When ``left`` and ``right`` are the same structure the category has a
-    single object.
+    The part (``complete`` false) holds Hom(A,B), Hom(B,A) and the
+    partial identities of A and B; ``whole`` is all of D, built on first
+    read, with the part's morphisms as its first indices.  So an index
+    into the part is the same morphism in D, and ``object_a`` and
+    ``object_b`` are the same in both.  When ``left`` and ``right`` are
+    the same structure the category has a single object, and the part
+    is all of D.
     """
 
     left: Structure
@@ -122,6 +142,11 @@ class CategoryD:
     ambient: PartialIsoAmbient
     object_a: int
     object_b: int
+    complete: bool
+
+    @property
+    def whole(self) -> "CategoryD":
+        return self if self.complete else _whole(self)
 
     @property
     def star(self) -> int:
@@ -141,14 +166,18 @@ class CategoryD:
     def object_of(self, S: Structure) -> int:
         return (self.object_a, self.object_b)[self._side(S)]
 
+    def _holding(self, X: Structure, Y: Structure) -> "CategoryD":
+        """The D whose ambient holds Hom(X,Y): this one for the cross
+        homsets, all of D for an endoset."""
+        return self.whole if self._side(X) == self._side(Y) else self
+
     def part(self, X: Structure, Y: Structure) -> tuple[int, ...]:
-        """Indices of Part(X,Y), i.e. Hom(id_X, id_Y) without star."""
-        xo, yo = self.object_of(X), self.object_of(Y)
-        return tuple(
-            i
-            for i in range(len(self.morphisms))
-            if self.ambient.dom[i] == xo and self.ambient.cod[i] == yo
-        )
+        """Indices of Part(X,Y), i.e. Hom(id_X, id_Y) without star; an
+        endoset is read from all of D."""
+        D = self._holding(X, Y)
+        xo, yo = D.object_of(X), D.object_of(Y)
+        dom, cod = D.ambient.dom, D.ambient.cod
+        return tuple(i for i in range(len(D.morphisms)) if dom[i] == xo and cod[i] == yo)
 
 
 def _check_pair(A: Structure, B: Structure, max_universe: int):
@@ -161,6 +190,53 @@ def _check_pair(A: Structure, B: Structure, max_universe: int):
             )
 
 
+def _partial_identities(S: Structure) -> list[PartialIso]:
+    """The restrictions of id_S that keep the constant pairs: the
+    idempotents of End(S), each a partial isomorphism without a check."""
+    choices = [((x,),) if x in S.constants else ((x,), ()) for x in range(S.universe_size)]
+    return [
+        PartialIso(S, S, tuple((x, x) for x in sum(kept, ()))) for kept in product(*choices)
+    ]
+
+
+def _block(lt: int, rt: int, maps) -> list[tuple[int, int, PartialIso]]:
+    """The maps from side lt to side rt, sorted by pairs."""
+    return [(lt, rt, p) for p in sorted(maps, key=lambda p: p.pairs)]
+
+
+def _category(
+    left: Structure,
+    right: Structure,
+    layout: list[tuple[int, int, PartialIso]],
+    complete: bool,
+) -> CategoryD:
+    """Tabulate dom, cod and inv over ``layout``, a list of (source side,
+    target side, map) in index order; star comes after the last map."""
+    sides = (left,) if left == right else (left, right)
+    morphisms = tuple(p for _, _, p in layout)
+    n = len(morphisms)
+    star = n
+    obj = [morphisms.index(identity_iso(S)) for S in sides]
+    dom = tuple(obj[lt] for lt, _, _ in layout) + (star,)
+    cod = tuple(obj[rt] for _, rt, _ in layout) + (star,)
+    index = {(dom[i], cod[i], p.pairs): i for i, p in enumerate(morphisms)}
+    inv = tuple(
+        index[(cod[i], dom[i], tuple(sorted((b, a) for a, b in p.pairs)))]
+        for i, p in enumerate(morphisms)
+    ) + (star,)
+    ambient = PartialIsoAmbient(
+        morphism_count=n + 1,
+        star=star,
+        dom=dom,
+        cod=cod,
+        inv=inv,
+        morphisms=morphisms,
+        index=index,
+        constants={obj[s]: S.constants for s, S in enumerate(sides)},
+    )
+    return CategoryD(left, right, ambient, obj[0], obj[-1], complete)
+
+
 # The D of the latest ``build_category_D`` call, or None.
 _latest: CategoryD | None = None
 
@@ -168,8 +244,11 @@ _latest: CategoryD | None = None
 def build_category_D(
     A: Structure, B: Structure, max_universe: int = DEFAULT_EF_UNIVERSE_BOUND
 ) -> CategoryD:
-    """Enumerate the four side-pair blocks of partial isomorphisms and
-    tabulate dom, cod and inv; composition is left to the ambient.
+    """The part of D that the ``ef`` chain reads: Hom(A,B) and Hom(B,A),
+    each from one ``enumerate_partial_isos`` call, then the partial
+    identities of A and of B, then star.  dom, cod and inv are tabulated;
+    composition is left to the ambient.  All of D is ``.whole``, built
+    when first read.  For A == B this is all of D: the one block End(A).
 
     Called again with the same two structure objects (``is``, not ``==``),
     it returns the D it built last, with the compositions, down-sets and
@@ -183,47 +262,39 @@ def build_category_D(
     if _latest is not None and _latest.left is A and _latest.right is B:
         return _latest
     _latest = None
-    sides = (A,) if A == B else (A, B)
-    morphisms: list[PartialIso] = []
-    tags: list[tuple[int, int]] = []
-    for lt in range(len(sides)):
-        for rt in range(len(sides)):
-            block = enumerate_partial_isos(sides[lt], sides[rt], max_universe)
-            for iso in sorted(block, key=lambda p: p.pairs):
-                morphisms.append(iso)
-                tags.append((lt, rt))
-
-    n = len(morphisms)
-    star = n
-    obj = [morphisms.index(identity_iso(S)) for S in sides]
-    dom = tuple(obj[lt] for lt, _ in tags) + (star,)
-    cod = tuple(obj[rt] for _, rt in tags) + (star,)
-    index = {(dom[i], cod[i], p.pairs): i for i, p in enumerate(morphisms)}
-    inv = tuple(
-        index[(cod[i], dom[i], tuple(sorted((b, a) for a, b in p.pairs)))]
-        for i, p in enumerate(morphisms)
-    ) + (star,)
-
-    ambient = PartialIsoAmbient(
-        morphism_count=n + 1,
-        star=star,
-        dom=dom,
-        cod=cod,
-        inv=inv,
-        morphisms=tuple(morphisms),
-        index=index,
-        constants={obj[s]: S.constants for s, S in enumerate(sides)},
-    )
-    _latest = CategoryD(A, B, ambient, obj[0], obj[-1])
+    if A == B:
+        layout = _block(0, 0, enumerate_partial_isos(A, A, max_universe))
+    else:
+        layout = (
+            _block(0, 1, enumerate_partial_isos(A, B, max_universe))
+            + _block(1, 0, enumerate_partial_isos(B, A, max_universe))
+            + _block(0, 0, _partial_identities(A))
+            + _block(1, 1, _partial_identities(B))
+        )
+    _latest = _category(A, B, layout, complete=A == B)
     return _latest
+
+
+@fact
+def _whole(part: CategoryD) -> CategoryD:
+    """All of D: the part's morphisms in their order, then the other
+    endomorphisms of A and of B, then star."""
+    c = part.ambient
+    side = {part.object_a: 0, part.object_b: 1}
+    layout = [(side[c.dom[i]], side[c.cod[i]], p) for i, p in enumerate(part.morphisms)]
+    for s, S in enumerate((part.left, part.right)):
+        endos = enumerate_partial_isos(S, S, S.universe_size)
+        layout += _block(s, s, (p for p in endos if any(a != b for a, b in p.pairs)))
+    return _category(part.left, part.right, layout, complete=True)
 
 
 @fact
 def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]:
     """Member sets of D^0 .. D^m starting from all morphisms: the paper's
-    chain on all of D.  The chain is decreasing, so once a step changes
-    nothing the tail is constant."""
-    start = CategoricalModeloid.everything(category.ambient)
+    chain on all of D, built for it if ``category`` is the part.  The
+    chain is decreasing, so once a step changes nothing the tail is
+    constant."""
+    start = CategoricalModeloid.everything(category.whole.ambient)
     chain, _ = fixpoint_chain(start, lambda M: categorical_derivative(M, check=False), m)
     return tuple(M.members for M in chain)
 
@@ -242,12 +313,13 @@ class _HomsetChain:
 
 @fact
 def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> _HomsetChain:
-    c = category.ambient
-    hom = frozenset(category.part(X, Y))
-    ends = {category.object_of(X), category.object_of(Y)}
+    D = category._holding(X, Y)
+    c = D.ambient
+    hom = frozenset(D.part(X, Y))
+    ends = {D.object_of(X), D.object_of(Y)}
     identities = (
         i
-        for i, p in enumerate(category.morphisms)
+        for i, p in enumerate(D.morphisms)
         if c.dom[i] in ends and c.cod[i] == c.dom[i] and all(a == b for a, b in p.pairs)
     )
     start = CategoricalModeloid(c, hom.union(identities))
@@ -276,6 +348,12 @@ def homset_levels(
       identity lies above it and covers every atom.  So the atoms never
       change.
     - The other homsets therefore never feed back into Hom(X,Y).
+
+    So for the cross homsets Hom(A,B) and Hom(B,A) the chain steps on the
+    part of D that ``build_category_D`` builds, whose endosets hold only
+    the partial identities.  An endoset query, Hom(A,A) or Hom(B,B),
+    steps on all of D (``category.whole``), built for it on first use.
+    The indices agree either way, since the part is a prefix of D.
     """
     if m < 0:
         raise InputError("rounds must be non-negative")
@@ -300,7 +378,8 @@ def surviving_maps(
     """Part(X,Y) ∩ D^m for any side pair, star excluded; the general
     form of the equivalence query, sorted for determinism."""
     final = homset_levels(category, m, X, Y)[-1]
-    return tuple(category.morphisms[i] for i in sorted(final))
+    morphisms = category._holding(X, Y).morphisms
+    return tuple(morphisms[i] for i in sorted(final))
 
 
 def ef_equiv_derivative(
@@ -398,15 +477,20 @@ def extract_certificate(
     """I_j = D^j ∩ Part(A,B); absent when nothing survives m rounds.  The
     levels come from the chain started at Hom(A,B) and the partial
     identities of A and B, which the other homsets never feed back into
-    (see ``homset_levels``)."""
+    (see ``homset_levels``).  A level equal to the one before it is that
+    same set of maps, so a stable tail costs one set, not one per level."""
     if m < 0:
         raise InputError("rounds must be non-negative")
     if category is None:
         category = build_category_D(A, B, max_universe)
-    levels = [
-        frozenset(category.morphisms[i] for i in members)
-        for members in homset_levels(category, m, A, B)
-    ]
+    levels: list[frozenset[PartialIso]] = []
+    previous = None
+    for members in homset_levels(category, m, A, B):
+        if members != previous:
+            levels.append(frozenset(category.morphisms[i] for i in members))
+            previous = members
+        else:
+            levels.append(levels[-1])
     if not levels[-1]:
         return None
     return BackAndForthCertificate(A, B, m, tuple(levels))
@@ -449,19 +533,21 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
 
 def format_certificate(cert: BackAndForthCertificate) -> str:
     """Deterministic text rendering: rounds, then each level's maps as
-    sorted pair lists.  Identical certificates print identically."""
+    sorted pair lists.  Identical certificates print identically.  A level
+    equal to the one before it repeats that level's lines."""
     lines = [
         "certificate",
         f"left {cert.left.name}",
         f"right {cert.right.name}",
         f"rounds {cert.rounds}",
     ]
+    rendered: list[str] = []
     for j, level in enumerate(cert.levels):
         lines.append(f"level {j}")
-        for p in sorted(level, key=lambda q: q.pairs):
-            if p.pairs:
-                rendered = " ".join(f"({a},{b})" for a, b in p.pairs)
-                lines.append(f"  map {rendered}")
-            else:
-                lines.append("  map")
+        if not j or level != cert.levels[j - 1]:
+            rendered = [
+                " ".join(("  map", *(f"({a},{b})" for a, b in p.pairs)))
+                for p in sorted(level, key=lambda q: q.pairs)
+            ]
+        lines += rendered
     return "\n".join(lines) + "\n"

@@ -19,3 +19,8 @@ class ParseError(InputError):
         self.column = column
         where = f"line {line}" if column is None else f"line {line}, column {column}"
         super().__init__(f"{where}: {message}")
+
+
+class OutsideAmbientError(LookupError):
+    """A composite lies outside the morphisms an ambient holds, as when
+    the part of a category is asked for a composite only the whole has."""

@@ -276,7 +276,7 @@ def test_07_derivative_chain_stays_categorical(announce):
     for _ in range(20):
         A = random_pointed_structure(rng, "A", max_size=3)
         B = random_pointed_structure(rng, "B", max_size=3)
-        D = build_category_D(A, B)
+        D = build_category_D(A, B).whole
         M = CategoricalModeloid.everything(D.ambient)
         chain, stabilized = iterate_categorical(M, len(M.members))
         if stabilized is None or stabilized > len(M.members):
@@ -298,7 +298,7 @@ def test_08_unique_and_equational_inverse_checks_agree(announce):
     corpus.append(DISCRETE)
     corpus.append(
         dense_table(
-            build_category_D(pure_structure("P", 2), pure_structure("Q", 3)).ambient
+            build_category_D(pure_structure("P", 2), pure_structure("Q", 3)).whole.ambient
         )
     )
 
@@ -351,7 +351,7 @@ def test_09_collapses_round_trip(announce):
     ]
     endosets = 0
     for A, B in pairs:
-        D = build_category_D(A, B)
+        D = build_category_D(A, B).whole
         M = CategoricalModeloid.everything(D.ambient)
         for X in objects(D.ambient):
             sm, _ = endoset_as_semimodeloid(M, X)

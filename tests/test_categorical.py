@@ -253,7 +253,7 @@ class TestOneCoverPass:
 
     @given(structure_pairs())
     def test_generated_pairs(self, pair):
-        ambient = build_category_D(*pair).ambient
+        ambient = build_category_D(*pair).whole.ambient
         assert len(objects(ambient)) == 2
         assert_chain_matches_reference(ambient)
 
@@ -261,7 +261,7 @@ class TestOneCoverPass:
         E = Vocabulary(relations=(("E", 2),))
         C4 = Structure.build("C4", 4, E, {"E": [(0, 1), (1, 2), (2, 3), (3, 0)]})
         P4 = Structure.build("P4", 4, E, {"E": [(0, 1), (1, 2), (2, 3)]})
-        table = dense_table(build_category_D(C4, P4).ambient)
+        table = dense_table(build_category_D(C4, P4).whole.ambient)
         assert assert_chain_matches_reference(table) > 1
 
     def test_atoms_found_once_per_end_object(self, monkeypatch):
@@ -274,7 +274,7 @@ class TestOneCoverPass:
 
         monkeypatch.setattr(categorical, "member_idempotent_atoms", counted)
         A, B = Structure.build("A", 2, Vocabulary()), Structure.build("B", 3, Vocabulary())
-        D = build_category_D(A, B)
+        D = build_category_D(A, B).whole
         categorical_derivative(CategoricalModeloid.everything(D.ambient), check=False)
         assert sorted(calls) == sorted([D.object_a, D.object_b, D.ambient.star])
 

@@ -583,6 +583,27 @@ class TestEfDerivesOnce:
                 if c.dom[i] == c.cod[i]:
                     assert all(a == b for a, b in c.morphisms[i].pairs)
 
+    def test_only_the_cross_blocks_are_enumerated(self, capsys, monkeypatch, tmp_path):
+        # the partial identities are generated, and End(S3), End(S4) are
+        # never built: all of D is left to the paper's reference chain
+        enumerated = []
+        enumerate_isos = ef_games.enumerate_partial_isos
+
+        def counting(X, Y, *rest):
+            enumerated.append((X.name, Y.name))
+            return enumerate_isos(X, Y, *rest)
+
+        monkeypatch.setattr(ef_games, "enumerate_partial_isos", counting)
+        sets = tmp_path / "sets.txt"
+        sets.write_text("structure S3\n  universe 3\n\nstructure S4\n  universe 4\n")
+        code, _, _ = run(
+            capsys, "ef", str(sets), "--left", "S3", "--right", "S4",
+            "--rounds", "3", "--certificate", str(tmp_path / "cert.txt"),
+        )
+        assert code == 0
+        assert (tmp_path / "cert.txt").exists()
+        assert enumerated == [("S3", "S4"), ("S4", "S3")]
+
 
 class TestEmbed:
     def test_semilattice_representation(self, files, capsys):

@@ -34,7 +34,7 @@ from modeloids.ef_games import (
     surviving_maps,
     verify_certificate,
 )
-from modeloids.errors import BoundExceededError, InputError
+from modeloids.errors import BoundExceededError, InputError, OutsideAmbientError
 from modeloids.free_categories import (
     has_all_zeros,
     objects,
@@ -104,14 +104,20 @@ def part_count(p, q):
 
 class TestBuild:
     def test_morphism_count_pure_one_one(self):
-        cat = build_category_D(pure("A", 1), pure("B", 1))
+        cat = build_category_D(pure("A", 1), pure("B", 1)).whole
         assert len(cat.morphisms) == 8
         assert cat.star == 8
 
     def test_block_sizes_pure_two_three(self):
-        cat = build_category_D(pure("A", 2), pure("B", 3))
+        cat = build_category_D(pure("A", 2), pure("B", 3)).whole
         expected = part_count(2, 2) + 2 * part_count(2, 3) + part_count(3, 3)
         assert len(cat.morphisms) == expected == 67
+
+    def test_the_part_holds_cross_blocks_and_partial_identities(self):
+        cat = build_category_D(pure("A", 2), pure("B", 3))
+        assert not cat.complete
+        assert len(cat.morphisms) == 2 * part_count(2, 3) + 2**2 + 2**3 == 38
+        assert cat.star == 38
 
     def test_ambient_is_an_inverse_category_with_zeros(self):
         for A, B in [
@@ -122,7 +128,7 @@ class TestBuild:
                 Structure.build("B", 2, POINTED, {"E": [(1, 0)]}, {"c": 1}),
             ),
         ]:
-            table = dense_table(build_category_D(A, B).ambient)
+            table = dense_table(build_category_D(A, B).whole.ambient)
             assert verify_category(table).ok
             assert verify_inverse_category_unique(table).ok
             assert has_all_zeros(table)
@@ -137,7 +143,7 @@ class TestBuild:
         assert cat.morphisms[z].pairs == ((0, 0),)
 
     def test_all_morphisms_form_a_categorical_modeloid(self):
-        cat = build_category_D(pure("A", 2), pure("B", 2))
+        cat = build_category_D(pure("A", 2), pure("B", 2)).whole
         assert verify_categorical_modeloid(
             CategoricalModeloid.everything(cat.ambient)
         ).ok
@@ -145,6 +151,7 @@ class TestBuild:
     def test_one_structure_gives_one_object(self):
         A = pure("A", 2)
         cat = build_category_D(A, A)
+        assert cat.whole is cat
         assert objects(cat.ambient) == (cat.object_a,)
         assert cat.object_a == cat.object_b
         table = one_object_to_semigroup(dense_table(cat.ambient))
@@ -189,7 +196,7 @@ class TestPartialIsoAmbient:
 
     def test_compose_is_map_composition(self):
         for A, B in self.pairs(31):
-            cat = build_category_D(A, B)
+            cat = build_category_D(A, B).whole
             amb, maps = cat.ambient, cat.morphisms
             where = {p: i for i, p in enumerate(maps)}
             for f in range(amb.morphism_count):
@@ -202,7 +209,7 @@ class TestPartialIsoAmbient:
 
     def test_below_is_composition_with_idempotents(self):
         for A, B in self.pairs(32):
-            amb = build_category_D(A, B).ambient
+            amb = build_category_D(A, B).whole.ambient
             table = dense_table(amb)
             n = table.morphism_count
             for t in range(n):
@@ -228,6 +235,29 @@ class TestPartialIsoAmbient:
         for _ in range(3):
             M = categorical_derivative(M, check=False)
         assert sorted(scanned) == sorted(objects(cat.ambient))
+
+    @given(structure_pairs())
+    def test_the_part_is_a_prefix_of_all_of_D(self, pair):
+        # the same morphisms and tables in the same first indices; the part
+        # composes as D does, or names a composite it does not hold
+        cat = build_category_D(*pair)
+        part, whole = cat.ambient, cat.whole.ambient
+        n = len(cat.morphisms)
+        assert cat.whole.morphisms[:n] == cat.morphisms
+        for table in ("dom", "cod", "inv"):
+            assert getattr(whole, table)[:n] == getattr(part, table)[:n]
+        assert (cat.whole.object_a, cat.whole.object_b) == (cat.object_a, cat.object_b)
+        for f in range(n):
+            assert part.below(f) == whole.below(f)
+            for g in range(n):
+                composite = whole.compose(f, g)
+                if composite == whole.star:
+                    assert part.compose(f, g) == part.star
+                elif composite < n:
+                    assert part.compose(f, g) == composite
+                else:
+                    with pytest.raises(OutsideAmbientError):
+                        part.compose(f, g)
 
     def test_pure_five_versus_five_at_four_rounds(self):
         A, B = pure("A", 5), pure("B", 5)
@@ -608,10 +638,11 @@ class TestUniverseFour:
     def test_levels_match_the_reach_above_chain(self, pair, m):
         A, B = pair
         cat = build_category_D(A, B)
+        D = cat.whole
         part = cat.part(A, B)
         full = derivative_levels(cat, m)
         levels = [
-            frozenset(cat.morphisms[i].pairs for i in part if i in members)
+            frozenset(D.morphisms[i].pairs for i in part if i in members)
             for members in full
         ]
         reference = reach_above_chain(A, B, m)
@@ -624,7 +655,7 @@ class TestUniverseFour:
                     members & block for members in full
                 )
                 assert surviving_maps(cat, m, X, Y) == tuple(
-                    cat.morphisms[i] for i in sorted(full[-1] & block)
+                    D.morphisms[i] for i in sorted(full[-1] & block)
                 )
 
 
@@ -662,9 +693,9 @@ class TestSharedCategory:
 
         with mock.patch.object(ef_games, "enumerate_partial_isos", counted):
             readme_loop(A, B)
-            assert len(calls) == 4
+            assert calls == [(A, B), (B, A)]
             readme_loop(A, A)
-            assert len(calls) == 5
+            assert calls == [(A, B), (B, A), (A, A)]
 
     def test_only_the_latest_category_is_kept(self):
         A, B = pure("A", 3), pure("B", 3)
@@ -672,7 +703,7 @@ class TestSharedCategory:
         first = weakref.ref(build_category_D(A, B))
         assert build_category_D(A, B) is first()
         # equal copies are another pair: the first D is dropped before the
-        # blocks of the new one are enumerated, so two are never alive
+        # cross blocks of the new one are enumerated, so two are never alive
         alive = []
         real = ef_games.enumerate_partial_isos
 
@@ -684,7 +715,7 @@ class TestSharedCategory:
         A2, B2 = replace(A), replace(B)
         with mock.patch.object(ef_games, "enumerate_partial_isos", watching):
             assert build_category_D(A2, B2).left is A2
-        assert alive == [False] * 4
+        assert alive == [False] * 2
 
     def test_homset_levels_in_any_order_match_a_fresh_category(self):
         # L4/L5 stabilizes at index 3, so (1, 2, 0, 9) resumes a chain

@@ -288,7 +288,7 @@ class TestAssociativityMatchesScan:
         E = Vocabulary(relations=(("E", 2),))
         C4 = Structure.build("C4", 4, E, {"E": [(0, 1), (1, 2), (2, 3), (3, 0)]})
         P4 = Structure.build("P4", 4, E, {"E": [(0, 1), (1, 2), (2, 3)]})
-        comp = dense_table(build_category_D(C4, P4).ambient).comp
+        comp = dense_table(build_category_D(C4, P4).whole.ambient).comp
         assert associativity_witness(comp) is None
         for mul in mutations(comp, random.Random(11), 4):
             assert associativity_witness(mul) == cubic_associativity_witness(mul)
