@@ -38,7 +38,7 @@ from .ef_games import (
     extract_certificate,
     format_certificate,
 )
-from .derived import fixpoint_chain
+from .derived import fixpoint_chain, padded
 from .errors import BoundExceededError, InputError
 from .free_categories import (
     skolem_inverses,
@@ -215,11 +215,10 @@ def cmd_derive(args: argparse.Namespace) -> int:
         if not verdict.ok:
             return _emit_verdict(args, verdict)
         chain, stabilized = iterate_derivative(M, args.rounds)
-        levels = [sorted(x.pairs for x in step.members) for step in chain]
-        dump = [
-            " ".join("-" if not m else ",".join(f"{a}>{b}" for a, b in m) for m in lv)
-            for lv in levels
-        ]
+        render = lambda level: " ".join(
+            "-" if not m else ",".join(f"{a}>{b}" for a, b in m)
+            for m in sorted(x.pairs for x in level.members)
+        )
     else:
         if args.kind == "semimodeloid":
             start, verdict = _semimodeloid_instance(text)
@@ -230,16 +229,17 @@ def cmd_derive(args: argparse.Namespace) -> int:
         if not verdict.ok:
             return _emit_verdict(args, verdict)
         chain, stabilized = fixpoint_chain(start, step, args.rounds)
-        levels = [sorted(x.members) for x in chain]
-        dump = [" ".join(str(x) for x in lv) for lv in levels]
-
+        render = lambda level: " ".join(str(x) for x in sorted(level.members))
+    # each distinct level is rendered once, and the stable tail repeats it
+    distinct = chain if stabilized is None else chain[: stabilized + 1]
+    sizes = padded([str(len(level.members)) for level in distinct], args.rounds)
     records = [
-        ("sizes", " ".join(str(len(level)) for level in levels)),
+        ("sizes", " ".join(sizes)),
         ("stabilized", "none" if stabilized is None else str(stabilized)),
     ]
     if args.fmt == "machine":
-        width = len(str(len(levels) - 1))
-        for j, rendered in enumerate(dump):
+        width = len(str(args.rounds))
+        for j, rendered in enumerate(padded([render(lv) for lv in distinct], args.rounds)):
             records.append((f"level-{j:0{width}d}", rendered))
     _emit(args, records)
     return 0

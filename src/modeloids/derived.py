@@ -33,23 +33,36 @@ def fact(compute):
     return lookup
 
 
+class Chain:
+    """The decreasing chain start, step(start), ..., stepped lazily:
+    ``levels`` holds each distinct level once, stepped when a caller first
+    asks for it and never past ``stabilized``, the first index whose step
+    leaves ``members`` unchanged (a repeat makes the chain constant)."""
+
+    def __init__(self, start, step):
+        self.levels, self.step, self.stabilized = [start], step, None
+
+    def upto(self, rounds: int) -> list:
+        """The distinct levels among entries 0 .. rounds of the chain."""
+        while self.stabilized is None and len(self.levels) <= rounds:
+            nxt = self.step(self.levels[-1])
+            if nxt.members == self.levels[-1].members:
+                self.stabilized = len(self.levels) - 1
+            else:
+                self.levels.append(nxt)
+        return self.levels[: rounds + 1]
+
+
+def padded(levels, rounds: int):
+    """``levels``, a list or tuple, its last entry repeated to rounds + 1 entries."""
+    return levels + levels[-1:] * (rounds + 1 - len(levels))
+
+
 def fixpoint_chain(start, step, rounds: int) -> tuple[list, int | None]:
     """The chain start, step(start), ..., of rounds + 1 entries, and the
-    first index k whose successor has the same members, or None when no
-    repeat shows up within the chain.
-
-    Repeats compare ``members`` only, not whole objects.  A repeat makes
-    the chain constant, so the tail repeats entry k by reference instead
-    of stepping again.
-    """
+    first index k < rounds whose successor has the same members, or None
+    when no repeat shows up within the chain."""
     if rounds < 0:
         raise InputError("rounds must be non-negative")
-    chain = [start]
-    while len(chain) <= rounds:
-        nxt = step(chain[-1])
-        if nxt.members == chain[-1].members:
-            stabilized = len(chain) - 1
-            chain.extend([chain[-1]] * (rounds - stabilized))
-            return chain, stabilized
-        chain.append(nxt)
-    return chain, None
+    levels = Chain(start, step).upto(rounds)
+    return padded(levels, rounds), len(levels) - 1 if len(levels) <= rounds else None

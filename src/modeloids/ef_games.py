@@ -30,10 +30,11 @@ read it.  For A == B the part is all of D.
 Asking one pair for m = 0, 1, 2, ... builds D once.  ``build_category_D``
 keeps the D of its latest call and returns it again when called with the
 same two structure objects, so its compositions, down-sets and homset
-chains carry over from one call to the next.  Each homset chain is
-stepped only as far as the largest m asked for, and not past its
-fixpoint.  At most one D is kept: a call on another pair drops it first.
-A caller that holds a D can still pass it as ``category=``.
+chains carry over from one call to the next.  Each chain holds each
+distinct level once, stepped only as far as the largest m asked for and
+not past its fixpoint.  At most one D is kept: a call on another pair
+drops it first.  A caller that holds a D can still pass it as
+``category=``.
 
 ``ef_equiv_oracle`` decides the same question by a memoized game-tree
 recursion that shares no code with the derivative:
@@ -56,7 +57,7 @@ from itertools import product
 
 from . import verdict as v
 from .categorical import CategoricalModeloid, categorical_derivative
-from .derived import fact, fixpoint_chain
+from .derived import Chain, fact, padded
 from .errors import BoundExceededError, InputError, OutsideAmbientError
 from .partial_bijections import reach_above
 from .structures import (
@@ -289,41 +290,40 @@ def _whole(part: CategoryD) -> CategoryD:
 
 
 @fact
+def _derivative_chain(whole: CategoryD) -> Chain:
+    start = CategoricalModeloid.everything(whole.ambient)
+    return Chain(start, lambda M: categorical_derivative(M, check=False))
+
+
 def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]:
     """Member sets of D^0 .. D^m starting from all morphisms: the paper's
-    chain on all of D, built for it if ``category`` is the part.  The
-    chain is decreasing, so once a step changes nothing the tail is
-    constant."""
-    start = CategoricalModeloid.everything(category.whole.ambient)
-    chain, _ = fixpoint_chain(start, lambda M: categorical_derivative(M, check=False), m)
-    return tuple(M.members for M in chain)
-
-
-@dataclass(eq=False)
-class _HomsetChain:
-    """D^j ∩ Hom(X,Y) for j = 0 .. as far as asked so far, and the level
-    the next step starts from.  ``stable`` is set once a step changes
-    nothing: the chain then ends at its fixpoint level."""
-
-    hom: frozenset[int]
-    last: CategoricalModeloid
-    levels: list[frozenset[int]]
-    stable: bool = False
+    chain on all of D, built for it if ``category`` is the part.  It is
+    one chain per D, stepped only as far as the largest m asked for; once
+    a step changes nothing the tail repeats that level."""
+    if m < 0:
+        raise InputError("rounds must be non-negative")
+    levels = _derivative_chain(category.whole).upto(m)
+    return padded(tuple(M.members for M in levels), m)
 
 
 @fact
-def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> _HomsetChain:
+def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> Chain:
+    """D^j ∩ Hom(X,Y); a step derives a level with the partial identities."""
     D = category._holding(X, Y)
     c = D.ambient
     hom = frozenset(D.part(X, Y))
     ends = {D.object_of(X), D.object_of(Y)}
-    identities = (
+    identities = frozenset(
         i
         for i, p in enumerate(D.morphisms)
         if c.dom[i] in ends and c.cod[i] == c.dom[i] and all(a == b for a, b in p.pairs)
     )
-    start = CategoricalModeloid(c, hom.union(identities))
-    return _HomsetChain(hom, start, [start.members & hom])
+
+    def step(M: CategoricalModeloid) -> CategoricalModeloid:
+        level = CategoricalModeloid(c, M.members | identities)
+        return CategoricalModeloid(c, categorical_derivative(level, check=False).members & hom)
+
+    return Chain(CategoricalModeloid(c, hom), step)
 
 
 def homset_levels(
@@ -331,9 +331,9 @@ def homset_levels(
 ) -> tuple[frozenset[int], ...]:
     """D^j ∩ Hom(id_X, id_Y) for j = 0 .. m, read from one chain per
     (X, Y) kept on the category, so that the equivalence answer and the
-    certificate of every m share it.  The chain is stepped only as far as
-    the largest m asked for and never past its fixpoint; the levels
-    beyond the fixpoint repeat it.
+    certificate of every m share it.  The chain holds each distinct level
+    once, stepped only as far as the largest m asked for and never past
+    its fixpoint; the returned levels beyond the fixpoint repeat it.
 
     The same categorical step as ``derivative_levels``, started from
     Hom(X,Y) and the partial identities of X and Y instead of all of D.
@@ -357,19 +357,8 @@ def homset_levels(
     """
     if m < 0:
         raise InputError("rounds must be non-negative")
-    chain = _homset_chain(category, X, Y)
-    missing = m + 1 - len(chain.levels)
-    if missing > 0 and not chain.stable:
-        grown, stabilized = fixpoint_chain(
-            chain.last, lambda M: categorical_derivative(M, check=False), missing
-        )
-        if stabilized is not None:
-            grown = grown[: stabilized + 1]
-            chain.stable = True
-        chain.last = grown[-1]
-        chain.levels += (M.members & chain.hom for M in grown[1:])
-    levels = chain.levels[: m + 1]
-    return tuple(levels) + (levels[-1],) * (m + 1 - len(levels))
+    levels = _homset_chain(category, X, Y).upto(m)
+    return padded(tuple(M.members for M in levels), m)
 
 
 def surviving_maps(
@@ -377,9 +366,10 @@ def surviving_maps(
 ) -> tuple[PartialIso, ...]:
     """Part(X,Y) ∩ D^m for any side pair, star excluded; the general
     form of the equivalence query, sorted for determinism."""
-    final = homset_levels(category, m, X, Y)[-1]
-    morphisms = category._holding(X, Y).morphisms
-    return tuple(morphisms[i] for i in sorted(final))
+    if m < 0:
+        raise InputError("rounds must be non-negative")
+    final = _homset_chain(category, X, Y).upto(m)[-1]
+    return tuple(final.ambient.morphisms[i] for i in sorted(final.members))
 
 
 def ef_equiv_derivative(
@@ -477,23 +467,19 @@ def extract_certificate(
     """I_j = D^j ∩ Part(A,B); absent when nothing survives m rounds.  The
     levels come from the chain started at Hom(A,B) and the partial
     identities of A and B, which the other homsets never feed back into
-    (see ``homset_levels``).  A level equal to the one before it is that
-    same set of maps, so a stable tail costs one set, not one per level."""
+    (see ``homset_levels``).  Each distinct level becomes one set of maps,
+    and the tail past the fixpoint repeats the last by reference."""
     if m < 0:
         raise InputError("rounds must be non-negative")
     if category is None:
         category = build_category_D(A, B, max_universe)
-    levels: list[frozenset[PartialIso]] = []
-    previous = None
-    for members in homset_levels(category, m, A, B):
-        if members != previous:
-            levels.append(frozenset(category.morphisms[i] for i in members))
-            previous = members
-        else:
-            levels.append(levels[-1])
+    levels = tuple(
+        frozenset(category.morphisms[i] for i in M.members)
+        for M in _homset_chain(category, A, B).upto(m)
+    )
     if not levels[-1]:
         return None
-    return BackAndForthCertificate(A, B, m, tuple(levels))
+    return BackAndForthCertificate(A, B, m, padded(levels, m))
 
 
 def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:

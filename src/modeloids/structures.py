@@ -199,14 +199,14 @@ def pairs_are_partial_iso(
     """Ground truth for raw pair sets: functional, injective, containing
     all constant pairs, preserving every relation in both directions."""
     pairs = set(pairs)
-    sources = [a for a, _ in pairs]
-    targets = [b for _, b in pairs]
-    if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
-        return False
-    if not set(constant_pairs(A, B)) <= pairs:
-        return False
     forward = dict(pairs)
     backward = {b: a for a, b in pairs}
+    if len(forward) != len(pairs) or len(backward) != len(pairs):
+        return False
+    if A.vocabulary != B.vocabulary:
+        raise InputError("both structures must share one vocabulary")
+    if not pairs.issuperset(zip(A.constants, B.constants)):
+        return False
     for tuples_a, tuples_b in zip(A.relations, B.relations):
         if not (
             _maps_into(forward, tuples_a, tuples_b)

@@ -14,7 +14,9 @@ right products with generators; the reference composes every new map
 with every map so far, both ways, and drops single pairs, until nothing
 new appears.  The library decides equivalence by the categorical
 derivative on all of category D; the reference iterates the back-and-forth
-cover step ``reach_above`` on Part(A,B) alone.
+cover step ``reach_above`` on Part(A,B) alone.  The library steps a
+derivative chain lazily and keeps each distinct level once; the reference
+steps it eagerly for a fixed number of rounds and pads the tail.
 """
 
 from itertools import combinations
@@ -23,6 +25,22 @@ from modeloids import verdict as v
 from modeloids.modeloid import Modeloid
 from modeloids.partial_bijections import identity_map, reach_above
 from modeloids.structures import enumerate_partial_isos, pairs_are_partial_iso
+
+
+def eager_fixpoint_chain(start, step, rounds):
+    """The chain start, step(start), ... of rounds + 1 entries, stepped
+    until rounds + 1 entries or a step that leaves the members unchanged,
+    whose index is returned (None when no repeat shows up); the tail
+    repeats that entry."""
+    chain = [start]
+    while len(chain) <= rounds:
+        nxt = step(chain[-1])
+        if nxt.members == chain[-1].members:
+            stabilized = len(chain) - 1
+            chain.extend([chain[-1]] * (rounds - stabilized))
+            return chain, stabilized
+        chain.append(nxt)
+    return chain, None
 
 
 def cubic_associativity_witness(mul):

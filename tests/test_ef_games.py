@@ -738,4 +738,23 @@ class TestSharedCategory:
         levels = homset_levels(cat, 3000, C, C)
         assert len(levels) == 3001
         stabilized = next(j for j in range(3000) if levels[j] == levels[j + 1])
-        assert len(ef_games._homset_chain(cat, C, C).levels) <= stabilized + 2
+        assert len(ef_games._homset_chain(cat, C, C).levels) <= stabilized + 1
+
+    def test_derivative_levels_step_one_chain_for_every_m(self):
+        # m = 0..6 on all of D for L4/L5 reads one chain, stepped once per
+        # level up to the first step that changes nothing
+        A, B = chain("A", 4), chain("B", 5)
+        cat = build_category_D(A, B)
+        stepped = []
+        real = ef_games.categorical_derivative
+
+        def counted(M, check=True):
+            stepped.append(M)
+            return real(M, check=check)
+
+        with mock.patch.object(ef_games, "categorical_derivative", counted):
+            answers = [derivative_levels(cat, m) for m in range(7)]
+        levels = answers[-1]
+        stabilized = next(j for j in range(6) if levels[j] == levels[j + 1])
+        assert len(stepped) <= stabilized + 1
+        assert all(answer == levels[: m + 1] for m, answer in enumerate(answers))

@@ -10,8 +10,13 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_scans import check_modeloid_by_pairs, closure_by_frontier
+from reference_scans import (
+    check_modeloid_by_pairs,
+    closure_by_frontier,
+    eager_fixpoint_chain,
+)
 
+from modeloids.derived import Chain, fixpoint_chain, padded
 from modeloids.errors import InputError
 from modeloids.verdict import Verdict
 from modeloids.modeloid import (
@@ -308,6 +313,28 @@ class TestIteration:
             sizes.append([len(N.members) for N in chain])
         assert sizes[-2:] == [[27, 19, 16, 16, 16], [59, 51, 39, 31, 31]]
         assert {0, 1, 2, 3} <= indices
+
+    def test_a_lazy_chain_asked_in_any_order_matches_the_eager_loop(self):
+        # one Chain per closure, asked for rounds 0..6 in a shuffled order;
+        # each answer, padded, must be what the eager loop gives anew
+        rng = random.Random(41)
+        indices = set()
+        for _ in range(60):
+            M = random_modeloid(rng, rng.randint(1, 4))
+            chain = Chain(M, derivative)
+            rounds = list(range(7))
+            rng.shuffle(rounds)
+            for r in rounds:
+                levels = chain.upto(r)
+                expected = eager_fixpoint_chain(M, derivative, r)
+                assert fixpoint_chain(M, derivative, r) == expected
+                assert padded(levels, r) == expected[0]
+                assert len(levels) == len(set(N.members for N in levels))
+                if expected[1] is not None:
+                    assert chain.stabilized == expected[1]
+                    assert len(levels) == expected[1] + 1
+            indices.add(chain.stabilized)
+        assert {0, 1, 2} <= indices
 
     def test_stabilization_within_member_count(self):
         rng = random.Random(99)
