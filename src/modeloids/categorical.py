@@ -15,26 +15,23 @@ how the one-object theory re-enters the categorical one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from . import verdict as v
-from .derived import fixpoint_chain
+from .derived import Frozen, fixpoint_chain
 from .errors import InputError
 from .free_categories import Ambient, has_all_zeros, objects
 from .inverse_semigroups import InverseSemigroupTable, Semimodeloid, absorbing
 
 
-@dataclass(frozen=True)
-class CategoricalModeloid:
-    ambient: Ambient
-    members: frozenset[int]
+class CategoricalModeloid(Frozen):
 
-    def __post_init__(self):
-        if self.ambient.inv is None:
+    def __init__(self, ambient: Ambient, members: frozenset[int]):
+        if ambient.inv is None:
             raise InputError("the ambient category needs a declared inverse table")
-        if any(not (0 <= m < self.ambient.morphism_count) for m in self.members):
+        if any(not (0 <= m < ambient.morphism_count) for m in members):
             raise InputError("member index out of range")
+        vars(self).update(ambient=ambient, members=members)
 
     @classmethod
     def everything(cls, ambient: Ambient) -> "CategoricalModeloid":

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from bisect import bisect
 from functools import partial
 from pathlib import Path
 
@@ -33,10 +34,10 @@ from .categorical import (
 from .ef_games import (
     DEFAULT_EF_UNIVERSE_BOUND,
     build_category_D,
+    certificate_lines,
     ef_equiv_derivative,
     ef_equiv_oracle,
     extract_certificate,
-    format_certificate,
 )
 from .derived import fixpoint_chain, padded
 from .errors import BoundExceededError, InputError
@@ -69,17 +70,28 @@ VERIFY_KINDS = (
     "categorical-modeloid",
 )
 DERIVE_KINDS = ("modeloid", "semimodeloid", "categorical-modeloid")
+EMIT_CHUNK = 256  # lines per write
 
 
 def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _emit(args: argparse.Namespace, records: list[tuple[str, str]]):
+def _emit(args: argparse.Namespace, records: list[tuple[str, str]], listing=()):
+    """Write ``listing`` and then ``records`` as ``key: value`` lines.  The
+    machine format orders the lines by key: ``records`` are few and
+    sorted here, and ``listing``, already in key order, goes where its
+    first key sorts.  One write per chunk of lines keeps the calls few and
+    bounds what a long listing holds at once (a level can be long)."""
     if args.fmt == "machine":
-        records = sorted(records)
-    for key, value in records:
-        print(f"{key}: {value}")
+        lines = sorted(records)
+        at = bisect(lines, listing[0]) if listing else 0
+        lines[at:at] = listing
+    else:
+        lines = [*listing, *records]
+    for start in range(0, len(lines), EMIT_CHUNK):
+        chunk = lines[start : start + EMIT_CHUNK]
+        sys.stdout.write("".join([f"{key}: {value}\n" for key, value in chunk]))
 
 
 def _emit_verdict(args: argparse.Namespace, verdict: Verdict) -> int:
@@ -155,7 +167,8 @@ def cmd_ef(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            args.certificate.write_text(format_certificate(cert), encoding="utf-8")
+            with args.certificate.open("w", encoding="utf-8") as out:
+                out.writelines(certificate_lines(cert))
     return 0 if by_derivative else 1
 
 
@@ -237,11 +250,12 @@ def cmd_derive(args: argparse.Namespace) -> int:
         ("sizes", " ".join(sizes)),
         ("stabilized", "none" if stabilized is None else str(stabilized)),
     ]
+    levels = []
     if args.fmt == "machine":
         width = len(str(args.rounds))
-        for j, rendered in enumerate(padded([render(lv) for lv in distinct], args.rounds)):
-            records.append((f"level-{j:0{width}d}", rendered))
-    _emit(args, records)
+        rendered = padded([render(lv) for lv in distinct], args.rounds)
+        levels = [(f"level-{j:0{width}d}", line) for j, line in enumerate(rendered)]
+    _emit(args, records, levels)
     return 0
 
 
@@ -270,18 +284,16 @@ def cmd_embed(args: argparse.Namespace) -> int:
         for b in range(n)
     )
     width = len(str(n - 1))
-    records = []
-    for a, omega in enumerate(omegas):
-        rendered = " ".join(f"({x},{y})" for x, y in omega.pairs) or "-"
-        records.append((f"omega-{a:0{width}d}", rendered))
-    records.extend(
-        [
-            ("injective", _bool(injective)),
-            ("multiplicative", _bool(multiplicative)),
-            ("order-faithful", _bool(faithful)),
-        ]
-    )
-    _emit(args, records)
+    listing = [
+        (f"omega-{a:0{width}d}", " ".join(f"({x},{y})" for x, y in omega.pairs) or "-")
+        for a, omega in enumerate(omegas)
+    ]
+    records = [
+        ("injective", _bool(injective)),
+        ("multiplicative", _bool(multiplicative)),
+        ("order-faithful", _bool(faithful)),
+    ]
+    _emit(args, records, listing)
     return 0 if (injective and multiplicative and faithful) else 1
 
 

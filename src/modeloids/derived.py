@@ -4,16 +4,59 @@ computed once, and derivative chains iterated to their fixpoint."""
 from __future__ import annotations
 
 from functools import wraps
+from operator import attrgetter
 
 from .errors import InputError
+
+
+class Frozen:
+    """Base of the immutable value classes.  The fields are the parameters
+    of the subclass's ``__init__`` (``_fields``), which checks them and
+    writes them once into ``vars(self)``; assignment and deletion raise
+    ``AttributeError``.  Unless a subclass defines its own, equality and
+    hash read the fields: equal instances are of one class with equal
+    fields, and hash as the tuple of the fields.  The repr lists them."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = fields = code.co_varnames[1 : code.co_argcount]
+        get = attrgetter(*fields)
+        key = get if len(fields) > 1 else lambda self: (get(self),)
+
+        # closures over ``key``: a per-instance attribute lookup costs more
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return self is other or key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        for name, method in (("__eq__", __eq__), ("__hash__", __hash__)):
+            if name not in vars(cls):
+                setattr(cls, name, method)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self):
+        # no facts in copies and pickles: a cached str hash is per process
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def fact(compute):
     """Decorator: compute(instance, *args) runs once per instance and args.
 
     Each fact keeps one dict, keyed by the argument tuple, in the
-    instance's ``__dict__``, which frozen dataclasses leave out of
-    equality and hashing, so it is dropped with the instance instead of
+    instance's ``__dict__``, which ``Frozen`` leaves out of equality,
+    hashing and repr, so it is dropped with the instance instead of
     pinning it as a module-level cache would.
     """
     slot = f"_fact {compute.__module__}.{compute.__qualname__}"

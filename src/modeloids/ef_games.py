@@ -52,12 +52,12 @@ back-and-forth conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 from . import verdict as v
 from .categorical import CategoricalModeloid, categorical_derivative
-from .derived import Chain, fact, padded
+from .derived import Chain, Frozen, fact, padded
 from .errors import BoundExceededError, InputError, OutsideAmbientError
 from .partial_bijections import reach_above
 from .structures import (
@@ -72,8 +72,7 @@ from .structures import (
 DEFAULT_EF_UNIVERSE_BOUND = 5
 
 
-@dataclass(frozen=True, eq=False)
-class PartialIsoAmbient:
+class PartialIsoAmbient(Frozen):
     """Category D as the derivative reads it, composed on demand.
 
     ``morphisms[i]`` is the partial isomorphism at index i and star sits
@@ -86,14 +85,17 @@ class PartialIsoAmbient:
     ``OutsideAmbientError``.
     """
 
-    morphism_count: int
-    star: int
-    dom: tuple[int, ...]
-    cod: tuple[int, ...]
-    inv: tuple[int, ...]
-    morphisms: tuple[PartialIso, ...]
-    index: dict[tuple[int, int, tuple], int]
-    constants: dict[int, tuple[int, ...]]
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
+
+    def __init__(
+        self, morphism_count: int, star: int, dom: tuple[int, ...], cod: tuple[int, ...],
+        inv: tuple[int, ...], morphisms: tuple[PartialIso, ...],
+        index: dict[tuple[int, int, tuple], int], constants: dict[int, tuple[int, ...]],
+    ):
+        vars(self).update(
+            morphism_count=morphism_count, star=star, dom=dom, cod=cod, inv=inv,
+            morphisms=morphisms, index=index, constants=constants,
+        )
 
     @fact
     def compose(self, f: int, g: int) -> int:
@@ -124,8 +126,7 @@ class PartialIsoAmbient:
         return frozenset(self.index[(X, Y, sum(kept, ()))] for kept in product(*choices))
 
 
-@dataclass(frozen=True, eq=False)
-class CategoryD:
+class CategoryD(Frozen):
     """The partial-isomorphism category of a structure pair, or the part
     of it that the ``ef`` chain reads.
 
@@ -138,12 +139,16 @@ class CategoryD:
     is all of D.
     """
 
-    left: Structure
-    right: Structure
-    ambient: PartialIsoAmbient
-    object_a: int
-    object_b: int
-    complete: bool
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
+
+    def __init__(
+        self, left: Structure, right: Structure, ambient: PartialIsoAmbient,
+        object_a: int, object_b: int, complete: bool,
+    ):
+        vars(self).update(
+            left=left, right=right, ambient=ambient,
+            object_a=object_a, object_b=object_b, complete=complete,
+        )
 
     @property
     def whole(self) -> "CategoryD":
@@ -437,24 +442,22 @@ def ef_equiv_oracle(
     return win(start)
 
 
-@dataclass(frozen=True)
-class BackAndForthCertificate:
+class BackAndForthCertificate(Frozen):
     """Level sets I_0 ⊇ I_1 ⊇ ... ⊇ I_m witnessing m-round equivalence.
 
     I_j holds the maps that still answer j more rounds; extending
     happens toward smaller indices.
     """
 
-    left: Structure
-    right: Structure
-    rounds: int
-    levels: tuple[frozenset[PartialIso], ...]
-
-    def __post_init__(self):
-        if self.rounds < 0:
+    def __init__(
+        self, left: Structure, right: Structure, rounds: int,
+        levels: tuple[frozenset[PartialIso], ...],
+    ):
+        if rounds < 0:
             raise InputError("rounds must be non-negative")
-        if len(self.levels) != self.rounds + 1:
+        if len(levels) != rounds + 1:
             raise InputError("need exactly rounds+1 levels")
+        vars(self).update(left=left, right=right, rounds=rounds, levels=levels)
 
 
 def extract_certificate(
@@ -521,19 +524,20 @@ def format_certificate(cert: BackAndForthCertificate) -> str:
     """Deterministic text rendering: rounds, then each level's maps as
     sorted pair lists.  Identical certificates print identically.  A level
     equal to the one before it repeats that level's lines."""
-    lines = [
-        "certificate",
-        f"left {cert.left.name}",
-        f"right {cert.right.name}",
-        f"rounds {cert.rounds}",
-    ]
-    rendered: list[str] = []
+    return "".join(certificate_lines(cert))
+
+
+def certificate_lines(cert: BackAndForthCertificate) -> Iterator[str]:
+    """The text of ``format_certificate`` in pieces of whole lines, one
+    level at a time, so that a writer need not hold all of it.  Each
+    distinct level is rendered once, and a repeat yields the same piece."""
+    yield f"certificate\nleft {cert.left.name}\nright {cert.right.name}\nrounds {cert.rounds}\n"
+    rendered = ""
     for j, level in enumerate(cert.levels):
-        lines.append(f"level {j}")
-        if not j or level != cert.levels[j - 1]:
-            rendered = [
-                " ".join(("  map", *(f"({a},{b})" for a, b in p.pairs)))
+        yield f"level {j}\n"
+        if not j or (level is not cert.levels[j - 1] and level != cert.levels[j - 1]):
+            rendered = "".join(
+                " ".join(("  map", *(f"({a},{b})" for a, b in p.pairs))) + "\n"
                 for p in sorted(level, key=lambda q: q.pairs)
-            ]
-        lines += rendered
-    return "\n".join(lines) + "\n"
+            )
+        yield rendered

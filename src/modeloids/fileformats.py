@@ -41,10 +41,10 @@ Writers produce canonical text that parses back to an equal object.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .categorical import CategoricalModeloid
+from .derived import Frozen
 from .errors import InputError, ParseError
 from .free_categories import FreeCategory
 from .inverse_semigroups import InverseSemigroupTable, Semimodeloid
@@ -93,16 +93,16 @@ def _expect_header(lines: _NumberedLines, kind: str):
         )
 
 
-@dataclass(frozen=True)
-class SemigroupFile:
+class SemigroupFile(Frozen):
     """Raw contents of a semigroup-shaped file, before any verification."""
 
-    order: int
-    mul: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...] | None = None
-    neutral: int | None = None
-    zero: int | None = None
-    members: tuple[int, ...] | None = None
+    def __init__(
+        self, order: int, mul: tuple[tuple[int, ...], ...], inv: tuple[int, ...] | None = None,
+        neutral: int | None = None, zero: int | None = None, members: tuple[int, ...] | None = None,
+    ):
+        vars(self).update(
+            order=order, mul=mul, inv=inv, neutral=neutral, zero=zero, members=members
+        )
 
     def to_table(self) -> InverseSemigroupTable:
         """Structural construction; requires the inv rows to be present."""
@@ -113,18 +113,24 @@ class SemigroupFile:
         )
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(Frozen):
     """The directives of a square-table file; see the module docstring."""
 
-    size: str  # the element count, at least 1
-    block: str  # ``size`` rows of ``size`` entries each
-    rows: tuple[str, ...]  # optional rows of ``size`` entries
-    ints: tuple[str, ...]  # optional single integers
-    required: tuple[str, ...]  # rows and integers that must be present
-    too_small: str
-    short_row: str  # formatted with the row's name
-    out_of_range: dict[str, str]  # by directive: an entry not below the size
+    def __init__(
+        self,
+        size: str,  # the element count, at least 1
+        block: str,  # ``size`` rows of ``size`` entries each
+        rows: tuple[str, ...],  # optional rows of ``size`` entries
+        ints: tuple[str, ...],  # optional single integers
+        required: tuple[str, ...],  # rows and integers that must be present
+        too_small: str,
+        short_row: str,  # formatted with the row's name
+        out_of_range: dict[str, str],  # by directive: an entry not below the size
+    ):
+        vars(self).update(
+            size=size, block=block, rows=rows, ints=ints, required=required,
+            too_small=too_small, short_row=short_row, out_of_range=out_of_range,
+        )
 
 
 # its names are the fields of SemigroupFile, which the parsers fill by name

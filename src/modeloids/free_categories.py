@@ -19,11 +19,10 @@ strictness of the inverse on star is the only law of the category's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from . import verdict as v
-from .derived import fact
+from .derived import Frozen, fact
 from .errors import InputError
 from .inverse_semigroups import (
     InverseSemigroupTable,
@@ -54,33 +53,30 @@ class Ambient(Protocol):
     def below(self, t: int) -> frozenset[int]: ...
 
 
-@dataclass(frozen=True)
-class FreeCategory:
-    morphism_count: int
-    star: int
-    dom: tuple[int, ...]
-    cod: tuple[int, ...]
-    comp: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...] | None = None
+class FreeCategory(Frozen):
 
-    def __post_init__(self):
-        n = self.morphism_count
+    def __init__(
+        self, morphism_count: int, star: int, dom: tuple[int, ...], cod: tuple[int, ...],
+        comp: tuple[tuple[int, ...], ...], inv: tuple[int, ...] | None = None,
+    ):
+        n = morphism_count
         if n < 1:
             raise InputError("a category needs at least the non-existing morphism")
-        if not (0 <= self.star < n):
+        if not (0 <= star < n):
             raise InputError("star index out of range")
-        for name, table in (("dom", self.dom), ("cod", self.cod)):
+        for name, table in (("dom", dom), ("cod", cod)):
             if len(table) != n or any(not (0 <= x < n) for x in table):
                 raise InputError(f"{name} table must list one in-range morphism each")
-        if len(self.comp) != n or any(len(row) != n for row in self.comp):
+        if len(comp) != n or any(len(row) != n for row in comp):
             raise InputError("composition table must be square")
-        if any(min(row) < 0 or max(row) >= n for row in self.comp):
+        if any(min(row) < 0 or max(row) >= n for row in comp):
             raise InputError("composition entry out of range")
-        if self.dom[self.star] != self.star or self.cod[self.star] != self.star:
+        if dom[star] != star or cod[star] != star:
             raise InputError("the non-existing morphism must be its own dom and cod")
-        if self.inv is not None:
-            if len(self.inv) != n or any(not (0 <= x < n) for x in self.inv):
+        if inv is not None:
+            if len(inv) != n or any(not (0 <= x < n) for x in inv):
                 raise InputError("inverse table must list one in-range morphism each")
+        vars(self).update(morphism_count=n, star=star, dom=dom, cod=cod, comp=comp, inv=inv)
 
     @fact
     def __hash__(self):

@@ -21,13 +21,12 @@ the ambient monoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import verdict as v
-from .derived import fact
+from .derived import Frozen, fact
 from .errors import BoundExceededError, InputError
 from .partial_bijections import Carrier, PartialBijection
 
@@ -36,8 +35,7 @@ AXIOMATIC_SEARCH_CAP = 1_000_000
 MulTable = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class InverseSemigroupTable:
+class InverseSemigroupTable(Frozen):
     """A finite magma with a declared inverse map.
 
     ``neutral`` and ``zero`` are optional claims; ``verify_inverse_semigroup``
@@ -45,20 +43,18 @@ class InverseSemigroupTable:
     ranges so that broken tables remain representable for testing.
     """
 
-    order: int
-    mul: MulTable
-    inv: tuple[int, ...]
-    neutral: int | None = None
-    zero: int | None = None
-
-    def __post_init__(self):
-        n = self.order
-        _check_square(self.mul, n)
-        if len(self.inv) != n or any(not (0 <= x < n) for x in self.inv):
+    def __init__(
+        self, order: int, mul: MulTable, inv: tuple[int, ...], neutral: int | None = None,
+        zero: int | None = None,
+    ):
+        n = order
+        _check_square(mul, n)
+        if len(inv) != n or any(not (0 <= x < n) for x in inv):
             raise InputError("inverse table must list one in-range element per element")
-        for claimed in (self.neutral, self.zero):
+        for claimed in (neutral, zero):
             if claimed is not None and not (0 <= claimed < n):
                 raise InputError("declared neutral/zero out of range")
+        vars(self).update(order=order, mul=mul, inv=inv, neutral=neutral, zero=zero)
 
     @classmethod
     def from_rows(
@@ -287,13 +283,16 @@ def resolve_inverses(
     return (None if verdict.axiom == "associativity" else table), verdict
 
 
-@dataclass(frozen=True)
-class CharacterizationReport:
+class CharacterizationReport(Frozen):
     """Three independently evaluated presentations of 'inverse semigroup'."""
 
-    axiomatic: bool
-    unique_inverses: bool
-    regular_and_idempotents_commute: bool
+    def __init__(
+        self, axiomatic: bool, unique_inverses: bool, regular_and_idempotents_commute: bool
+    ):
+        vars(self).update(
+            axiomatic=axiomatic, unique_inverses=unique_inverses,
+            regular_and_idempotents_commute=regular_and_idempotents_commute,
+        )
 
     def as_tuple(self) -> tuple[bool, bool, bool]:
         return (self.axiomatic, self.unique_inverses, self.regular_and_idempotents_commute)
@@ -426,14 +425,12 @@ def wagner_preston(table: InverseSemigroupTable) -> tuple[PartialBijection, ...]
 # Semimodeloids
 
 
-@dataclass(frozen=True)
-class Semimodeloid:
-    ambient: InverseSemigroupTable
-    members: frozenset[int]
+class Semimodeloid(Frozen):
 
-    def __post_init__(self):
-        if any(not (0 <= x < self.ambient.order) for x in self.members):
+    def __init__(self, ambient: InverseSemigroupTable, members: frozenset[int]):
+        if any(not (0 <= x < ambient.order) for x in members):
             raise InputError("member index out of range")
+        vars(self).update(ambient=ambient, members=members)
 
     @classmethod
     def from_members(

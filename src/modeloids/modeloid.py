@@ -11,11 +11,10 @@ checks elsewhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import verdict as v
-from .derived import fact, fixpoint_chain
+from .derived import Frozen, fact, fixpoint_chain
 from .errors import InputError
 from .inverse_semigroups import generators
 from .partial_bijections import (
@@ -28,15 +27,13 @@ from .partial_bijections import (
 )
 
 
-@dataclass(frozen=True)
-class Modeloid:
-    carrier: Carrier
-    members: frozenset[PartialBijection]
+class Modeloid(Frozen):
 
-    def __post_init__(self):
-        for f in self.members:
-            if f.carrier != self.carrier:
+    def __init__(self, carrier: Carrier, members: frozenset[PartialBijection]):
+        for f in members:
+            if f.carrier != carrier:
                 raise InputError("member is over a different carrier")
+        vars(self).update(carrier=carrier, members=members)
 
     @classmethod
     def from_members(cls, carrier: Carrier, members: Iterable[PartialBijection]) -> "Modeloid":

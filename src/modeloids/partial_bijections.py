@@ -12,24 +12,25 @@ between them); it carries the structure this package is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
+from .derived import Frozen
 from .errors import BoundExceededError, InputError
 
 DEFAULT_ENUMERATION_BOUND = 6
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(Frozen):
     """The finite ground set {0, ..., size-1}."""
 
-    size: int
+    def __init__(self, size: int):
+        if size < 1:
+            raise InputError(f"carrier size must be at least 1, got {size}")
+        vars(self)["size"] = size
 
-    def __post_init__(self):
-        if self.size < 1:
-            raise InputError(f"carrier size must be at least 1, got {self.size}")
+    def __hash__(self):
+        return hash((self.size,))  # in every PartialBijection hash: kept direct
 
     def elements(self) -> range:
         return range(self.size)
@@ -38,8 +39,7 @@ class Carrier:
         return isinstance(x, int) and 0 <= x < self.size
 
 
-@dataclass(frozen=True)
-class PartialBijection:
+class PartialBijection(Frozen):
     """An injective partial self-map of a carrier, in canonical pair form.
 
     >>> f = PartialBijection.from_pairs(Carrier(3), [(1, 2)])
@@ -48,14 +48,11 @@ class PartialBijection:
     ((0, 2),)
     """
 
-    carrier: Carrier
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        n = self.carrier.size
+    def __init__(self, carrier: Carrier, pairs: tuple[tuple[int, int], ...]):
+        n = carrier.size
         previous_source = -1
         targets: set[int] = set()
-        for a, b in self.pairs:
+        for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise InputError(f"pair ({a}, {b}) leaves the carrier of size {n}")
             if a <= previous_source:
@@ -64,6 +61,7 @@ class PartialBijection:
             if b in targets:
                 raise InputError(f"target {b} repeated: not injective")
             targets.add(b)
+        vars(self).update(carrier=carrier, pairs=pairs)
 
     @classmethod
     def from_pairs(cls, carrier: Carrier, pairs: Iterable[tuple[int, int]]) -> "PartialBijection":

@@ -26,28 +26,27 @@ lists every actual partial isomorphism.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .derived import Frozen, fact
 from .errors import BoundExceededError, InputError, ParseError
 
 DEFAULT_UNIVERSE_BOUND = 7
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Frozen):
     """Relation symbols with arities, plus constant symbols."""
 
-    relations: tuple[tuple[str, int], ...] = ()
-    constants: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        names = [name for name, _ in self.relations] + list(self.constants)
+    def __init__(
+        self, relations: tuple[tuple[str, int], ...] = (), constants: tuple[str, ...] = ()
+    ):
+        names = [name for name, _ in relations] + list(constants)
         if len(set(names)) != len(names):
             raise InputError("vocabulary names must be unique")
-        for name, arity in self.relations:
+        for name, arity in relations:
             if arity < 1:
                 raise InputError(f"relation {name} needs arity at least 1")
+        vars(self).update(relations=relations, constants=constants)
 
     def relation_index(self, name: str) -> int:
         for i, (known, _) in enumerate(self.relations):
@@ -62,40 +61,45 @@ class Vocabulary:
             raise InputError(f"unknown constant {name}") from None
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(Frozen):
     """One named interpretation of a vocabulary.
 
     ``relations`` aligns with the vocabulary's relation list and
     ``constants`` with its constant list.
     """
 
-    name: str
-    universe_size: int
-    vocabulary: Vocabulary
-    relations: tuple[frozenset[tuple[int, ...]], ...]
-    constants: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.universe_size < 1:
-            raise InputError(f"structure {self.name} needs a non-empty universe")
-        if len(self.relations) != len(self.vocabulary.relations):
+    def __init__(
+        self, name: str, universe_size: int, vocabulary: Vocabulary,
+        relations: tuple[frozenset[tuple[int, ...]], ...], constants: tuple[int, ...],
+    ):
+        if universe_size < 1:
+            raise InputError(f"structure {name} needs a non-empty universe")
+        if len(relations) != len(vocabulary.relations):
             raise InputError("one tuple set per vocabulary relation required")
-        for (rel_name, arity), tuples in zip(self.vocabulary.relations, self.relations):
+        for (rel_name, arity), tuples in zip(vocabulary.relations, relations):
             for t in tuples:
                 if len(t) != arity:
                     raise InputError(
-                        f"relation {rel_name} in {self.name}: tuple {t} has wrong arity"
+                        f"relation {rel_name} in {name}: tuple {t} has wrong arity"
                     )
-                if any(not (0 <= x < self.universe_size) for x in t):
+                if any(not (0 <= x < universe_size) for x in t):
                     raise InputError(
-                        f"relation {rel_name} in {self.name}: tuple {t} leaves the universe"
+                        f"relation {rel_name} in {name}: tuple {t} leaves the universe"
                     )
-        if len(self.constants) != len(self.vocabulary.constants):
+        if len(constants) != len(vocabulary.constants):
             raise InputError("every constant needs an interpretation")
-        for name, value in zip(self.vocabulary.constants, self.constants):
-            if not (0 <= value < self.universe_size):
-                raise InputError(f"constant {name} in {self.name} leaves the universe")
+        for c_name, value in zip(vocabulary.constants, constants):
+            if not (0 <= value < universe_size):
+                raise InputError(f"constant {c_name} in {name} leaves the universe")
+        vars(self).update(
+            name=name, universe_size=universe_size, vocabulary=vocabulary,
+            relations=relations, constants=constants,
+        )
+
+    @fact
+    def __hash__(self):
+        # part of every PartialIso hash, so computed once per structure
+        return hash(tuple(getattr(self, name) for name in self._fields))
 
     @classmethod
     def build(
@@ -129,28 +133,24 @@ class Structure:
         return self.constants[self.vocabulary.constant_index(name)]
 
 
-@dataclass(frozen=True)
-class PartialIso:
+class PartialIso(Frozen):
     """A candidate partial map between two structures, in canonical pair
     form.  Construction checks only well-formedness; whether the map
     really is a partial isomorphism is ``is_partial_iso``'s question."""
 
-    left: Structure
-    right: Structure
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.left.vocabulary != self.right.vocabulary:
+    def __init__(self, left: Structure, right: Structure, pairs: tuple[tuple[int, int], ...]):
+        if left.vocabulary != right.vocabulary:
             raise InputError("both structures must share one vocabulary")
         previous = None
-        for a, b in self.pairs:
-            if not (0 <= a < self.left.universe_size):
+        for a, b in pairs:
+            if not (0 <= a < left.universe_size):
                 raise InputError(f"source {a} leaves the left universe")
-            if not (0 <= b < self.right.universe_size):
+            if not (0 <= b < right.universe_size):
                 raise InputError(f"target {b} leaves the right universe")
             if previous is not None and (a, b) <= previous:
                 raise InputError("pairs must be strictly sorted")
             previous = (a, b)
+        vars(self).update(left=left, right=right, pairs=pairs)
 
     @classmethod
     def from_pairs(

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
+from .derived import Frozen
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(Frozen):
     """Outcome of an axiom check.
 
     ``ok`` is True when every axiom holds.  Otherwise ``axiom`` names the
@@ -15,9 +15,8 @@ class Verdict:
     offending elements.
     """
 
-    ok: bool
-    axiom: str | None = None
-    witness: tuple[Any, ...] | None = None
+    def __init__(self, ok: bool, axiom: str | None = None, witness: tuple[Any, ...] | None = None):
+        vars(self).update(ok=ok, axiom=axiom, witness=witness)
 
     def __bool__(self) -> bool:
         return self.ok

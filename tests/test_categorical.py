@@ -8,6 +8,7 @@ import pytest
 from dense_ambient import dense_table
 from generated import structure_pairs
 from hypothesis import given
+from records import replace
 from reference_scans import categorical_derivative_by_covers
 
 from modeloids import categorical
@@ -130,9 +131,7 @@ class TestVerify:
         assert report.witness == (0, 1)
 
     def test_ambient_must_carry_inverses(self):
-        import dataclasses
-
-        stripped = dataclasses.replace(DISCRETE, inv=None)
+        stripped = replace(DISCRETE, inv=None)
         with pytest.raises(InputError):
             CategoricalModeloid.everything(stripped)
 

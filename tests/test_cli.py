@@ -1,8 +1,10 @@
 """Command-line interface: output contracts and exit codes."""
 
+import io
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -245,6 +247,35 @@ class TestEf:
         cert = extract_certificate(structures[0], structures[1], 2)
         assert cert_path.read_text(encoding="utf-8") == format_certificate(cert)
 
+    @pytest.mark.parametrize(
+        "text, left, right, rounds",
+        [
+            # stable from the start, so 50 rounds are a long repeated tail
+            (
+                "vocabulary\n  relation E 2\n"
+                "structure A\n  universe 3\n  relation E (0,1) (1,2) (2,0)\n"
+                "structure B\n  universe 3\n  relation E (1,2) (2,0) (0,1)\n",
+                "A", "B", 50,
+            ),
+            ("structure S4\n  universe 4\nstructure T4\n  universe 4\n", "S4", "T4", 3),
+        ],
+    )
+    def test_certificate_file_is_the_library_rendering(
+        self, capsys, tmp_path, text, left, right, rounds
+    ):
+        source, cert_path = tmp_path / "pair.txt", tmp_path / "cert.txt"
+        source.write_text(text, encoding="utf-8")
+        code, _, err = run(
+            capsys, "ef", str(source), "--left", left, "--right", right,
+            "--rounds", str(rounds), "--certificate", str(cert_path),
+        )
+        assert code == 0 and err == ""
+        A, B = parse_structures(text)[1]
+        cert = extract_certificate(A, B, rounds)
+        assert len(cert.levels) == rounds + 1
+        assert cert_path.read_bytes() == format_certificate(cert).encode("utf-8")
+        assert "".join(ef_games.certificate_lines(cert)) == format_certificate(cert)
+
     def test_certificate_refused_when_not_equivalent(self, files, capsys, tmp_path):
         cert_path = tmp_path / "cert.txt"
         code, _, err = run(
@@ -399,6 +430,32 @@ class TestDerive:
             "sizes: 6 4 4 4\n"
             "stabilized: 1\n"
         )
+
+    def test_long_machine_dump_stays_in_key_order(self, files, capsys):
+        # more lines than one write takes, each level key zero-padded
+        rounds = 3 * cli.EMIT_CHUNK
+        code, out, _ = run(
+            capsys, "derive", "modeloid", files["shrink.txt"],
+            "--rounds", str(rounds), "--format", "machine",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines == sorted(lines) and len(lines) == rounds + 3
+        width = len(str(rounds))
+        assert lines[0] == f"level-{0:0{width}d}: - 0>0 0>0,1>1 0>1 1>0 1>1"
+        assert lines[1:-2] == [
+            f"level-{j:0{width}d}: - 0>0 0>0,1>1 1>1" for j in range(1, rounds + 1)
+        ]
+        assert lines[-2:] == [f"sizes: 6 {' '.join(['4'] * rounds)}", "stabilized: 1"]
+
+    def test_output_follows_a_redirected_stdout(self, files, capsys):
+        argv = ["derive", "modeloid", files["shrink.txt"], "--rounds", "3", "--format", "machine"]
+        _, expected, _ = run(capsys, *argv)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue() == expected
+        assert capsys.readouterr().out == ""
 
     def test_modeloid_text_is_sizes_only(self, files, capsys):
         code, out, _ = run(

@@ -6,7 +6,6 @@ import math
 import random
 import sys
 import weakref
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -14,6 +13,7 @@ from dense_ambient import dense_table
 from generated import relabel, structure_pairs
 from hypothesis import given
 from hypothesis import strategies as st
+from records import replace
 from reference_scans import reach_above_chain, verify_certificate_by_extensions
 
 from modeloids import ef_games, free_categories

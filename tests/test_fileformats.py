@@ -1,6 +1,7 @@
 """Table file formats: round trips and parse diagnostics."""
 
 import pytest
+from records import replace
 
 from modeloids.categorical import CategoricalModeloid
 from modeloids.errors import InputError, ParseError
@@ -302,11 +303,7 @@ class TestCategoryFiles:
         assert parse_category_file(format_category_file(c)) == c
 
     def test_round_trip_without_inverses(self):
-        import dataclasses
-
-        c = dataclasses.replace(
-            semigroup_to_one_object_category(SEMILATTICE), inv=None
-        )
+        c = replace(semigroup_to_one_object_category(SEMILATTICE), inv=None)
         parsed = parse_category_file(format_category_file(c))
         assert parsed.inv is None
         assert parsed.comp == c.comp

@@ -1,12 +1,12 @@
 """Morphism-table categories: axiom checks, inverse verifiers, the
 natural order, and the one-object correspondence with tables."""
 
-import dataclasses
 import gc
 import random
 import weakref
 
 import pytest
+from records import replace
 
 from modeloids.errors import InputError
 from modeloids.free_categories import (
@@ -54,7 +54,7 @@ def f_table(n):
 def mutate_comp(c, f, g, val):
     rows = [list(r) for r in c.comp]
     rows[f][g] = val
-    return dataclasses.replace(c, comp=tuple(tuple(r) for r in rows))
+    return replace(c, comp=tuple(tuple(r) for r in rows))
 
 
 class TestConstruction:
@@ -136,20 +136,20 @@ class TestInverseVerifiers:
         assert verify_inverse_category_equational(DISCRETE).ok
 
     def test_equational_requires_declared_inverses(self):
-        c = dataclasses.replace(DISCRETE, inv=None)
+        c = replace(DISCRETE, inv=None)
         with pytest.raises(InputError):
             verify_inverse_category_equational(c)
         assert verify_inverse_category_unique(c).ok
 
     def test_inverse_strictness(self):
-        c = dataclasses.replace(DISCRETE, inv=(0, 2, 2))
+        c = replace(DISCRETE, inv=(0, 2, 2))
         report = verify_inverse_category_equational(c)
         assert report.axiom == "inverse-strictness"
 
     def test_skolem_fills_the_unique_inverses(self):
         table, _ = f_table(2)
         c = semigroup_to_one_object_category(table)
-        stripped = dataclasses.replace(c, inv=None)
+        stripped = replace(c, inv=None)
         assert skolem_inverses(stripped).inv == c.inv
 
     def test_verifiers_agree_on_seeded_mutations(self):
@@ -171,7 +171,7 @@ class TestInverseVerifiers:
         for table in (SEMILATTICE, Z2, f_table(2)[0]):
             c = semigroup_to_one_object_category(table)
             assert verify_inverse_category_unique(c).ok
-            filled = skolem_inverses(dataclasses.replace(c, inv=None))
+            filled = skolem_inverses(replace(c, inv=None))
             for m in range(c.morphism_count):
                 assert (filled.inv[m] == c.star) == (m == c.star)
 
@@ -335,7 +335,7 @@ class TestSharedLaws:
             for t in tables:
                 by_table = verify_inverse_semigroup(t)
                 if by_table.axiom not in self.SHARED:
-                    by_table = verify_inverse_semigroup(dataclasses.replace(t, zero=None))
+                    by_table = verify_inverse_semigroup(replace(t, zero=None))
                 by_category = verify_inverse_category_equational(
                     semigroup_to_one_object_category(t)
                 )
