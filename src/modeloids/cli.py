@@ -53,6 +53,7 @@ from .inverse_semigroups import (
     natural_leq,
     resolve_inverses,
     semimodeloid_derivative,
+    top_down,
     verify_inverse_semigroup,
     verify_semimodeloid,
     wagner_preston,
@@ -271,7 +272,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     # wagner_preston has verified associativity, so the products with
     # generators g carry omega(a*b) = omega(a) o omega(b) to every b by
     # induction on the length of b as a word in them
-    gens = generators(lambda x, y: mul[x][y], range(n))
+    gens = generators(lambda x, y: mul[x][y], top_down(mul, range(n)))
     multiplicative = all(
         omegas[mul[a][g]] == omegas[a].compose(omegas[g])
         for a in range(n)

@@ -57,9 +57,15 @@ def fact(compute):
     Each fact keeps one dict, keyed by the argument tuple, in the
     instance's ``__dict__``, which ``Frozen`` leaves out of equality,
     hashing and repr, so it is dropped with the instance instead of
-    pinning it as a module-level cache would.
+    pinning it as a module-level cache would.  ``carry(source, target)``
+    gives ``target`` the values found on ``source``, for a target that
+    differs from it only in fields that ``compute`` does not read.
     """
     slot = f"_fact {compute.__module__}.{compute.__qualname__}"
+
+    def carry(source, target):
+        if slot in source.__dict__:
+            target.__dict__[slot] = dict(source.__dict__[slot])
 
     @wraps(compute)
     def lookup(instance, *args):
@@ -73,6 +79,7 @@ def fact(compute):
         value = facts[args] = compute(instance, *args)
         return value
 
+    lookup.carry = carry
     return lookup
 
 

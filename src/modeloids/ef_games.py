@@ -65,7 +65,6 @@ from .structures import (
     Structure,
     constant_pairs,
     enumerate_partial_isos,
-    identity_iso,
     pairs_are_partial_iso,
 )
 
@@ -222,7 +221,12 @@ def _category(
     morphisms = tuple(p for _, _, p in layout)
     n = len(morphisms)
     star = n
-    obj = [morphisms.index(identity_iso(S)) for S in sides]
+    # id_S by side and pairs, with no PartialIso built or compared
+    full = [tuple((x, x) for x in range(S.universe_size)) for S in sides]
+    obj = [0] * len(sides)
+    for i, (lt, rt, p) in enumerate(layout):
+        if lt == rt and p.pairs == full[lt]:
+            obj[lt] = i
     dom = tuple(obj[lt] for lt, _, _ in layout) + (star,)
     cod = tuple(obj[rt] for _, rt, _ in layout) + (star,)
     index = {(dom[i], cod[i], p.pairs): i for i, p in enumerate(morphisms)}

@@ -70,15 +70,22 @@ def _int(token: str, line_no: int, what: str) -> int:
 
 
 def _int_row(
-    tokens: list[str], line_no: int, what: str, shared: dict[int, int]
+    tokens: list[str], line_no: int, what: str, numerals: dict[str, int]
 ) -> tuple[int, ...]:
-    """The row's integers, with one object per distinct value via ``shared``."""
+    """The row's integers.  Tokens are looked up in ``numerals``, which maps
+    the text of 0..size-1 to one int object each; a row with any other
+    token (``007``, ``+1``, ``-1``, out of range or no integer) is read
+    by ``int`` instead, which gives the same result or error as reading
+    every token with ``int``."""
     try:
-        values = list(map(int, tokens))
+        return tuple(map(numerals.__getitem__, tokens))
+    except KeyError:
+        pass
+    try:
+        return tuple(map(int, tokens))
     except ValueError:
         # names the first token that is no integer
-        values = [_int(t, line_no, what) for t in tokens]
-    return tuple(map(shared.setdefault, values, values))
+        return tuple(_int(t, line_no, what) for t in tokens)
 
 
 def _expect_header(lines: _NumberedLines, kind: str):
@@ -166,17 +173,21 @@ def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members:
     size_key, block_key = layout.size, layout.block
     fields: dict = {}
     block: list[tuple[int, ...]] = []
-    shared: dict[int, int] = {}
+    numerals: dict[str, int] = {}
     entries: list[tuple[int, str, tuple[int, ...]]] = []  # (line, directive, values)
     for line_no, tokens in lines:
         head, rest = tokens[0], tokens[1:]
         size = fields.get(size_key)
+        if not numerals and len(rest) == size:
+            # filled at the first row as long as the size, so that a huge
+            # declared size with short rows costs nothing
+            numerals.update((str(i), i) for i in range(size))
         if head == block_key:
             if size is None:
                 raise ParseError(f"{size_key} must come before {head} rows", line_no)
             if len(block) == size:
                 raise ParseError(f"more than {size} {head} rows", line_no)
-            row = _int_row(rest, line_no, f"{head} entry", shared)
+            row = _int_row(rest, line_no, f"{head} entry", numerals)
             if len(row) != size:
                 raise ParseError(f"{head} row needs {size} entries", line_no)
             block.append(row)
@@ -184,10 +195,10 @@ def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members:
         elif head in fields:
             raise ParseError(f"{head} declared twice", line_no)
         elif head == "members" and want_members:
-            fields[head] = tuple(sorted(set(_int_row(rest, line_no, "member", shared))))
+            fields[head] = tuple(sorted(set(_int_row(rest, line_no, "member", numerals))))
             entries.append((line_no, head, fields[head]))
         elif head in layout.rows:
-            row = _int_row(rest, line_no, f"{head} entry", shared)
+            row = _int_row(rest, line_no, f"{head} entry", numerals)
             if size is None or len(row) != size:
                 raise ParseError(layout.short_row.format(head), line_no)
             fields[head] = row

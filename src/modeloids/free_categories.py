@@ -19,6 +19,7 @@ strictness of the inverse on star is the only law of the category's own.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Protocol, Sequence
 
 from . import verdict as v
@@ -128,13 +129,24 @@ def verify_category(c: FreeCategory) -> v.Verdict:
     return _check_category(c)
 
 
+# the category axioms do not read inv (taken once here, as the name
+# itself may be wrapped later)
+_carry_category_verdict = verify_category.carry
+
+
 def _check_category(c: FreeCategory) -> v.Verdict:
     n, star, dom, cod, comp = c.morphism_count, c.star, c.dom, c.cod, c.comp
+    # row f exists exactly at the existing g with cod g = dom f, listed
+    # per object; the first row that differs holds the first witness
+    by_cod: dict[int, list[int]] = {}
+    for g in range(n):
+        if g != star:
+            by_cod.setdefault(cod[g], []).append(g)
     for f in range(n):
-        for g in range(n):
-            should_exist = f != star and g != star and dom[f] == cod[g]
-            if (comp[f][g] != star) != should_exist:
-                return v.violated("composability", (f, g))
+        expected = by_cod.get(dom[f], []) if f != star else []
+        if list(compress(range(n), map(star.__ne__, comp[f]))) != expected:
+            g = next(g for g in range(n) if (comp[f][g] != star) != (g in expected))
+            return v.violated("composability", (f, g))
     bad = associativity_witness(comp)
     if bad is not None:
         return v.violated("associativity", bad)
@@ -144,6 +156,13 @@ def _check_category(c: FreeCategory) -> v.Verdict:
     return v.passed()
 
 
+@fact
+def _partners(c: FreeCategory) -> tuple[list[int], ...]:
+    """The generalized-inverse partners of every morphism, found once for
+    the inverse check and ``skolem_inverses``."""
+    return tuple(partners(c.comp, s) for s in range(c.morphism_count))
+
+
 def verify_inverse_category_unique(c: FreeCategory) -> v.Verdict:
     """The definitional check: a verified category where each morphism has
     exactly one generalized-inverse partner.  When an inverse table is
@@ -151,8 +170,7 @@ def verify_inverse_category_unique(c: FreeCategory) -> v.Verdict:
     base = verify_category(c)
     if not base:
         return base
-    for s in range(c.morphism_count):
-        candidates = partners(c.comp, s)
+    for s, candidates in enumerate(_partners(c)):
         if len(candidates) != 1:
             axiom = "inverse-existence" if not candidates else "inverse-uniqueness"
             return v.violated(axiom, (s, tuple(candidates)))
@@ -166,14 +184,16 @@ def skolem_inverses(c: FreeCategory) -> FreeCategory:
     base = verify_category(c)
     if not base:
         raise InputError(f"not a category ({base.describe()})")
-    found = [partners(c.comp, s) for s in range(c.morphism_count)]
+    found = _partners(c)
     for s, candidates in enumerate(found):
         if len(candidates) != 1:
             raise InputError(
                 f"morphism {s} has {len(candidates)} inverse partners, expected one"
             )
     inv = tuple(p[0] for p in found)
-    return FreeCategory(c.morphism_count, c.star, c.dom, c.cod, c.comp, inv)
+    filled = FreeCategory(c.morphism_count, c.star, c.dom, c.cod, c.comp, inv)
+    _carry_category_verdict(c, filled)
+    return filled
 
 
 def verify_inverse_category_equational(c: FreeCategory) -> v.Verdict:

@@ -1,10 +1,17 @@
 """The exhaustive scans that the library runs only after a cheaper check
-on generators has failed, and the categorical derivative read literally.
+has failed, and the categorical derivative read literally.
 
-The library proves associativity by Light's test and composition closure
-by closing the generators of the members; these scans test every triple
-or pair in index order, and the tests require the same verdict and the
-same first witness from both.  The library takes the categorical
+The library proves associativity by Light's test and the composition
+closure of modeloids, semimodeloids and categorical modeloids by closing
+the generators of the members, each generating set picked from the top
+of the natural order down; it tests idempotent commutation on the
+distinct idempotents x*x' only, and composability row by row against the
+morphisms listed per codomain.  These scans test every triple or pair in
+index order, and the tests require the same verdict and the same first
+witness from both.  The library reads table rows by looking each token
+up in a table of the numerals 0..size-1; the reference reads every token
+with ``int``, and the tests require the same fields or the same error on
+the same line.  The library takes the categorical
 derivative in one cover pass; the reference asks, for each member and
 each atom, whether some member above it covers that atom.  The library
 checks certificates with the cover step ``reach_above``; the reference
@@ -22,6 +29,8 @@ steps it eagerly for a fixed number of rounds and pads the tail.
 from itertools import combinations
 
 from modeloids import verdict as v
+from modeloids.errors import ParseError
+from modeloids.free_categories import objects
 from modeloids.modeloid import Modeloid
 from modeloids.partial_bijections import identity_map, reach_above
 from modeloids.structures import enumerate_partial_isos, pairs_are_partial_iso
@@ -52,6 +61,99 @@ def cubic_associativity_witness(mul):
                 if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
                     return (x, y, z)
     return None
+
+
+def inverse_laws_by_pairs(mul, inv) -> v.Verdict:
+    """x*x'*x = x, (x')' = x, then x*x' and y*y' commute for every x, y."""
+    n = len(mul)
+    for x in range(n):
+        if mul[mul[x][inv[x]]][x] != x:
+            return v.violated("regularity", (x,))
+    for x in range(n):
+        if inv[inv[x]] != x:
+            return v.violated("involution", (x,))
+    for x in range(n):
+        for y in range(n):
+            e, f = mul[x][inv[x]], mul[y][inv[y]]
+            if mul[e][f] != mul[f][e]:
+                return v.violated("idempotent-commutation", (x, y))
+    return v.passed()
+
+
+def check_category_by_pairs(c) -> v.Verdict:
+    """Composability on every pair (f, g), associativity on every triple,
+    then the identity laws."""
+    n, star, dom, cod, comp = c.morphism_count, c.star, c.dom, c.cod, c.comp
+    for f in range(n):
+        for g in range(n):
+            should_exist = f != star and g != star and dom[f] == cod[g]
+            if (comp[f][g] != star) != should_exist:
+                return v.violated("composability", (f, g))
+    bad = cubic_associativity_witness(comp)
+    if bad is not None:
+        return v.violated("associativity", bad)
+    for x in range(n):
+        if comp[x][dom[x]] != x or comp[cod[x]][x] != x:
+            return v.violated("identity-law", (x,))
+    return v.passed()
+
+
+def check_semimodeloid_by_pairs(sm) -> v.Verdict:
+    """The semimodeloid axioms of a subset of a verified inverse monoid
+    with zero, with composition checked on every pair and s <= x read as
+    s = x*e for an idempotent e."""
+    mul, inv, n = sm.ambient.mul, sm.ambient.inv, sm.ambient.order
+    members = sorted(sm.members)
+    for x in members:
+        for y in members:
+            if mul[x][y] not in sm.members:
+                return v.violated("composition", (x, y))
+    for x in members:
+        if inv[x] not in sm.members:
+            return v.violated("inverse", (x,))
+    for x in members:
+        missing = {mul[x][e] for e in range(n) if mul[e][e] == e} - sm.members
+        if missing:
+            return v.violated("downward", (min(missing), x))
+    neutral = next(
+        e for e in range(n) if all(mul[e][x] == x == mul[x][e] for x in range(n))
+    )
+    if neutral not in sm.members:
+        return v.violated("neutral", (neutral,))
+    return v.passed()
+
+
+def check_categorical_modeloid_by_pairs(M) -> v.Verdict:
+    """The categorical modeloid axioms, composition checked on every pair."""
+    c = M.ambient
+    members = sorted(M.members)
+    for a in members:
+        for b in members:
+            if c.compose(a, b) not in M.members:
+                return v.violated("composition", (a, b))
+    for a in members:
+        if c.inv[a] not in M.members:
+            return v.violated("inverse", (a,))
+    for b in members:
+        for a in sorted(c.below(b)):
+            if a not in M.members:
+                return v.violated("downward", (a, b))
+    for X in objects(c):
+        if X not in M.members:
+            return v.violated("objects", (X,))
+    return v.passed()
+
+
+def int_row_by_int(tokens, line_no, what, numerals):
+    """A table row read with ``int`` token by token, ``numerals`` unused;
+    the first token that is no integer is named."""
+    values = []
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ParseError(f"{what} must be an integer, got {token!r}", line_no) from None
+    return tuple(values)
 
 
 def check_modeloid_by_pairs(M) -> v.Verdict:

@@ -3,13 +3,17 @@ derivatives, and agreement with the table-level derivative under the
 one-object view."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from dense_ambient import dense_table
 from generated import structure_pairs
 from hypothesis import given
 from records import replace
-from reference_scans import categorical_derivative_by_covers
+from reference_scans import (
+    categorical_derivative_by_covers,
+    check_categorical_modeloid_by_pairs,
+)
 
 from modeloids import categorical
 from modeloids.categorical import (
@@ -21,7 +25,7 @@ from modeloids.categorical import (
     member_idempotent_atoms,
     verify_categorical_modeloid,
 )
-from modeloids.ef_games import build_category_D
+from modeloids.ef_games import PartialIsoAmbient, build_category_D
 from modeloids.errors import InputError
 from modeloids.free_categories import (
     FreeCategory,
@@ -30,6 +34,7 @@ from modeloids.free_categories import (
 )
 from modeloids.inverse_semigroups import (
     Semimodeloid,
+    generators,
     from_partial_bijections,
     semimodeloid_derivative,
     verify_semimodeloid,
@@ -134,6 +139,77 @@ class TestVerify:
         stripped = replace(DISCRETE, inv=None)
         with pytest.raises(InputError):
             CategoricalModeloid.everything(stripped)
+
+
+def c3_p3_ambient() -> PartialIsoAmbient:
+    E = Vocabulary(relations=(("E", 2),))
+    C3 = Structure.build("C3", 3, E, {"E": [(0, 1), (1, 2), (2, 0)]})
+    P3 = Structure.build("P3", 3, E, {"E": [(0, 1), (1, 2)]})
+    return build_category_D(C3, P3).whole.ambient
+
+
+class TestClosureMatchesPairs:
+    """Generators decide composition closure on an associative ambient,
+    the pair scan names the first witness."""
+
+    def test_every_single_drop_from_d(self):
+        ambient = c3_p3_ambient()
+        for c in (ambient, dense_table(ambient)):
+            everything = frozenset(range(c.morphism_count))
+            for dropped in [()] + [(m,) for m in range(c.morphism_count)]:
+                M = CategoricalModeloid(c, everything - set(dropped))
+                assert verify_categorical_modeloid(M) == check_categorical_modeloid_by_pairs(M)
+
+    def test_drops_from_closures_over_the_rook_monoid(self):
+        rng = random.Random(8)
+        carrier, _, _, cat, index = one_object_setup(3)
+        axioms = set()
+        for _ in range(15):
+            members = {index[f] for f in random_modeloid(rng, carrier).members} | {cat.star}
+            for dropped in [()] + [rng.sample(sorted(members), k) for k in (1, 1, 2)]:
+                M = CategoricalModeloid(cat, frozenset(members) - set(dropped))
+                verdict = verify_categorical_modeloid(M)
+                assert verdict == check_categorical_modeloid_by_pairs(M)
+                axioms.add(verdict.axiom)
+        assert {None, "composition", "objects"} <= axioms
+
+    def test_other_ambients_keep_the_pair_scan(self):
+        # composition of an unknown ambient may not associate, so every
+        # pair of members is composed
+        c = dense_table(c3_p3_ambient())
+        calls = []
+
+        def compose(f, g):
+            calls.append((f, g))
+            return c.compose(f, g)
+
+        fields = ("morphism_count", "star", "dom", "cod", "inv", "below")
+        other = SimpleNamespace(compose=compose, **{k: getattr(c, k) for k in fields})
+        M = CategoricalModeloid.everything(other)
+        assert verify_categorical_modeloid(M).ok
+        assert set(calls) >= {(f, g) for f in M.members for g in M.members}
+
+
+class TestClosureOnGeneratorsOfD:
+    def test_compositions_grow_with_members_times_generators(self, monkeypatch):
+        V = Vocabulary()
+        c = build_category_D(Structure.build("A", 4, V), Structure.build("B", 4, V)).whole.ambient
+        M = CategoricalModeloid.everything(c)
+        top_down = sorted(M.members, key=lambda m: -len(c.below(m)))
+        gens = generators(c.compose, top_down)
+        calls = 0
+        compose = PartialIsoAmbient.compose
+
+        def counting(self, f, g):
+            nonlocal calls
+            calls += 1
+            return compose(self, f, g)
+
+        monkeypatch.setattr(PartialIsoAmbient, "compose", counting)
+        assert verify_categorical_modeloid(M).ok
+        # a scan over all pairs makes 837 * 837 = 700 569
+        assert c.morphism_count == 837
+        assert 0 < calls <= len(M.members) * (len(gens) + 1)
 
 
 class TestAtoms:

@@ -697,6 +697,27 @@ class TestSharedCategory:
             readme_loop(A, A)
             assert calls == [(A, B), (B, A), (A, A)]
 
+    def test_objects_found_without_comparing_maps(self, monkeypatch):
+        # the identities are found by side and pairs, not by a linear
+        # scan of PartialIso equality over the layout
+        compared = []
+        real = PartialIso.__eq__
+
+        def counting(self, other):
+            compared.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(PartialIso, "__eq__", counting)
+        A, B = pure("S3", 3), pure("S4", 4)
+        D = build_category_D(A, B)
+        whole = D.whole
+        assert compared == []
+        for category in (D, whole):
+            for S in (A, B):
+                X = category.object_of(S)
+                assert category.morphisms[X].pairs == tuple((x, x) for x in range(S.universe_size))
+                assert category.ambient.dom[X] == category.ambient.cod[X] == X
+
     def test_only_the_latest_category_is_kept(self):
         A, B = pure("A", 3), pure("B", 3)
         readme_loop(A, B)

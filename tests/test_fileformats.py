@@ -2,6 +2,9 @@
 
 import pytest
 from records import replace
+from reference_scans import int_row_by_int
+
+from modeloids import fileformats
 
 from modeloids.categorical import CategoricalModeloid
 from modeloids.errors import InputError, ParseError
@@ -238,6 +241,67 @@ def test_equal_entries_share_one_object():
     entries = [x for row in sf.mul for x in row]
     assert sf.mul[0][299] == sf.mul[1][298] == 299
     assert len({id(x) for x in entries}) == len(set(entries)) == n
+
+
+def cyclic_rows(directive: str, n: int) -> list[str]:
+    return [f"{directive} " + " ".join(str((i + j) % n) for j in range(n)) for i in range(n)]
+
+
+# files of size 12 with room for one odd token, in every kind of row
+ODD_TOKEN_FILES = {
+    parse_semigroup_file: ["semigroup", "order 12", *cyclic_rows("mul", 12),
+                           "inv " + " ".join(str(x) for x in range(12))],
+    parse_semimodeloid_file: ["semimodeloid", "order 12", *cyclic_rows("mul", 12),
+                              "members 0 3 5"],
+    parse_category_file: ["category", "morphisms 12", "star 11",
+                          "dom " + " ".join(str(x) for x in range(12)),
+                          "cod " + " ".join(str(x) for x in range(12)),
+                          *cyclic_rows("comp", 12)],
+    parse_categorical_modeloid_file: ["categorical-modeloid", "morphisms 12", "star 11",
+                                      "dom " + " ".join(str(x) for x in range(12)),
+                                      "cod " + " ".join(str(x) for x in range(12)),
+                                      *cyclic_rows("comp", 12), "members 11 2"],
+}
+
+
+class TestParseByLookup:
+    """Rows are read by looking tokens up in the numerals 0..size-1, and
+    by ``int`` when that fails: the same fields, or the same error on the
+    same line, as reading every token with ``int``."""
+
+    ODD = ("007", "+1", "1_0", "-1", "x", "12", "99", "0x1", "٣")
+
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return "parsed", parse(text)
+        except (ParseError, InputError) as err:
+            return "rejected", type(err), str(err)
+
+    @pytest.mark.parametrize("parse", list(ODD_TOKEN_FILES), ids=lambda p: p.__name__)
+    def test_odd_tokens_in_every_row(self, parse, monkeypatch):
+        lines = ODD_TOKEN_FILES[parse]
+        cases = []
+        for at in range(1, len(lines)):
+            head, *tokens = lines[at].split()
+            if len(tokens) < 2:
+                continue
+            for token in self.ODD:
+                for spot in (0, len(tokens) - 1):
+                    edited = tokens[:spot] + [token] + tokens[spot + 1:]
+                    cases.append("\n".join(lines[:at] + [" ".join([head, *edited])]
+                                           + lines[at + 1:]) + "\n")
+        by_lookup = [self.outcome(parse, text) for text in cases]
+        monkeypatch.setattr(fileformats, "_int_row", int_row_by_int)
+        by_int = [self.outcome(parse, text) for text in cases]
+        assert by_lookup == by_int
+        assert {result[0] for result in by_lookup} == {"parsed", "rejected"}
+
+    def test_odd_numerals_give_the_same_table(self):
+        text = "semigroup\norder 12\n" + "\n".join(cyclic_rows("mul", 12)) + "\n"
+        odd = text.replace("mul 0 1 2 ", "mul 000 +1 2 ", 1).replace(" 10 11\n", " 1_0 11\n", 1)
+        assert odd != text
+        assert parse_semigroup_file(odd) == parse_semigroup_file(text)
 
 
 class TestSemimodeloidFiles:

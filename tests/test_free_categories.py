@@ -6,8 +6,12 @@ import random
 import weakref
 
 import pytest
+from dense_ambient import dense_table
 from records import replace
+from reference_scans import check_category_by_pairs
 
+from modeloids import free_categories
+from modeloids.ef_games import build_category_D
 from modeloids.errors import InputError
 from modeloids.free_categories import (
     FreeCategory,
@@ -35,6 +39,7 @@ from modeloids.inverse_semigroups import (
     verify_inverse_semigroup,
 )
 from modeloids.partial_bijections import Carrier, PartialBijection, enumerate_all
+from modeloids.structures import Structure, Vocabulary
 
 SEMILATTICE = InverseSemigroupTable.from_rows(
     [[0, 1], [1, 1]], [0, 1], neutral=0, zero=1
@@ -103,6 +108,59 @@ class TestVerifyCategory:
         assert report.witness == (0, 0, 3)
 
 
+def c3_p3_category() -> FreeCategory:
+    """The table of all of D for the 3-cycle and the 3-path: 72 morphisms
+    over two objects, with star."""
+    E = Vocabulary(relations=(("E", 2),))
+    C3 = Structure.build("C3", 3, E, {"E": [(0, 1), (1, 2), (2, 0)]})
+    P3 = Structure.build("P3", 3, E, {"E": [(0, 1), (1, 2)]})
+    return dense_table(build_category_D(C3, P3).whole.ambient)
+
+
+class TestComposabilityMatchesPairs:
+    """Rows against the morphisms listed per codomain decide, the scan
+    over all pairs names the first witness."""
+
+    def test_mutated_category_tables(self):
+        c = c3_p3_category()
+        n, star = c.morphism_count, c.star
+        rng = random.Random(17)
+        broken = []
+        for _ in range(30):
+            f, g = rng.randrange(n), rng.randrange(n)
+            # an entry to or from star, or between existing morphisms
+            val = star if c.comp[f][g] != star else rng.randrange(n - 1)
+            broken.append(mutate_comp(c, f, g, val))
+            broken.append(mutate_comp(c, f, g, rng.choice([x for x in range(n) if x != star])))
+        for _ in range(10):
+            m = rng.choice([m for m in range(n) if m != star])
+            for side in ("dom", "cod"):
+                table = list(getattr(c, side))
+                table[m] = rng.choice([x for x in set(c.dom) if x != table[m]])
+                broken.append(replace(c, **{side: tuple(table)}))
+        axioms = {verify_category(c).axiom}
+        for d in broken:
+            verdict = verify_category(d)
+            assert verdict == check_category_by_pairs(d)
+            axioms.add(verdict.axiom)
+        assert axioms == {None, "composability", "associativity"}
+
+    def test_star_row_and_column(self):
+        c = c3_p3_category()
+        for f, g in ((c.star, 0), (0, c.star), (c.star, c.star)):
+            d = mutate_comp(c, f, g, 0)
+            assert verify_category(d) == check_category_by_pairs(d)
+            assert verify_category(d).witness == (f, g)
+        # a morphism whose cod is star composes with nothing, so star's
+        # row stays composable and a later axiom fails instead
+        m = 5
+        rows = tuple(row[:m] + (c.star,) + row[m + 1:] for row in c.comp)
+        cod = c.cod[:m] + (c.star,) + c.cod[m + 1:]
+        d = replace(c, cod=cod, comp=rows)
+        assert verify_category(d) == check_category_by_pairs(d)
+        assert verify_category(d).axiom == "associativity"
+
+
 class TestObjectsAndHomsets:
     def test_objects_of_discrete(self):
         assert objects(DISCRETE) == (0, 1)
@@ -165,6 +223,23 @@ class TestInverseVerifiers:
                 verify_inverse_category_unique(broken).ok
                 == verify_inverse_category_equational(broken).ok
             )
+
+    def test_partners_found_once_for_check_and_fill(self, monkeypatch):
+        c = replace(c3_p3_category(), inv=None)
+        calls = []
+        real = free_categories.partners
+
+        def counting(mul, x):
+            calls.append(x)
+            return real(mul, x)
+
+        monkeypatch.setattr(free_categories, "partners", counting)
+        assert verify_inverse_category_unique(c).ok
+        filled = skolem_inverses(c)
+        assert sorted(calls) == list(range(c.morphism_count))
+        # the category verdict does not read inv and carries over
+        monkeypatch.setattr(free_categories, "_check_category", None)
+        assert verify_category(filled).ok
 
     def test_existing_morphisms_have_existing_inverses(self):
         # a consequence of strictness: no existing morphism inverts to star

@@ -8,11 +8,16 @@ oracles for the derived expectations frozen here.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 from dense_ambient import dense_table
-from reference_scans import cubic_associativity_witness
+from reference_scans import (
+    check_semimodeloid_by_pairs,
+    cubic_associativity_witness,
+    inverse_laws_by_pairs,
+)
 
 from modeloids.ef_games import build_category_D
 from modeloids.errors import InputError
@@ -29,10 +34,12 @@ from modeloids.inverse_semigroups import (
     generators,
     idempotent_atoms,
     idempotents,
+    inverse_laws,
     inverses_of,
     natural_leq,
     resolve_inverses,
     semimodeloid_derivative,
+    top_down,
     verify_inverse_semigroup,
     verify_semimodeloid,
     wagner_preston,
@@ -256,6 +263,28 @@ class TestGenerators:
             assert generators(lambda x, y: 0, range(n)) == list(range(n))
 
 
+class TestTopDown:
+    def test_rows_with_more_distinct_entries_first_ties_in_index_order(self):
+        table, _ = table_of_all_maps(3)
+        width = {x: len(set(table.mul[x])) for x in range(table.order)}
+        expected = sorted(range(table.order), key=lambda x: (-width[x], x))
+        assert top_down(table.mul, range(table.order)) == expected
+        # ties keep the given order, not index order
+        full = [x for x in range(table.order) if width[x] == table.order]
+        assert top_down(table.mul, [0] + full[::-1]) == full[::-1] + [0]
+
+    def test_rook_monoid_from_the_top(self):
+        # the identity, three transpositions that generate the symmetric
+        # group, and one map of rank 3 that reaches every smaller rank;
+        # in index order the scan keeps fourteen
+        table, elements = table_of_all_maps(4)
+        compose = rows_of(table.mul)
+        gens = generators(compose, top_down(table.mul, range(table.order)))
+        assert [len(elements[g].pairs) for g in gens] == [4, 4, 4, 4, 3]
+        assert right_closure(compose, gens) == set(range(table.order))
+        assert len(generators(compose, range(table.order))) == 14
+
+
 def mutations(mul, rng, count):
     """``count`` copies of the table, each with one entry changed."""
     n = len(mul)
@@ -292,6 +321,74 @@ class TestAssociativityMatchesScan:
         assert associativity_witness(comp) is None
         for mul in mutations(comp, random.Random(11), 4):
             assert associativity_witness(mul) == cubic_associativity_witness(mul)
+
+
+def mutated_idempotent_products(table, rng, count):
+    """``count`` copies of the table with e*f changed for two distinct
+    idempotents e, f: regularity and involution still hold there."""
+    idem = idempotents(table)
+    for _ in range(count):
+        e, f = rng.sample(idem, 2)
+        rows = [list(r) for r in table.mul]
+        rows[e][f] = rng.choice([x for x in range(table.order) if x != rows[e][f]])
+        yield tuple(tuple(r) for r in rows)
+
+
+class TestIdempotentCommutationMatchesPairs:
+    """The distinct x*x' decide, the scan over all pairs names the first witness."""
+
+    def test_left_zero_band(self):
+        assert inverse_laws(LEFT_ZERO.mul, LEFT_ZERO.inv) == inverse_laws_by_pairs(
+            LEFT_ZERO.mul, LEFT_ZERO.inv
+        )
+        assert inverse_laws(LEFT_ZERO.mul, LEFT_ZERO.inv).witness == (0, 1)
+
+    def test_mutated_rook_monoid(self):
+        table, _ = table_of_all_maps(4)
+        rng = random.Random(3)
+        tables = [*mutations(table.mul, rng, 20), *mutated_idempotent_products(table, rng, 20)]
+        axioms = Counter()
+        for mul in tables:
+            # the declared inverses, and an involution that swaps two of them
+            swapped = list(table.inv)
+            x, y = rng.sample(range(table.order), 2)
+            swapped[x], swapped[y], swapped[table.inv[x]], swapped[table.inv[y]] = (
+                table.inv[y], table.inv[x], y, x,
+            )
+            for inv in (table.inv, tuple(swapped)):
+                verdict = inverse_laws(mul, inv)
+                assert verdict == inverse_laws_by_pairs(mul, inv)
+                axioms[verdict.axiom] += 1
+        assert axioms["idempotent-commutation"] >= 20
+        assert axioms[None] > 0 and axioms["regularity"] > 0
+
+
+class TestSemimodeloidClosureMatchesPairs:
+    """Generators decide closure, the pair scan names the first witness."""
+
+    def test_every_single_drop_up_to_order_34(self):
+        for n in (1, 2, 3):
+            table, _ = table_of_all_maps(n)
+            everything = frozenset(range(table.order))
+            for dropped in [[]] + [[x] for x in range(table.order)]:
+                sm = Semimodeloid(table, everything - set(dropped))
+                assert verify_semimodeloid(sm) == check_semimodeloid_by_pairs(sm)
+
+    def test_drops_from_closures_in_the_rook_monoid(self):
+        rng = random.Random(5)
+        table, elements = table_of_all_maps(4)
+        index = {f: i for i, f in enumerate(elements)}
+        pool = sorted(enumerate_all(Carrier(4)), key=lambda f: f.pairs)
+        axioms = Counter()
+        for _ in range(12):
+            M = modeloid_closure([rng.choice(pool) for _ in range(2)], Carrier(4))
+            members = frozenset(index[f] for f in M.members)
+            for dropped in [()] + [rng.sample(sorted(members), k) for k in (1, 1, 2)]:
+                sm = Semimodeloid(table, members - set(dropped))
+                verdict = verify_semimodeloid(sm)
+                assert verdict == check_semimodeloid_by_pairs(sm)
+                axioms[verdict.axiom] += 1
+        assert axioms[None] == 12 and axioms["composition"] > 0
 
 
 class TestFromPartialBijections:
