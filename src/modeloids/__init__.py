@@ -96,7 +96,6 @@ from .partial_bijections import (
     enumerate_all,
     identity_map,
     partial_identity,
-    reach_above,
 )
 from .structures import (
     PartialIso,

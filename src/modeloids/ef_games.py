@@ -47,7 +47,7 @@ the command-line front-end runs both.
 A positive derivative answer can be externalized: ``extract_certificate``
 returns the chain I_j = D^j ∩ Part(A,B), read from the same homset
 chain, which ``verify_certificate`` checks against the literal
-back-and-forth conditions.
+back-and-forth conditions, by one-point extensions.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from . import verdict as v
 from .categorical import CategoricalModeloid, categorical_derivative
 from .derived import Chain, Frozen, fact, padded
 from .errors import BoundExceededError, InputError, OutsideAmbientError
-from .partial_bijections import reach_above
+from .partial_bijections import _least_unextended
 from .structures import (
     PartialIso,
     Structure,
@@ -493,8 +493,9 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
     """Check the literal back-and-forth conditions between levels.
 
     Every level must be a non-empty set of actual partial isomorphisms,
-    and each map in I_{j+1} must extend within I_j to cover any chosen
-    element on either side (read from ``reach_above`` of I_j).
+    and for each f in I_{j+1} every a in A needs some b with f ∪ {(a, b)}
+    in I_j (forth), and every b in B some such a (back).  On levels closed
+    under restriction, as extracted ones are, any larger map would do.
     """
     A, B = cert.left, cert.right
     for j, level in enumerate(cert.levels):
@@ -508,19 +509,15 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
             ):
                 return v.violated("membership", (j, f.pairs))
     for j in range(cert.rounds):
-        if j and cert.levels[j] == cert.levels[j - 1]:
-            if cert.levels[j + 1] == cert.levels[j]:
-                continue  # the same pair as the one before, which passed
-        else:
-            reach = reach_above(cert.levels[j])
+        if j and cert.levels[j + 1] == cert.levels[j] == cert.levels[j - 1]:
+            continue  # the same pair as the one before, which passed
+        maps = {g.pairs for g in cert.levels[j]}
         for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
-            sources, targets = reach.get(f.pairs, ((), ()))
-            missed = set(range(A.universe_size)).difference(sources)
-            if missed:
-                return v.violated("forth", (j, min(missed), f.pairs))
-            missed = set(range(B.universe_size)).difference(targets)
-            if missed:
-                return v.violated("back", (j, min(missed), f.pairs))
+            a, b = _least_unextended(f.pairs, maps, A.universe_size, B.universe_size)
+            if a is not None:
+                return v.violated("forth", (j, a, f.pairs))
+            if b is not None:
+                return v.violated("back", (j, b, f.pairs))
     return v.passed()
 
 

@@ -4,13 +4,14 @@ A modeloid is a set of partial bijections over one carrier that is closed
 under composition, inverse and restriction, and contains the full identity.
 The derivative keeps exactly the members that can be extended, as pair
 sets, by any prescribed source (and, symmetrically, any prescribed target)
-without leaving the modeloid; one cover pass, ``reach_above``, decides
-it.  Iterating the derivative is the engine behind the equivalence
+without leaving the modeloid, decided member by member from its one-point
+extensions.  Iterating the derivative is the engine behind the equivalence
 checks elsewhere in the package.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable
 
 from . import verdict as v
@@ -20,10 +21,9 @@ from .inverse_semigroups import generators
 from .partial_bijections import (
     Carrier,
     PartialBijection,
+    _least_unextended,
     enumerate_all,
     identity_map,
-    reach_above,
-    restrictions,
 )
 
 
@@ -77,10 +77,12 @@ def _check_modeloid(M: Modeloid) -> v.Verdict:
     # when its pairs are a member's
     member_pairs = {f.pairs for f in members}
     for f in members:
-        for kept in restrictions(f.pairs):
-            if kept not in member_pairs:
-                return v.violated("restriction", (f.pairs, tuple(a for a, _ in kept)))
-    if identity_map(M.carrier) not in member_set:
+        for size in range(len(f.pairs) + 1):
+            for kept in combinations(f.pairs, size):
+                if kept not in member_pairs:
+                    return v.violated("restriction", (f.pairs, tuple(a for a, _ in kept)))
+    # sought among the members: the declared carrier may be far larger than they are
+    if not any(len(f.pairs) == M.carrier.size and all(a == b for a, b in f.pairs) for f in members):
         return v.violated("identity", ())
     return v.passed()
 
@@ -115,10 +117,9 @@ def modeloid_closure(seed: Iterable[PartialBijection], carrier: Carrier) -> Mode
 
 def _derivative_members(M: Modeloid) -> frozenset[PartialBijection]:
     n = M.carrier.size
-    reach = reach_above(M.members)
-    # M is restriction-closed: a member above f that reaches a restricts to f ∪ {(a, b)}
+    member_pairs = {f.pairs for f in M.members}
     return frozenset(
-        f for f in M.members if all(len(side) == n for side in reach[f.pairs])
+        f for f in M.members if _least_unextended(f.pairs, member_pairs, n, n) == (None, None)
     )
 
 
@@ -128,9 +129,8 @@ def derivative(M: Modeloid) -> Modeloid:
     A member f survives iff for every carrier element a there are b with
     f union {(a, b)} in M and b' with f union {(b', a)} in M.  For a
     already in the domain the only functional union is f itself, so the
-    condition there collapses to membership of f.  Since M is closed
-    under restriction, one ``reach_above`` pass decides it: the members
-    above f must reach every element with domains and with ranges.
+    condition there collapses to membership of f.  This is decided as
+    written, by looking up the one-point extensions of each member.
     """
     result = verify_modeloid(M)
     if not result:

@@ -12,7 +12,7 @@ between them); it carries the structure this package is built on.
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect
 from typing import Iterable, Iterator
 
 from .derived import Frozen
@@ -136,25 +136,26 @@ def partial_identity(carrier: Carrier, elements: Iterable[int]) -> PartialBiject
     return identity_map(carrier).restrict(elements)
 
 
-def restrictions(pairs: tuple) -> Iterator[tuple]:
-    """Every restriction of a map in pair form, by size; sorted pairs give
-    sorted restrictions."""
-    for size in range(len(pairs) + 1):
-        yield from combinations(pairs, size)
+def _least_unextended(
+    pairs: tuple, maps: set[tuple], sources: int, targets: int
+) -> tuple[int | None, int | None]:
+    """The least source a < ``sources`` with no b such that f ∪ {(a, b)} is
+    in ``maps``, and the least target b < ``targets`` with no such a, each
+    None when there is none, for f (``pairs``) and ``maps`` in sorted pair
+    form.  For a in dom f (b in ran f) the only union that is a map is f."""
+    domain, image = {a for a, _ in pairs}, {b for _, b in pairs}
 
+    def extends(a: int, b: int) -> bool:  # a outside dom f, b outside ran f
+        i = bisect(pairs, (a, b))
+        return pairs[:i] + ((a, b),) + pairs[i:] in maps
 
-def reach_above(maps: Iterable) -> dict[tuple, tuple[set[int], set[int]]]:
-    """The back-and-forth cover step for maps in sorted pair form: for
-    every restriction r of one of the maps, keyed by r's pairs, the union
-    of the domains and the union of the ranges of the maps above r."""
-    reach: dict[tuple, tuple[set[int], set[int]]] = {}
-    for g in maps:
-        sources, targets = {a for a, _ in g.pairs}, {b for _, b in g.pairs}
-        for kept in restrictions(g.pairs):
-            domains, ranges = reach.setdefault(kept, (set(), set()))
-            domains |= sources
-            ranges |= targets
-    return reach
+    free_sources = [a for a in range(sources) if a not in domain]
+    free_targets = [b for b in range(targets) if b not in image]
+    missed_sources = {a for a in free_sources if not any(extends(a, b) for b in free_targets)}
+    missed_targets = {b for b in free_targets if not any(extends(a, b) for a in free_sources)}
+    if pairs not in maps:
+        missed_sources, missed_targets = missed_sources | domain, missed_targets | image
+    return min(missed_sources, default=None), min(missed_targets, default=None)
 
 
 def enumerate_all(

@@ -14,16 +14,19 @@ with ``int``, and the tests require the same fields or the same error on
 the same line.  The library takes the categorical
 derivative in one cover pass; the reference asks, for each member and
 each atom, whether some member above it covers that atom.  The library
-checks certificates with the cover step ``reach_above``; the reference
-indexes each level by restriction and unions the domains and ranges of
-the extensions it lists.  The library closes seed maps to a modeloid by
-right products with generators; the reference composes every new map
-with every map so far, both ways, and drops single pairs, until nothing
-new appears.  The library decides equivalence by the categorical
-derivative on all of category D; the reference iterates the back-and-forth
-cover step ``reach_above`` on Part(A,B) alone.  The library steps a
-derivative chain lazily and keeps each distinct level once; the reference
-steps it eagerly for a fixed number of rounds and pads the tail.
+checks certificates and takes the modeloid derivative by looking up the
+one-point extensions f ∪ {(a, b)} of each map, skipping a level pair it
+has checked; one reference builds every such union as a set of pairs and
+checks every level pair, and another indexes each level by restriction
+and unions the domains and ranges of the maps above, the cover condition
+that the one-point condition refines.  The library closes seed maps to a
+modeloid by right products with generators; the reference composes every
+new map with every map so far, both ways, and drops single pairs, until
+nothing new appears.  The library decides equivalence by the categorical
+derivative on all of category D; the reference iterates that restriction
+cover on Part(A,B) alone.  The library steps a derivative chain lazily and
+keeps each distinct level once; the reference steps it eagerly for a
+fixed number of rounds and pads the tail.
 """
 
 from itertools import combinations
@@ -32,7 +35,7 @@ from modeloids import verdict as v
 from modeloids.errors import ParseError
 from modeloids.free_categories import objects
 from modeloids.modeloid import Modeloid
-from modeloids.partial_bijections import identity_map, reach_above
+from modeloids.partial_bijections import identity_map
 from modeloids.structures import enumerate_partial_isos, pairs_are_partial_iso
 
 
@@ -232,9 +235,8 @@ def categorical_derivative_by_covers(M) -> frozenset[int]:
     return frozenset(kept)
 
 
-def verify_certificate_by_extensions(cert) -> v.Verdict:
-    """The back-and-forth conditions, each level j indexed from its maps'
-    restrictions to the maps of level j that extend them."""
+def _levels_are_partial_isos(cert):
+    """The non-empty and membership conditions on every level, or None."""
     A, B = cert.left, cert.right
     for j, level in enumerate(cert.levels):
         if not level:
@@ -242,36 +244,88 @@ def verify_certificate_by_extensions(cert) -> v.Verdict:
         for f in sorted(level, key=lambda p: p.pairs):
             if f.left != A or f.right != B or not pairs_are_partial_iso(A, B, f.pairs):
                 return v.violated("membership", (j, f.pairs))
+    return None
+
+
+def verify_certificate_by_one_point(cert) -> v.Verdict:
+    """The back-and-forth conditions read literally: for every f in
+    I_{j+1} and every a in A some b in B with f ∪ {(a, b)} in I_j, the
+    union taken as a set of pairs, and likewise back for every b in B."""
+    A, B = cert.left, cert.right
+    failed = _levels_are_partial_isos(cert)
+    if failed is not None:
+        return failed
     for j in range(cert.rounds):
-        extensions = {}
-        for g in cert.levels[j]:
-            for size in range(len(g.pairs) + 1):
-                for kept in combinations(g.pairs, size):
-                    extensions.setdefault(kept, []).append(g)
+        level = {frozenset(g.pairs) for g in cert.levels[j]}
         for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
-            above = extensions.get(f.pairs, ())
-            missed = set(range(A.universe_size)).difference(*(g.domain() for g in above))
+            pairs = frozenset(f.pairs)
+            for a in range(A.universe_size):
+                if not any(pairs | {(a, b)} in level for b in range(B.universe_size)):
+                    return v.violated("forth", (j, a, f.pairs))
+            for b in range(B.universe_size):
+                if not any(pairs | {(a, b)} in level for a in range(A.universe_size)):
+                    return v.violated("back", (j, b, f.pairs))
+    return v.passed()
+
+
+def reach_by_restrictions(maps):
+    """For every restriction r of one of the maps (in sorted pair form),
+    keyed by r, the union of the domains and the union of the ranges of
+    the maps above r."""
+    reach = {}
+    for pairs in maps:
+        for size in range(len(pairs) + 1):
+            for kept in combinations(pairs, size):
+                domains, ranges = reach.setdefault(kept, (set(), set()))
+                domains.update(a for a, _ in pairs)
+                ranges.update(b for _, b in pairs)
+    return reach
+
+
+def verify_certificate_by_extensions(cert) -> v.Verdict:
+    """The cover conditions: each f in I_{j+1} needs maps of I_j above it
+    whose domains reach every element of A and whose ranges reach every
+    element of B.  Looser than the one-point conditions on levels that
+    are not closed under restriction, and equal to them on closed ones."""
+    A, B = cert.left, cert.right
+    failed = _levels_are_partial_isos(cert)
+    if failed is not None:
+        return failed
+    for j in range(cert.rounds):
+        reach = reach_by_restrictions(g.pairs for g in cert.levels[j])
+        for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
+            sources, targets = reach.get(f.pairs, ((), ()))
+            missed = set(range(A.universe_size)).difference(sources)
             if missed:
                 return v.violated("forth", (j, min(missed), f.pairs))
-            missed = set(range(B.universe_size)).difference(*(g.codomain() for g in above))
+            missed = set(range(B.universe_size)).difference(targets)
             if missed:
                 return v.violated("back", (j, min(missed), f.pairs))
     return v.passed()
+
+
+def derivative_by_restrictions(M):
+    """The members f of a modeloid whose members above reach every
+    carrier element with their domains and with their ranges."""
+    n = M.carrier.size
+    reach = reach_by_restrictions(f.pairs for f in M.members)
+    return frozenset(
+        f for f in M.members if all(len(side) == n for side in reach[f.pairs])
+    )
 
 
 def reach_above_chain(A, B, m):
     """I_0 = Part(A,B), and I_{j+1} the maps f of I_j whose extensions in
     I_j reach every element of A with their domains and every element of
     B with their ranges: the chain up to I_m, each level in pair form."""
-    level = enumerate_partial_isos(A, B)
+    level = frozenset(f.pairs for f in enumerate_partial_isos(A, B))
     levels = [level]
     for _ in range(m):
-        reach = reach_above(level)
+        reach = reach_by_restrictions(level)
         level = frozenset(
             f
             for f in level
-            if len(reach[f.pairs][0]) == A.universe_size
-            and len(reach[f.pairs][1]) == B.universe_size
+            if len(reach[f][0]) == A.universe_size and len(reach[f][1]) == B.universe_size
         )
         levels.append(level)
-    return [frozenset(f.pairs for f in level) for level in levels]
+    return levels

@@ -14,7 +14,11 @@ from generated import relabel, structure_pairs
 from hypothesis import given
 from hypothesis import strategies as st
 from records import replace
-from reference_scans import reach_above_chain, verify_certificate_by_extensions
+from reference_scans import (
+    reach_above_chain,
+    verify_certificate_by_extensions,
+    verify_certificate_by_one_point,
+)
 
 from modeloids import ef_games, free_categories
 from modeloids.categorical import (
@@ -446,35 +450,35 @@ class TestCertificates:
         assert verify_certificate(cert).ok
 
     def test_equal_levels_build_one_cover(self, monkeypatch):
-        # pure 3v3 is stable from level 0: five equal levels, one cover
-        calls = []
-        real = ef_games.reach_above
+        # pure 3v3 is stable from level 0: five equal levels, one set of
+        # the pairs of I_0 that every lookup reads
+        sets = []
+        real = ef_games._least_unextended
 
-        def counted(maps):
-            calls.append(maps)
-            return real(maps)
+        def counted(pairs, maps, sources, targets):
+            sets.append(maps)
+            return real(pairs, maps, sources, targets)
 
-        monkeypatch.setattr(ef_games, "reach_above", counted)
+        monkeypatch.setattr(ef_games, "_least_unextended", counted)
         cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
         assert len(set(cert.levels)) == 1
         assert verify_certificate(cert).ok
-        assert len(calls) == 1
+        assert len({id(maps) for maps in sets}) == 1
 
     def test_repeated_level_pairs_are_scanned_once(self, monkeypatch):
         # pure 3v3 at m=4: four equal level pairs, one forth and back scan
-        looked_up = []
-        real = ef_games.reach_above
+        calls = []
+        real = ef_games._least_unextended
 
-        class Counted(dict):
-            def get(self, key, default=None):
-                looked_up.append(key)
-                return super().get(key, default)
+        def counted(pairs, maps, sources, targets):
+            calls.append(pairs)
+            return real(pairs, maps, sources, targets)
 
-        monkeypatch.setattr(ef_games, "reach_above", lambda maps: Counted(real(maps)))
+        monkeypatch.setattr(ef_games, "_least_unextended", counted)
         cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
         assert len(set(cert.levels)) == 1
         assert verify_certificate(cert).ok
-        assert len(looked_up) == len(cert.levels[0])
+        assert len(calls) == len(cert.levels[0])
 
     def test_empty_level_rejected(self):
         A = pure("A", 1)
@@ -512,6 +516,21 @@ class TestCertificates:
         assert report.axiom == "forth"
         assert report.witness == (0, 1, ((0, 0),))
 
+    def test_extensions_are_one_point(self):
+        # levels that are not closed under restriction: the identity above
+        # the map covers A and B, but a one-point extension is missing
+        # (for (0,0), the map itself); only the restriction-cover scan passes
+        A, B = pure("A", 2), pure("B", 2)
+        empty, low, ident = (
+            PartialIso.from_pairs(A, B, p) for p in ([], [(0, 0)], [(0, 0), (1, 1)])
+        )
+        for f in (empty, low):
+            cert = BackAndForthCertificate(A, B, 1, (frozenset({empty, ident}), frozenset({f})))
+            report = verify_certificate(cert)
+            assert report == verify_certificate_by_one_point(cert)
+            assert (report.axiom, report.witness) == ("forth", (0, 0, f.pairs))
+            assert verify_certificate_by_extensions(cert).ok
+
     def test_back_names_the_least_missed_element(self):
         # (0,0) covers all of A but reaches neither 1 nor 2 in B
         A, B = pure("A", 1), pure("B", 3)
@@ -541,9 +560,10 @@ class TestCertificates:
 
 
 class TestCertificateReference:
-    """verify_certificate against the extension-index scan, on the levels
+    """verify_certificate against the literal one-point scan, on the levels
     D^j ∩ Part(A,B) of generated pairs with one map dropped from or added
-    to each level: the same verdict, axiom and witness."""
+    to each level: the same verdict, axiom and witness.  A certificate that
+    passes also passes the looser restriction-cover scan."""
 
     @given(st.data())
     def test_mutated_certificates_get_the_reference_verdict(self, data):
@@ -563,7 +583,10 @@ class TestCertificateReference:
                 level.add(data.draw(st.sampled_from(pool)))
             levels.append(frozenset(level))
         cert = BackAndForthCertificate(A, B, m, tuple(levels))
-        assert verify_certificate(cert) == verify_certificate_by_extensions(cert)
+        report = verify_certificate(cert)
+        assert report == verify_certificate_by_one_point(cert)
+        if report.ok:
+            assert verify_certificate_by_extensions(cert).ok
 
 
 class TestCrossValidation:

@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 from reference_scans import (
     check_modeloid_by_pairs,
     closure_by_frontier,
+    derivative_by_restrictions,
     eager_fixpoint_chain,
 )
 
+from modeloids import modeloid
 from modeloids.derived import Chain, fixpoint_chain, padded
 from modeloids.errors import InputError
 from modeloids.verdict import Verdict
@@ -146,6 +148,19 @@ class TestVerify:
             assert _check_modeloid(M) == check_modeloid_by_pairs(M)
             assert _check_modeloid(M) == Verdict(False, "restriction", witness)
 
+    def test_identity_is_sought_among_the_members(self, monkeypatch):
+        # one empty map over a carrier of 10**8 elements: the verdict must
+        # not build the identity of the carrier
+        def refuse(carrier):
+            raise AssertionError("built the identity of the carrier")
+
+        monkeypatch.setattr(modeloid, "identity_map", refuse)
+        c = Carrier(10**8)
+        M = Modeloid.from_members(c, [empty_map(c)])
+        assert verify_modeloid(M) == Verdict(False, "identity", ())
+        with pytest.raises(InputError, match="identity"):
+            derivative(M)
+
     def test_member_carrier_mismatch_rejected(self):
         with pytest.raises(InputError):
             Modeloid.from_members(Carrier(2), [identity_map(Carrier(3))])
@@ -255,6 +270,22 @@ class TestDerivative:
                 D = derivative(M)
                 assert D.members <= M.members
                 assert D.members == oracle_derivative(M)
+
+    @given(st.data())
+    def test_matches_the_restriction_walk(self, data):
+        # closures of up to three drawn maps over carriers 1-4
+        c = Carrier(data.draw(st.integers(1, 4)))
+        maps = st.builds(
+            lambda image, domain: PartialBijection(c, tuple((a, image[a]) for a in sorted(domain))),
+            st.permutations(range(c.size)),
+            st.sets(st.integers(0, c.size - 1)),
+        )
+        M = modeloid_closure(data.draw(st.lists(maps, max_size=3)), c)
+        assert derivative(M).members == derivative_by_restrictions(M)
+
+    def test_full_carrier_five_matches_the_restriction_walk(self):
+        M = full_modeloid(Carrier(5))
+        assert derivative(M).members == derivative_by_restrictions(M) == M.members
 
     def test_derivative_is_a_modeloid(self):
         rng = random.Random(22)
