@@ -9,19 +9,21 @@ Y on the codomain side.  A down-set stays in its homset, so one cover
 pass over all members takes every homset at once, star included (its
 endoset has no atoms), with each end object's atoms found once.
 
-Endosets of a categorical modeloid collapse to semimodeloids, which is
-how the one-object theory re-enters the categorical one.
+Endosets of a categorical modeloid collapse to semimodeloids, through
+the tabulation that ``inverse_semigroups`` keeps for every collapse onto a
+table; this is how the one-object theory re-enters the categorical one.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Collection, Iterable
 
 from . import verdict as v
 from .derived import Frozen, fixpoint_chain
 from .errors import InputError
 from .free_categories import Ambient, FreeCategory, has_all_zeros, objects, verify_category
-from .inverse_semigroups import InverseSemigroupTable, Semimodeloid, absorbing, generators
+from .inverse_semigroups import Semimodeloid, _tabulate, absorbing, generators
 
 
 class CategoricalModeloid(Frozen):
@@ -197,8 +199,10 @@ def endoset_as_semimodeloid(
     """Collapse the member endoset at X onto a standalone table.
 
     Returns the semimodeloid (with every element a member) and the
-    dictionary from table indices back to morphism indices.  X itself
-    becomes the neutral element; the endoset zero is required.
+    dictionary from table indices back to morphism indices.  The endoset
+    zero is required, and is sought first; then ``_tabulate`` numbers the
+    endoset in index order and records its neutral element (X, in a
+    category) and its zero.
     """
     c = M.ambient
     if c.dom[X] != X:
@@ -206,27 +210,6 @@ def endoset_as_semimodeloid(
     if X not in M.members:
         raise InputError(f"object {X} is not a member")
     endos = _member_homset(M, X, X)
-    zero = _endoset_zero(M, X, endos)
-    index = {m: i for i, m in enumerate(endos)}
-    rows = []
-    for f in endos:
-        row = []
-        for g in endos:
-            fg = c.compose(f, g)
-            if fg not in index:
-                raise InputError(f"member endoset at {X} is not closed under composition")
-            row.append(index[fg])
-        rows.append(tuple(row))
-    inv_row = []
-    for f in endos:
-        if c.inv[f] not in index:
-            raise InputError(f"member endoset at {X} is not closed under inverses")
-        inv_row.append(index[c.inv[f]])
-    table = InverseSemigroupTable(
-        len(endos),
-        tuple(rows),
-        tuple(inv_row),
-        index[X] if X in index else None,
-        index[zero],
-    )
+    _endoset_zero(M, X, endos)
+    table = _tabulate(endos, lambda f: map(c.compose, repeat(f), endos), c.inv.__getitem__)
     return Semimodeloid(table, frozenset(range(table.order))), tuple(endos)

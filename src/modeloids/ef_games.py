@@ -13,12 +13,12 @@ restrictions that keep the constant pairs.
 ``ef_equiv_derivative`` decides m-round equivalence by applying the
 categorical derivative m times and asking whether any map from id_A to
 id_B survives.  The chain it steps (``homset_levels``) starts from
-Hom(A,B) and the partial identities of A and B, not from all of D: the
-step decides a map from the maps above it, which share its homset, and
-from the atoms of the endosets at its ends, which are partial identities
-that survive every level.  So the other homsets never feed back, and the
-chain on all of D (``derivative_levels``, the paper's route) stays as the
-reference it must agree with.
+Hom(A,B) and the partial identities of A and B (the maps below id_A and
+id_B), not from all of D: the step decides a map from the maps above it,
+which share its homset, and from the atoms of the endosets at its ends,
+which are partial identities that survive every level.  So the other
+homsets never feed back, and the chain on all of D (``derivative_levels``,
+the paper's route) stays as the reference it must agree with.
 
 So ``build_category_D`` builds only the part of D that this chain reads:
 Hom(A,B), Hom(B,A) (the inverses) and the partial identities of A and B,
@@ -59,6 +59,7 @@ from . import verdict as v
 from .categorical import CategoricalModeloid, categorical_derivative
 from .derived import Chain, Frozen, fact, padded
 from .errors import BoundExceededError, InputError, OutsideAmbientError
+from .free_categories import homset
 from .partial_bijections import _least_unextended
 from .structures import (
     PartialIso,
@@ -177,12 +178,10 @@ class CategoryD(Frozen):
         return self.whole if self._side(X) == self._side(Y) else self
 
     def part(self, X: Structure, Y: Structure) -> tuple[int, ...]:
-        """Indices of Part(X,Y), i.e. Hom(id_X, id_Y) without star; an
-        endoset is read from all of D."""
+        """Indices of Part(X,Y), i.e. Hom(id_X, id_Y), which holds no star;
+        an endoset is read from all of D."""
         D = self._holding(X, Y)
-        xo, yo = D.object_of(X), D.object_of(Y)
-        dom, cod = D.ambient.dom, D.ambient.cod
-        return tuple(i for i in range(len(D.morphisms)) if dom[i] == xo and cod[i] == yo)
+        return homset(D.ambient, D.object_of(X), D.object_of(Y))
 
 
 def _check_pair(A: Structure, B: Structure, max_universe: int):
@@ -317,16 +316,12 @@ def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]
 
 @fact
 def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> Chain:
-    """D^j ∩ Hom(X,Y); a step derives a level with the partial identities."""
+    """D^j ∩ Hom(X,Y); a step derives a level with the partial identities
+    of X and Y, which are the maps below id_X and id_Y."""
     D = category._holding(X, Y)
     c = D.ambient
     hom = frozenset(D.part(X, Y))
-    ends = {D.object_of(X), D.object_of(Y)}
-    identities = frozenset(
-        i
-        for i, p in enumerate(D.morphisms)
-        if c.dom[i] in ends and c.cod[i] == c.dom[i] and all(a == b for a, b in p.pairs)
-    )
+    identities = c.below(D.object_of(X)) | c.below(D.object_of(Y))
 
     def step(M: CategoricalModeloid) -> CategoricalModeloid:
         level = CategoricalModeloid(c, M.members | identities)

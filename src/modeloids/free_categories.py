@@ -15,6 +15,8 @@ tables is carved out by a quantifier-free equational axiom set, and both
 checks are provided so their agreement stays observable.  Both run the
 inverse-semigroup laws of ``inverse_semigroups`` on the composition table;
 strictness of the inverse on star is the only law of the category's own.
+A one-object category collapses onto its existing morphisms through the
+tabulation that ``inverse_semigroups`` keeps for every collapse.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from .derived import Frozen, fact
 from .errors import InputError
 from .inverse_semigroups import (
     InverseSemigroupTable,
+    _tabulate,
     absorbing,
     associativity_witness,
     find_neutral,
     inverse_laws,
     partners,
-    table_from_rows,
 )
 
 
@@ -284,30 +286,21 @@ def one_object_to_semigroup(c: FreeCategory) -> InverseSemigroupTable:
     """Collapse a one-object category onto its existing morphisms.
 
     Existing morphisms keep their relative order; entry (i, j) of the
-    result is the composite of the i-th and j-th existing morphisms.
+    result is the composite of the i-th and j-th existing morphisms, read
+    row by row from the composition table (``_tabulate``).  A composite or
+    inverse that is star does not exist and is reported as outside.
     """
     if c.inv is None:
         raise InputError("collapse needs a declared inverse table")
     obj = objects(c)
     if len(obj) != 1:
         raise InputError(f"expected exactly one object, found {len(obj)}")
-    existing = [m for m in range(c.morphism_count) if m != c.star]
-    index = {m: i for i, m in enumerate(existing)}
-    rows = []
-    for f in existing:
-        row = []
-        for g in existing:
-            fg = c.comp[f][g]
-            if fg == c.star:
-                raise InputError(f"composite of {f} and {g} does not exist")
-            row.append(index[fg])
-        rows.append(tuple(row))
-    inv_row = []
-    for f in existing:
-        if c.inv[f] == c.star:
-            raise InputError(f"inverse of {f} does not exist")
-        inv_row.append(index[c.inv[f]])
-    return table_from_rows(tuple(rows), inv_row)
+    exists = [m != c.star for m in range(c.morphism_count)]
+    return _tabulate(
+        tuple(compress(range(c.morphism_count), exists)),
+        lambda f: compress(c.comp[f], exists),
+        c.inv.__getitem__,
+    )
 
 
 def semigroup_to_one_object_category(t: InverseSemigroupTable) -> FreeCategory:

@@ -14,6 +14,9 @@ idempotent commutation is tested on the distinct idempotents x*x'.
 ``from_partial_bijections`` turns a closed set of partial
 bijections into an abstract table, and ``wagner_preston`` goes the other
 way, realizing any verified table as partial bijections on itself.
+``_tabulate`` is the one tabulation behind every collapse onto a table:
+this one, the one-object collapse of ``free_categories`` and the endoset
+collapse of ``categorical``.
 
 A semimodeloid is a subset of an inverse monoid with zero, closed under
 the product, inverses and the natural partial order, containing the
@@ -267,8 +270,12 @@ def resolve_inverses(
 ) -> tuple[InverseSemigroupTable | None, v.Verdict]:
     """Recover the inverse map from bare multiplication.
 
-    Succeeds exactly when every element has one generalized inverse; the
-    verdict names the first obstruction otherwise, associativity first.
+    Succeeds exactly when every element has one generalized inverse.
+    Otherwise the verdict names the first obstruction: associativity,
+    then at the first element without exactly one partner either
+    ``regularity`` (no partner; witness ``(x,)`` as ``inverse_laws`` gives
+    it) or ``idempotent-commutation`` (several partners, which in an
+    associative table force two idempotents that do not commute).
     Absent claims for neutral and zero are filled in by scanning.
     """
     rows = tuple(tuple(r) for r in mul_rows)
@@ -283,12 +290,10 @@ def resolve_inverses(
             return None, v.violated("associativity", w)
     if stuck is not None:
         if not found[stuck]:
-            return None, v.violated("regularity", stuck)
-        # several inverses force a non-commuting idempotent pair
-        pair = _noncommuting_idempotents(rows)
-        if pair is not None:
-            return None, v.violated("idempotent-commutation", pair)
-        return None, v.violated("inverse-uniqueness", (stuck, tuple(found[stuck])))
+            return None, v.violated("regularity", (stuck,))
+        # the table is associative here, and partners y, z of x with
+        # commuting idempotents give y = yxy = yxzxy = yxz = zxyxz = zxz = z
+        return None, v.violated("idempotent-commutation", _noncommuting_idempotents(rows))
     neutral = _neutral_of(rows) if neutral is None else neutral
     zero = _zero_of(rows) if zero is None else zero
     table = InverseSemigroupTable(n, rows, tuple(c[0] for c in found), neutral, zero)
@@ -389,30 +394,34 @@ def from_partial_bijections(
     """Abstract a compose/inverse-closed set of maps into a table.
 
     Elements are numbered in sorted pair order; the returned tuple is the
-    dictionary from indices back to maps.  Neutral and zero are detected
-    and recorded when present.
+    dictionary from indices back to maps.  The table is ``_tabulate``'s,
+    with neutral and zero recorded when present.
     """
-    elements = sorted(set(members), key=lambda f: f.pairs)
+    elements = tuple(sorted(set(members), key=lambda f: f.pairs))
     if not elements:
         raise InputError("cannot build a table from no maps")
-    index = {f: i for i, f in enumerate(elements)}
-    mul_rows = []
-    for f in elements:
-        row = []
-        for g in elements:
-            composite = f.compose(g)
-            if composite not in index:
-                raise InputError(
-                    f"not closed under composition: {f.pairs} after {g.pairs}"
-                )
-            row.append(index[composite])
-        mul_rows.append(tuple(row))
-    inv_row = []
-    for f in elements:
-        if f.inverse() not in index:
-            raise InputError(f"not closed under inverse: {f.pairs}")
-        inv_row.append(index[f.inverse()])
-    return table_from_rows(tuple(mul_rows), inv_row), tuple(elements)
+    table = _tabulate(elements, lambda f: map(f.compose, elements), PartialBijection.inverse)
+    return table, elements
+
+
+def _tabulate(elements: Sequence, products, inverse) -> InverseSemigroupTable:
+    """The table of ``elements``, numbered in the given order, with neutral
+    and zero recorded when present: ``products(x)`` lists x after each
+    element in that order, and ``inverse(x)`` is x's inverse.  Raises
+    ``InputError`` at the first product, in row-major order, and then at
+    the first inverse that falls outside ``elements``."""
+    index = {x: i for i, x in enumerate(elements)}.get
+    rows = []
+    for x in elements:
+        row = tuple(map(index, products(x)))
+        if None in row:
+            y = elements[row.index(None)]
+            raise InputError(f"not closed under composition: {x} after {y}")
+        rows.append(row)
+    inv_row = tuple(map(index, map(inverse, elements)))
+    if None in inv_row:
+        raise InputError(f"not closed under inverse: {elements[inv_row.index(None)]}")
+    return table_from_rows(tuple(rows), inv_row)
 
 
 def wagner_preston(table: InverseSemigroupTable) -> tuple[PartialBijection, ...]:

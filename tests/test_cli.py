@@ -77,6 +77,29 @@ MONOID_CATEGORY = (
 )
 
 
+# the rook monoid on two points as from_partial_bijections numbers it:
+# 0 the empty map, 2 the identity, 3 is 0 -> 1 and 5 its inverse 1 -> 0
+ROOK_2_ROWS = (
+    "mul 0 0 0 0 0 0 0\nmul 0 1 1 0 5 5 0\nmul 0 1 2 3 4 5 6\nmul 0 3 3 0 6 6 0\n"
+    "mul 0 3 4 1 2 6 5\nmul 0 0 5 1 1 0 5\nmul 0 0 6 3 3 0 6\n"
+)
+# {empty, identity, 0 -> 1} is closed under products but not under inverses
+PRODUCT_CLOSED_SEMIMODELOID = (
+    "semimodeloid\norder 7\n" + ROOK_2_ROWS + "inv 0 1 2 5 4 3 6\nmembers 0 2 3\n"
+)
+# the one-object view of the rook monoid, with 3 declared as its own inverse
+WRONG_INV_CATEGORY = (
+    "category\nmorphisms 8\nstar 7\ndom 2 2 2 2 2 2 2 7\ncod 2 2 2 2 2 2 2 7\n"
+    + ROOK_2_ROWS.replace("mul", "comp").replace("\n", " 7\n")
+    + "comp 7 7 7 7 7 7 7 7\ninv 0 1 2 3 4 3 6 7\n"
+)
+# a semilattice with two incomparable idempotents: an inverse semigroup
+# with a zero but no neutral element
+NO_NEUTRAL_SEMIMODELOID = (
+    "semimodeloid\norder 3\nmul 0 0 0\nmul 0 1 0\nmul 0 0 2\ninv 0 1 2\nmembers 0 1 2\n"
+)
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
@@ -413,6 +436,74 @@ class TestVerify:
         path = tmp_path / "table.txt"
         path.write_text(text, encoding="utf-8")
         assert run(capsys, *argv, str(path)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("inv", ["", "inv 0 0\n"], ids=["resolved", "declared"])
+    def test_null_semigroup_names_regularity_alike(self, capsys, tmp_path, inv):
+        # every product is 0, so 1 has no partner; with or without an inv
+        # row the witness has the shape inverse_laws gives it
+        path = tmp_path / "null.txt"
+        path.write_text("semigroup\norder 2\nmul 0 0\nmul 0 0\n" + inv, encoding="utf-8")
+        assert run(capsys, "verify", "semigroup", str(path)) == (
+            1, "ok: false\naxiom: regularity\nwitness: (1,)\n", ""
+        )
+
+
+GRAPH_VOCABULARY = "vocabulary\n  relation E 2\n  constant c\n"
+
+
+class TestErrorPaths:
+    """Input errors and verdicts on paths that no other test reaches: the
+    exit code, stdout and the exact stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv,text,expected",
+        [
+            (["validate"], "vocabulary\n  relation E 2\n  relation E 1\n",
+             (2, "", "error: line 3, column 12: duplicate name E\n")),
+            (["validate"], "vocabulary\n  relation E 2\n  constant E\n",
+             (2, "", "error: line 3, column 12: duplicate name E\n")),
+            (["validate"], "vocabulary\n  relation E 0\n",
+             (2, "", "error: line 2, column 14: arity must be at least 1\n")),
+            (["validate"], "structure A\n  universe 0\n",
+             (2, "", "error: line 2, column 12: universe size must be at least 1\n")),
+            (["validate"], GRAPH_VOCABULARY + "structure A\n  constant c 0\n  universe 1\n",
+             (2, "", "error: line 5, column 3: universe must come before interpretations\n")),
+            (["validate"], GRAPH_VOCABULARY + "structure A\n  relation E (0,0)\n  universe 1\n",
+             (2, "", "error: line 5, column 3: universe must come before interpretations\n")),
+            (["validate"],
+             GRAPH_VOCABULARY + "structure A\n  universe 2\n  constant c 0\n  constant c 1\n",
+             (2, "", "error: line 7, column 12: constant c interpreted twice\n")),
+            (["validate"], GRAPH_VOCABULARY + "structure A\n  universe 2\n  relation\n",
+             (2, "", "error: line 6, column 3: relation needs a name\n")),
+            (["validate"], GRAPH_VOCABULARY + "structure A\n  universe 2\n  relation E ()\n",
+             (2, "", "error: line 6, column 14: empty tuple\n")),
+            (["validate"], GRAPH_VOCABULARY + "structure A\n  universe 2\n  relation E 0\n",
+             (2, "", "error: line 6, column 14: expected a tuple like (0,1), got '0'\n")),
+            (["validate"],
+             GRAPH_VOCABULARY + "structure A\n  universe 2\n  relation E (0,1) (1,2)\n",
+             (2, "", "error: line 6, column 20: tuple (1,2) leaves the universe\n")),
+            (["verify", "modeloid"], "modeloid\ncarrier 0\n",
+             (2, "", "error: line 2: carrier must be at least 1\n")),
+            (["verify", "modeloid"], "modeloid\n",
+             (2, "", "error: line 1: missing carrier line\n")),
+            (["verify", "semimodeloid"], NO_NEUTRAL_SEMIMODELOID,
+             (2, "", "error: ambient has no neutral element\n")),
+            (["verify", "semimodeloid"], PRODUCT_CLOSED_SEMIMODELOID,
+             (1, "ok: false\naxiom: inverse\nwitness: (3,)\n", "")),
+            (["verify", "inverse-category"], WRONG_INV_CATEGORY,
+             (1, "ok: false\naxiom: inverse-mismatch\nwitness: (3, 3, 5)\n", "")),
+        ],
+        ids=[
+            "duplicate-relation", "duplicate-constant", "arity-0", "universe-0",
+            "constant-before-universe", "relation-before-universe", "constant-twice",
+            "relation-without-name", "empty-tuple", "not-a-tuple", "tuple-outside",
+            "carrier-0", "header-only", "no-neutral", "not-inverse-closed", "inverse-mismatch",
+        ],
+    )
+    def test_exit_code_and_stderr(self, capsys, tmp_path, argv, text, expected):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run(capsys, *argv, str(path)) == expected
 
 
 class TestDerive:

@@ -562,8 +562,10 @@ class TestCertificates:
 class TestCertificateReference:
     """verify_certificate against the literal one-point scan, on the levels
     D^j ∩ Part(A,B) of generated pairs with one map dropped from or added
-    to each level: the same verdict, axiom and witness.  A certificate that
-    passes also passes the looser restriction-cover scan."""
+    to each level: the same verdict, axiom and witness.  A dropped map is
+    sometimes one that the next level keeps, so f in I_{j+1} is missing
+    from I_j while its one-point extensions stay there.  A certificate
+    that passes also passes the looser restriction-cover scan."""
 
     @given(st.data())
     def test_mutated_certificates_get_the_reference_verdict(self, data):
@@ -574,10 +576,16 @@ class TestCertificateReference:
         # with Part(A,B) empty, an added empty map fails membership
         pool = sorted((cat.morphisms[i] for i in part), key=lambda p: p.pairs)
         pool = pool or [PartialIso(A, B, ())]
+        clean = [{cat.morphisms[i] for i in part if i in members}
+                 for members in derivative_levels(cat, m)]
         levels = []
-        for members in derivative_levels(cat, m):
-            level = {cat.morphisms[i] for i in part if i in members}
-            if level and data.draw(st.booleans()):
+        for j, level in enumerate(clean):
+            level = set(level)
+            kept_next = sorted(level & clean[j + 1], key=lambda p: p.pairs) if j < m else []
+            move = data.draw(st.sampled_from(("drop", "add", "drop-kept")))
+            if move == "drop-kept" and kept_next:
+                level.remove(data.draw(st.sampled_from(kept_next)))
+            elif move != "add" and level:
                 level.remove(data.draw(st.sampled_from(sorted(level, key=lambda p: p.pairs))))
             else:
                 level.add(data.draw(st.sampled_from(pool)))

@@ -13,6 +13,8 @@ from itertools import product
 
 import pytest
 from dense_ambient import dense_table
+from hypothesis import given
+from hypothesis import strategies as st
 from reference_scans import (
     check_semimodeloid_by_pairs,
     cubic_associativity_witness,
@@ -37,6 +39,7 @@ from modeloids.inverse_semigroups import (
     inverse_laws,
     inverses_of,
     natural_leq,
+    partners,
     resolve_inverses,
     semimodeloid_derivative,
     top_down,
@@ -158,6 +161,30 @@ class TestInversesAndCharacterization:
         assert (verdict.axiom, verdict.witness) == ("associativity", (0, 0, 0))
         table, verdict = resolve_inverses([[1, 0], [1, 0]], neutral=5)
         assert table is None and verdict.axiom == "associativity"
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: st.lists(st.tuples(*[st.integers(0, k - 1)] * k), min_size=1, max_size=3)
+        )
+    )
+    def test_several_partners_force_noncommuting_idempotents(self, gens):
+        # the closure of full transformations of at most 3 points is
+        # associative, so the verdict names the first element without
+        # exactly one partner: none is regularity, several force two
+        # idempotents that do not commute
+        after = lambda f, g: tuple(f[x] for x in g)
+        elements = sorted(right_closure(after, gens))
+        index = {f: i for i, f in enumerate(elements)}
+        mul = tuple(tuple(index[after(f, g)] for g in elements) for f in elements)
+        counts = [len(partners(mul, x)) for x in range(len(mul))]
+        stuck = next((x for x, k in enumerate(counts) if k != 1), None)
+        table, verdict = resolve_inverses(mul)
+        if stuck is None:
+            assert table is not None
+        elif counts[stuck] == 0:
+            assert (table, verdict.axiom, verdict.witness) == (None, "regularity", (stuck,))
+        else:
+            assert (table, verdict.axiom) == (None, "idempotent-commutation")
 
     def test_report_shape(self):
         report = CharacterizationReport(True, True, True)
