@@ -7,7 +7,9 @@ survives when, for every idempotent atom of the member endoset at X, some
 member above it covers that atom on the domain side, and symmetrically at
 Y on the codomain side.  A down-set stays in its homset, so one cover
 pass over all members takes every homset at once, star included (its
-endoset has no atoms), with each end object's atoms found once.
+endoset has no atoms), with each end object's atoms found once: the
+cover step ``inverse_semigroups._covered`` and the atom test ``_atoms``,
+which the semimodeloid derivative runs on one object.
 
 Endosets of a categorical modeloid collapse to semimodeloids, through
 the tabulation that ``inverse_semigroups`` keeps for every collapse onto a
@@ -17,13 +19,13 @@ table; this is how the one-object theory re-enters the categorical one.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Collection, Iterable
+from typing import Iterable
 
 from . import verdict as v
 from .derived import Frozen, fixpoint_chain
 from .errors import InputError
-from .free_categories import Ambient, FreeCategory, has_all_zeros, objects, verify_category
-from .inverse_semigroups import Semimodeloid, _tabulate, absorbing, generators
+from .free_categories import Ambient, has_all_zeros, objects
+from .inverse_semigroups import Semimodeloid, _atoms, _covered, _tabulate, absorbing, generators
 
 
 class CategoricalModeloid(Frozen):
@@ -65,7 +67,7 @@ def verify_categorical_modeloid(M: CategoricalModeloid) -> v.Verdict:
     _require_ambient(c)
     members = sorted(M.members)
     member_set = M.members
-    closed = _associative(c) and (
+    closed = getattr(c, "associative", False) and (
         generators(c.compose, sorted(members, key=lambda m: -len(c.below(m)))) is not None
     )
     if not closed:
@@ -84,18 +86,6 @@ def verify_categorical_modeloid(M: CategoricalModeloid) -> v.Verdict:
         if X not in member_set:
             return v.violated("objects", (X,))
     return v.passed()
-
-
-def _associative(c: Ambient) -> bool:
-    """Whether ``c.compose`` is known to be associative, so that members
-    closed under right products by their generators are closed under all
-    products: partial isomorphisms compose associatively, and a table
-    category is associative once ``verify_category`` has passed."""
-    from .ef_games import PartialIsoAmbient
-
-    return isinstance(c, PartialIsoAmbient) or (
-        isinstance(c, FreeCategory) and verify_category(c).ok
-    )
 
 
 def _member_homset(M: CategoricalModeloid, X: int, Y: int) -> list[int]:
@@ -118,37 +108,19 @@ def member_idempotent_atoms(M: CategoricalModeloid, X: int) -> tuple[int, ...]:
     c = M.ambient
     endos = _member_homset(M, X, X)
     zero = _endoset_zero(M, X, endos)
-    member_endos = set(endos)
-    found = []
-    for a in endos:
-        if a == c.star or a == zero or c.compose(a, a) != a:
-            continue
-        if all(e in (a, zero) for e in c.below(a) if e in member_endos):
-            found.append(a)
-    return tuple(found)
+    inside = set(endos)
+    atoms = _atoms(endos, lambda t: c.below(t) & inside, zero)
+    return tuple(a for a in atoms if c.compose(a, a) == a)
 
 
-def _covered(c: Ambient, candidates: Collection[int], atoms: dict) -> frozenset[int]:
-    """One cover step: h covers an atom a of atoms[dom h] below h'h on the
-    domain side, and one of atoms[cod h] below hh' on the codomain side,
-    for every f below h.  The candidates kept are those covered for every
-    atom at both their ends.  Down-sets stay inside a homset, so a pass
-    over many homsets gives each homset's own answer."""
-    inv = c.inv
-    covers: tuple[dict, dict] = ({}, {})  # per side: atom -> maps covered for it
-    for h in candidates:
-        ends = ((c.dom[h], inv[h], h), (c.cod[h], h, inv[h]))
-        for cover, (X, f, g) in zip(covers, ends):
-            if atoms[X]:
-                down = c.below(c.compose(f, g))
-                for a in atoms[X]:
-                    if a in down:
-                        cover.setdefault(a, set()).update(c.below(h))
-    return frozenset(
-        f
-        for f in candidates
-        if all(f in covers[0].get(a, ()) for a in atoms[c.dom[f]])
-        and all(f in covers[1].get(b, ()) for b in atoms[c.cod[f]])
+def _cover_step(M: CategoricalModeloid, candidates: Iterable[int], end_objects) -> frozenset[int]:
+    """``_covered`` on candidates whose domains and codomains lie among
+    ``end_objects``, with the idempotent atoms of each found once."""
+    c = M.ambient
+    atoms = {X: member_idempotent_atoms(M, X) for X in end_objects}
+    return _covered(
+        candidates, lambda h: (atoms[c.dom[h]], atoms[c.cod[h]]), c.compose,
+        c.inv.__getitem__, c.below,
     )
 
 
@@ -160,8 +132,7 @@ def homset_derivative(M: CategoricalModeloid, X: int, Y: int) -> frozenset[int]:
         raise InputError("homset derivative needs object arguments")
     if X not in M.members or Y not in M.members:
         raise InputError("homset derivative needs objects of the modeloid")
-    atoms = {Z: member_idempotent_atoms(M, Z) for Z in (X, Y)}
-    return _covered(c, _member_homset(M, X, Y), atoms)
+    return _cover_step(M, _member_homset(M, X, Y), (X, Y))
 
 
 def categorical_derivative(
@@ -177,8 +148,7 @@ def categorical_derivative(
         _require_ambient(M.ambient)
     c = M.ambient
     ends = {c.dom[m] for m in M.members} | {c.cod[m] for m in M.members}
-    atoms = {X: member_idempotent_atoms(M, X) for X in ends}
-    return CategoricalModeloid(c, _covered(c, M.members, atoms))
+    return CategoricalModeloid(c, _cover_step(M, M.members, ends))
 
 
 def iterate_categorical(

@@ -86,6 +86,7 @@ class PartialIsoAmbient(Frozen):
     """
 
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
+    associative = True  # partial isomorphisms compose associatively
 
     def __init__(
         self, morphism_count: int, star: int, dom: tuple[int, ...], cod: tuple[int, ...],
@@ -491,23 +492,29 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
     and for each f in I_{j+1} every a in A needs some b with f ∪ {(a, b)}
     in I_j (forth), and every b in B some such a (back).  On levels closed
     under restriction, as extracted ones are, any larger map would do.
+    A repeated level, found by identity first, and a map seen before are
+    not scanned again.
     """
     A, B = cert.left, cert.right
+    ordered, checked = [], set()  # levels by pairs, a repeat sharing the list before
     for j, level in enumerate(cert.levels):
-        if j and level == cert.levels[j - 1]:
-            continue  # scanned where it first appeared
+        if j and (level is cert.levels[j - 1] or level == cert.levels[j - 1]):
+            ordered.append(ordered[-1])  # scanned where it first appeared
+            continue
         if not level:
             return v.violated("non-empty", j)
-        for f in sorted(level, key=lambda p: p.pairs):
-            if f.left != A or f.right != B or not pairs_are_partial_iso(
-                A, B, f.pairs
+        ordered.append(sorted(level, key=lambda p: p.pairs))
+        for f in ordered[-1]:
+            if f not in checked and (
+                f.left != A or f.right != B or not pairs_are_partial_iso(A, B, f.pairs)
             ):
                 return v.violated("membership", (j, f.pairs))
+        checked |= level
     for j in range(cert.rounds):
-        if j and cert.levels[j + 1] == cert.levels[j] == cert.levels[j - 1]:
+        if j and ordered[j + 1] is ordered[j] is ordered[j - 1]:
             continue  # the same pair as the one before, which passed
-        maps = {g.pairs for g in cert.levels[j]}
-        for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
+        maps = {g.pairs for g in ordered[j]}
+        for f in ordered[j + 1]:
             a, b = _least_unextended(f.pairs, maps, A.universe_size, B.universe_size)
             if a is not None:
                 return v.violated("forth", (j, a, f.pairs))

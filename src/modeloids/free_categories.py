@@ -29,6 +29,7 @@ from .derived import Frozen, fact
 from .errors import InputError
 from .inverse_semigroups import (
     InverseSemigroupTable,
+    _atoms,
     _tabulate,
     absorbing,
     associativity_witness,
@@ -43,7 +44,9 @@ class Ambient(Protocol):
     dom, cod and inv tables, composition one entry at a time, and the
     natural-order down-set of a morphism.  ``FreeCategory`` reads both
     from its table; the partial-isomorphism category of ``ef_games``
-    computes them on demand."""
+    computes them on demand.  An ambient may also declare ``associative``
+    true when its composition is known to associate; closure checks then
+    close generators instead of scanning every pair."""
 
     morphism_count: int
     star: int
@@ -88,6 +91,11 @@ class FreeCategory(Frozen):
     def compose(self, f: int, g: int) -> int:
         """f after g, read from the table."""
         return self.comp[f][g]
+
+    @property
+    def associative(self) -> bool:
+        """Composition is known to associate once ``verify_category`` passed."""
+        return verify_category(self).ok
 
     @fact
     def below(self, t: int) -> frozenset[int]:
@@ -277,9 +285,7 @@ def is_atom(c: Ambient, a: int, X: int) -> bool:
     zero = zero_of_endoset(c, X)
     if zero is None:
         raise InputError(f"End({X}) has no zero, atoms are undefined")
-    if a == c.star or a == zero:
-        return False
-    return all(e in (a, zero) for e in below(c, a))
+    return bool(_atoms((a,), c.below, zero))
 
 
 def one_object_to_semigroup(c: FreeCategory) -> InverseSemigroupTable:

@@ -21,7 +21,9 @@ collapse of ``categorical``.
 A semimodeloid is a subset of an inverse monoid with zero, closed under
 the product, inverses and the natural partial order, containing the
 neutral element.  Its derivative quantifies over the idempotent atoms of
-the ambient monoid.
+the ambient monoid, in the one cover step (``_covered``) that the
+categorical derivative takes too; ``_atoms`` is the one atom test, of
+``atoms``, ``free_categories.is_atom`` and ``member_idempotent_atoms``.
 """
 
 from __future__ import annotations
@@ -377,10 +379,13 @@ def atoms(table: InverseSemigroupTable) -> frozenset[int]:
     zero = find_zero(table)
     if zero is None:
         raise InputError("atoms are only defined in the presence of a zero")
-    below = _below(table)
-    return frozenset(
-        x for x in range(table.order) if x != zero and below[x] <= {x, zero}
-    )
+    return frozenset(_atoms(range(table.order), _below(table).__getitem__, zero))
+
+
+def _atoms(elements: Iterable, below, zero) -> list:
+    """The atoms among ``elements``, in their order: each x other than
+    ``zero`` whose down-set ``below(x)`` holds only x and ``zero``."""
+    return [x for x in elements if x != zero and below(x) <= {x, zero}]
 
 
 def idempotent_atoms(table: InverseSemigroupTable) -> tuple[int, ...]:
@@ -422,6 +427,30 @@ def _tabulate(elements: Sequence, products, inverse) -> InverseSemigroupTable:
     if None in inv_row:
         raise InputError(f"not closed under inverse: {elements[inv_row.index(None)]}")
     return table_from_rows(tuple(rows), inv_row)
+
+
+def _covered(candidates: Iterable, ends, compose, inv, below) -> frozenset:
+    """One cover step of the semimodeloid or categorical derivative:
+    ``ends(h)`` gives the idempotent atoms at h's domain and codomain.  h
+    covers an atom a at its domain when a <= h'h, and one at its codomain
+    when a <= hh', for every f below h; the candidates kept are covered
+    for every atom at both ends.  Down-sets stay inside a homset, so a pass
+    over many homsets gives each homset's own answer."""
+    covers: tuple[dict, dict] = ({}, {})  # per side: atom -> maps covered for it
+    for h in candidates:
+        g = inv(h)
+        for cover, at_end, e in zip(covers, ends(h), (compose(g, h), compose(h, g))):
+            down = below(e)
+            for a in at_end:
+                if a in down:
+                    cover.setdefault(a, set()).update(below(h))
+    return frozenset(
+        f
+        for f in candidates
+        if all(
+            f in cover.get(a, ()) for cover, at_end in zip(covers, ends(f)) for a in at_end
+        )
+    )
 
 
 def wagner_preston(table: InverseSemigroupTable) -> tuple[PartialBijection, ...]:
@@ -509,7 +538,8 @@ def _check_semimodeloid(sm: Semimodeloid) -> v.Verdict:
 
 def semimodeloid_derivative(sm: Semimodeloid) -> Semimodeloid:
     """Members covering every idempotent atom of the ambient monoid on
-    both the domain side (via x'*x) and the codomain side (via x*x').
+    both the domain side (via x'*x) and the codomain side (via x*x'):
+    ``_covered`` on one object.
 
     With no idempotent atoms the conditions are vacuous and D(M) = M.
     """
@@ -517,27 +547,10 @@ def semimodeloid_derivative(sm: Semimodeloid) -> Semimodeloid:
     if not result:
         raise InputError(f"not a semimodeloid ({result.describe()})")
     table = sm.ambient
-    mul, inv = table.mul, table.inv
-    targets = idempotent_atoms(table)
-    if not targets:
-        return sm
-
-    below = _below(table)
-    members = sorted(sm.members)
-    dom_reach: dict[int, set[int]] = {a: set() for a in targets}
-    cod_reach: dict[int, set[int]] = {a: set() for a in targets}
-    for x in members:
-        dom_side = below[mul[inv[x]][x]]
-        cod_side = below[mul[x][inv[x]]]
-        for a in targets:
-            if a in dom_side:
-                dom_reach[a] |= below[x]
-            if a in cod_side:
-                cod_reach[a] |= below[x]
-    survivors = frozenset(
-        f
-        for f in members
-        if all(f in dom_reach[a] for a in targets)
-        and all(f in cod_reach[a] for a in targets)
+    mul = table.mul
+    both = (idempotent_atoms(table),) * 2
+    survivors = _covered(
+        sm.members, lambda x: both, lambda x, y: mul[x][y], table.inv.__getitem__,
+        _below(table).__getitem__,
     )
     return Semimodeloid(table, survivors)

@@ -14,7 +14,13 @@ with ``int``, and the tests require the same fields or the same error on
 the same line.  The library takes the categorical
 derivative in one cover pass; the reference asks, for each member and
 each atom, whether some member above it covers that atom.  The library
-checks certificates and takes the modeloid derivative by looking up the
+takes the semimodeloid derivative by the same cover step as the
+categorical one, on one object; the reference keeps, per atom and side,
+the maps below a member that covers it, on down-sets and atoms read from
+the definitions.  The library finds atoms by comparing each down-set
+with {x, zero}; the reference asks, for every pair of elements, whether
+one lies strictly between the other and zero, with the natural order
+read literally.  The library checks certificates and takes the modeloid derivative by looking up the
 one-point extensions f ∪ {(a, b)} of each map, skipping a level pair it
 has checked; one reference builds every such union as a set of pairs and
 checks every level pair, and another indexes each level by restriction
@@ -213,6 +219,63 @@ def _member_atoms(M, X):
         and c.compose(a, a) == a
         and all(e in (a, zero) for e in endos if e in c.below(a))
     ]
+
+
+def atoms_by_definition(elements, leq, zero):
+    """The x of ``elements`` other than ``zero`` with no y of ``elements``
+    strictly between zero and x in the order ``leq``, in their order."""
+    elements = list(elements)
+    return [
+        x
+        for x in elements
+        if x != zero and not any(y not in (x, zero) and leq(y, x) for y in elements)
+    ]
+
+
+def table_leq(table):
+    """s <= x in a table: s = x*e for some idempotent e."""
+    mul = table.mul
+    idem = [e for e in range(table.order) if mul[e][e] == e]
+    return lambda s, x: any(mul[x][e] == s for e in idem)
+
+
+def category_leq(c):
+    """s <= t in a category: s = t after some idempotent of End(dom t)."""
+    def leq(s, t):
+        endos = [e for e in range(c.morphism_count) if c.dom[e] == c.cod[e] == c.dom[t]]
+        return any(c.compose(e, e) == e and c.compose(t, e) == s for e in endos)
+
+    return leq
+
+
+def semimodeloid_derivative_by_reach(sm) -> frozenset[int]:
+    """The members covering every idempotent atom of the ambient monoid on
+    the domain side (via x'*x) and on the codomain side (via x*x'): for
+    each atom and side, the union of the down-sets of the members that
+    cover it, then the members in every such union."""
+    table = sm.ambient
+    mul, inv, n = table.mul, table.inv, table.order
+    idem = [e for e in range(n) if mul[e][e] == e]
+    below = [frozenset(mul[x][e] for e in idem) for x in range(n)]
+    zero = next(z for z in range(n) if all(mul[z][x] == z == mul[x][z] for x in range(n)))
+    targets = [a for a in atoms_by_definition(range(n), table_leq(table), zero) if a in idem]
+    members = sorted(sm.members)
+    dom_reach: dict[int, set[int]] = {a: set() for a in targets}
+    cod_reach: dict[int, set[int]] = {a: set() for a in targets}
+    for x in members:
+        dom_side = below[mul[inv[x]][x]]
+        cod_side = below[mul[x][inv[x]]]
+        for a in targets:
+            if a in dom_side:
+                dom_reach[a] |= below[x]
+            if a in cod_side:
+                cod_reach[a] |= below[x]
+    return frozenset(
+        f
+        for f in members
+        if all(f in dom_reach[a] for a in targets)
+        and all(f in cod_reach[a] for a in targets)
+    )
 
 
 def categorical_derivative_by_covers(M) -> frozenset[int]:

@@ -11,8 +11,11 @@ from generated import structure_pairs
 from hypothesis import given
 from records import replace
 from reference_scans import (
+    atoms_by_definition,
     categorical_derivative_by_covers,
+    category_leq,
     check_categorical_modeloid_by_pairs,
+    table_leq,
 )
 
 from modeloids import categorical
@@ -29,13 +32,19 @@ from modeloids.ef_games import PartialIsoAmbient, build_category_D
 from modeloids.errors import InputError
 from modeloids.free_categories import (
     FreeCategory,
+    endoset,
+    is_atom,
     objects,
     semigroup_to_one_object_category,
+    zero_of_endoset,
 )
 from modeloids.inverse_semigroups import (
     Semimodeloid,
+    atoms,
+    find_zero,
     generators,
     from_partial_bijections,
+    idempotents,
     semimodeloid_derivative,
     verify_semimodeloid,
 )
@@ -236,6 +245,47 @@ class TestAtoms:
         assert atom_maps == {((0, 0),), ((1, 1),)} & {
             elems[i].pairs for i in members if i != cat.star
         }
+
+
+class TestAtomsByDefinition:
+    """``atoms``, ``is_atom`` and ``member_idempotent_atoms`` against the
+    atoms read from the definition of the natural order, each over its own
+    element set: a table, an endoset, a member endoset."""
+
+    def test_rook_monoids(self):
+        for n in (1, 2, 3, 4):
+            _, table, _, cat, _ = one_object_setup(n)
+            expected = atoms_by_definition(range(table.order), table_leq(table), find_zero(table))
+            assert atoms(table) == frozenset(expected)
+            obj = objects(cat)[0]
+            idempotent = tuple(a for a in expected if a in idempotents(table))
+            everything = CategoricalModeloid.everything(cat)
+            assert member_idempotent_atoms(everything, obj) == idempotent
+            assert [a for a in endoset(cat, obj) if is_atom(cat, a, obj)] == expected
+
+    @given(structure_pairs())
+    def test_endosets_of_d(self, pair):
+        c = build_category_D(*pair).whole.ambient
+        everything = CategoricalModeloid.everything(c)
+        leq = category_leq(c)
+        for X in objects(c):
+            endos = endoset(c, X)
+            expected = atoms_by_definition(endos, leq, zero_of_endoset(c, X))
+            assert [a for a in endos if is_atom(c, a, X)] == expected
+            idempotent = tuple(a for a in expected if c.compose(a, a) == a)
+            assert member_idempotent_atoms(everything, X) == idempotent
+
+    def test_member_atoms_where_an_idempotent_is_missing(self):
+        # members empty map and identity of R2, without {0->0} and {1->1}:
+        # nothing lies between them among the members, so the identity is
+        # a member atom, though no atom of the ambient endoset
+        carrier, _, _, cat, index = one_object_setup(2)
+        bottom, top = index[pb(carrier, [])], index[pb(carrier, [(0, 0), (1, 1)])]
+        M = CategoricalModeloid.from_members(cat, {bottom, top, cat.star})
+        obj = objects(cat)[0]
+        expected = atoms_by_definition(sorted((bottom, top)), category_leq(cat), bottom)
+        assert member_idempotent_atoms(M, obj) == tuple(expected) == (top,)
+        assert not is_atom(cat, top, obj)
 
 
 class TestDerivative:

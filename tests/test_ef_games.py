@@ -480,6 +480,30 @@ class TestCertificates:
         assert verify_certificate(cert).ok
         assert len(calls) == len(cert.levels[0])
 
+    def test_repeated_levels_are_matched_by_identity(self):
+        # the tail past the fixpoint repeats one level object, so a longer
+        # tail costs no more set comparisons
+        def comparisons(rounds):
+            calls = 0
+
+            class Counted(frozenset):
+                __hash__ = frozenset.__hash__
+
+                def __eq__(self, other):
+                    nonlocal calls
+                    calls += 1
+                    return frozenset.__eq__(self, other)
+
+            A, B = chain("A", 3), chain("B", 3)
+            cert = extract_certificate(A, B, 1)
+            first, stable = Counted(cert.levels[0]), Counted(cert.levels[1])
+            assert first != stable
+            levels = (first,) + (stable,) * rounds
+            assert verify_certificate(BackAndForthCertificate(A, B, rounds, levels)).ok
+            return calls
+
+        assert comparisons(2) == comparisons(200) <= 2
+
     def test_empty_level_rejected(self):
         A = pure("A", 1)
         cert = BackAndForthCertificate(A, A, 1, (frozenset({PartialIso.from_pairs(A, A, [(0, 0)])}), frozenset()))

@@ -9,20 +9,25 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import cache
 from itertools import product
 
 import pytest
 from dense_ambient import dense_table
+from generated import structure_pairs
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_scans import (
     check_semimodeloid_by_pairs,
     cubic_associativity_witness,
     inverse_laws_by_pairs,
+    semimodeloid_derivative_by_reach,
 )
 
-from modeloids.ef_games import build_category_D
+from modeloids.categorical import CategoricalModeloid, endoset_as_semimodeloid
+from modeloids.ef_games import build_category_D, derivative_levels
 from modeloids.errors import InputError
+from modeloids.free_categories import objects
 from modeloids.inverse_semigroups import (
     CharacterizationReport,
     InverseSemigroupTable,
@@ -585,3 +590,64 @@ class TestSemimodeloid:
         )
         with pytest.raises(InputError):
             semimodeloid_derivative(Semimodeloid(table, members))
+
+
+@cache
+def rook_monoid(n: int):
+    table, elements = table_of_all_maps(n)
+    return table, elements, {f: i for i, f in enumerate(elements)}
+
+
+@st.composite
+def rook_semimodeloids(draw):
+    """A semimodeloid inside a rook monoid R1..R4: the closure of one to
+    three maps of at most two pairs or, when it verifies, the down-closure
+    of a few of its members, their inverses and the neutral element."""
+    n = draw(st.integers(1, 4))
+    table, elements, index = rook_monoid(n)
+    # small non-idempotent seeds: larger ones close to most of R4, and
+    # idempotents alone to a semilattice that the derivative keeps
+    pool = [f for f in elements if len(f.pairs) <= 2 and not f.is_idempotent()] or elements
+    seeds = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    closure = frozenset(index[f] for f in modeloid_closure(seeds, Carrier(n)).members)
+    if draw(st.booleans()):
+        picked = draw(st.sets(st.sampled_from(sorted(closure)), min_size=1, max_size=3))
+        tops = {find_neutral(table)} | picked | {table.inv[x] for x in picked}
+        down = Semimodeloid.from_members(
+            table, (s for x in tops for s in range(table.order) if natural_leq(table, s, x))
+        )
+        if verify_semimodeloid(down).ok:
+            return down
+    return Semimodeloid(table, closure)
+
+
+@st.composite
+def collapsed_endosets(draw):
+    """The collapse of a member endoset of category D at one of its first
+    derivative levels."""
+    D = build_category_D(*draw(structure_pairs())).whole
+    members = derivative_levels(D, draw(st.integers(0, 2)))[-1]
+    X = draw(st.sampled_from(objects(D.ambient)))
+    return endoset_as_semimodeloid(CategoricalModeloid(D.ambient, members), X)[0]
+
+
+class TestDerivativeMatchesReach:
+    """The semimodeloid derivative, the categorical cover step on one
+    object, against the per-atom reach reference, down its chain."""
+
+    @staticmethod
+    def assert_chain_matches(sm):
+        while True:
+            derived = semimodeloid_derivative(sm)
+            assert derived.members == semimodeloid_derivative_by_reach(sm)
+            if derived.members == sm.members:
+                return
+            sm = derived
+
+    @given(rook_semimodeloids())
+    def test_inside_rook_monoids(self, sm):
+        self.assert_chain_matches(sm)
+
+    @given(collapsed_endosets())
+    def test_collapsed_endosets_of_d(self, sm):
+        self.assert_chain_matches(sm)
