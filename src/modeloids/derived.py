@@ -87,7 +87,8 @@ class Chain:
     """The decreasing chain start, step(start), ..., stepped lazily:
     ``levels`` holds each distinct level once, stepped when a caller first
     asks for it and never past ``stabilized``, the first index whose step
-    leaves ``members`` unchanged (a repeat makes the chain constant)."""
+    returns an equal level (a repeat makes the chain constant).  A level
+    is a member set, or an instance whose other fields every step keeps."""
 
     def __init__(self, start, step):
         self.levels, self.step, self.stabilized = [start], step, None
@@ -96,7 +97,7 @@ class Chain:
         """The distinct levels among entries 0 .. rounds of the chain."""
         while self.stabilized is None and len(self.levels) <= rounds:
             nxt = self.step(self.levels[-1])
-            if nxt.members == self.levels[-1].members:
+            if nxt == self.levels[-1]:
                 self.stabilized = len(self.levels) - 1
             else:
                 self.levels.append(nxt)

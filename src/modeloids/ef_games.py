@@ -12,20 +12,24 @@ restrictions that keep the constant pairs.
 
 ``ef_equiv_derivative`` decides m-round equivalence by applying the
 categorical derivative m times and asking whether any map from id_A to
-id_B survives.  The chain it steps (``homset_levels``) starts from
-Hom(A,B) and the partial identities of A and B (the maps below id_A and
-id_B), not from all of D: the step decides a map from the maps above it,
-which share its homset, and from the atoms of the endosets at its ends,
-which are partial identities that survive every level.  So the other
-homsets never feed back, and the chain on all of D (``derivative_levels``,
-the paper's route) stays as the reference it must agree with.
+id_B survives.  The chain it steps (``homset_levels``) holds only
+Hom(A,B), not all of D: the step decides a map from the maps above it,
+which share its homset, and from the idempotent atoms at its ends, which
+are the partial identities on the constants plus one point.  Every
+level is down-closed, so some member above f covers the atom at x
+exactly when f ∪ {(x, y)} is in the level for some y: a step keeps f
+when every point outside it extends it by one pair, forth and back, the
+classical back-and-forth step, looked up on pair tuples.  The chain on
+all of D (``derivative_levels``, the paper's route through
+``categorical_derivative``) stays as the reference it must agree with.
 
-So ``build_category_D`` builds only the part of D that this chain reads:
-Hom(A,B), Hom(B,A) (the inverses) and the partial identities of A and B,
-which are generated as restrictions of id_A and id_B without a search.
-All of D, with the part as its index prefix, is built on first read of
-``CategoryD.whole``; only ``derivative_levels`` and the endoset queries
-read it.  For A == B the part is all of D.
+So ``build_category_D`` builds only the part of D around Hom(A,B):
+Hom(A,B) from one enumeration, Hom(B,A) as the inverses of its maps, and
+the partial identities of A and B, which are generated as restrictions
+of id_A and id_B without a search.  All of D, with the part as its index
+prefix, is built on first read of ``CategoryD.whole``; only
+``derivative_levels`` and the endoset queries read it.  For A == B the
+part is all of D.
 
 Asking one pair for m = 0, 1, 2, ... builds D once.  ``build_category_D``
 keeps the D of its latest call and returns it again when called with the
@@ -254,11 +258,12 @@ _latest: CategoryD | None = None
 def build_category_D(
     A: Structure, B: Structure, max_universe: int = DEFAULT_EF_UNIVERSE_BOUND
 ) -> CategoryD:
-    """The part of D that the ``ef`` chain reads: Hom(A,B) and Hom(B,A),
-    each from one ``enumerate_partial_isos`` call, then the partial
-    identities of A and of B, then star.  dom, cod and inv are tabulated;
-    composition is left to the ambient.  All of D is ``.whole``, built
-    when first read.  For A == B this is all of D: the one block End(A).
+    """The part of D around the ``ef`` chain: Hom(A,B) from one
+    ``enumerate_partial_isos`` call, then Hom(B,A), the inverses of those
+    maps, then the partial identities of A and of B, then star; each block
+    sorted by pairs.  dom, cod and inv are tabulated; composition is left
+    to the ambient.  All of D is ``.whole``, built when first read.  For
+    A == B this is all of D: the one block End(A).
 
     Called again with the same two structure objects (``is``, not ``==``),
     it returns the D it built last, with the compositions, down-sets and
@@ -275,9 +280,11 @@ def build_category_D(
     if A == B:
         layout = _block(0, 0, enumerate_partial_isos(A, A, max_universe))
     else:
+        forth = enumerate_partial_isos(A, B, max_universe)
+        back = (PartialIso(B, A, tuple(sorted((b, a) for a, b in p.pairs))) for p in forth)
         layout = (
-            _block(0, 1, enumerate_partial_isos(A, B, max_universe))
-            + _block(1, 0, enumerate_partial_isos(B, A, max_universe))
+            _block(0, 1, forth)
+            + _block(1, 0, back)
             + _block(0, 0, _partial_identities(A))
             + _block(1, 1, _partial_identities(B))
         )
@@ -317,18 +324,20 @@ def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]
 
 @fact
 def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> Chain:
-    """D^j ∩ Hom(X,Y); a step derives a level with the partial identities
-    of X and Y, which are the maps below id_X and id_Y."""
+    """D^j ∩ Hom(X,Y) as index sets; a step keeps a map when every point
+    of X and of Y outside it extends it by one pair to a map of the level."""
     D = category._holding(X, Y)
-    c = D.ambient
-    hom = frozenset(D.part(X, Y))
-    identities = c.below(D.object_of(X)) | c.below(D.object_of(Y))
+    pairs = {i: D.morphisms[i].pairs for i in D.part(X, Y)}
+    sources, targets = X.universe_size, Y.universe_size
 
-    def step(M: CategoricalModeloid) -> CategoricalModeloid:
-        level = CategoricalModeloid(c, M.members | identities)
-        return CategoricalModeloid(c, categorical_derivative(level, check=False).members & hom)
+    def step(level: frozenset[int]) -> frozenset[int]:
+        maps = {pairs[i] for i in level}
+        return frozenset(
+            i for i in level
+            if _least_unextended(pairs[i], maps, sources, targets) == (None, None)
+        )
 
-    return Chain(CategoricalModeloid(c, hom), step)
+    return Chain(frozenset(pairs), step)
 
 
 def homset_levels(
@@ -340,30 +349,32 @@ def homset_levels(
     once, stepped only as far as the largest m asked for and never past
     its fixpoint; the returned levels beyond the fixpoint repeat it.
 
-    The same categorical step as ``derivative_levels``, started from
-    Hom(X,Y) and the partial identities of X and Y instead of all of D.
-    This is exact:
+    The levels of ``derivative_levels`` restricted to Hom(X,Y), stepped
+    on Hom(X,Y) alone by one-point extensions.  This is exact:
 
-    - The step decides a member of Hom(X,Y) from the members above it,
-      which lie in the same homset, and from the idempotent atoms of the
-      endosets at its two ends.
+    - The categorical step decides a member f of Hom(X,Y) from the
+      members above it, which lie in the same homset, and from the
+      idempotent atoms of the endosets at its two ends.
     - Those atoms are the partial identities that fix the constants plus
-      one point.
-    - Every partial identity survives every level, because the full
-      identity lies above it and covers every atom.  So the atoms never
-      change.
-    - The other homsets therefore never feed back into Hom(X,Y).
+      one point x.  Every partial identity survives every level, because
+      the full identity lies above it and covers every atom, so the atoms
+      never change and the other homsets never feed back into Hom(X,Y).
+    - A member h above f covers the atom at x when x is in its domain
+      (codomain, at Y).  Every level is down-closed, so the restriction
+      of h to the domain of f and x, which is f ∪ {(x, h(x))}, is then a
+      member too; for x in the domain of f, f covers it itself.
+    - So f survives exactly when every point of X outside its domain has
+      some y with f ∪ {(x, y)} in the level, and every point of Y outside
+      its range some such x: ``_least_unextended`` on pair tuples.
 
-    So for the cross homsets Hom(A,B) and Hom(B,A) the chain steps on the
-    part of D that ``build_category_D`` builds, whose endosets hold only
-    the partial identities.  An endoset query, Hom(A,A) or Hom(B,B),
-    steps on all of D (``category.whole``), built for it on first use.
-    The indices agree either way, since the part is a prefix of D.
+    For the cross homsets Hom(A,B) and Hom(B,A) the chain reads the part
+    of D that ``build_category_D`` builds.  An endoset query, Hom(A,A) or
+    Hom(B,B), reads all of D (``category.whole``), built for it on first
+    use.  The indices agree either way, since the part is a prefix of D.
     """
     if m < 0:
         raise InputError("rounds must be non-negative")
-    levels = _homset_chain(category, X, Y).upto(m)
-    return padded(tuple(M.members for M in levels), m)
+    return padded(tuple(_homset_chain(category, X, Y).upto(m)), m)
 
 
 def surviving_maps(
@@ -374,7 +385,8 @@ def surviving_maps(
     if m < 0:
         raise InputError("rounds must be non-negative")
     final = _homset_chain(category, X, Y).upto(m)[-1]
-    return tuple(final.ambient.morphisms[i] for i in sorted(final.members))
+    morphisms = category._holding(X, Y).morphisms
+    return tuple(morphisms[i] for i in sorted(final))
 
 
 def ef_equiv_derivative(
@@ -386,8 +398,8 @@ def ef_equiv_derivative(
 ) -> tuple[bool, PartialIso | None]:
     """m-round equivalence via the derivative; the witness is a largest
     surviving map from id_A to id_B, or None if none survive.  The chain
-    starts from Hom(A,B) and the partial identities of A and B, which
-    gives the same D^m ∩ Hom(A,B) as all of D (see ``homset_levels``)."""
+    is stepped on Hom(A,B) alone, which gives the same D^m ∩ Hom(A,B) as
+    all of D (see ``homset_levels``)."""
     if m < 0:
         raise InputError("rounds must be non-negative")
     if category is None:
@@ -468,17 +480,17 @@ def extract_certificate(
     category: CategoryD | None = None,
 ) -> BackAndForthCertificate | None:
     """I_j = D^j ∩ Part(A,B); absent when nothing survives m rounds.  The
-    levels come from the chain started at Hom(A,B) and the partial
-    identities of A and B, which the other homsets never feed back into
-    (see ``homset_levels``).  Each distinct level becomes one set of maps,
-    and the tail past the fixpoint repeats the last by reference."""
+    levels come from the chain stepped on Hom(A,B) alone, which the other
+    homsets never feed back into (see ``homset_levels``).  Each distinct
+    level becomes one set of maps, and the tail past the fixpoint repeats
+    the last by reference."""
     if m < 0:
         raise InputError("rounds must be non-negative")
     if category is None:
         category = build_category_D(A, B, max_universe)
     levels = tuple(
-        frozenset(category.morphisms[i] for i in M.members)
-        for M in _homset_chain(category, A, B).upto(m)
+        frozenset(category.morphisms[i] for i in level)
+        for level in _homset_chain(category, A, B).upto(m)
     )
     if not levels[-1]:
         return None

@@ -44,8 +44,11 @@ from modeloids.inverse_semigroups import (
     find_zero,
     generators,
     from_partial_bijections,
+    idempotent_atoms,
     idempotents,
+    natural_leq,
     semimodeloid_derivative,
+    table_from_rows,
     verify_semimodeloid,
 )
 from modeloids.modeloid import Modeloid, derivative, modeloid_closure
@@ -439,3 +442,50 @@ class TestEndosetView:
         CM = CategoricalModeloid.from_members(cat, members)
         with pytest.raises(InputError):
             endoset_as_semimodeloid(CM, objects(cat)[0])
+
+
+class TestTablesKeepTheDownSetWalk:
+    """N5, the semilattice 0 < e < x < 1 and 0 < a < 1, as a full
+    semimodeloid.  Its idempotents form no distributive lattice, so the
+    members above e cannot be read from e's upper covers: the only one is
+    x, and x does not cover the atom a, while 1 does.  Both derivatives
+    on tables must keep e, which only the walk over down-sets finds."""
+
+    ZERO, E, X, A, ONE = range(5)
+    UP = {ZERO: {0, 1, 2, 3, 4}, E: {1, 2, 4}, X: {2, 4}, A: {3, 4}, ONE: {4}}
+
+    def n5(self):
+        def meet(p, q):  # the lower bound with the fewest elements above it
+            lower = [r for r in range(5) if {p, q} <= self.UP[r]]
+            return min(lower, key=lambda r: len(self.UP[r]))
+
+        mul = tuple(tuple(meet(p, q) for q in range(5)) for p in range(5))
+        return table_from_rows(mul, range(5))
+
+    def by_upper_covers(self, table, members):
+        """Keep f when every idempotent atom is covered by f itself or by
+        an upper cover of f among the members: the one-point step of D."""
+        atom_set = idempotent_atoms(table)
+
+        def covers(h, alpha):
+            return natural_leq(table, alpha, table.mul[table.inv[h]][h])
+
+        def upper_covers(f):
+            above = [h for h in members if h != f and natural_leq(table, f, h)]
+            return [h for h in above if not any(g != h and natural_leq(table, g, h) for g in above)]
+
+        return frozenset(
+            f for f in members
+            if all(any(covers(h, alpha) for h in [f, *upper_covers(f)]) for alpha in atom_set)
+        )
+
+    def test_n5_keeps_e(self):
+        table = self.n5()
+        sm = Semimodeloid(table, frozenset(range(5)))
+        assert verify_semimodeloid(sm).ok
+        assert idempotent_atoms(table) == (self.E, self.A)
+        assert self.by_upper_covers(table, sm.members) == sm.members - {self.E}
+        assert semimodeloid_derivative(sm).members == sm.members
+        cat = semigroup_to_one_object_category(table)
+        M = CategoricalModeloid.everything(cat)
+        assert categorical_derivative(M).members == M.members

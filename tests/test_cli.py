@@ -684,16 +684,25 @@ class TestAssociativityOncePerRequest:
         assert len(scanned) == 1
 
 
+def record_chain_steps(monkeypatch) -> list:
+    """Every level that a chain of ``ef_games`` hands to its step."""
+    stepped = []
+
+    class Recording(ef_games.Chain):
+        def __init__(self, start, step):
+            def recorded(level):
+                stepped.append(level)
+                return step(level)
+
+            super().__init__(start, recorded)
+
+    monkeypatch.setattr(ef_games, "Chain", Recording)
+    return stepped
+
+
 class TestEfDerivesOnce:
     def test_certificate_reuses_the_derivative_levels(self, files, capsys, monkeypatch, tmp_path):
-        stepped = []
-        step = ef_games.categorical_derivative
-
-        def counting(M, check=True):
-            stepped.append(M.members)
-            return step(M, check=check)
-
-        monkeypatch.setattr(ef_games, "categorical_derivative", counting)
+        stepped = record_chain_steps(monkeypatch)
         code, _, _ = run(
             capsys, "ef", files["sets.txt"],
             "--left", "P2", "--right", "P3", "--rounds", "2",
@@ -705,16 +714,14 @@ class TestEfDerivesOnce:
         assert len(stepped) == len(set(stepped))
 
     def test_endosets_enter_only_as_partial_identities(self, capsys, monkeypatch, tmp_path):
-        # the chain for Hom(S3,S4) starts from that homset and the partial
-        # identities; End(S3) and End(S4) no longer enter whole
-        handed = []
-        step = ef_games.categorical_derivative
+        # the chain for Hom(S3,S4) steps on that homset alone: no
+        # endomorphism enters it, and all of D is never built
+        stepped = record_chain_steps(monkeypatch)
 
-        def recording(M, check=True):
-            handed.append(M)
-            return step(M, check=check)
+        def unread(part):
+            raise AssertionError("all of D was built")
 
-        monkeypatch.setattr(ef_games, "categorical_derivative", recording)
+        monkeypatch.setattr(ef_games, "_whole", unread)
         sets = tmp_path / "sets.txt"
         sets.write_text("structure S3\n  universe 3\n\nstructure S4\n  universe 4\n")
         code, _, _ = run(
@@ -723,15 +730,14 @@ class TestEfDerivesOnce:
         )
         assert code == 0
         assert (tmp_path / "cert.txt").exists()
-        assert handed
-        for M in handed:
-            c = M.ambient
-            for i in M.members:
-                assert i != c.star
-                if c.dom[i] == c.cod[i]:
-                    assert all(a == b for a, b in c.morphisms[i].pairs)
+        assert stepped
+        D = ef_games._latest
+        hom = set(D.part(D.left, D.right))
+        assert [D.left.name, D.right.name] == ["S3", "S4"]
+        assert all(level <= hom for level in stepped)
 
     def test_only_the_cross_blocks_are_enumerated(self, capsys, monkeypatch, tmp_path):
+        # Hom(S3,S4) is the one enumeration: Hom(S4,S3) holds its inverses,
         # the partial identities are generated, and End(S3), End(S4) are
         # never built: all of D is left to the paper's reference chain
         enumerated = []
@@ -750,7 +756,31 @@ class TestEfDerivesOnce:
         )
         assert code == 0
         assert (tmp_path / "cert.txt").exists()
-        assert enumerated == [("S3", "S4"), ("S4", "S3")]
+        assert enumerated == [("S3", "S4")]
+
+    def test_no_down_set_or_composition_is_read(self, capsys, monkeypatch, tmp_path):
+        # the ef chain steps by one-point extensions on pair tuples: no
+        # PartialIsoAmbient.below, no PartialIsoAmbient.compose and no
+        # categorical_derivative on the way to an answer and a certificate
+        called = []
+        for name in ("below", "compose"):
+            monkeypatch.setattr(
+                ef_games.PartialIsoAmbient, name,
+                lambda self, *args, name=name: called.append(name),
+            )
+        monkeypatch.setattr(
+            ef_games, "categorical_derivative",
+            lambda *args, **kwargs: called.append("categorical_derivative"),
+        )
+        sets = tmp_path / "sets.txt"
+        sets.write_text("structure S3\n  universe 3\n\nstructure S4\n  universe 4\n")
+        code, _, _ = run(
+            capsys, "ef", str(sets), "--left", "S3", "--right", "S4",
+            "--rounds", "3", "--certificate", str(tmp_path / "cert.txt"),
+        )
+        assert code == 0
+        assert (tmp_path / "cert.txt").read_text().startswith("certificate\n")
+        assert called == []
 
 
 class TestEmbed:

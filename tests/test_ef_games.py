@@ -451,7 +451,7 @@ class TestCertificates:
 
     def test_equal_levels_build_one_cover(self, monkeypatch):
         # pure 3v3 is stable from level 0: five equal levels, one set of
-        # the pairs of I_0 that every lookup reads
+        # the pairs of I_0 that every lookup of the check reads
         sets = []
         real = ef_games._least_unextended
 
@@ -459,8 +459,8 @@ class TestCertificates:
             sets.append(maps)
             return real(pairs, maps, sources, targets)
 
-        monkeypatch.setattr(ef_games, "_least_unextended", counted)
         cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
+        monkeypatch.setattr(ef_games, "_least_unextended", counted)
         assert len(set(cert.levels)) == 1
         assert verify_certificate(cert).ok
         assert len({id(maps) for maps in sets}) == 1
@@ -474,8 +474,8 @@ class TestCertificates:
             calls.append(pairs)
             return real(pairs, maps, sources, targets)
 
-        monkeypatch.setattr(ef_games, "_least_unextended", counted)
         cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
+        monkeypatch.setattr(ef_games, "_least_unextended", counted)
         assert len(set(cert.levels)) == 1
         assert verify_certificate(cert).ok
         assert len(calls) == len(cert.levels[0])
@@ -714,6 +714,44 @@ class TestUniverseFour:
                 )
 
 
+TERNARY = Vocabulary(relations=(("R", 3),), constants=("c",))
+
+
+def directed_path(name, n):
+    return Structure.build(name, n, DIGRAPH, {"E": [(i, i + 1) for i in range(n - 1)]})
+
+
+class TestBeyondGeneratedSizes:
+    """Universes of 4 and 5, which the generated pairs do not reach: on
+    every side pair, each level of the homset chain, stepped by one-point
+    extensions, is that homset's block of the paper's chain on all of D,
+    level by level until both chains stop changing."""
+
+    @pytest.mark.parametrize("pair", [
+        (pure("S4", 4), pure("S5", 5)),
+        (directed_cycle("C4", range(4)), directed_cycle("C5", range(5))),
+        (directed_cycle("C5", range(5)), directed_path("P5", 5)),
+        (
+            Structure.build("T4", 4, TERNARY, {"R": [(0, 1, 2), (1, 2, 3), (3, 3, 1)]}, {"c": 0}),
+            Structure.build(
+                "T5", 5, TERNARY, {"R": [(0, 1, 2), (1, 2, 3), (2, 3, 4), (4, 4, 1)]}, {"c": 0}
+            ),
+        ),
+    ], ids=["S4-S5", "C4-C5", "C5-P5", "ternary-4-5"])
+    def test_homset_levels_are_blocks_of_the_whole_chain(self, pair):
+        A, B = pair
+        cat = build_category_D(A, B)
+        m = A.universe_size + B.universe_size + 2
+        full = derivative_levels(cat, m)
+        assert full[-2] == full[-1]
+        for X in (A, B):
+            for Y in (A, B):
+                block = frozenset(cat.part(X, Y))
+                levels = homset_levels(cat, m, X, Y)
+                assert levels[-2] == levels[-1]
+                assert levels == tuple(members & block for members in full)
+
+
 def readme_loop(A, B, rounds=4):
     """The README's library loop: the answer and the certificate for
     m = 0 .. rounds, each call building D from the structures alone."""
@@ -748,9 +786,30 @@ class TestSharedCategory:
 
         with mock.patch.object(ef_games, "enumerate_partial_isos", counted):
             readme_loop(A, B)
-            assert calls == [(A, B), (B, A)]
+            assert calls == [(A, B)]
             readme_loop(A, A)
-            assert calls == [(A, B), (B, A), (A, A)]
+            assert calls == [(A, B), (A, A)]
+
+    def test_loop_reads_no_down_set_or_composition(self, monkeypatch):
+        # the chains step by one-point extensions on pair tuples: the loop
+        # calls no below, no compose and no categorical_derivative, on two
+        # structures and on one structure against itself
+        called = []
+        for name in ("below", "compose"):
+            monkeypatch.setattr(
+                ef_games.PartialIsoAmbient, name,
+                lambda self, *args, name=name: called.append(name),
+            )
+        monkeypatch.setattr(
+            ef_games, "categorical_derivative",
+            lambda *args, **kwargs: called.append("categorical_derivative"),
+        )
+        C = directed_cycle("C5", range(5))
+        for A, B in [(chain("A", 3), chain("B", 4)), (pure("S3", 3), pure("S4", 4)), (C, C)]:
+            for answer, cert in readme_loop(A, B):
+                assert answer[0] == (cert is not None)
+                assert cert is None or verify_certificate(cert).ok
+        assert called == []
 
     def test_objects_found_without_comparing_maps(self, monkeypatch):
         # the identities are found by side and pairs, not by a linear
@@ -779,7 +838,7 @@ class TestSharedCategory:
         first = weakref.ref(build_category_D(A, B))
         assert build_category_D(A, B) is first()
         # equal copies are another pair: the first D is dropped before the
-        # cross blocks of the new one are enumerated, so two are never alive
+        # cross block of the new one is enumerated, so two are never alive
         alive = []
         real = ef_games.enumerate_partial_isos
 
@@ -791,7 +850,7 @@ class TestSharedCategory:
         A2, B2 = replace(A), replace(B)
         with mock.patch.object(ef_games, "enumerate_partial_isos", watching):
             assert build_category_D(A2, B2).left is A2
-        assert alive == [False] * 2
+        assert alive == [False]
 
     def test_homset_levels_in_any_order_match_a_fresh_category(self):
         # L4/L5 stabilizes at index 3, so (1, 2, 0, 9) resumes a chain
