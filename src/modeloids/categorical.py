@@ -22,7 +22,7 @@ from itertools import repeat
 from typing import Iterable
 
 from . import verdict as v
-from .derived import Frozen, fixpoint_chain
+from .derived import Frozen, fact, fixpoint_chain
 from .errors import InputError
 from .free_categories import Ambient, has_all_zeros, objects
 from .inverse_semigroups import Semimodeloid, _atoms, _covered, _tabulate, absorbing, generators
@@ -48,13 +48,7 @@ class CategoricalModeloid(Frozen):
         return cls(ambient, frozenset(members))
 
 
-def _require_ambient(c: Ambient):
-    # Structural preconditions only; the category axioms are the
-    # caller's to establish (they never change under derivatives).
-    if not has_all_zeros(c):
-        raise InputError("the ambient category must have a zero in every endoset")
-
-
+@fact
 def verify_categorical_modeloid(M: CategoricalModeloid) -> v.Verdict:
     """Axioms in order: composition closure (star included, so two
     non-composable members force star in), inverse closure, downward
@@ -63,8 +57,19 @@ def verify_categorical_modeloid(M: CategoricalModeloid) -> v.Verdict:
     picked from the largest down-sets first (see ``generators``); the scan
     over all pairs runs otherwise, or after a failure to name the first
     witness."""
+    return _check_categorical_modeloid(M)
+
+
+# taken once here, as the name itself may be wrapped later
+_carry_categorical_verdict = verify_categorical_modeloid.carry
+
+
+def _check_categorical_modeloid(M: CategoricalModeloid) -> v.Verdict:
     c = M.ambient
-    _require_ambient(c)
+    # a structural precondition only; the category axioms are the
+    # caller's to establish
+    if not has_all_zeros(c):
+        raise InputError("the ambient category must have a zero in every endoset")
     members = sorted(M.members)
     member_set = M.members
     closed = getattr(c, "associative", False) and (
@@ -135,32 +140,28 @@ def homset_derivative(M: CategoricalModeloid, X: int, Y: int) -> frozenset[int]:
     return _cover_step(M, _member_homset(M, X, Y), (X, Y))
 
 
-def categorical_derivative(
-    M: CategoricalModeloid, check: bool = True
-) -> CategoricalModeloid:
+def categorical_derivative(M: CategoricalModeloid) -> CategoricalModeloid:
     """The homset derivatives of every homset of M at once: one cover
-    step over all members, with the atoms of each end object found once."""
-    if check:
-        result = verify_categorical_modeloid(M)
-        if not result:
-            raise InputError(f"not a categorical modeloid ({result.describe()})")
-    else:
-        _require_ambient(M.ambient)
+    step over all members, with the atoms of each end object found once.
+    M is verified once; the derivative of a categorical modeloid is again
+    one, so the result carries M's verdict and a chain checks no derived
+    level."""
+    verify_categorical_modeloid(M).require("not a categorical modeloid")
     c = M.ambient
     ends = {c.dom[m] for m in M.members} | {c.cod[m] for m in M.members}
-    return CategoricalModeloid(c, _cover_step(M, M.members, ends))
+    derived = CategoricalModeloid(c, _cover_step(M, M.members, ends))
+    _carry_categorical_verdict(M, derived)
+    return derived
 
 
 def iterate_categorical(
     M: CategoricalModeloid, rounds: int
 ) -> tuple[list[CategoricalModeloid], int | None]:
     """The chain M, D(M), ..., D^rounds(M) with the first repeat index,
-    mirroring the modeloid iteration.  Only the input is verified; the
-    derivative of a categorical modeloid is again one."""
-    result = verify_categorical_modeloid(M)
-    if not result:
-        raise InputError(f"not a categorical modeloid ({result.describe()})")
-    return fixpoint_chain(M, lambda N: categorical_derivative(N, check=False), rounds)
+    mirroring the modeloid iteration.  M is verified even when no step
+    is taken."""
+    verify_categorical_modeloid(M).require("not a categorical modeloid")
+    return fixpoint_chain(M, categorical_derivative, rounds)
 
 
 def endoset_as_semimodeloid(

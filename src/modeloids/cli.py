@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 from bisect import bisect
-from functools import partial
 from pathlib import Path
 
 from . import fileformats as ff
@@ -239,7 +238,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
             step = semimodeloid_derivative
         else:
             start, verdict = _categorical_instance(text)
-            step = partial(categorical_derivative, check=False)
+            step = categorical_derivative
         if not verdict.ok:
             return _emit_verdict(args, verdict)
         chain, stabilized = fixpoint_chain(start, step, args.rounds)

@@ -58,8 +58,10 @@ def fact(compute):
     instance's ``__dict__``, which ``Frozen`` leaves out of equality,
     hashing and repr, so it is dropped with the instance instead of
     pinning it as a module-level cache would.  ``carry(source, target)``
-    gives ``target`` the values found on ``source``, for a target that
-    differs from it only in fields that ``compute`` does not read.
+    gives ``target`` the values found on ``source``, for a target whose
+    values a proof shows equal: one that differs from it only in fields
+    that ``compute`` does not read, or one that a theorem keeps the value
+    for, as a derivative keeps its input's verdict (closure).
     """
     slot = f"_fact {compute.__module__}.{compute.__qualname__}"
 

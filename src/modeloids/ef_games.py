@@ -308,14 +308,16 @@ def _whole(part: CategoryD) -> CategoryD:
 @fact
 def _derivative_chain(whole: CategoryD) -> Chain:
     start = CategoricalModeloid.everything(whole.ambient)
-    return Chain(start, lambda M: categorical_derivative(M, check=False))
+    return Chain(start, categorical_derivative)
 
 
 def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]:
     """Member sets of D^0 .. D^m starting from all morphisms: the paper's
     chain on all of D, built for it if ``category`` is the part.  It is
     one chain per D, stepped only as far as the largest m asked for; once
-    a step changes nothing the tail repeats that level."""
+    a step changes nothing the tail repeats that level.  Its first step
+    verifies all of D, once per D, as every categorical derivative
+    verifies its input."""
     if m < 0:
         raise InputError("rounds must be non-negative")
     levels = _derivative_chain(category.whole).upto(m)

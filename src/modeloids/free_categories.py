@@ -191,9 +191,7 @@ def verify_inverse_category_unique(c: FreeCategory) -> v.Verdict:
 
 def skolem_inverses(c: FreeCategory) -> FreeCategory:
     """Fill the inverse table with each morphism's unique partner."""
-    base = verify_category(c)
-    if not base:
-        raise InputError(f"not a category ({base.describe()})")
+    verify_category(c).require("not a category")
     found = _partners(c)
     for s, candidates in enumerate(found):
         if len(candidates) != 1:

@@ -388,6 +388,7 @@ def _atoms(elements: Iterable, below, zero) -> list:
     return [x for x in elements if x != zero and below(x) <= {x, zero}]
 
 
+@fact
 def idempotent_atoms(table: InverseSemigroupTable) -> tuple[int, ...]:
     idem = set(idempotents(table))
     return tuple(sorted(a for a in atoms(table) if a in idem))
@@ -460,9 +461,7 @@ def wagner_preston(table: InverseSemigroupTable) -> tuple[PartialBijection, ...]
     embedding properties (injectivity, multiplicativity, order
     faithfulness) are deliberately left to the caller's checks.
     """
-    result = verify_inverse_semigroup(table)
-    if not result:
-        raise InputError(f"not an inverse semigroup ({result.describe()})")
+    verify_inverse_semigroup(table).require("not an inverse semigroup")
     carrier = Carrier(table.order)
     mul, inv = table.mul, table.inv
     images = []
@@ -492,9 +491,7 @@ class Semimodeloid(Frozen):
 
 
 def _require_inverse_monoid_with_zero(table: InverseSemigroupTable) -> tuple[int, int]:
-    result = verify_inverse_semigroup(table)
-    if not result:
-        raise InputError(f"ambient is not an inverse semigroup ({result.describe()})")
+    verify_inverse_semigroup(table).require("ambient is not an inverse semigroup")
     neutral = find_neutral(table)
     if neutral is None:
         raise InputError("ambient has no neutral element")
@@ -509,6 +506,10 @@ def verify_semimodeloid(sm: Semimodeloid) -> v.Verdict:
     """Axioms in order: product closure, inverse closure, downward closure
     under the natural order, neutral membership."""
     return _check_semimodeloid(sm)
+
+
+# taken once here, as the name itself may be wrapped later
+_carry_semimodeloid_verdict = verify_semimodeloid.carry
 
 
 def _check_semimodeloid(sm: Semimodeloid) -> v.Verdict:
@@ -542,10 +543,10 @@ def semimodeloid_derivative(sm: Semimodeloid) -> Semimodeloid:
     ``_covered`` on one object.
 
     With no idempotent atoms the conditions are vacuous and D(M) = M.
+    M is verified once; the derivative of a semimodeloid is again one, so
+    the result carries M's verdict and a chain checks no derived level.
     """
-    result = verify_semimodeloid(sm)
-    if not result:
-        raise InputError(f"not a semimodeloid ({result.describe()})")
+    verify_semimodeloid(sm).require("not a semimodeloid")
     table = sm.ambient
     mul = table.mul
     both = (idempotent_atoms(table),) * 2
@@ -553,4 +554,6 @@ def semimodeloid_derivative(sm: Semimodeloid) -> Semimodeloid:
         sm.members, lambda x: both, lambda x, y: mul[x][y], table.inv.__getitem__,
         _below(table).__getitem__,
     )
-    return Semimodeloid(table, survivors)
+    derived = Semimodeloid(table, survivors)
+    _carry_semimodeloid_verdict(sm, derived)
+    return derived

@@ -57,6 +57,10 @@ def verify_modeloid(M: Modeloid) -> v.Verdict:
     return _check_modeloid(M)
 
 
+# taken once here, as the name itself may be wrapped later
+_carry_modeloid_verdict = verify_modeloid.carry
+
+
 def _check_modeloid(M: Modeloid) -> v.Verdict:
     members = _sorted_members(M)
     member_set = M.members
@@ -115,14 +119,6 @@ def modeloid_closure(seed: Iterable[PartialBijection], carrier: Carrier) -> Mode
     return Modeloid(carrier, frozenset(reached))
 
 
-def _derivative_members(M: Modeloid) -> frozenset[PartialBijection]:
-    n = M.carrier.size
-    member_pairs = {f.pairs for f in M.members}
-    return frozenset(
-        f for f in M.members if _least_unextended(f.pairs, member_pairs, n, n) == (None, None)
-    )
-
-
 def derivative(M: Modeloid) -> Modeloid:
     """Members extendable by every source and every target within M.
 
@@ -131,21 +127,24 @@ def derivative(M: Modeloid) -> Modeloid:
     already in the domain the only functional union is f itself, so the
     condition there collapses to membership of f.  This is decided as
     written, by looking up the one-point extensions of each member.
+
+    M is verified once; the derivative of a modeloid is again one, so
+    the result carries M's verdict and a chain checks no derived level.
     """
-    result = verify_modeloid(M)
-    if not result:
-        raise InputError(f"not a modeloid ({result.describe()})")
-    return Modeloid(M.carrier, _derivative_members(M))
+    verify_modeloid(M).require("not a modeloid")
+    n = M.carrier.size
+    member_pairs = {f.pairs for f in M.members}
+    survivors = frozenset(
+        f for f in M.members if _least_unextended(f.pairs, member_pairs, n, n) == (None, None)
+    )
+    derived = Modeloid(M.carrier, survivors)
+    _carry_modeloid_verdict(M, derived)
+    return derived
 
 
 def iterate_derivative(M: Modeloid, rounds: int) -> tuple[list[Modeloid], int | None]:
     """The chain M, D(M), ..., D^rounds(M) plus the first index k with
     D^(k+1) = D^k, or None when no repeat shows up within the chain.
-
-    The derivative of a modeloid is again a modeloid, so only the input
-    is verified.
-    """
-    result = verify_modeloid(M)
-    if not result:
-        raise InputError(f"not a modeloid ({result.describe()})")
-    return fixpoint_chain(M, lambda N: Modeloid(N.carrier, _derivative_members(N)), rounds)
+    M is verified even when no step is taken."""
+    verify_modeloid(M).require("not a modeloid")
+    return fixpoint_chain(M, derivative, rounds)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any
 
 from .derived import Frozen
+from .errors import InputError
 
 
 class Verdict(Frozen):
@@ -27,6 +28,11 @@ class Verdict(Frozen):
         if self.witness is None:
             return f"violation: {self.axiom}"
         return f"violation: {self.axiom} witness: {self.witness!r}"
+
+    def require(self, failure: str) -> None:
+        """Raise ``InputError("<failure> (<describe()>)")`` unless ok."""
+        if not self.ok:
+            raise InputError(f"{failure} ({self.describe()})")
 
 
 def passed() -> Verdict:

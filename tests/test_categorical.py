@@ -338,7 +338,7 @@ class TestDerivative:
             CM
         ).members
 
-    def test_derivative_checks_input_by_default(self):
+    def test_derivative_checks_its_input(self):
         _, table, _, cat, index = one_object_setup(2)
         carrier = Carrier(2)
         f = index[pb(carrier, [(0, 1)])]
@@ -346,15 +346,24 @@ class TestDerivative:
         with pytest.raises(InputError):
             categorical_derivative(bad)
 
-    def test_unchecked_path_matches_checked_on_valid_input(self):
+    def test_derived_levels_carry_the_verdict(self, monkeypatch):
+        # the closure theorem: a chain checks its input alone, and every
+        # derived level passes the uncached check of the verdict it carries
         carrier, _, _, cat, index = one_object_setup(2)
         M = modeloid_closure([pb(carrier, [(0, 1)])], carrier)
         members = frozenset(index[f] for f in M.members) | {cat.star}
         CM = CategoricalModeloid.from_members(cat, members)
-        assert (
-            categorical_derivative(CM, check=False).members
-            == categorical_derivative(CM).members
-        )
+        checked = []
+        check = categorical._check_categorical_modeloid
+
+        def counting(N):
+            checked.append(N)
+            return check(N)
+
+        monkeypatch.setattr(categorical, "_check_categorical_modeloid", counting)
+        chain, stabilized = iterate_categorical(CM, 3)
+        assert stabilized == 1 and len(checked) == 1 and checked[0] is CM
+        assert all(verify_categorical_modeloid(N).ok and check(N).ok for N in chain)
 
 
 def assert_chain_matches_reference(ambient):
@@ -364,7 +373,7 @@ def assert_chain_matches_reference(ambient):
     levels = 0
     while True:
         expected = categorical_derivative_by_covers(M)
-        assert categorical_derivative(M, check=False).members == expected
+        assert categorical_derivative(M).members == expected
         for X in objects(ambient):
             for Y in objects(ambient):
                 hom = {f for f in expected if ambient.dom[f] == X and ambient.cod[f] == Y}
@@ -403,7 +412,7 @@ class TestOneCoverPass:
         monkeypatch.setattr(categorical, "member_idempotent_atoms", counted)
         A, B = Structure.build("A", 2, Vocabulary()), Structure.build("B", 3, Vocabulary())
         D = build_category_D(A, B).whole
-        categorical_derivative(CategoricalModeloid.everything(D.ambient), check=False)
+        categorical_derivative(CategoricalModeloid.everything(D.ambient))
         assert sorted(calls) == sorted([D.object_a, D.object_b, D.ambient.star])
 
 

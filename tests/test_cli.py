@@ -8,9 +8,18 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from modeloids import cli, ef_games, free_categories, inverse_semigroups, modeloid
-from modeloids.categorical import CategoricalModeloid
+from modeloids import (
+    categorical,
+    cli,
+    ef_games,
+    fileformats,
+    free_categories,
+    inverse_semigroups,
+    modeloid,
+)
+from modeloids.categorical import CategoricalModeloid, iterate_categorical
 from modeloids.ef_games import extract_certificate, format_certificate
+from modeloids.errors import InputError
 from modeloids.fileformats import (
     format_categorical_modeloid_file,
     format_category_file,
@@ -20,7 +29,7 @@ from modeloids.fileformats import (
 )
 from modeloids.free_categories import semigroup_to_one_object_category
 from modeloids.inverse_semigroups import Semimodeloid, from_partial_bijections
-from modeloids.modeloid import full_modeloid, modeloid_closure
+from modeloids.modeloid import full_modeloid, iterate_derivative, modeloid_closure
 from modeloids.partial_bijections import Carrier, PartialBijection, enumerate_all
 from modeloids.structures import parse_structures
 
@@ -628,27 +637,25 @@ class TestDerive:
 
 class TestVerifyOncePerRequest:
     """A request checks the axioms of each table instance once, however
-    many library calls ask for the verdict."""
+    many library calls ask for the verdict; a derived level carries its
+    input's verdict and is not checked at all."""
 
     CHECKERS = (
         (free_categories, "_check_category"),
         (inverse_semigroups, "_check_inverse_semigroup"),
         (inverse_semigroups, "_check_semimodeloid"),
         (modeloid, "_check_modeloid"),
+        (categorical, "_check_categorical_modeloid"),
     )
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("derive", "modeloid", "shrink.txt", "--rounds", "3"),
-            ("derive", "semimodeloid", "semimodeloid-shrink.txt", "--rounds", "3"),
-            ("derive", "categorical-modeloid", "catmod-noinv.txt", "--rounds", "3"),
-            ("verify", "semimodeloid", "semi.txt"),
-            ("verify", "categorical-modeloid", "catmod-noinv.txt"),
-            ("embed", "f2.txt"),
-        ],
-    )
-    def test_each_instance_checked_once(self, files, capsys, monkeypatch, args):
+    DERIVE_REQUESTS = [
+        ("derive", "modeloid", "shrink.txt", "--rounds", "3"),
+        ("derive", "semimodeloid", "semimodeloid-shrink.txt", "--rounds", "3"),
+        ("derive", "categorical-modeloid", "catmod-noinv.txt", "--rounds", "3"),
+    ]
+
+    def run_counting(self, files, capsys, monkeypatch, args) -> tuple[list, str]:
+        """Every instance the checkers see in one request, and its stdout."""
         checked = []
         for module, name in self.CHECKERS:
 
@@ -658,9 +665,43 @@ class TestVerifyOncePerRequest:
 
             monkeypatch.setattr(module, name, counting)
         argv = [files.get(a, a) for a in args]
-        assert run(capsys, *argv)[0] == 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return checked, out
+
+    @pytest.mark.parametrize(
+        "args",
+        DERIVE_REQUESTS
+        + [
+            ("verify", "semimodeloid", "semi.txt"),
+            ("verify", "categorical-modeloid", "catmod-noinv.txt"),
+            ("embed", "f2.txt"),
+        ],
+    )
+    def test_each_instance_checked_once(self, files, capsys, monkeypatch, args):
+        checked, _ = self.run_counting(files, capsys, monkeypatch, args)
         assert checked
         assert set(Counter(map(id, checked)).values()) == {1}
+
+    @pytest.mark.parametrize("args", DERIVE_REQUESTS)
+    def test_derive_checks_the_input_alone(self, files, capsys, monkeypatch, args):
+        # of the levels, only the parsed one (level 0) meets a checker
+        checked, out = self.run_counting(files, capsys, monkeypatch, args)
+        levels = [x for x in checked if hasattr(x, "members")]
+        sizes = dict(line.split(": ") for line in out.splitlines())["sizes"].split()
+        assert len(levels) == 1 and len(levels[0].members) == int(sizes[0])
+
+    def test_iterations_check_the_input_without_a_step(self, files):
+        with open(files["badmod.txt"], encoding="utf-8") as f:
+            M = fileformats.parse_modeloid_file(f.read())
+        with pytest.raises(InputError, match="not a modeloid"):
+            iterate_derivative(M, 0)
+        with open(files["catmod-bad.txt"], encoding="utf-8") as f:
+            CM = CategoricalModeloid.from_members(
+                *fileformats.parse_categorical_modeloid_file(f.read())
+            )
+        with pytest.raises(InputError, match="not a categorical modeloid"):
+            iterate_categorical(CM, 0)
 
 
 class TestAssociativityOncePerRequest:

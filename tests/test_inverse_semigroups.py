@@ -24,6 +24,7 @@ from reference_scans import (
     semimodeloid_derivative_by_reach,
 )
 
+from modeloids import inverse_semigroups
 from modeloids.categorical import CategoricalModeloid, endoset_as_semimodeloid
 from modeloids.ef_games import build_category_D, derivative_levels
 from modeloids.errors import InputError
@@ -32,6 +33,7 @@ from modeloids.inverse_semigroups import (
     CharacterizationReport,
     InverseSemigroupTable,
     Semimodeloid,
+    _check_semimodeloid,
     associativity_witness,
     atoms,
     characterize,
@@ -583,6 +585,25 @@ class TestSemimodeloid:
         sm = Semimodeloid(trivial, frozenset({0}))
         assert semimodeloid_derivative(sm).members == sm.members
 
+    def test_atoms_found_once_per_table(self, monkeypatch):
+        # the idempotent atoms are a fact of the table that every level shares
+        found = []
+        scan = inverse_semigroups.atoms
+
+        def counting(table):
+            found.append(table)
+            return scan(table)
+
+        monkeypatch.setattr(inverse_semigroups, "atoms", counting)
+        table, elements = table_of_all_maps(2)
+        swap = PartialBijection.from_pairs(Carrier(2), [(0, 1)])
+        closure = modeloid_closure([swap], Carrier(2)).members
+        sm = Semimodeloid.from_members(table, (i for i, f in enumerate(elements) if f in closure))
+        level = sm
+        for _ in range(3):
+            level = semimodeloid_derivative(level)
+        assert level != sm and found == [table]
+
     def test_derivative_requires_valid_semimodeloid(self):
         table, elements = table_of_all_maps(2)
         members = frozenset(
@@ -633,13 +654,16 @@ def collapsed_endosets(draw):
 
 class TestDerivativeMatchesReach:
     """The semimodeloid derivative, the categorical cover step on one
-    object, against the per-atom reach reference, down its chain."""
+    object, against the per-atom reach reference, down its chain.  Each
+    derived level carries its input's verdict, so the closure theorem is
+    checked afresh: every level passes the uncached check."""
 
     @staticmethod
     def assert_chain_matches(sm):
         while True:
             derived = semimodeloid_derivative(sm)
             assert derived.members == semimodeloid_derivative_by_reach(sm)
+            assert _check_semimodeloid(derived).ok
             if derived.members == sm.members:
                 return
             sm = derived
