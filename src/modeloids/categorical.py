@@ -131,12 +131,14 @@ def _cover_step(M: CategoricalModeloid, candidates: Iterable[int], end_objects) 
 
 def homset_derivative(M: CategoricalModeloid, X: int, Y: int) -> frozenset[int]:
     """Members of Hom(X, Y) whose every domain-side atom requirement and
-    codomain-side atom requirement is covered by some larger member."""
+    codomain-side atom requirement is covered by some larger member.  M
+    is verified, as ``categorical_derivative`` verifies it."""
     c = M.ambient
     if c.dom[X] != X or c.dom[Y] != Y:
         raise InputError("homset derivative needs object arguments")
     if X not in M.members or Y not in M.members:
         raise InputError("homset derivative needs objects of the modeloid")
+    verify_categorical_modeloid(M).require("not a categorical modeloid")
     return _cover_step(M, _member_homset(M, X, Y), (X, Y))
 
 

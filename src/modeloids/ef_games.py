@@ -5,7 +5,11 @@ pair is the free-logic inverse category whose existing morphisms are
 the partial isomorphisms between the four side pairs (A,A), (A,B),
 (B,A), (B,B).  Its objects are the full identities id_A and id_B, the
 zero of each endoset is the constants-only map, and the full morphism
-set is a categorical modeloid.  No composition table is built: the
+set is a categorical modeloid.  A map of D is held in one form, its
+sorted tuple of pairs: the category, its chains and its certificates
+all read pair tuples, and a ``PartialIso`` is built only where a map is
+handed out, as the witness of ``ef_equiv_derivative`` or by
+``surviving_maps``.  No composition table is built: the
 ``PartialIsoAmbient`` composes two maps on demand and looks the result
 up, and it lists the natural-order down-set of a map as its
 restrictions that keep the constant pairs.
@@ -26,10 +30,10 @@ all of D (``derivative_levels``, the paper's route through
 So ``build_category_D`` builds only the part of D around Hom(A,B):
 Hom(A,B) from one enumeration, Hom(B,A) as the inverses of its maps, and
 the partial identities of A and B, which are generated as restrictions
-of id_A and id_B without a search.  All of D, with the part as its index
-prefix, is built on first read of ``CategoryD.whole``; only
-``derivative_levels`` and the endoset queries read it.  For A == B the
-part is all of D.
+of id_A and id_B without a search: both are pair tuples that no second
+test checks.  All of D, with the part as its index prefix, is built on
+first read of ``CategoryD.whole``; only ``derivative_levels`` and the
+endoset queries read it.  For A == B the part is all of D.
 
 Asking one pair for m = 0, 1, 2, ... builds D once.  ``build_category_D``
 keeps the D of its latest call and returns it again when called with the
@@ -49,9 +53,9 @@ universe, whatever the number of rounds.  The two must always agree;
 the command-line front-end runs both.
 
 A positive derivative answer can be externalized: ``extract_certificate``
-returns the chain I_j = D^j ∩ Part(A,B), read from the same homset
-chain, which ``verify_certificate`` checks against the literal
-back-and-forth conditions, by one-point extensions.
+returns the chain I_j = D^j ∩ Part(A,B) as sets of pair tuples, read
+from the same homset chain, which ``verify_certificate`` checks against
+the literal back-and-forth conditions, by one-point extensions.
 """
 
 from __future__ import annotations
@@ -79,10 +83,11 @@ DEFAULT_EF_UNIVERSE_BOUND = 5
 class PartialIsoAmbient(Frozen):
     """Category D as the derivative reads it, composed on demand.
 
-    ``morphisms[i]`` is the partial isomorphism at index i and star sits
-    at index ``len(morphisms)``.  ``dom``, ``cod`` and ``inv`` are tables;
-    ``index`` finds a map by (dom object, cod object, pairs), and
-    ``constants[X]`` lists the constant elements of object X's structure.
+    ``morphisms[i]`` is the partial isomorphism at index i as its sorted
+    pair tuple, and star sits at index ``len(morphisms)``.  ``dom``,
+    ``cod`` and ``inv`` are tables; ``index`` finds a map by (dom object,
+    cod object, pairs), and ``constants[X]`` lists the constant elements
+    of object X's structure.
     No composition table is built: ``compose`` composes two maps and looks
     the result up, and ``below`` enumerates restrictions.  An ambient may
     hold only part of D; a composite outside it raises
@@ -94,7 +99,7 @@ class PartialIsoAmbient(Frozen):
 
     def __init__(
         self, morphism_count: int, star: int, dom: tuple[int, ...], cod: tuple[int, ...],
-        inv: tuple[int, ...], morphisms: tuple[PartialIso, ...],
+        inv: tuple[int, ...], morphisms: tuple[tuple[tuple[int, int], ...], ...],
         index: dict[tuple[int, int, tuple], int], constants: dict[int, tuple[int, ...]],
     ):
         vars(self).update(
@@ -107,8 +112,8 @@ class PartialIsoAmbient(Frozen):
         """f after g: map composition where dom f meets cod g, else star."""
         if f == self.star or g == self.star or self.dom[f] != self.cod[g]:
             return self.star
-        fwd = dict(self.morphisms[f].pairs)
-        composed = tuple((a, fwd[b]) for a, b in self.morphisms[g].pairs if b in fwd)
+        fwd = dict(self.morphisms[f])
+        composed = tuple((a, fwd[b]) for a, b in self.morphisms[g] if b in fwd)
         try:
             return self.index[(self.dom[g], self.cod[f], composed)]
         except KeyError:
@@ -126,22 +131,27 @@ class PartialIsoAmbient(Frozen):
             return frozenset((t,))
         X, Y = self.dom[t], self.cod[t]
         fixed = set(zip(self.constants[X], self.constants[Y]))
-        # each pair is kept, or dropped unless it is a constant pair
-        choices = [((p,),) if p in fixed else ((p,), ()) for p in self.morphisms[t].pairs]
-        return frozenset(self.index[(X, Y, sum(kept, ()))] for kept in product(*choices))
+        return frozenset(self.index[(X, Y, r)] for r in _restrictions(self.morphisms[t], fixed))
+
+
+def _restrictions(pairs: tuple, fixed) -> Iterator[tuple]:
+    """The sub-tuples of ``pairs`` that keep every pair in ``fixed``."""
+    # each pair is kept, or dropped unless it is a constant pair
+    choices = [((p,),) if p in fixed else ((p,), ()) for p in pairs]
+    return (sum(kept, ()) for kept in product(*choices))
 
 
 class CategoryD(Frozen):
     """The partial-isomorphism category of a structure pair, or the part
     of it that the ``ef`` chain reads.
 
-    The part (``complete`` false) holds Hom(A,B), Hom(B,A) and the
-    partial identities of A and B; ``whole`` is all of D, built on first
-    read, with the part's morphisms as its first indices.  So an index
-    into the part is the same morphism in D, and ``object_a`` and
-    ``object_b`` are the same in both.  When ``left`` and ``right`` are
-    the same structure the category has a single object, and the part
-    is all of D.
+    ``morphisms`` are its ambient's pair tuples.  The part (``complete``
+    false) holds Hom(A,B), Hom(B,A) and the partial identities of A and
+    B; ``whole`` is all of D, built on first read, with the part's
+    morphisms as its first indices.  So an index into the part is the
+    same morphism in D, and ``object_a`` and ``object_b`` are the same in
+    both.  When ``left`` and ``right`` are the same structure the
+    category has a single object, and the part is all of D.
     """
 
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
@@ -164,7 +174,7 @@ class CategoryD(Frozen):
         return self.ambient.star
 
     @property
-    def morphisms(self) -> tuple[PartialIso, ...]:
+    def morphisms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return self.ambient.morphisms
 
     def _side(self, S: Structure) -> int:
@@ -199,55 +209,47 @@ def _check_pair(A: Structure, B: Structure, max_universe: int):
             )
 
 
-def _partial_identities(S: Structure) -> list[PartialIso]:
-    """The restrictions of id_S that keep the constant pairs: the
-    idempotents of End(S), each a partial isomorphism without a check."""
-    choices = [((x,),) if x in S.constants else ((x,), ()) for x in range(S.universe_size)]
-    return [
-        PartialIso(S, S, tuple((x, x) for x in sum(kept, ()))) for kept in product(*choices)
-    ]
+def _identity(S: Structure) -> tuple[tuple[int, int], ...]:
+    return tuple((x, x) for x in range(S.universe_size))
 
 
-def _block(lt: int, rt: int, maps) -> list[tuple[int, int, PartialIso]]:
-    """The maps from side lt to side rt, sorted by pairs."""
-    return [(lt, rt, p) for p in sorted(maps, key=lambda p: p.pairs)]
+def _inverse(pairs: tuple) -> tuple:
+    return tuple(sorted((b, a) for a, b in pairs))
+
+
+def _enumerated(X: Structure, Y: Structure, max_universe: int) -> list[tuple]:
+    """The pair tuples of ``enumerate_partial_isos(X, Y)``."""
+    return [p.pairs for p in enumerate_partial_isos(X, Y, max_universe)]
+
+
+def _block(lt: int, rt: int, maps) -> list[tuple[int, int, tuple]]:
+    """The maps from side lt to side rt, sorted."""
+    return [(lt, rt, p) for p in sorted(maps)]
 
 
 def _category(
-    left: Structure,
-    right: Structure,
-    layout: list[tuple[int, int, PartialIso]],
-    complete: bool,
+    left: Structure, right: Structure, layout: list[tuple[int, int, tuple]], complete: bool
 ) -> CategoryD:
     """Tabulate dom, cod and inv over ``layout``, a list of (source side,
     target side, map) in index order; star comes after the last map."""
     sides = (left,) if left == right else (left, right)
     morphisms = tuple(p for _, _, p in layout)
-    n = len(morphisms)
-    star = n
-    # id_S by side and pairs, with no PartialIso built or compared
-    full = [tuple((x, x) for x in range(S.universe_size)) for S in sides]
+    star = len(morphisms)
+    full = [_identity(S) for S in sides]
     obj = [0] * len(sides)
     for i, (lt, rt, p) in enumerate(layout):
-        if lt == rt and p.pairs == full[lt]:
+        if lt == rt and p == full[lt]:
             obj[lt] = i
     dom = tuple(obj[lt] for lt, _, _ in layout) + (star,)
     cod = tuple(obj[rt] for _, rt, _ in layout) + (star,)
-    index = {(dom[i], cod[i], p.pairs): i for i, p in enumerate(morphisms)}
-    inv = tuple(
-        index[(cod[i], dom[i], tuple(sorted((b, a) for a, b in p.pairs)))]
-        for i, p in enumerate(morphisms)
-    ) + (star,)
-    ambient = PartialIsoAmbient(
-        morphism_count=n + 1,
-        star=star,
-        dom=dom,
-        cod=cod,
-        inv=inv,
-        morphisms=morphisms,
-        index=index,
-        constants={obj[s]: S.constants for s, S in enumerate(sides)},
-    )
+    index = {(dom[i], cod[i], p): i for i, p in enumerate(morphisms)}
+    inv = [star] * (star + 1)
+    for i, p in enumerate(morphisms):
+        if inv[i] == star:  # each inverse pair is looked up once
+            inv[i] = j = index[(cod[i], dom[i], _inverse(p))]
+            inv[j] = i
+    constants = {obj[s]: S.constants for s, S in enumerate(sides)}
+    ambient = PartialIsoAmbient(star + 1, star, dom, cod, tuple(inv), morphisms, index, constants)
     return CategoryD(left, right, ambient, obj[0], obj[-1], complete)
 
 
@@ -261,9 +263,10 @@ def build_category_D(
     """The part of D around the ``ef`` chain: Hom(A,B) from one
     ``enumerate_partial_isos`` call, then Hom(B,A), the inverses of those
     maps, then the partial identities of A and of B, then star; each block
-    sorted by pairs.  dom, cod and inv are tabulated; composition is left
-    to the ambient.  All of D is ``.whole``, built when first read.  For
-    A == B this is all of D: the one block End(A).
+    of pair tuples sorted.  Only the enumeration builds ``PartialIso``
+    objects.  dom, cod and inv are tabulated; composition is left to the
+    ambient.  All of D is ``.whole``, built when first read.  For A == B
+    this is all of D: the one block End(A).
 
     Called again with the same two structure objects (``is``, not ``==``),
     it returns the D it built last, with the compositions, down-sets and
@@ -278,16 +281,14 @@ def build_category_D(
         return _latest
     _latest = None
     if A == B:
-        layout = _block(0, 0, enumerate_partial_isos(A, A, max_universe))
+        layout = _block(0, 0, _enumerated(A, A, max_universe))
     else:
-        forth = enumerate_partial_isos(A, B, max_universe)
-        back = (PartialIso(B, A, tuple(sorted((b, a) for a, b in p.pairs))) for p in forth)
-        layout = (
-            _block(0, 1, forth)
-            + _block(1, 0, back)
-            + _block(0, 0, _partial_identities(A))
-            + _block(1, 1, _partial_identities(B))
-        )
+        forth = _enumerated(A, B, max_universe)
+        layout = _block(0, 1, forth) + _block(1, 0, map(_inverse, forth))
+        for s, S in enumerate((A, B)):
+            # the partial identities: id_S's restrictions that fix the constants
+            fixed = {(c, c) for c in S.constants}
+            layout += _block(s, s, _restrictions(_identity(S), fixed))
     _latest = _category(A, B, layout, complete=A == B)
     return _latest
 
@@ -298,10 +299,10 @@ def _whole(part: CategoryD) -> CategoryD:
     endomorphisms of A and of B, then star."""
     c = part.ambient
     side = {part.object_a: 0, part.object_b: 1}
-    layout = [(side[c.dom[i]], side[c.cod[i]], p) for i, p in enumerate(part.morphisms)]
+    layout = [(side[c.dom[i]], side[c.cod[i]], p) for i, p in enumerate(c.morphisms)]
     for s, S in enumerate((part.left, part.right)):
-        endos = enumerate_partial_isos(S, S, S.universe_size)
-        layout += _block(s, s, (p for p in endos if any(a != b for a, b in p.pairs)))
+        endos = _enumerated(S, S, S.universe_size)
+        layout += _block(s, s, (p for p in endos if any(a != b for a, b in p)))
     return _category(part.left, part.right, layout, complete=True)
 
 
@@ -329,7 +330,7 @@ def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> Chain:
     """D^j ∩ Hom(X,Y) as index sets; a step keeps a map when every point
     of X and of Y outside it extends it by one pair to a map of the level."""
     D = category._holding(X, Y)
-    pairs = {i: D.morphisms[i].pairs for i in D.part(X, Y)}
+    pairs = {i: D.morphisms[i] for i in D.part(X, Y)}
     sources, targets = X.universe_size, Y.universe_size
 
     def step(level: frozenset[int]) -> frozenset[int]:
@@ -379,16 +380,21 @@ def homset_levels(
     return padded(tuple(_homset_chain(category, X, Y).upto(m)), m)
 
 
+def _survivors(category: CategoryD, m: int, X: Structure, Y: Structure) -> list[tuple]:
+    """The pair tuples of Part(X,Y) ∩ D^m, in index order."""
+    if m < 0:
+        raise InputError("rounds must be non-negative")
+    final = _homset_chain(category, X, Y).upto(m)[-1]
+    morphisms = category._holding(X, Y).morphisms
+    return [morphisms[i] for i in sorted(final)]
+
+
 def surviving_maps(
     category: CategoryD, m: int, X: Structure, Y: Structure
 ) -> tuple[PartialIso, ...]:
     """Part(X,Y) ∩ D^m for any side pair, star excluded; the general
     form of the equivalence query, sorted for determinism."""
-    if m < 0:
-        raise InputError("rounds must be non-negative")
-    final = _homset_chain(category, X, Y).upto(m)[-1]
-    morphisms = category._holding(X, Y).morphisms
-    return tuple(morphisms[i] for i in sorted(final))
+    return tuple(PartialIso(X, Y, p) for p in _survivors(category, m, X, Y))
 
 
 def ef_equiv_derivative(
@@ -401,15 +407,16 @@ def ef_equiv_derivative(
     """m-round equivalence via the derivative; the witness is a largest
     surviving map from id_A to id_B, or None if none survive.  The chain
     is stepped on Hom(A,B) alone, which gives the same D^m ∩ Hom(A,B) as
-    all of D (see ``homset_levels``)."""
+    all of D (see ``homset_levels``).  The witness is the one
+    ``PartialIso`` built: the largest pair tuple is picked first."""
     if m < 0:
         raise InputError("rounds must be non-negative")
     if category is None:
         category = build_category_D(A, B, max_universe)
-    survivors = surviving_maps(category, m, A, B)
+    survivors = _survivors(category, m, A, B)
     if not survivors:
         return False, None
-    return True, max(survivors, key=lambda p: (len(p.pairs), p.pairs))
+    return True, PartialIso(A, B, max(survivors, key=lambda p: (len(p), p)))
 
 
 def ef_equiv_oracle(
@@ -459,13 +466,14 @@ def ef_equiv_oracle(
 class BackAndForthCertificate(Frozen):
     """Level sets I_0 ⊇ I_1 ⊇ ... ⊇ I_m witnessing m-round equivalence.
 
-    I_j holds the maps that still answer j more rounds; extending
-    happens toward smaller indices.
+    I_j holds the maps from ``left`` to ``right`` that still answer j more
+    rounds, each as its sorted pair tuple; extending happens toward
+    smaller indices.
     """
 
     def __init__(
         self, left: Structure, right: Structure, rounds: int,
-        levels: tuple[frozenset[PartialIso], ...],
+        levels: tuple[frozenset[tuple[tuple[int, int], ...]], ...],
     ):
         if rounds < 0:
             raise InputError("rounds must be non-negative")
@@ -484,8 +492,8 @@ def extract_certificate(
     """I_j = D^j ∩ Part(A,B); absent when nothing survives m rounds.  The
     levels come from the chain stepped on Hom(A,B) alone, which the other
     homsets never feed back into (see ``homset_levels``).  Each distinct
-    level becomes one set of maps, and the tail past the fixpoint repeats
-    the last by reference."""
+    level becomes one set of pair tuples, and the tail past the fixpoint
+    repeats the last by reference."""
     if m < 0:
         raise InputError("rounds must be non-negative")
     if category is None:
@@ -502,38 +510,38 @@ def extract_certificate(
 def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
     """Check the literal back-and-forth conditions between levels.
 
-    Every level must be a non-empty set of actual partial isomorphisms,
-    and for each f in I_{j+1} every a in A needs some b with f ∪ {(a, b)}
-    in I_j (forth), and every b in B some such a (back).  On levels closed
+    Every level must be a non-empty set of actual partial isomorphisms
+    from A to B, each a strictly sorted tuple of pairs inside the two
+    universes, and for each f in I_{j+1} every a in A needs some b with
+    f ∪ {(a, b)} in I_j (forth), and every b in B some such a (back).  On levels closed
     under restriction, as extracted ones are, any larger map would do.
     A repeated level, found by identity first, and a map seen before are
     not scanned again.
     """
     A, B = cert.left, cert.right
-    ordered, checked = [], set()  # levels by pairs, a repeat sharing the list before
+    ordered, checked = [], set()  # levels sorted, a repeat sharing the list before
     for j, level in enumerate(cert.levels):
         if j and (level is cert.levels[j - 1] or level == cert.levels[j - 1]):
             ordered.append(ordered[-1])  # scanned where it first appeared
             continue
         if not level:
             return v.violated("non-empty", j)
-        ordered.append(sorted(level, key=lambda p: p.pairs))
+        ordered.append(sorted(level))
         for f in ordered[-1]:
-            if f not in checked and (
-                f.left != A or f.right != B or not pairs_are_partial_iso(A, B, f.pairs)
+            if f not in checked and not (
+                all(p < q for p, q in zip(f, f[1:])) and pairs_are_partial_iso(A, B, f)
             ):
-                return v.violated("membership", (j, f.pairs))
+                return v.violated("membership", (j, f))
         checked |= level
     for j in range(cert.rounds):
         if j and ordered[j + 1] is ordered[j] is ordered[j - 1]:
             continue  # the same pair as the one before, which passed
-        maps = {g.pairs for g in ordered[j]}
         for f in ordered[j + 1]:
-            a, b = _least_unextended(f.pairs, maps, A.universe_size, B.universe_size)
+            a, b = _least_unextended(f, cert.levels[j], A.universe_size, B.universe_size)
             if a is not None:
-                return v.violated("forth", (j, a, f.pairs))
+                return v.violated("forth", (j, a, f))
             if b is not None:
-                return v.violated("back", (j, b, f.pairs))
+                return v.violated("back", (j, b, f))
     return v.passed()
 
 
@@ -554,7 +562,6 @@ def certificate_lines(cert: BackAndForthCertificate) -> Iterator[str]:
         yield f"level {j}\n"
         if not j or (level is not cert.levels[j - 1] and level != cert.levels[j - 1]):
             rendered = "".join(
-                " ".join(("  map", *(f"({a},{b})" for a, b in p.pairs))) + "\n"
-                for p in sorted(level, key=lambda q: q.pairs)
+                " ".join(("  map", *(f"({a},{b})" for a, b in p))) + "\n" for p in sorted(level)
             )
         yield rendered

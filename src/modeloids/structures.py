@@ -196,14 +196,17 @@ def constants_only_iso(A: Structure, B: Structure) -> PartialIso:
 def pairs_are_partial_iso(
     A: Structure, B: Structure, pairs: Iterable[tuple[int, int]]
 ) -> bool:
-    """Ground truth for raw pair sets: functional, injective, containing
-    all constant pairs, preserving every relation in both directions."""
+    """Ground truth for raw pair sets: inside the two universes,
+    functional, injective, containing all constant pairs, preserving
+    every relation in both directions."""
     pairs = set(pairs)
     forward = dict(pairs)
     backward = {b: a for a, b in pairs}
     if len(forward) != len(pairs) or len(backward) != len(pairs):
         return False
-    if A.vocabulary != B.vocabulary:
+    # identity first: the structures of one file share one vocabulary
+    # object, and the game oracle asks this once per position
+    if A.vocabulary is not B.vocabulary and A.vocabulary != B.vocabulary:
         raise InputError("both structures must share one vocabulary")
     if not pairs.issuperset(zip(A.constants, B.constants)):
         return False
@@ -213,7 +216,13 @@ def pairs_are_partial_iso(
             and _maps_into(backward, tuples_b, tuples_a)
         ):
             return False
-    return True
+    # last, as a pair outside the universes meets no constant and no tuple
+    return forward.keys() <= _elements(A) and backward.keys() <= _elements(B)
+
+
+@fact
+def _elements(S: Structure) -> frozenset[int]:
+    return frozenset(range(S.universe_size))
 
 
 def _maps_into(f: dict[int, int], tuples: Iterable[tuple[int, ...]], target) -> bool:

@@ -299,14 +299,16 @@ def categorical_derivative_by_covers(M) -> frozenset[int]:
 
 
 def _levels_are_partial_isos(cert):
-    """The non-empty and membership conditions on every level, or None."""
+    """The non-empty and membership conditions on every level, or None:
+    each member is its own set of pairs, in sorted order, and that set is
+    a partial isomorphism from A to B."""
     A, B = cert.left, cert.right
     for j, level in enumerate(cert.levels):
         if not level:
             return v.violated("non-empty", j)
-        for f in sorted(level, key=lambda p: p.pairs):
-            if f.left != A or f.right != B or not pairs_are_partial_iso(A, B, f.pairs):
-                return v.violated("membership", (j, f.pairs))
+        for f in sorted(level):
+            if list(f) != sorted(set(f)) or not pairs_are_partial_iso(A, B, f):
+                return v.violated("membership", (j, f))
     return None
 
 
@@ -319,15 +321,15 @@ def verify_certificate_by_one_point(cert) -> v.Verdict:
     if failed is not None:
         return failed
     for j in range(cert.rounds):
-        level = {frozenset(g.pairs) for g in cert.levels[j]}
-        for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
-            pairs = frozenset(f.pairs)
+        level = {frozenset(g) for g in cert.levels[j]}
+        for f in sorted(cert.levels[j + 1]):
+            pairs = frozenset(f)
             for a in range(A.universe_size):
                 if not any(pairs | {(a, b)} in level for b in range(B.universe_size)):
-                    return v.violated("forth", (j, a, f.pairs))
+                    return v.violated("forth", (j, a, f))
             for b in range(B.universe_size):
                 if not any(pairs | {(a, b)} in level for a in range(A.universe_size)):
-                    return v.violated("back", (j, b, f.pairs))
+                    return v.violated("back", (j, b, f))
     return v.passed()
 
 
@@ -355,15 +357,15 @@ def verify_certificate_by_extensions(cert) -> v.Verdict:
     if failed is not None:
         return failed
     for j in range(cert.rounds):
-        reach = reach_by_restrictions(g.pairs for g in cert.levels[j])
-        for f in sorted(cert.levels[j + 1], key=lambda p: p.pairs):
-            sources, targets = reach.get(f.pairs, ((), ()))
+        reach = reach_by_restrictions(cert.levels[j])
+        for f in sorted(cert.levels[j + 1]):
+            sources, targets = reach.get(f, ((), ()))
             missed = set(range(A.universe_size)).difference(sources)
             if missed:
-                return v.violated("forth", (j, min(missed), f.pairs))
+                return v.violated("forth", (j, min(missed), f))
             missed = set(range(B.universe_size)).difference(targets)
             if missed:
-                return v.violated("back", (j, min(missed), f.pairs))
+                return v.violated("back", (j, min(missed), f))
     return v.passed()
 
 

@@ -389,7 +389,7 @@ def test_10_certificates_sound_and_mutations_rejected(announce):
     rejected = []
     for cert in certificates:
         for j in range(cert.rounds):
-            for victim in sorted(cert.levels[j], key=lambda p: p.pairs):
+            for victim in sorted(cert.levels[j]):
                 if len(rejected) == 20:
                     break
                 trimmed = (

@@ -346,6 +346,18 @@ class TestDerivative:
         with pytest.raises(InputError):
             categorical_derivative(bad)
 
+    def test_homset_derivative_checks_its_input(self):
+        # the zero, the identity and 0->1 of R2, with no inverse 1->0
+        carrier, table, _, cat, index = one_object_setup(2)
+        f = index[pb(carrier, [(0, 1)])]
+        bad = CategoricalModeloid.from_members(
+            cat, {index[pb(carrier, [])], table.neutral, f, cat.star}
+        )
+        assert verify_categorical_modeloid(bad).describe() == f"violation: inverse witness: ({f},)"
+        obj = objects(cat)[0]
+        with pytest.raises(InputError, match="not a categorical modeloid"):
+            homset_derivative(bad, obj, obj)
+
     def test_derived_levels_carry_the_verdict(self, monkeypatch):
         # the closure theorem: a chain checks its input alone, and every
         # derived level passes the uncached check of the verdict it carries

@@ -142,9 +142,9 @@ class TestBuild:
         B = Structure.build("B", 2, POINTED, constants={"c": 0})
         cat = build_category_D(A, B)
         z = zero_of_endoset(cat.ambient, cat.object_a)
-        assert cat.morphisms[z].pairs == ((1, 1),)
+        assert cat.morphisms[z] == ((1, 1),)
         z = zero_of_endoset(cat.ambient, cat.object_b)
-        assert cat.morphisms[z].pairs == ((0, 0),)
+        assert cat.morphisms[z] == ((0, 0),)
 
     def test_all_morphisms_form_a_categorical_modeloid(self):
         cat = build_category_D(pure("A", 2), pure("B", 2)).whole
@@ -165,8 +165,8 @@ class TestBuild:
     def test_objects_are_the_full_identities(self):
         A, B = pure("A", 2), pure("B", 3)
         cat = build_category_D(A, B)
-        assert cat.morphisms[cat.object_a].pairs == ((0, 0), (1, 1))
-        assert cat.morphisms[cat.object_b].pairs == ((0, 0), (1, 1), (2, 2))
+        assert cat.morphisms[cat.object_a] == ((0, 0), (1, 1))
+        assert cat.morphisms[cat.object_b] == ((0, 0), (1, 1), (2, 2))
         assert len(cat.part(A, B)) == part_count(2, 3)
 
     def test_vocabulary_mismatch(self):
@@ -201,7 +201,13 @@ class TestPartialIsoAmbient:
     def test_compose_is_map_composition(self):
         for A, B in self.pairs(31):
             cat = build_category_D(A, B).whole
-            amb, maps = cat.ambient, cat.morphisms
+            amb = cat.ambient
+            # each pair tuple as the map between its two structures
+            side = {cat.object_a: A, cat.object_b: B}
+            maps = [
+                PartialIso(side[amb.dom[i]], side[amb.cod[i]], p)
+                for i, p in enumerate(cat.morphisms)
+            ]
             where = {p: i for i, p in enumerate(maps)}
             for f in range(amb.morphism_count):
                 for g in range(amb.morphism_count):
@@ -447,7 +453,7 @@ class TestCertificates:
 
     def test_identity_levels_verify_for_equal_structures(self):
         A = chain("A", 2)
-        ident = PartialIso.from_pairs(A, A, [(0, 0), (1, 1)])
+        ident = ((0, 0), (1, 1))
         cert = BackAndForthCertificate(A, A, 3, tuple([frozenset({ident})] * 4))
         assert verify_certificate(cert).ok
 
@@ -508,7 +514,7 @@ class TestCertificates:
 
     def test_empty_level_rejected(self):
         A = pure("A", 1)
-        cert = BackAndForthCertificate(A, A, 1, (frozenset({PartialIso.from_pairs(A, A, [(0, 0)])}), frozenset()))
+        cert = BackAndForthCertificate(A, A, 1, (frozenset({((0, 0),)}), frozenset()))
         report = verify_certificate(cert)
         assert report.axiom == "non-empty"
         assert report.witness == 1
@@ -517,7 +523,7 @@ class TestCertificates:
         P = Vocabulary(relations=(("P", 1),))
         A = Structure.build("A", 1, P, {"P": [(0,)]})
         B = Structure.build("B", 1, P)
-        bogus = PartialIso.from_pairs(A, B, [(0, 0)])
+        bogus = ((0, 0),)
         cert = BackAndForthCertificate(A, B, 0, (frozenset({bogus}),))
         report = verify_certificate(cert)
         assert report.axiom == "membership"
@@ -526,8 +532,7 @@ class TestCertificates:
         A, B = pure("A", 2), pure("B", 2)
         cert = extract_certificate(A, B, 1)
         # strip every proper extension of the empty map from level 0
-        empty = PartialIso.from_pairs(A, B, [])
-        slim = frozenset({empty})
+        slim = frozenset({()})
         broken = BackAndForthCertificate(A, B, 1, (slim, cert.levels[1]))
         report = verify_certificate(broken)
         assert report.axiom in ("forth", "back")
@@ -536,7 +541,7 @@ class TestCertificates:
     def test_cover_must_come_from_extensions(self):
         # (1,1) covers element 1 but does not extend (0,0)
         A, B = pure("A", 2), pure("B", 2)
-        low, other = PartialIso.from_pairs(A, B, [(0, 0)]), PartialIso.from_pairs(A, B, [(1, 1)])
+        low, other = ((0, 0),), ((1, 1),)
         cert = BackAndForthCertificate(A, B, 1, (frozenset({low, other}), frozenset({low})))
         report = verify_certificate(cert)
         assert report.axiom == "forth"
@@ -547,24 +552,41 @@ class TestCertificates:
         # the map covers A and B, but a one-point extension is missing
         # (for (0,0), the map itself); only the restriction-cover scan passes
         A, B = pure("A", 2), pure("B", 2)
-        empty, low, ident = (
-            PartialIso.from_pairs(A, B, p) for p in ([], [(0, 0)], [(0, 0), (1, 1)])
-        )
+        empty, low, ident = (), ((0, 0),), ((0, 0), (1, 1))
         for f in (empty, low):
             cert = BackAndForthCertificate(A, B, 1, (frozenset({empty, ident}), frozenset({f})))
             report = verify_certificate(cert)
             assert report == verify_certificate_by_one_point(cert)
-            assert (report.axiom, report.witness) == ("forth", (0, 0, f.pairs))
+            assert (report.axiom, report.witness) == ("forth", (0, 0, f))
             assert verify_certificate_by_extensions(cert).ok
 
     def test_back_names_the_least_missed_element(self):
         # (0,0) covers all of A but reaches neither 1 nor 2 in B
         A, B = pure("A", 1), pure("B", 3)
-        f = PartialIso.from_pairs(A, B, [(0, 0)])
+        f = ((0, 0),)
         cert = BackAndForthCertificate(A, B, 1, (frozenset({f}), frozenset({f})))
         report = verify_certificate(cert)
         assert report == verify_certificate_by_extensions(cert)
         assert (report.axiom, report.witness) == ("back", (0, 1, ((0, 0),)))
+
+    @pytest.mark.parametrize("member", [
+        ((1, 1), (0, 0)),  # unsorted
+        ((0, 0), (0, 0)),  # a repeated pair
+        ((0, 0), (2, 1)),  # a source outside A
+        ((0, 0), (1, 2)),  # a target outside B
+    ], ids=["unsorted", "repeated", "source", "target"])
+    def test_malformed_member_rejected(self, member):
+        # every member must be a strictly sorted tuple of pairs inside
+        # the universes; the rest of the level is sound
+        A, B = pure("A", 2), pure("B", 2)
+        cert = extract_certificate(A, B, 1)
+        for j in (0, 1):
+            levels = list(cert.levels)
+            levels[j] = levels[j] | {member}
+            mutated = BackAndForthCertificate(A, B, 1, tuple(levels))
+            report = verify_certificate(mutated)
+            assert (report.axiom, report.witness) == ("membership", (j, member))
+            assert report == verify_certificate_by_one_point(mutated)
 
     def test_mismatched_level_count(self):
         A = pure("A", 1)
@@ -600,19 +622,18 @@ class TestCertificateReference:
         cat = build_category_D(A, B)
         part = cat.part(A, B)
         # with Part(A,B) empty, an added empty map fails membership
-        pool = sorted((cat.morphisms[i] for i in part), key=lambda p: p.pairs)
-        pool = pool or [PartialIso(A, B, ())]
+        pool = sorted(cat.morphisms[i] for i in part) or [()]
         clean = [{cat.morphisms[i] for i in part if i in members}
                  for members in derivative_levels(cat, m)]
         levels = []
         for j, level in enumerate(clean):
             level = set(level)
-            kept_next = sorted(level & clean[j + 1], key=lambda p: p.pairs) if j < m else []
+            kept_next = sorted(level & clean[j + 1]) if j < m else []
             move = data.draw(st.sampled_from(("drop", "add", "drop-kept")))
             if move == "drop-kept" and kept_next:
                 level.remove(data.draw(st.sampled_from(kept_next)))
             elif move != "add" and level:
-                level.remove(data.draw(st.sampled_from(sorted(level, key=lambda p: p.pairs))))
+                level.remove(data.draw(st.sampled_from(sorted(level))))
             else:
                 level.add(data.draw(st.sampled_from(pool)))
             levels.append(frozenset(level))
@@ -699,7 +720,7 @@ class TestUniverseFour:
         part = cat.part(A, B)
         full = derivative_levels(cat, m)
         levels = [
-            frozenset(D.morphisms[i].pairs for i in part if i in members)
+            frozenset(D.morphisms[i] for i in part if i in members)
             for members in full
         ]
         reference = reach_above_chain(A, B, m)
@@ -712,7 +733,7 @@ class TestUniverseFour:
                     members & block for members in full
                 )
                 assert surviving_maps(cat, m, X, Y) == tuple(
-                    D.morphisms[i] for i in sorted(full[-1] & block)
+                    PartialIso(X, Y, D.morphisms[i]) for i in sorted(full[-1] & block)
                 )
 
 
@@ -831,8 +852,42 @@ class TestSharedCategory:
         for category in (D, whole):
             for S in (A, B):
                 X = category.object_of(S)
-                assert category.morphisms[X].pairs == tuple((x, x) for x in range(S.universe_size))
+                assert category.morphisms[X] == tuple((x, x) for x in range(S.universe_size))
                 assert category.ambient.dom[X] == category.ambient.cod[X] == X
+
+    @pytest.mark.parametrize("pair", [
+        (pure("S3", 3), pure("S4", 4)),
+        (directed_cycle("C5", range(5)), directed_path("P5", 5)),
+    ], ids=["S3-S4", "C5-P5"])
+    def test_maps_are_built_only_as_answers(self, pair, monkeypatch):
+        # D, its chains and its certificates hold pair tuples: the only
+        # PartialIso objects are the enumerated ones and the one witness
+        built, enumerated = [], []
+        init, enumerate_isos = PartialIso.__init__, ef_games.enumerate_partial_isos
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def counted(*args):
+            found = enumerate_isos(*args)
+            enumerated.append(len(found))
+            return found
+
+        monkeypatch.setattr(PartialIso, "__init__", counting)
+        monkeypatch.setattr(ef_games, "enumerate_partial_isos", counted)
+        A, B = (replace(S) for S in pair)
+        cat = build_category_D(A, B)
+        for X in (A, B):
+            for Y in (A, B):
+                homset_levels(cat, 4, X, Y)
+        cert = extract_certificate(A, B, 1, category=cat)
+        assert cert is not None and verify_certificate(cert).ok
+        assert len(built) == sum(enumerated) > 0
+        built.clear()
+        equivalent, witness = ef_equiv_derivative(A, B, 1, category=cat)
+        assert equivalent and len(built) == 1
+        assert built[0] == (A, B, witness.pairs)
 
     def test_only_the_latest_category_is_kept(self):
         A, B = pure("A", 3), pure("B", 3)

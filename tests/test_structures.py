@@ -246,6 +246,21 @@ class TestPartialIsoChecks:
         with pytest.raises(InputError):
             PartialIso.from_pairs(A, B, [])
 
+    def test_pairs_outside_the_universes_fail(self):
+        # PartialIso rejects these pairs at construction, and the check on
+        # raw pairs agrees; a relation that the pair would preserve inside
+        # the universes changes nothing
+        A, B = Structure.build("A", 2, EMPTY), Structure.build("B", 2, EMPTY)
+        R = Vocabulary(relations=(("R", 1),))
+        A1, B1 = (Structure.build(name, 2, R, {"R": [(0,)]}) for name in "AB")
+        for left, right, pairs in [
+            (A, B, [(9, 0)]), (A, B, [(-1, 5)]), (A, B, [(0, 2)]), (A1, B1, [(9, 1)]),
+        ]:
+            assert not pairs_are_partial_iso(left, right, pairs)
+            with pytest.raises(InputError, match="leaves the"):
+                PartialIso.from_pairs(left, right, pairs)
+        assert pairs_are_partial_iso(A1, B1, [(1, 1)])
+
 
 class TestEnumeration:
     def test_empty_vocabulary_one_versus_two(self):
