@@ -23,7 +23,9 @@ are the partial identities on the constants plus one point.  Every
 level is down-closed, so some member above f covers the atom at x
 exactly when f ∪ {(x, y)} is in the level for some y: a step keeps f
 when every point outside it extends it by one pair, forth and back, the
-classical back-and-forth step, looked up on pair tuples.  The chain on
+classical back-and-forth step.  Each step indexes the one-point
+extensions of its level once, by integer pair codes (``_extended_at``),
+and reads every map's answer from that index.  The chain on
 all of D (``derivative_levels``, the paper's route through
 ``categorical_derivative``) stays as the reference it must agree with.
 
@@ -55,7 +57,8 @@ the command-line front-end runs both.
 A positive derivative answer can be externalized: ``extract_certificate``
 returns the chain I_j = D^j ∩ Part(A,B) as sets of pair tuples, read
 from the same homset chain, which ``verify_certificate`` checks against
-the literal back-and-forth conditions, by one-point extensions.
+the literal back-and-forth conditions, from the same kind of index of
+one-point extensions, built once per distinct level.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from .categorical import CategoricalModeloid, categorical_derivative
 from .derived import Chain, Frozen, fact, padded
 from .errors import BoundExceededError, InputError, OutsideAmbientError
 from .free_categories import homset
-from .partial_bijections import _least_unextended
+from .partial_bijections import _extended_at, _least_unextended
 from .structures import (
     PartialIso,
     Structure,
@@ -328,16 +331,17 @@ def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]
 @fact
 def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> Chain:
     """D^j ∩ Hom(X,Y) as index sets; a step keeps a map when every point
-    of X and of Y outside it extends it by one pair to a map of the level."""
+    of X and of Y outside it extends it by one pair to a map of the level,
+    read from one index of the level's one-point extensions."""
     D = category._holding(X, Y)
     pairs = {i: D.morphisms[i] for i in D.part(X, Y)}
     sources, targets = X.universe_size, Y.universe_size
 
     def step(level: frozenset[int]) -> frozenset[int]:
-        maps = {pairs[i] for i in level}
+        at = _extended_at((pairs[i] for i in level), sources, targets)
         return frozenset(
             i for i in level
-            if _least_unextended(pairs[i], maps, sources, targets) == (None, None)
+            if _least_unextended(pairs[i], at, sources, targets) == (None, None)
         )
 
     return Chain(frozenset(pairs), step)
@@ -368,7 +372,10 @@ def homset_levels(
       member too; for x in the domain of f, f covers it itself.
     - So f survives exactly when every point of X outside its domain has
       some y with f ∪ {(x, y)} in the level, and every point of Y outside
-      its range some such x: ``_least_unextended`` on pair tuples.
+      its range some such x.  Each step builds one index of the level's
+      one-point extensions, keyed by integer pair codes
+      (``_extended_at``), and ``_least_unextended`` reads each map's
+      answer from it with one dict lookup.
 
     For the cross homsets Hom(A,B) and Hom(B,A) the chain reads the part
     of D that ``build_category_D`` builds.  An endoset query, Hom(A,A) or
@@ -511,14 +518,18 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
     """Check the literal back-and-forth conditions between levels.
 
     Every level must be a non-empty set of actual partial isomorphisms
-    from A to B, each a strictly sorted tuple of pairs inside the two
-    universes, and for each f in I_{j+1} every a in A needs some b with
-    f ∪ {(a, b)} in I_j (forth), and every b in B some such a (back).  On levels closed
+    from A to B, each a strictly sorted tuple of pairs of ints inside the
+    two universes; a member of any other shape is rejected before any of
+    its pairs is read.  For each f in I_{j+1} every a in A needs some b
+    with f ∪ {(a, b)} in I_j (forth), and every b in B some such a
+    (back), read from one index of I_j's one-point extensions
+    (``_extended_at``), built once per distinct level.  On levels closed
     under restriction, as extracted ones are, any larger map would do.
     A repeated level, found by identity first, and a map seen before are
     not scanned again.
     """
     A, B = cert.left, cert.right
+    sources, targets = A.universe_size, B.universe_size
     ordered, checked = [], set()  # levels sorted, a repeat sharing the list before
     for j, level in enumerate(cert.levels):
         if j and (level is cert.levels[j - 1] or level == cert.levels[j - 1]):
@@ -526,6 +537,9 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
             continue
         if not level:
             return v.violated("non-empty", j)
+        malformed = [f for f in level if f not in checked and not _is_pair_tuple(f)]
+        if malformed:
+            return v.violated("membership", (j, min(malformed, key=repr)))
         ordered.append(sorted(level))
         for f in ordered[-1]:
             if f not in checked and not (
@@ -536,13 +550,23 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
     for j in range(cert.rounds):
         if j and ordered[j + 1] is ordered[j] is ordered[j - 1]:
             continue  # the same pair as the one before, which passed
+        if not j or ordered[j] is not ordered[j - 1]:
+            at = _extended_at(ordered[j], sources, targets)
         for f in ordered[j + 1]:
-            a, b = _least_unextended(f, cert.levels[j], A.universe_size, B.universe_size)
+            a, b = _least_unextended(f, at, sources, targets)
             if a is not None:
                 return v.violated("forth", (j, a, f))
             if b is not None:
                 return v.violated("back", (j, b, f))
     return v.passed()
+
+
+def _is_pair_tuple(f: object) -> bool:
+    """f is a tuple of 2-tuples of ints, the only shape the index reads."""
+    return isinstance(f, tuple) and all(
+        isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], int) and isinstance(p[1], int)
+        for p in f
+    )
 
 
 def format_certificate(cert: BackAndForthCertificate) -> str:

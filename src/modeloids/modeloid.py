@@ -4,9 +4,9 @@ A modeloid is a set of partial bijections over one carrier that is closed
 under composition, inverse and restriction, and contains the full identity.
 The derivative keeps exactly the members that can be extended, as pair
 sets, by any prescribed source (and, symmetrically, any prescribed target)
-without leaving the modeloid, decided member by member from its one-point
-extensions.  Iterating the derivative is the engine behind the equivalence
-checks elsewhere in the package.
+without leaving the modeloid, decided member by member from one index of
+the modeloid's one-point extensions.  Iterating the derivative is the
+engine behind the equivalence checks elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .inverse_semigroups import generators
 from .partial_bijections import (
     Carrier,
     PartialBijection,
+    _extended_at,
     _least_unextended,
     enumerate_all,
     identity_map,
@@ -126,16 +127,19 @@ def derivative(M: Modeloid) -> Modeloid:
     f union {(a, b)} in M and b' with f union {(b', a)} in M.  For a
     already in the domain the only functional union is f itself, so the
     condition there collapses to membership of f.  This is decided as
-    written, by looking up the one-point extensions of each member.
+    written: one pass over M indexes, for each map one pair short of a
+    member, the sources and targets of its one-point extensions in M,
+    keyed by integer pair codes (``_extended_at``), and each member's
+    answer is one lookup in that index.
 
     M is verified once; the derivative of a modeloid is again one, so
     the result carries M's verdict and a chain checks no derived level.
     """
     verify_modeloid(M).require("not a modeloid")
     n = M.carrier.size
-    member_pairs = {f.pairs for f in M.members}
+    at = _extended_at((f.pairs for f in M.members), n, n)
     survivors = frozenset(
-        f for f in M.members if _least_unextended(f.pairs, member_pairs, n, n) == (None, None)
+        f for f in M.members if _least_unextended(f.pairs, at, n, n) == (None, None)
     )
     derived = Modeloid(M.carrier, survivors)
     _carry_modeloid_verdict(M, derived)

@@ -12,7 +12,6 @@ between them); it carries the structure this package is built on.
 
 from __future__ import annotations
 
-from bisect import bisect
 from typing import Iterable, Iterator
 
 from .derived import Frozen
@@ -136,26 +135,56 @@ def partial_identity(carrier: Carrier, elements: Iterable[int]) -> PartialBiject
     return identity_map(carrier).restrict(elements)
 
 
+def _extended_at(maps: Iterable[tuple], sources: int, targets: int) -> dict[int, int]:
+    """The one-point extensions of a level of maps from {0..sources-1} to
+    {0..targets-1}, indexed once for ``_least_unextended``.
+
+    A map in sorted pair form is coded as the integer with bit
+    a·targets + b set for each pair (a, b).  The entry of the code of f
+    has bit a and bit sources + b set for each one-point extension
+    f ∪ {(a, b)} in the level, found in one pass by dropping each pair of
+    each member in turn, and, when f itself is in the level, the bits of
+    its own domain and range: for a in dom f the only union that is a
+    map is f."""
+    bits = {
+        (a, b): (1 << a * targets + b, 1 << a | 1 << sources + b)
+        for a in range(sources)
+        for b in range(targets)
+    }
+    at: dict[int, int] = {}
+    for pairs in maps:
+        marks = [bits[p] for p in pairs]
+        code = held = 0
+        for pair_bit, reached in marks:
+            code |= pair_bit
+            held |= reached
+        at[code] = at.get(code, 0) | held
+        for pair_bit, reached in marks:
+            smaller = code ^ pair_bit
+            at[smaller] = at.get(smaller, 0) | reached
+    return at
+
+
 def _least_unextended(
-    pairs: tuple, maps: set[tuple], sources: int, targets: int
+    pairs: tuple, at: dict[int, int], sources: int, targets: int
 ) -> tuple[int | None, int | None]:
     """The least source a < ``sources`` with no b such that f ∪ {(a, b)} is
-    in ``maps``, and the least target b < ``targets`` with no such a, each
-    None when there is none, for f (``pairs``) and ``maps`` in sorted pair
-    form.  For a in dom f (b in ran f) the only union that is a map is f."""
-    domain, image = {a for a, _ in pairs}, {b for _, b in pairs}
+    in the level indexed by ``at`` (``_extended_at``), and the least target
+    b < ``targets`` with no such a, each None when there is none, for f
+    (``pairs``) in sorted pair form.  For a in dom f (b in ran f) the only
+    union that is a map is f, so those points are missed exactly when f
+    is not in the level."""
+    code = 0
+    for a, b in pairs:
+        code |= 1 << a * targets + b
+    reached = at.get(code, 0)
+    a = _lowest_zero(reached & (1 << sources) - 1)
+    b = _lowest_zero(reached >> sources)
+    return (a if a < sources else None), (b if b < targets else None)
 
-    def extends(a: int, b: int) -> bool:  # a outside dom f, b outside ran f
-        i = bisect(pairs, (a, b))
-        return pairs[:i] + ((a, b),) + pairs[i:] in maps
 
-    free_sources = [a for a in range(sources) if a not in domain]
-    free_targets = [b for b in range(targets) if b not in image]
-    missed_sources = {a for a in free_sources if not any(extends(a, b) for b in free_targets)}
-    missed_targets = {b for b in free_targets if not any(extends(a, b) for a in free_sources)}
-    if pairs not in maps:
-        missed_sources, missed_targets = missed_sources | domain, missed_targets | image
-    return min(missed_sources, default=None), min(missed_targets, default=None)
+def _lowest_zero(bits: int) -> int:
+    return (~bits & bits + 1).bit_length() - 1
 
 
 def enumerate_all(

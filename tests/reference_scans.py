@@ -20,15 +20,19 @@ the maps below a member that covers it, on down-sets and atoms read from
 the definitions.  The library finds atoms by comparing each down-set
 with {x, zero}; the reference asks, for every pair of elements, whether
 one lies strictly between the other and zero, with the natural order
-read literally.  The library checks certificates and takes the modeloid derivative by looking up the
-one-point extensions f ∪ {(a, b)} of each map, skipping a level pair it
-has checked; one reference builds every such union as a set of pairs and
-checks every level pair, and another indexes each level by restriction
-and unions the domains and ranges of the maps above, the cover condition
-that the one-point condition refines.  The library closes seed maps to a
-modeloid by right products with generators; the reference composes every
-new map with every map so far, both ways, and drops single pairs, until
-nothing new appears.  The library decides equivalence by the categorical
+read literally.  The library steps the ``ef`` chain, checks certificates
+and takes the modeloid derivative from one index per level: each map is
+coded as an integer with one bit per pair, and dropping each pair of each
+member in turn records, for the map one pair short, the sources and
+targets of its one-point extensions f ∪ {(a, b)} in the level; a
+certificate check skips a level pair it has checked.  One reference
+builds every such union as a frozenset of pairs, looks it up among the
+level's maps read the same way and checks every level pair, and another
+indexes each level by restriction and unions the domains and ranges of
+the maps above, the cover condition that the one-point condition refines.
+The library closes seed maps to a modeloid by right products with
+generators; the reference composes every new map with every map so far,
+both ways, and drops single pairs, until nothing new appears.  The library decides equivalence by the categorical
 derivative on all of category D; the reference iterates that restriction
 cover on Part(A,B) alone.  The library steps a derivative chain lazily and
 keeps each distinct level once; the reference steps it eagerly for a
@@ -312,6 +316,20 @@ def _levels_are_partial_isos(cert):
     return None
 
 
+def least_unextended_by_unions(pairs, maps, sources, targets):
+    """The least a < sources such that no f ∪ {(a, b)} with b < targets is
+    among ``maps``, and the least b < targets with no such a, each None
+    when there is none: every union taken as a frozenset of pairs and
+    looked up among the maps read as frozensets."""
+    level = {frozenset(g) for g in maps}
+    f = frozenset(pairs)
+    forth = [a for a in range(sources)
+             if not any(f | {(a, b)} in level for b in range(targets))]
+    back = [b for b in range(targets)
+            if not any(f | {(a, b)} in level for a in range(sources))]
+    return min(forth, default=None), min(back, default=None)
+
+
 def verify_certificate_by_one_point(cert) -> v.Verdict:
     """The back-and-forth conditions read literally: for every f in
     I_{j+1} and every a in A some b in B with f ∪ {(a, b)} in I_j, the
@@ -321,15 +339,12 @@ def verify_certificate_by_one_point(cert) -> v.Verdict:
     if failed is not None:
         return failed
     for j in range(cert.rounds):
-        level = {frozenset(g) for g in cert.levels[j]}
         for f in sorted(cert.levels[j + 1]):
-            pairs = frozenset(f)
-            for a in range(A.universe_size):
-                if not any(pairs | {(a, b)} in level for b in range(B.universe_size)):
-                    return v.violated("forth", (j, a, f))
-            for b in range(B.universe_size):
-                if not any(pairs | {(a, b)} in level for a in range(A.universe_size)):
-                    return v.violated("back", (j, b, f))
+            a, b = least_unextended_by_unions(f, cert.levels[j], A.universe_size, B.universe_size)
+            if a is not None:
+                return v.violated("forth", (j, a, f))
+            if b is not None:
+                return v.violated("back", (j, b, f))
     return v.passed()
 
 

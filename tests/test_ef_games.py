@@ -488,6 +488,84 @@ class TestCertificates:
         assert verify_certificate(cert).ok
         assert len(calls) == len(cert.levels[0])
 
+    def test_one_index_per_distinct_level_pair(self, monkeypatch):
+        # pure 3v3 at m=4 is stable from level 0: one index, of I_0, and
+        # one lookup per member of I_1.  Levels I_0, I_1, I_1, I_1, {f} of
+        # chain 3v3 scan three distinct level pairs but index two levels:
+        # the pair (I_1, {f}) reads the index of (I_1, I_1)
+        builds, lookups = [], []
+        real_index, real_lookup = ef_games._extended_at, ef_games._least_unextended
+
+        def index(maps, sources, targets):
+            maps = list(maps)
+            builds.append(len(maps))
+            return real_index(maps, sources, targets)
+
+        def lookup(pairs, at, sources, targets):
+            lookups.append(pairs)
+            return real_lookup(pairs, at, sources, targets)
+
+        monkeypatch.setattr(ef_games, "_extended_at", index)
+        monkeypatch.setattr(ef_games, "_least_unextended", lookup)
+        cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
+        builds.clear()
+        lookups.clear()
+        assert verify_certificate(cert).ok
+        assert builds == [len(cert.levels[0])]
+        assert len(lookups) == len(cert.levels[1])
+
+        A, B = chain("A", 3), chain("B", 3)
+        cert = extract_certificate(A, B, 1)
+        stable = cert.levels[1]
+        levels = (cert.levels[0], stable, stable, stable, frozenset({max(stable)}))
+        builds.clear()
+        lookups.clear()
+        assert verify_certificate(BackAndForthCertificate(A, B, 4, levels)).ok
+        assert builds == [len(cert.levels[0]), len(stable)]
+        assert len(lookups) == 2 * len(stable) + 1
+
+    def test_each_chain_step_builds_one_index(self, monkeypatch):
+        # directed C4 vs C5 shrinks 81 -> 21 -> 1 -> 0 maps, and a fourth
+        # step finds the empty level stable; every step indexes the level
+        # it steps once and looks each of its members up once
+        builds, lookups = [], []
+        real_index, real_lookup = ef_games._extended_at, ef_games._least_unextended
+
+        def index(maps, sources, targets):
+            at = real_index(list(maps), sources, targets)
+            builds.append(at)
+            return at
+
+        def lookup(pairs, at, sources, targets):
+            lookups.append(at)
+            return real_lookup(pairs, at, sources, targets)
+
+        monkeypatch.setattr(ef_games, "_extended_at", index)
+        monkeypatch.setattr(ef_games, "_least_unextended", lookup)
+        A, B = directed_cycle("A", range(4)), directed_cycle("B", range(5))
+        category = build_category_D(A, B)
+        levels = homset_levels(category, 6, A, B)
+        stepped = [level for j, level in enumerate(levels) if j == 0 or levels[j - 1] != level]
+        assert len(builds) == len(stepped) >= 3
+        assert [sum(at is built for at in lookups) for built in builds] == list(map(len, stepped))
+
+    @pytest.mark.parametrize("member", [
+        PartialIso(pure("A", 2), pure("B", 2), ((0, 0),)),
+        "ab",
+        ((0,),),
+        ((0, 0), (1, 1, 1)),
+    ], ids=["partial-iso", "string", "one-tuple", "triple"])
+    def test_member_of_another_shape_rejected(self, member):
+        # a member that is no tuple of 2-tuples of ints is reported as a
+        # membership violation, before any of its pairs is read
+        A, B = pure("A", 2), pure("B", 2)
+        cert = extract_certificate(A, B, 1)
+        for j in (0, 1):
+            levels = list(cert.levels)
+            levels[j] = levels[j] | {member}
+            report = verify_certificate(BackAndForthCertificate(A, B, 1, tuple(levels)))
+            assert (report.axiom, report.witness) == ("membership", (j, member))
+
     def test_repeated_levels_are_matched_by_identity(self):
         # the tail past the fixpoint repeats one level object, so a longer
         # tail costs no more set comparisons

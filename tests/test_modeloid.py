@@ -294,6 +294,30 @@ class TestDerivative:
             M = random_modeloid(rng, 3)
             assert modeloid._check_modeloid(derivative(M)).ok
 
+    def test_one_index_per_step(self, monkeypatch):
+        # the closure of a 3-cycle on carrier 4 shrinks 30 -> 16 members
+        # and then is stable: each of the two steps indexes its input's
+        # one-point extensions once and looks each input member up once
+        builds, lookups = [], []
+        real_index, real_lookup = modeloid._extended_at, modeloid._least_unextended
+
+        def index(maps, sources, targets):
+            at = real_index(list(maps), sources, targets)
+            builds.append(at)
+            return at
+
+        def lookup(pairs, at, sources, targets):
+            lookups.append(at)
+            return real_lookup(pairs, at, sources, targets)
+
+        monkeypatch.setattr(modeloid, "_extended_at", index)
+        monkeypatch.setattr(modeloid, "_least_unextended", lookup)
+        c = Carrier(4)
+        M = modeloid_closure([PartialBijection(c, ((0, 1), (1, 2), (2, 0)))], c)
+        chain, stabilized = iterate_derivative(M, 3)
+        assert (stabilized, len(M.members), len(chain[1].members)) == (1, 30, 16)
+        assert [sum(at is built for at in lookups) for built in builds] == [30, 16]
+
     def test_rejects_non_modeloid(self):
         c = Carrier(2)
         with pytest.raises(InputError):

@@ -11,12 +11,15 @@ import math
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from reference_scans import least_unextended_by_unions
 
 from modeloids.errors import BoundExceededError, InputError
 from modeloids.partial_bijections import (
     Carrier,
     PartialBijection,
+    _extended_at,
+    _least_unextended,
     empty_map,
     enumerate_all,
     identity_map,
@@ -231,3 +234,58 @@ class TestEnumeration:
             assert f.inverse() in pool
             for g in pool:
                 assert f.compose(g) in pool
+
+
+def maps_between(sources: int, targets: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every partial bijection from {0..sources-1} to {0..targets-1}, in
+    sorted pair form."""
+    return [
+        tuple(zip(domain, image))
+        for k in range(min(sources, targets) + 1)
+        for domain in combinations(range(sources), k)
+        for image in permutations(range(targets), k)
+    ]
+
+
+@st.composite
+def levels_and_maps(draw):
+    """Universe sizes s and t, equal or not, a family of maps between them
+    that need not be closed under restriction, and a map f that may or may
+    not be in the family."""
+    sources, targets = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pool = maps_between(sources, targets)
+    family = draw(st.sets(st.sampled_from(pool), max_size=40))
+    inside = draw(st.booleans()) and family
+    f = draw(st.sampled_from(sorted(family) if inside else pool))
+    return sources, targets, family, f
+
+
+class TestOnePointIndex:
+    """``_least_unextended`` read from ``_extended_at`` names the same
+    (a, b) as a literal scan over frozenset unions."""
+
+    @given(levels_and_maps())
+    @example((3, 2, set(), ()))  # the empty family
+    @example((2, 3, {((0, 1),), ((1, 0),)}, ()))  # f = (), not a member
+    @example((2, 3, {(), ((0, 1),), ((1, 0),)}, ()))  # f = (), a member
+    @example((2, 2, {((0, 1), (1, 0))}, ((0, 1), (1, 0))))  # a total f, a member
+    @example((2, 2, {((0, 0), (1, 1))}, ((0, 1), (1, 0))))  # a total f, outside
+    @example((3, 3, {((0, 0), (1, 1))}, ((0, 0),)))  # f outside, its extension in
+    def test_matches_the_scan_over_unions(self, drawn):
+        sources, targets, family, f = drawn
+        at = _extended_at(family, sources, targets)
+        assert _least_unextended(f, at, sources, targets) == least_unextended_by_unions(
+            f, family, sources, targets
+        )
+
+    def test_one_index_serves_every_map(self):
+        # all of Part({0,1,2}, {0,1,2,3}) but the map (0,0), queried for
+        # every map of it from one index: (0,0) itself misses its own
+        # source and target, while () still reaches 0 through (0,1)
+        pool = maps_between(3, 4)
+        family = set(pool) - {((0, 0),)}
+        at = _extended_at(family, 3, 4)
+        for f in pool:
+            assert _least_unextended(f, at, 3, 4) == least_unextended_by_unions(f, family, 3, 4)
+        assert _least_unextended((), at, 3, 4) == (None, None)
+        assert _least_unextended(((0, 0),), at, 3, 4) == (0, 0)
