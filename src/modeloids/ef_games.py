@@ -23,10 +23,11 @@ are the partial identities on the constants plus one point.  Every
 level is down-closed, so some member above f covers the atom at x
 exactly when f ∪ {(x, y)} is in the level for some y: a step keeps f
 when every point outside it extends it by one pair, forth and back, the
-classical back-and-forth step.  Each step indexes the one-point
-extensions of its level once, by integer pair codes (``_extended_at``),
-and reads every map's answer from that index.  The chain on
-all of D (``derivative_levels``, the paper's route through
+classical back-and-forth step.  Each map of the homset is coded once
+per chain as an integer with one bit per pair (``_code``); each step
+indexes the one-point extensions of its level once from those codes
+(``_extended_at``) and reads every map's answer from that index.  The
+chain on all of D (``derivative_levels``, the paper's route through
 ``categorical_derivative``) stays as the reference it must agree with.
 
 So ``build_category_D`` builds only the part of D around Hom(A,B):
@@ -57,7 +58,10 @@ the command-line front-end runs both.
 A positive derivative answer can be externalized: ``extract_certificate``
 returns the chain I_j = D^j ∩ Part(A,B) as sets of pair tuples, read
 from the same homset chain, which ``verify_certificate`` checks against
-the literal back-and-forth conditions, from the same kind of index of
+the literal back-and-forth conditions.  It codes each member once, reads
+every relation only for members that no checked member proves (a
+restriction of a partial isomorphism that keeps the constant pairs is
+one again), and answers forth and back from the same kind of index of
 one-point extensions, built once per distinct level.
 """
 
@@ -71,7 +75,7 @@ from .categorical import CategoricalModeloid, categorical_derivative
 from .derived import Chain, Frozen, fact, padded
 from .errors import BoundExceededError, InputError, OutsideAmbientError
 from .free_categories import homset
-from .partial_bijections import _extended_at, _least_unextended
+from .partial_bijections import _code, _extended_at, _least_unextended
 from .structures import (
     PartialIso,
     Structure,
@@ -332,19 +336,20 @@ def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]
 def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> Chain:
     """D^j ∩ Hom(X,Y) as index sets; a step keeps a map when every point
     of X and of Y outside it extends it by one pair to a map of the level,
-    read from one index of the level's one-point extensions."""
+    read from one index of the level's one-point extensions.  Each map is
+    coded once, for every step of the chain."""
     D = category._holding(X, Y)
-    pairs = {i: D.morphisms[i] for i in D.part(X, Y)}
     sources, targets = X.universe_size, Y.universe_size
+    codes = {i: _code(D.morphisms[i], targets) for i in D.part(X, Y)}
 
     def step(level: frozenset[int]) -> frozenset[int]:
-        at = _extended_at((pairs[i] for i in level), sources, targets)
+        at = _extended_at((codes[i] for i in level), sources, targets)
         return frozenset(
             i for i in level
-            if _least_unextended(pairs[i], at, sources, targets) == (None, None)
+            if _least_unextended(codes[i], at, sources, targets) == (None, None)
         )
 
-    return Chain(frozenset(pairs), step)
+    return Chain(frozenset(codes), step)
 
 
 def homset_levels(
@@ -372,8 +377,9 @@ def homset_levels(
       member too; for x in the domain of f, f covers it itself.
     - So f survives exactly when every point of X outside its domain has
       some y with f ∪ {(x, y)} in the level, and every point of Y outside
-      its range some such x.  Each step builds one index of the level's
-      one-point extensions, keyed by integer pair codes
+      its range some such x.  Each map is coded once per chain as an
+      integer with one bit per pair (``_code``).  Each step builds one
+      index of the level's one-point extensions from those codes
       (``_extended_at``), and ``_least_unextended`` reads each map's
       answer from it with one dict lookup.
 
@@ -519,46 +525,115 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
 
     Every level must be a non-empty set of actual partial isomorphisms
     from A to B, each a strictly sorted tuple of pairs of ints inside the
-    two universes; a member of any other shape is rejected before any of
-    its pairs is read.  For each f in I_{j+1} every a in A needs some b
-    with f ∪ {(a, b)} in I_j (forth), and every b in B some such a
-    (back), read from one index of I_j's one-point extensions
-    (``_extended_at``), built once per distinct level.  On levels closed
-    under restriction, as extracted ones are, any larger map would do.
-    A repeated level, found by identity first, and a map seen before are
-    not scanned again.
+    two universes.  Each distinct level is read once, and every member is
+    shape-tested before any of its pairs is read; a member of another
+    shape is reported first, the least by ``repr``.  Each member is then
+    coded once through a table from each pair to its bit, as ``_code``
+    sets it: a pair missing from the table lies outside the universes,
+    and bits that do not strictly increase mean an unsorted tuple.  A
+    member already checked, compared by value, is not checked again.
+    The rest are visited longest first: a restriction of a partial
+    isomorphism that keeps every constant pair is one again, so a member
+    whose code is a one-pair restriction of a checked member, keeping
+    the constant pairs, is proven without reading a relation, and every
+    other member gets one ``pairs_are_partial_iso``.  The least failing
+    member, in sorted order, is reported.
+
+    For each f in I_{j+1} every a in A needs some b with f ∪ {(a, b)} in
+    I_j (forth), and every b in B some such a (back), read from the
+    kept codes and one index of I_j's one-point extensions
+    (``_extended_at``), built once per distinct level; the least failing
+    f is reported.  On levels closed under restriction, as extracted
+    ones are, any larger map would do.  A repeated level, found by
+    identity first, is not read again, and a repeated level pair is not
+    scanned again.
     """
-    A, B = cert.left, cert.right
-    sources, targets = A.universe_size, B.universe_size
-    ordered, checked = [], set()  # levels sorted, a repeat sharing the list before
-    for j, level in enumerate(cert.levels):
-        if j and (level is cert.levels[j - 1] or level == cert.levels[j - 1]):
-            ordered.append(ordered[-1])  # scanned where it first appeared
-            continue
-        if not level:
-            return v.violated("non-empty", j)
-        malformed = [f for f in level if f not in checked and not _is_pair_tuple(f)]
-        if malformed:
-            return v.violated("membership", (j, min(malformed, key=repr)))
-        ordered.append(sorted(level))
-        for f in ordered[-1]:
-            if f not in checked and not (
-                all(p < q for p, q in zip(f, f[1:])) and pairs_are_partial_iso(A, B, f)
-            ):
-                return v.violated("membership", (j, f))
-        checked |= level
+    sources, targets = cert.left.universe_size, cert.right.universe_size
+    ordered, failure = _coded_levels(cert)
+    if failure is not None:
+        return failure
     for j in range(cert.rounds):
         if j and ordered[j + 1] is ordered[j] is ordered[j - 1]:
             continue  # the same pair as the one before, which passed
         if not j or ordered[j] is not ordered[j - 1]:
-            at = _extended_at(ordered[j], sources, targets)
-        for f in ordered[j + 1]:
-            a, b = _least_unextended(f, at, sources, targets)
-            if a is not None:
-                return v.violated("forth", (j, a, f))
-            if b is not None:
-                return v.violated("back", (j, b, f))
+            at = _extended_at(ordered[j][1], sources, targets)
+        missed = []
+        for f, code in zip(*ordered[j + 1]):
+            a, b = _least_unextended(code, at, sources, targets)
+            if a is not None or b is not None:
+                missed.append((f, a, b))
+        if missed:
+            f, a, b = min(missed)
+            return v.violated("forth", (j, a, f)) if a is not None else v.violated("back", (j, b, f))
     return v.passed()
+
+
+def _coded_levels(
+    cert: BackAndForthCertificate,
+) -> tuple[list[tuple[frozenset, list[int]]], v.Verdict | None]:
+    """Each level of ``cert`` with its members' codes in the level's own
+    order, a repeated level sharing the entry before it; or the first
+    non-empty or membership violation (see ``verify_certificate``)."""
+    A, B = cert.left, cert.right
+    bit = {(a, b): 1 << a * B.universe_size + b for a in range(A.universe_size)
+           for b in range(B.universe_size)}
+    fixed = 0  # the bits of the constant pairs, which a proof never drops
+    for p in zip(A.constants, B.constants):
+        fixed |= bit.get(p, 0)
+    longest = min(A.universe_size, B.universe_size)  # no partial iso is longer
+    codes: dict[tuple, int] = {}  # each member checked so far, by value
+    proven: set[int] = set()  # one-pair restrictions of checked members
+    ordered: list[tuple[frozenset, list[int]]] = []
+    for j, level in enumerate(cert.levels):
+        if j and (level is cert.levels[j - 1] or level == cert.levels[j - 1]):
+            ordered.append(ordered[-1])  # read where it first appeared
+            continue
+        if not level:
+            return [], v.violated("non-empty", j)
+        malformed = [f for f in level if not _is_pair_tuple(f)]
+        if malformed:
+            return [], v.violated("membership", (j, min(malformed, key=repr)))
+        kept, failed = [], []
+        fresh = [([], []) for _ in range(longest + 1)]  # members and codes, by size
+        for f in level:
+            code = codes.get(f)
+            if code is None:
+                code = _coded(f, bit)
+                if code is None or len(f) > longest:
+                    failed.append(f)
+                    continue
+                members, member_codes = fresh[len(f)]
+                members.append(f)
+                member_codes.append(code)
+            kept.append(code)
+        for members, member_codes in reversed(fresh):
+            for f, code in zip(members, member_codes):
+                if code in proven or pairs_are_partial_iso(A, B, f):
+                    codes[f] = code
+                    rest = code & ~fixed
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        proven.add(code ^ low)
+                else:
+                    failed.append(f)
+        if failed:
+            return [], v.violated("membership", (j, min(failed)))
+        ordered.append((level, kept))
+    return ordered, None
+
+
+def _coded(f: tuple, bit: dict[tuple[int, int], int]) -> int | None:
+    """The code of member f read through ``bit``, or None when a pair of f
+    lies outside the universes or its bits do not strictly increase."""
+    code = last = 0
+    for p in f:
+        b = bit.get(p, 0)
+        if b <= last:
+            return None
+        code |= b
+        last = b
+    return code
 
 
 def _is_pair_tuple(f: object) -> bool:

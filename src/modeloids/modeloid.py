@@ -21,6 +21,7 @@ from .inverse_semigroups import generators
 from .partial_bijections import (
     Carrier,
     PartialBijection,
+    _code,
     _extended_at,
     _least_unextended,
     enumerate_all,
@@ -127,19 +128,22 @@ def derivative(M: Modeloid) -> Modeloid:
     f union {(a, b)} in M and b' with f union {(b', a)} in M.  For a
     already in the domain the only functional union is f itself, so the
     condition there collapses to membership of f.  This is decided as
-    written: one pass over M indexes, for each map one pair short of a
-    member, the sources and targets of its one-point extensions in M,
-    keyed by integer pair codes (``_extended_at``), and each member's
-    answer is one lookup in that index.
+    written: each member is coded once as an integer with one bit per
+    pair (``_code``), one pass over the codes indexes, for each map one
+    pair short of a member, the sources and targets of its one-point
+    extensions in M (``_extended_at``), and each member's answer is one
+    lookup of its code in that index.
 
     M is verified once; the derivative of a modeloid is again one, so
     the result carries M's verdict and a chain checks no derived level.
     """
     verify_modeloid(M).require("not a modeloid")
     n = M.carrier.size
-    at = _extended_at((f.pairs for f in M.members), n, n)
+    codes = [_code(f.pairs, n) for f in M.members]
+    at = _extended_at(codes, n, n)
     survivors = frozenset(
-        f for f in M.members if _least_unextended(f.pairs, at, n, n) == (None, None)
+        f for f, code in zip(M.members, codes)
+        if _least_unextended(code, at, n, n) == (None, None)
     )
     derived = Modeloid(M.carrier, survivors)
     _carry_modeloid_verdict(M, derived)

@@ -135,48 +135,51 @@ def partial_identity(carrier: Carrier, elements: Iterable[int]) -> PartialBiject
     return identity_map(carrier).restrict(elements)
 
 
-def _extended_at(maps: Iterable[tuple], sources: int, targets: int) -> dict[int, int]:
-    """The one-point extensions of a level of maps from {0..sources-1} to
-    {0..targets-1}, indexed once for ``_least_unextended``.
+def _code(pairs: Iterable[tuple[int, int]], targets: int) -> int:
+    """A map from {0..sources-1} to {0..targets-1} as one integer, with
+    bit a·targets + b set for each of its pairs (a, b): the form that
+    ``_extended_at`` and ``_least_unextended`` read."""
+    code = 0
+    for a, b in pairs:
+        code |= 1 << a * targets + b
+    return code
 
-    A map in sorted pair form is coded as the integer with bit
-    a·targets + b set for each pair (a, b).  The entry of the code of f
-    has bit a and bit sources + b set for each one-point extension
-    f ∪ {(a, b)} in the level, found in one pass by dropping each pair of
-    each member in turn, and, when f itself is in the level, the bits of
-    its own domain and range: for a in dom f the only union that is a
-    map is f."""
-    bits = {
-        (a, b): (1 << a * targets + b, 1 << a | 1 << sources + b)
-        for a in range(sources)
-        for b in range(targets)
-    }
+
+def _extended_at(codes: Iterable[int], sources: int, targets: int) -> dict[int, int]:
+    """The one-point extensions of a level of maps from {0..sources-1} to
+    {0..targets-1}, given by their codes (``_code``), indexed once for
+    ``_least_unextended``.
+
+    The entry of the code of f has bit a and bit sources + b set for each
+    one-point extension f ∪ {(a, b)} in the level, found in one pass by
+    dropping each set bit of each member in turn, the bit's (a, b) read
+    from a table by its position, and, when f itself is in the level,
+    the bits of its own domain and range: for a in dom f the only union
+    that is a map is f."""
+    reach = [1 << a | 1 << sources + b for a in range(sources) for b in range(targets)]
     at: dict[int, int] = {}
-    for pairs in maps:
-        marks = [bits[p] for p in pairs]
-        code = held = 0
-        for pair_bit, reached in marks:
-            code |= pair_bit
+    for code in codes:
+        held, rest = 0, code
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reached = reach[low.bit_length() - 1]
             held |= reached
-        at[code] = at.get(code, 0) | held
-        for pair_bit, reached in marks:
-            smaller = code ^ pair_bit
+            smaller = code ^ low  # the member without this pair
             at[smaller] = at.get(smaller, 0) | reached
+        at[code] = at.get(code, 0) | held
     return at
 
 
 def _least_unextended(
-    pairs: tuple, at: dict[int, int], sources: int, targets: int
+    code: int, at: dict[int, int], sources: int, targets: int
 ) -> tuple[int | None, int | None]:
     """The least source a < ``sources`` with no b such that f ∪ {(a, b)} is
     in the level indexed by ``at`` (``_extended_at``), and the least target
     b < ``targets`` with no such a, each None when there is none, for f
-    (``pairs``) in sorted pair form.  For a in dom f (b in ran f) the only
-    union that is a map is f, so those points are missed exactly when f
-    is not in the level."""
-    code = 0
-    for a, b in pairs:
-        code |= 1 << a * targets + b
+    given by its ``code``: one dict lookup.  For a in dom f (b in ran f)
+    the only union that is a map is f, so those points are missed exactly
+    when f is not in the level."""
     reached = at.get(code, 0)
     a = _lowest_zero(reached & (1 << sources) - 1)
     b = _lowest_zero(reached >> sources)

@@ -257,6 +257,8 @@ def enumerate_partial_isos(
     Grows maps pair by pair from the constant base; a restriction of a
     partial isomorphism to any superset of the constant pairs is again
     one, so depth-first growth with incremental checks finds them all.
+    The growth adds each source once and keeps the map injective, so
+    each map is built once from its sorted pairs, with no second pass.
     """
     for S in (A, B):
         if S.universe_size > max_universe:
@@ -289,7 +291,7 @@ def enumerate_partial_isos(
     free_sources = [a for a in range(A.universe_size) if a not in forward]
 
     def grow(start: int):
-        found.append(PartialIso.from_pairs(A, B, forward.items()))
+        found.append(PartialIso(A, B, tuple(sorted(forward.items()))))
         for i in range(start, len(free_sources)):
             a = free_sources[i]
             for b in range(B.universe_size):

@@ -22,14 +22,17 @@ with {x, zero}; the reference asks, for every pair of elements, whether
 one lies strictly between the other and zero, with the natural order
 read literally.  The library steps the ``ef`` chain, checks certificates
 and takes the modeloid derivative from one index per level: each map is
-coded as an integer with one bit per pair, and dropping each pair of each
-member in turn records, for the map one pair short, the sources and
-targets of its one-point extensions f ∪ {(a, b)} in the level; a
-certificate check skips a level pair it has checked.  One reference
-builds every such union as a frozenset of pairs, looks it up among the
-level's maps read the same way and checks every level pair, and another
-indexes each level by restriction and unions the domains and ranges of
-the maps above, the cover condition that the one-point condition refines.
+coded once as an integer with one bit per pair, and dropping each set bit
+of each member in turn records, for the map one pair short, the sources
+and targets of its one-point extensions f ∪ {(a, b)} in the level; a
+certificate check skips a level pair it has checked, and reads the
+relations only for a member that is no one-pair restriction, keeping the
+constant pairs, of a member checked before.  One reference checks every
+member with ``pairs_are_partial_iso``, builds every such union as a
+frozenset of pairs, looks it up among the level's maps read the same way
+and checks every level pair, and another indexes each level by
+restriction and unions the domains and ranges of the maps above, the
+cover condition that the one-point condition refines.
 The library closes seed maps to a modeloid by right products with
 generators; the reference composes every new map with every map so far,
 both ways, and drops single pairs, until nothing new appears.  The library decides equivalence by the categorical

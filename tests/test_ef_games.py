@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import weakref
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -458,14 +459,14 @@ class TestCertificates:
         assert verify_certificate(cert).ok
 
     def test_equal_levels_build_one_cover(self, monkeypatch):
-        # pure 3v3 is stable from level 0: five equal levels, one set of
-        # the pairs of I_0 that every lookup of the check reads
+        # pure 3v3 is stable from level 0: five equal levels, one index
+        # of I_0 that every lookup of the check reads
         sets = []
         real = ef_games._least_unextended
 
-        def counted(pairs, maps, sources, targets):
+        def counted(code, maps, sources, targets):
             sets.append(maps)
-            return real(pairs, maps, sources, targets)
+            return real(code, maps, sources, targets)
 
         cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
         monkeypatch.setattr(ef_games, "_least_unextended", counted)
@@ -478,9 +479,9 @@ class TestCertificates:
         calls = []
         real = ef_games._least_unextended
 
-        def counted(pairs, maps, sources, targets):
-            calls.append(pairs)
-            return real(pairs, maps, sources, targets)
+        def counted(code, maps, sources, targets):
+            calls.append(code)
+            return real(code, maps, sources, targets)
 
         cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
         monkeypatch.setattr(ef_games, "_least_unextended", counted)
@@ -496,14 +497,14 @@ class TestCertificates:
         builds, lookups = [], []
         real_index, real_lookup = ef_games._extended_at, ef_games._least_unextended
 
-        def index(maps, sources, targets):
-            maps = list(maps)
-            builds.append(len(maps))
-            return real_index(maps, sources, targets)
+        def index(codes, sources, targets):
+            codes = list(codes)
+            builds.append(len(codes))
+            return real_index(codes, sources, targets)
 
-        def lookup(pairs, at, sources, targets):
-            lookups.append(pairs)
-            return real_lookup(pairs, at, sources, targets)
+        def lookup(code, at, sources, targets):
+            lookups.append(code)
+            return real_lookup(code, at, sources, targets)
 
         monkeypatch.setattr(ef_games, "_extended_at", index)
         monkeypatch.setattr(ef_games, "_least_unextended", lookup)
@@ -531,14 +532,14 @@ class TestCertificates:
         builds, lookups = [], []
         real_index, real_lookup = ef_games._extended_at, ef_games._least_unextended
 
-        def index(maps, sources, targets):
-            at = real_index(list(maps), sources, targets)
+        def index(codes, sources, targets):
+            at = real_index(list(codes), sources, targets)
             builds.append(at)
             return at
 
-        def lookup(pairs, at, sources, targets):
+        def lookup(code, at, sources, targets):
             lookups.append(at)
-            return real_lookup(pairs, at, sources, targets)
+            return real_lookup(code, at, sources, targets)
 
         monkeypatch.setattr(ef_games, "_extended_at", index)
         monkeypatch.setattr(ef_games, "_least_unextended", lookup)
@@ -565,6 +566,51 @@ class TestCertificates:
             levels[j] = levels[j] | {member}
             report = verify_certificate(BackAndForthCertificate(A, B, 1, tuple(levels)))
             assert (report.axiom, report.witness) == ("membership", (j, member))
+
+    def test_member_equal_to_a_checked_one_is_still_shape_tested(self):
+        # ((0.0, 0),) equals the map ((0, 0),) of I_0 by value, but its
+        # source is a float: it is rejected in I_1 as it would be in I_0
+        A, B = pure("A", 2), pure("B", 3)
+        cert = extract_certificate(A, B, 2)
+        member = ((0.0, 0),)
+        for j in (0, 1):
+            levels = list(cert.levels)
+            levels[j] = levels[j] - {((0, 0),)} | {member}
+            assert len(set(levels)) == 3
+            report = verify_certificate(BackAndForthCertificate(A, B, 2, tuple(levels)))
+            assert (report.axiom, report.witness) == ("membership", (j, member))
+
+    def test_members_below_a_checked_member_are_proven(self, monkeypatch):
+        # pure 3v3: every one of the 34 maps is a restriction of one of
+        # the 6 bijections, so only the bijections read the relations
+        checked = []
+        check = ef_games.pairs_are_partial_iso
+
+        def counting(A, B, pairs):
+            checked.append(pairs)
+            return check(A, B, pairs)
+
+        cert = extract_certificate(pure("A", 3), pure("B", 3), 1)
+        monkeypatch.setattr(ef_games, "pairs_are_partial_iso", counting)
+        assert len(cert.levels[0]) == 34
+        assert verify_certificate(cert).ok
+        assert sorted(checked) == sorted(f for f in cert.levels[0] if len(f) == 3)
+        assert len(checked) == 6
+
+    def test_dropping_a_constant_pair_proves_nothing(self):
+        # c is 0 on both sides: ((1, 1),) is ((0, 0), (1, 1)) without the
+        # constant pair, so it is checked, and fails, as any other member
+        V = Vocabulary(constants=("c",))
+        A = Structure.build("A", 2, V, constants={"c": 0})
+        B = Structure.build("B", 2, V, constants={"c": 0})
+        cert = extract_certificate(A, B, 1)
+        assert cert.levels[0] == {((0, 0),), ((0, 0), (1, 1))}
+        assert verify_certificate(cert).ok
+        levels = (cert.levels[0] | {((1, 1),)}, cert.levels[1])
+        mutated = BackAndForthCertificate(A, B, 1, levels)
+        report = verify_certificate(mutated)
+        assert (report.axiom, report.witness) == ("membership", (0, ((1, 1),)))
+        assert report == verify_certificate_by_one_point(mutated)
 
     def test_repeated_levels_are_matched_by_identity(self):
         # the tail past the fixpoint repeats one level object, so a longer
@@ -690,8 +736,11 @@ class TestCertificateReference:
     D^j ∩ Part(A,B) of generated pairs with one map dropped from or added
     to each level: the same verdict, axiom and witness.  A dropped map is
     sometimes one that the next level keeps, so f in I_{j+1} is missing
-    from I_j while its one-point extensions stay there.  A certificate
-    that passes also passes the looser restriction-cover scan."""
+    from I_j while its one-point extensions stay there.  An added map is
+    a partial isomorphism, or a strictly sorted tuple of pairs inside the
+    universes that is none, so members proven from a checked superset and
+    members that fail both meet the scan.  A certificate that passes also
+    passes the looser restriction-cover scan."""
 
     @given(st.data())
     def test_mutated_certificates_get_the_reference_verdict(self, data):
@@ -701,16 +750,23 @@ class TestCertificateReference:
         part = cat.part(A, B)
         # with Part(A,B) empty, an added empty map fails membership
         pool = sorted(cat.morphisms[i] for i in part) or [()]
+        # strictly sorted tuples of at most three pairs inside the
+        # universes that are no partial isomorphisms: never proven
+        grid = list(product(range(A.universe_size), range(B.universe_size)))
+        others = [f for k in range(4) for f in combinations(grid, k)
+                  if not pairs_are_partial_iso(A, B, f)]
         clean = [{cat.morphisms[i] for i in part if i in members}
                  for members in derivative_levels(cat, m)]
         levels = []
         for j, level in enumerate(clean):
             level = set(level)
             kept_next = sorted(level & clean[j + 1]) if j < m else []
-            move = data.draw(st.sampled_from(("drop", "add", "drop-kept")))
+            move = data.draw(st.sampled_from(("drop", "add", "drop-kept", "add-other")))
             if move == "drop-kept" and kept_next:
                 level.remove(data.draw(st.sampled_from(kept_next)))
-            elif move != "add" and level:
+            elif move == "add-other" and others:
+                level.add(data.draw(st.sampled_from(others)))
+            elif move in ("drop", "drop-kept") and level:
                 level.remove(data.draw(st.sampled_from(sorted(level))))
             else:
                 level.add(data.draw(st.sampled_from(pool)))

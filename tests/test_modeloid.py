@@ -301,14 +301,14 @@ class TestDerivative:
         builds, lookups = [], []
         real_index, real_lookup = modeloid._extended_at, modeloid._least_unextended
 
-        def index(maps, sources, targets):
-            at = real_index(list(maps), sources, targets)
+        def index(codes, sources, targets):
+            at = real_index(list(codes), sources, targets)
             builds.append(at)
             return at
 
-        def lookup(pairs, at, sources, targets):
+        def lookup(code, at, sources, targets):
             lookups.append(at)
-            return real_lookup(pairs, at, sources, targets)
+            return real_lookup(code, at, sources, targets)
 
         monkeypatch.setattr(modeloid, "_extended_at", index)
         monkeypatch.setattr(modeloid, "_least_unextended", lookup)

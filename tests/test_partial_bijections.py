@@ -18,6 +18,7 @@ from modeloids.errors import BoundExceededError, InputError
 from modeloids.partial_bijections import (
     Carrier,
     PartialBijection,
+    _code,
     _extended_at,
     _least_unextended,
     empty_map,
@@ -260,9 +261,15 @@ def levels_and_maps(draw):
     return sources, targets, family, f
 
 
+def index_of(family, sources, targets):
+    """``_extended_at`` of a family of maps in sorted pair form."""
+    return _extended_at([_code(g, targets) for g in family], sources, targets)
+
+
 class TestOnePointIndex:
-    """``_least_unextended`` read from ``_extended_at`` names the same
-    (a, b) as a literal scan over frozenset unions."""
+    """``_least_unextended`` read from ``_extended_at``, both on maps coded
+    by ``_code``, names the same (a, b) as a literal scan over frozenset
+    unions."""
 
     @given(levels_and_maps())
     @example((3, 2, set(), ()))  # the empty family
@@ -273,8 +280,8 @@ class TestOnePointIndex:
     @example((3, 3, {((0, 0), (1, 1))}, ((0, 0),)))  # f outside, its extension in
     def test_matches_the_scan_over_unions(self, drawn):
         sources, targets, family, f = drawn
-        at = _extended_at(family, sources, targets)
-        assert _least_unextended(f, at, sources, targets) == least_unextended_by_unions(
+        at = index_of(family, sources, targets)
+        assert _least_unextended(_code(f, targets), at, sources, targets) == least_unextended_by_unions(
             f, family, sources, targets
         )
 
@@ -284,8 +291,18 @@ class TestOnePointIndex:
         # source and target, while () still reaches 0 through (0,1)
         pool = maps_between(3, 4)
         family = set(pool) - {((0, 0),)}
-        at = _extended_at(family, 3, 4)
+        at = index_of(family, 3, 4)
         for f in pool:
-            assert _least_unextended(f, at, 3, 4) == least_unextended_by_unions(f, family, 3, 4)
-        assert _least_unextended((), at, 3, 4) == (None, None)
-        assert _least_unextended(((0, 0),), at, 3, 4) == (0, 0)
+            assert _least_unextended(_code(f, 4), at, 3, 4) == least_unextended_by_unions(
+                f, family, 3, 4
+            )
+        assert _least_unextended(_code((), 4), at, 3, 4) == (None, None)
+        assert _least_unextended(_code(((0, 0),), 4), at, 3, 4) == (0, 0)
+
+    def test_code_sets_one_bit_per_pair(self):
+        # bit a·targets + b for each pair (a, b): distinct maps, distinct codes
+        assert _code((), 4) == 0
+        assert _code(((0, 0),), 4) == 1
+        assert _code(((1, 2), (2, 0)), 4) == 1 << 6 | 1 << 8
+        pool = maps_between(3, 4)
+        assert len({_code(f, 4) for f in pool}) == len(pool)
