@@ -2,12 +2,12 @@
 
 A directed 3-cycle and a directed 3-path have the same number of
 vertices and almost the same edges, yet the path has a dead end the
-cycle lacks.  The walkthrough builds part of the category of partial
-isomorphisms once: the maps between the two digraphs, both ways, and the
-partial identities of each.  It asks the derivative for every round
-count, and the derivative chain reads only the maps from the first
-digraph to the second.  Each answer is cross-checked against the
-game-tree oracle.  A reversed cycle then shows the equivalent case
+cycle lacks.  The walkthrough builds the maps from the first digraph to
+the second once: the derivative chain reads only those.  The rest of
+the part of the category of partial isomorphisms around them, the maps
+back and the partial identities of each digraph, is built only on first
+read, here to count it.  It asks the derivative for every round count,
+and each answer is cross-checked against the game-tree oracle.  A reversed cycle then shows the equivalent case
 together with its certificate.
 """
 
@@ -31,14 +31,14 @@ def compare(A, B, rounds):
     category = build_category_D(A, B)
     print(f"{A.name} vs {B.name}")
     print(
-        f"  built: {len(category.morphisms)} of the {len(category.whole.morphisms)}"
-        " morphisms of the category,"
+        f"  built: the {len(category.forth)} partial isomorphisms {A.name} -> {B.name},"
+        " all that the derivative chain reads"
+    )
+    print(
+        f"  built on first read: {len(category.morphisms)} of the"
+        f" {len(category.whole.morphisms)} morphisms of the category,"
     )
     print(f"    the maps {A.name} -> {B.name} and back and the partial identities of both")
-    print(
-        f"  read by the derivative chain: the {len(category.part(A, B))}"
-        f" partial isomorphisms {A.name} -> {B.name}"
-    )
     for m in range(rounds + 1):
         answer, witness = ef_equiv_derivative(A, B, m, category=category)
         oracle = ef_equiv_oracle(A, B, m)

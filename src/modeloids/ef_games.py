@@ -30,13 +30,18 @@ indexes the one-point extensions of its level once from those codes
 chain on all of D (``derivative_levels``, the paper's route through
 ``categorical_derivative``) stays as the reference it must agree with.
 
-So ``build_category_D`` builds only the part of D around Hom(A,B):
-Hom(A,B) from one enumeration, Hom(B,A) as the inverses of its maps, and
-the partial identities of A and B, which are generated as restrictions
-of id_A and id_B without a search: both are pair tuples that no second
-test checks.  All of D, with the part as its index prefix, is built on
-first read of ``CategoryD.whole``; only ``derivative_levels`` and the
-endoset queries read it.  For A == B the part is all of D.
+So ``build_category_D`` makes only Hom(A,B), from one enumeration, as
+the sorted pair tuples ``CategoryD.forth``; the ``ef`` answer, its
+witness and its certificates read nothing else.  The rest of the part of
+D around Hom(A,B), Hom(B,A) as the inverses of its maps and the partial
+identities of A and B, generated as restrictions of id_A and id_B
+without a search, and the ambient's dom, cod, inv and index tables are
+built on first read of ``CategoryD.ambient`` (or ``morphisms``,
+``object_a``, ``object_b``, ``part``), with no enumeration; no second
+test checks those pair tuples.  All of D, with the part as its index
+prefix, is built on first read of ``CategoryD.whole``; only
+``derivative_levels`` and the endoset queries read it.  For A == B the
+part is all of D.
 
 Asking one pair for m = 0, 1, 2, ... builds D once.  ``build_category_D``
 keeps the D of its latest call and returns it again when called with the
@@ -152,29 +157,45 @@ class CategoryD(Frozen):
     """The partial-isomorphism category of a structure pair, or the part
     of it that the ``ef`` chain reads.
 
-    ``morphisms`` are its ambient's pair tuples.  The part (``complete``
-    false) holds Hom(A,B), Hom(B,A) and the partial identities of A and
-    B; ``whole`` is all of D, built on first read, with the part's
-    morphisms as its first indices.  So an index into the part is the
-    same morphism in D, and ``object_a`` and ``object_b`` are the same in
-    both.  When ``left`` and ``right`` are the same structure the
-    category has a single object, and the part is all of D.
+    ``forth`` holds Hom(left, right), the maps from ``left`` to
+    ``right`` as sorted pair tuples, in sorted order; they are the indices
+    0 .. len(forth) - 1 of the category, and the ``ef`` chain, its answer
+    and its certificates read nothing else.  The part (``complete``
+    false) also holds Hom(right, left), the inverses of ``forth``, and
+    the partial identities of both sides.  Those, and the tables of
+    ``ambient`` (dom, cod, inv, index), are built on first read of
+    ``ambient``, ``morphisms``, ``object_a``, ``object_b`` or ``part``,
+    with no enumeration.  ``whole`` is all of D, built on first read,
+    with the part's morphisms as its first indices.  So an index into the
+    part is the same morphism in D, and ``object_a`` and ``object_b`` are
+    the same in both.  When ``left`` and ``right`` are the same structure
+    the category has a single object, ``forth`` is End(left), and the
+    part is all of D.
     """
 
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
     def __init__(
-        self, left: Structure, right: Structure, ambient: PartialIsoAmbient,
-        object_a: int, object_b: int, complete: bool,
+        self, left: Structure, right: Structure,
+        forth: tuple[tuple[tuple[int, int], ...], ...], complete: bool,
     ):
-        vars(self).update(
-            left=left, right=right, ambient=ambient,
-            object_a=object_a, object_b=object_b, complete=complete,
-        )
+        vars(self).update(left=left, right=right, forth=forth, complete=complete)
 
     @property
     def whole(self) -> "CategoryD":
         return self if self.complete else _whole(self)
+
+    @property
+    def ambient(self) -> PartialIsoAmbient:
+        return _tables(self)[0]
+
+    @property
+    def object_a(self) -> int:
+        return _tables(self)[1]
+
+    @property
+    def object_b(self) -> int:
+        return _tables(self)[2]
 
     @property
     def star(self) -> int:
@@ -205,6 +226,14 @@ class CategoryD(Frozen):
         D = self._holding(X, Y)
         return homset(D.ambient, D.object_of(X), D.object_of(Y))
 
+    def _indexed(self, X: Structure, Y: Structure) -> tuple[range | tuple[int, ...], tuple]:
+        """The indices of Hom(X,Y) and the pair tuples they index: for
+        (left, right) that is ``forth``, and no table is built."""
+        if self._side(X) == 0 and self._side(Y) == self._side(self.right):
+            return range(len(self.forth)), self.forth
+        D = self._holding(X, Y)
+        return D.part(X, Y), D.morphisms
+
 
 def _check_pair(A: Structure, B: Structure, max_universe: int):
     if A.vocabulary != B.vocabulary:
@@ -234,12 +263,34 @@ def _block(lt: int, rt: int, maps) -> list[tuple[int, int, tuple]]:
     return [(lt, rt, p) for p in sorted(maps)]
 
 
-def _category(
-    left: Structure, right: Structure, layout: list[tuple[int, int, tuple]], complete: bool
-) -> CategoryD:
+@fact
+def _tables(category: CategoryD) -> tuple[PartialIsoAmbient, int, int]:
+    """The ambient of ``category`` and its two objects.  The layout is
+    ``forth``, then for two sides its inverses, the partial identities of
+    left and of right, and for all of D the other endomorphisms of each
+    side, each block sorted; star comes after the last map.  dom, cod
+    and inv are tabulated over it; composition is left to the ambient.
+    Only the endomorphisms of all of D are enumerated."""
+    left, right, forth = category.left, category.right, category.forth
+    if left == right:
+        return _tabulated((left,), [(0, 0, p) for p in forth])
+    layout = [(0, 1, p) for p in forth] + _block(1, 0, map(_inverse, forth))
+    for s, S in enumerate((left, right)):
+        # the partial identities: id_S's restrictions that fix the constants
+        fixed = {(c, c) for c in S.constants}
+        layout += _block(s, s, _restrictions(_identity(S), fixed))
+    if category.complete:
+        for s, S in enumerate((left, right)):
+            endos = _enumerated(S, S, S.universe_size)
+            layout += _block(s, s, (p for p in endos if any(a != b for a, b in p)))
+    return _tabulated((left, right), layout)
+
+
+def _tabulated(
+    sides: tuple[Structure, ...], layout: list[tuple[int, int, tuple]]
+) -> tuple[PartialIsoAmbient, int, int]:
     """Tabulate dom, cod and inv over ``layout``, a list of (source side,
     target side, map) in index order; star comes after the last map."""
-    sides = (left,) if left == right else (left, right)
     morphisms = tuple(p for _, _, p in layout)
     star = len(morphisms)
     full = [_identity(S) for S in sides]
@@ -257,7 +308,7 @@ def _category(
             inv[j] = i
     constants = {obj[s]: S.constants for s, S in enumerate(sides)}
     ambient = PartialIsoAmbient(star + 1, star, dom, cod, tuple(inv), morphisms, index, constants)
-    return CategoryD(left, right, ambient, obj[0], obj[-1], complete)
+    return ambient, obj[0], obj[-1]
 
 
 # The D of the latest ``build_category_D`` call, or None.
@@ -267,13 +318,16 @@ _latest: CategoryD | None = None
 def build_category_D(
     A: Structure, B: Structure, max_universe: int = DEFAULT_EF_UNIVERSE_BOUND
 ) -> CategoryD:
-    """The part of D around the ``ef`` chain: Hom(A,B) from one
-    ``enumerate_partial_isos`` call, then Hom(B,A), the inverses of those
-    maps, then the partial identities of A and of B, then star; each block
-    of pair tuples sorted.  Only the enumeration builds ``PartialIso``
-    objects.  dom, cod and inv are tabulated; composition is left to the
-    ambient.  All of D is ``.whole``, built when first read.  For A == B
-    this is all of D: the one block End(A).
+    """The part of D around the ``ef`` chain.  The build makes only
+    ``forth``: Hom(A,B) from one ``enumerate_partial_isos`` call, as
+    sorted pair tuples, in sorted order; only the enumeration builds
+    ``PartialIso`` objects.  The rest of the part (Hom(B,A), the inverses
+    of those maps, then the partial identities of A and of B, then star)
+    and its dom, cod, inv and index tables are built on first read of
+    ``ambient``, ``morphisms``, ``object_a``/``object_b`` or ``part``,
+    which the ``ef`` answer and its certificates never make.  All of D is
+    ``.whole``, built when first read.  For A == B this is all of D: the
+    one block End(A).
 
     Called again with the same two structure objects (``is``, not ``==``),
     it returns the D it built last, with the compositions, down-sets and
@@ -287,16 +341,8 @@ def build_category_D(
     if _latest is not None and _latest.left is A and _latest.right is B:
         return _latest
     _latest = None
-    if A == B:
-        layout = _block(0, 0, _enumerated(A, A, max_universe))
-    else:
-        forth = _enumerated(A, B, max_universe)
-        layout = _block(0, 1, forth) + _block(1, 0, map(_inverse, forth))
-        for s, S in enumerate((A, B)):
-            # the partial identities: id_S's restrictions that fix the constants
-            fixed = {(c, c) for c in S.constants}
-            layout += _block(s, s, _restrictions(_identity(S), fixed))
-    _latest = _category(A, B, layout, complete=A == B)
+    forth = tuple(sorted(_enumerated(A, B, max_universe)))
+    _latest = CategoryD(A, B, forth, complete=A == B)
     return _latest
 
 
@@ -304,13 +350,7 @@ def build_category_D(
 def _whole(part: CategoryD) -> CategoryD:
     """All of D: the part's morphisms in their order, then the other
     endomorphisms of A and of B, then star."""
-    c = part.ambient
-    side = {part.object_a: 0, part.object_b: 1}
-    layout = [(side[c.dom[i]], side[c.cod[i]], p) for i, p in enumerate(c.morphisms)]
-    for s, S in enumerate((part.left, part.right)):
-        endos = _enumerated(S, S, S.universe_size)
-        layout += _block(s, s, (p for p in endos if any(a != b for a, b in p)))
-    return _category(part.left, part.right, layout, complete=True)
+    return CategoryD(part.left, part.right, part.forth, complete=True)
 
 
 @fact
@@ -337,10 +377,11 @@ def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> Chain:
     """D^j ∩ Hom(X,Y) as index sets; a step keeps a map when every point
     of X and of Y outside it extends it by one pair to a map of the level,
     read from one index of the level's one-point extensions.  Each map is
-    coded once, for every step of the chain."""
-    D = category._holding(X, Y)
+    coded once, for every step of the chain.  Hom(left, right) is read
+    from ``forth`` alone."""
+    indices, maps = category._indexed(X, Y)
     sources, targets = X.universe_size, Y.universe_size
-    codes = {i: _code(D.morphisms[i], targets) for i in D.part(X, Y)}
+    codes = {i: _code(maps[i], targets) for i in indices}
 
     def step(level: frozenset[int]) -> frozenset[int]:
         at = _extended_at((codes[i] for i in level), sources, targets)
@@ -383,10 +424,12 @@ def homset_levels(
       (``_extended_at``), and ``_least_unextended`` reads each map's
       answer from it with one dict lookup.
 
-    For the cross homsets Hom(A,B) and Hom(B,A) the chain reads the part
-    of D that ``build_category_D`` builds.  An endoset query, Hom(A,A) or
-    Hom(B,B), reads all of D (``category.whole``), built for it on first
-    use.  The indices agree either way, since the part is a prefix of D.
+    Hom(A,B) is read from ``category.forth`` alone, with no table.
+    Hom(B,A) reads the part of D, whose tables are built on first read.
+    An endoset query, Hom(A,A) or Hom(B,B), reads all of D
+    (``category.whole``), built for it on first use.  The indices agree
+    in every case, since ``forth`` is the first block of the part and the
+    part is a prefix of D.
     """
     if m < 0:
         raise InputError("rounds must be non-negative")
@@ -398,8 +441,8 @@ def _survivors(category: CategoryD, m: int, X: Structure, Y: Structure) -> list[
     if m < 0:
         raise InputError("rounds must be non-negative")
     final = _homset_chain(category, X, Y).upto(m)[-1]
-    morphisms = category._holding(X, Y).morphisms
-    return [morphisms[i] for i in sorted(final)]
+    _, maps = category._indexed(X, Y)
+    return [maps[i] for i in sorted(final)]
 
 
 def surviving_maps(
@@ -511,8 +554,9 @@ def extract_certificate(
         raise InputError("rounds must be non-negative")
     if category is None:
         category = build_category_D(A, B, max_universe)
+    _, maps = category._indexed(A, B)
     levels = tuple(
-        frozenset(category.morphisms[i] for i in level)
+        frozenset(maps[i] for i in level)
         for level in _homset_chain(category, A, B).upto(m)
     )
     if not levels[-1]:
@@ -531,7 +575,10 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
     coded once through a table from each pair to its bit, as ``_code``
     sets it: a pair missing from the table lies outside the universes,
     and bits that do not strictly increase mean an unsorted tuple.  A
-    member already checked, compared by value, is not checked again.
+    member already checked, compared by value, is not checked again, and
+    the very object already checked (by identity, as an extracted
+    certificate's levels share their tuples) is not shape-tested again;
+    a member equal by value to a checked one but another object is.
     The rest are visited longest first: a restriction of a partial
     isomorphism that keeps every constant pair is one again, so a member
     whose code is a one-pair restriction of a checked member, keeping
@@ -581,7 +628,8 @@ def _coded_levels(
     for p in zip(A.constants, B.constants):
         fixed |= bit.get(p, 0)
     longest = min(A.universe_size, B.universe_size)  # no partial iso is longer
-    codes: dict[tuple, int] = {}  # each member checked so far, by value
+    # each member checked so far, by value: the object checked and its code
+    codes: dict[tuple, tuple[tuple, int]] = {}
     proven: set[int] = set()  # one-pair restrictions of checked members
     ordered: list[tuple[frozenset, list[int]]] = []
     for j, level in enumerate(cert.levels):
@@ -590,26 +638,32 @@ def _coded_levels(
             continue
         if not level:
             return [], v.violated("non-empty", j)
-        malformed = [f for f in level if not _is_pair_tuple(f)]
+        known = list(map(codes.get, level))
+        # the very object checked before needs no second shape test
+        malformed = [
+            f for f, k in zip(level, known)
+            if (k is None or k[0] is not f) and not _is_pair_tuple(f)
+        ]
         if malformed:
             return [], v.violated("membership", (j, min(malformed, key=repr)))
         kept, failed = [], []
         fresh = [([], []) for _ in range(longest + 1)]  # members and codes, by size
-        for f in level:
-            code = codes.get(f)
-            if code is None:
-                code = _coded(f, bit)
-                if code is None or len(f) > longest:
-                    failed.append(f)
-                    continue
-                members, member_codes = fresh[len(f)]
-                members.append(f)
-                member_codes.append(code)
+        for f, k in zip(level, known):
+            if k is not None:
+                kept.append(k[1])
+                continue
+            code = _coded(f, bit)
+            if code is None or len(f) > longest:
+                failed.append(f)
+                continue
+            members, member_codes = fresh[len(f)]
+            members.append(f)
+            member_codes.append(code)
             kept.append(code)
         for members, member_codes in reversed(fresh):
             for f, code in zip(members, member_codes):
                 if code in proven or pairs_are_partial_iso(A, B, f):
-                    codes[f] = code
+                    codes[f] = f, code
                     rest = code & ~fixed
                     while rest:
                         low = rest & -rest

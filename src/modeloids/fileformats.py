@@ -71,21 +71,22 @@ def _int(token: str, line_no: int, what: str) -> int:
 
 def _int_row(
     tokens: list[str], line_no: int, what: str, numerals: dict[str, int]
-) -> tuple[int, ...]:
-    """The row's integers.  Tokens are looked up in ``numerals``, which maps
-    the text of 0..size-1 to one int object each; a row with any other
-    token (``007``, ``+1``, ``-1``, out of range or no integer) is read
-    by ``int`` instead, which gives the same result or error as reading
-    every token with ``int``."""
+) -> tuple[tuple[int, ...], bool]:
+    """The row's integers, and whether they are known to lie in 0..size-1.
+    Tokens are looked up in ``numerals``, which maps the text of
+    0..size-1 to one int object each, so such a row is in range; a row
+    with any other token (``007``, ``+1``, ``-1``, out of range or no
+    integer) is read by ``int`` instead, which gives the same result or
+    error as reading every token with ``int``, and is not known to be."""
     try:
-        return tuple(map(numerals.__getitem__, tokens))
+        return tuple(map(numerals.__getitem__, tokens)), True
     except KeyError:
         pass
     try:
-        return tuple(map(int, tokens))
+        return tuple(map(int, tokens)), False
     except ValueError:
         # names the first token that is no integer
-        return tuple(_int(t, line_no, what) for t in tokens)
+        return tuple(_int(t, line_no, what) for t in tokens), False
 
 
 def _expect_header(lines: _NumberedLines, kind: str):
@@ -168,13 +169,15 @@ _CATEGORY = _Layout(
 
 def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members: bool):
     """Every directive after the header by name; the block as a tuple of rows.
-    Entries are range-checked, then star's dom and cod, once all lines are read."""
+    Once all lines are read, the entries not read through the numerals
+    table are range-checked, then star's dom and cod."""
     _expect_header(lines, kind)
     size_key, block_key = layout.size, layout.block
     fields: dict = {}
     block: list[tuple[int, ...]] = []
     numerals: dict[str, int] = {}
-    entries: list[tuple[int, str, tuple[int, ...]]] = []  # (line, directive, values)
+    # (line, directive, values, whether known to be in range)
+    entries: list[tuple[int, str, tuple[int, ...], bool]] = []
     for line_no, tokens in lines:
         head, rest = tokens[0], tokens[1:]
         size = fields.get(size_key)
@@ -187,22 +190,23 @@ def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members:
                 raise ParseError(f"{size_key} must come before {head} rows", line_no)
             if len(block) == size:
                 raise ParseError(f"more than {size} {head} rows", line_no)
-            row = _int_row(rest, line_no, f"{head} entry", numerals)
+            row, in_range = _int_row(rest, line_no, f"{head} entry", numerals)
             if len(row) != size:
                 raise ParseError(f"{head} row needs {size} entries", line_no)
             block.append(row)
-            entries.append((line_no, head, row))
+            entries.append((line_no, head, row, in_range))
         elif head in fields:
             raise ParseError(f"{head} declared twice", line_no)
         elif head == "members" and want_members:
-            fields[head] = tuple(sorted(set(_int_row(rest, line_no, "member", numerals))))
-            entries.append((line_no, head, fields[head]))
+            row, in_range = _int_row(rest, line_no, "member", numerals)
+            fields[head] = tuple(sorted(set(row)))
+            entries.append((line_no, head, fields[head], in_range))
         elif head in layout.rows:
-            row = _int_row(rest, line_no, f"{head} entry", numerals)
+            row, in_range = _int_row(rest, line_no, f"{head} entry", numerals)
             if size is None or len(row) != size:
                 raise ParseError(layout.short_row.format(head), line_no)
             fields[head] = row
-            entries.append((line_no, head, row))
+            entries.append((line_no, head, row, in_range))
         elif head == size_key or head in layout.ints:
             if len(rest) != 1:
                 raise ParseError(f"{head} needs exactly one value", line_no)
@@ -210,7 +214,7 @@ def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members:
             if head == size_key and fields[head] < 1:
                 raise ParseError(layout.too_small, line_no)
             if head != size_key:
-                entries.append((line_no, head, (fields[head],)))
+                entries.append((line_no, head, (fields[head],), False))
         else:
             raise ParseError(f"unexpected directive {head!r} in {kind} file", line_no)
     for needed in (size_key,) + layout.required:
@@ -223,10 +227,10 @@ def _parse_body(lines: _NumberedLines, kind: str, layout: _Layout, want_members:
     if want_members and "members" not in fields:
         raise ParseError("missing members line", 1)
     size = fields[size_key]
-    for line_no, head, values in entries:
-        if values and (min(values) < 0 or max(values) >= size):
+    for line_no, head, values, in_range in entries:
+        if not in_range and values and (min(values) < 0 or max(values) >= size):
             raise ParseError(layout.out_of_range[head], line_no)
-    for line_no, head, values in entries:
+    for line_no, head, values, _ in entries:
         if head in ("dom", "cod") and values[fields["star"]] != fields["star"]:
             raise ParseError("the non-existing morphism must be its own dom and cod", line_no)
     fields[block_key] = tuple(block)

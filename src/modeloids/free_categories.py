@@ -35,7 +35,6 @@ from .inverse_semigroups import (
     associativity_witness,
     find_neutral,
     inverse_laws,
-    partners,
 )
 
 
@@ -169,8 +168,21 @@ def _check_category(c: FreeCategory) -> v.Verdict:
 @fact
 def _partners(c: FreeCategory) -> tuple[list[int], ...]:
     """The generalized-inverse partners of every morphism, found once for
-    the inverse check and ``skolem_inverses``."""
-    return tuple(partners(c.comp, s) for s in range(c.morphism_count))
+    the inverse check and ``skolem_inverses``, of a verified category: t
+    with s.t.s = s and t.s.t = t, in index order.  Both composites exist
+    only for t in Hom(cod s, dom s), so only that homset is searched;
+    star's is Hom(star, star), which holds star alone."""
+    comp, dom, cod = c.comp, c.dom, c.cod
+    hom: dict[tuple[int, int], list[int]] = {}
+    for t in range(c.morphism_count):
+        hom.setdefault((dom[t], cod[t]), []).append(t)
+    return tuple(
+        [
+            t for t in hom.get((cod[s], dom[s]), ())
+            if comp[comp[s][t]][s] == s and comp[comp[t][s]][t] == t
+        ]
+        for s in range(c.morphism_count)
+    )
 
 
 def verify_inverse_category_unique(c: FreeCategory) -> v.Verdict:

@@ -161,15 +161,16 @@ def check_categorical_modeloid_by_pairs(M) -> v.Verdict:
 
 
 def int_row_by_int(tokens, line_no, what, numerals):
-    """A table row read with ``int`` token by token, ``numerals`` unused;
-    the first token that is no integer is named."""
+    """A table row read with ``int`` token by token, ``numerals`` unused,
+    and not known to be in range; the first token that is no integer is
+    named."""
     values = []
     for token in tokens:
         try:
             values.append(int(token))
         except ValueError:
             raise ParseError(f"{what} must be an integer, got {token!r}", line_no) from None
-    return tuple(values)
+    return tuple(values), False
 
 
 def check_modeloid_by_pairs(M) -> v.Verdict:

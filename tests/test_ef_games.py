@@ -2,6 +2,7 @@
 game-tree oracle, plus back-and-forth certificates."""
 
 import gc
+import hashlib
 import math
 import random
 import sys
@@ -11,7 +12,7 @@ from unittest import mock
 
 import pytest
 from dense_ambient import dense_table
-from generated import relabel, structure_pairs
+from generated import agreeing_on_constants, relabel, structure_pairs, structures_over
 from hypothesis import given
 from hypothesis import strategies as st
 from records import replace
@@ -21,7 +22,7 @@ from reference_scans import (
     verify_certificate_by_one_point,
 )
 
-from modeloids import ef_games, free_categories
+from modeloids import cli, ef_games, free_categories
 from modeloids.categorical import (
     CategoricalModeloid,
     categorical_derivative,
@@ -56,6 +57,7 @@ from modeloids.structures import (
     constant_pairs,
     enumerate_partial_isos,
     pairs_are_partial_iso,
+    parse_structures,
 )
 
 EMPTY = Vocabulary()
@@ -1084,3 +1086,110 @@ class TestSharedCategory:
         stabilized = next(j for j in range(6) if levels[j] == levels[j + 1])
         assert len(stepped) <= stabilized + 1
         assert all(answer == levels[: m + 1] for m, answer in enumerate(answers))
+
+
+POINTED_TERNARY = Vocabulary(relations=(("E", 2), ("T", 3)), constants=("c",))
+
+
+@st.composite
+def pointed_pairs(draw):
+    A = draw(structures_over(POINTED_TERNARY, "A", max_universe=4))
+    if draw(st.booleans()):
+        return A, draw(agreeing_on_constants(A, "B", max_universe=4))
+    return A, draw(structures_over(POINTED_TERNARY, "B", max_universe=4))
+
+
+class TestBackIsForthInverted:
+    @given(pointed_pairs(), st.integers(min_value=0, max_value=4))
+    def test_hom_b_a_levels_are_the_inverted_hom_a_b_levels(self, pair, m):
+        # the ef path builds no Hom(B,A): its chain is Hom(A,B)'s, inverted
+        A, B = pair
+        cat = build_category_D(A, B)
+        forth = homset_levels(cat, m, A, B)
+        back = homset_levels(cat, m, B, A)
+        for there, here in zip(forth, back, strict=True):
+            inverted = {tuple(sorted((b, a) for a, b in cat.morphisms[i])) for i in there}
+            assert {cat.morphisms[i] for i in here} == inverted
+
+
+SETS = "structure S3\n  universe 3\n\nstructure S4\n  universe 4\n"
+CYCLE_AND_PATH = (
+    "vocabulary\n  relation E 2\n\n"
+    "structure C5\n  universe 5\n  relation E (0,1) (1,2) (2,3) (3,4) (4,0)\n\n"
+    "structure P5\n  universe 5\n  relation E (0,1) (1,2) (2,3) (3,4)\n"
+)
+POINTED_PAIR = (
+    "vocabulary\n  relation E 2\n  constant c\n\n"
+    "structure Q\n  universe 4\n  constant c 0\n  relation E (0,1) (1,2) (2,3) (3,0) (0,2)\n\n"
+    "structure R\n  universe 4\n  constant c 0\n  relation E (0,1) (1,2) (2,3) (3,0) (2,0)\n"
+)
+# (file, rounds, derivative answer, witness pairs, sha256 prefix of the
+# certificate text), recorded from a build of D with all its tables
+ANSWERS = [
+    (SETS, 0, True, ((0, 3), (1, 2), (2, 1)), "baa220c63c087b5d"),
+    (SETS, 1, True, ((1, 3), (2, 2)), "2cf5460218b3db61"),
+    (SETS, 2, True, ((2, 3),), "1105e9579f998ee9"),
+    (SETS, 3, True, (), "fd385cdfbf9a0d1b"),
+    (SETS, 4, False, None, None),
+    (CYCLE_AND_PATH, 0, True, ((1, 1), (2, 2), (3, 3), (4, 4)), "c4c167d5eefa445b"),
+    (CYCLE_AND_PATH, 1, True, ((2, 1), (3, 2), (4, 3)), "5d1c1e0ac6a12f9a"),
+    (CYCLE_AND_PATH, 2, False, None, None),
+    (CYCLE_AND_PATH, 3, False, None, None),
+    (POINTED_PAIR, 0, True, ((0, 0), (2, 1), (3, 2)), "f4ce822c112e7fee"),
+    (POINTED_PAIR, 1, True, ((0, 0),), "0dd1c96c08ab7023"),
+    (POINTED_PAIR, 2, False, None, None),
+    (POINTED_PAIR, 3, False, None, None),
+]
+ANSWER_IDS = [f"{parse_structures(text)[1][0].name}-m{m}" for text, m, *_ in ANSWERS]
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestNoTablesOnTheEfPath:
+    """The answer, its witness and its certificate read only Hom(A,B), the
+    sorted pair tuples of ``forth``: with the part's table builder made to
+    raise they come out as they did with every table built."""
+
+    @pytest.fixture(autouse=True)
+    def no_tables(self, monkeypatch):
+        def unread(category):
+            raise AssertionError("the tables of D were built")
+
+        monkeypatch.setattr(ef_games, "_tables", unread)
+        monkeypatch.setattr(ef_games, "_latest", None)
+
+    @pytest.mark.parametrize("text, m, answer, witness, certificate", ANSWERS, ids=ANSWER_IDS)
+    def test_library_answers(self, text, m, answer, witness, certificate):
+        _, (A, B) = parse_structures(text)
+        equivalent, iso = ef_equiv_derivative(A, B, m)
+        assert (equivalent, None if iso is None else iso.pairs) == (answer, witness)
+        cert = extract_certificate(A, B, m)
+        if certificate is None:
+            assert cert is None
+        else:
+            assert digest(format_certificate(cert).encode()) == certificate
+            assert verify_certificate(cert).ok
+
+    @pytest.mark.parametrize("text, m, answer, witness, certificate", ANSWERS, ids=ANSWER_IDS)
+    def test_cli_answers(self, text, m, answer, witness, certificate, tmp_path, capsys):
+        _, (A, B) = parse_structures(text)
+        path, written = tmp_path / "pair.txt", tmp_path / "cert.txt"
+        path.write_text(text)
+        code = cli.main([
+            "ef", str(path), "--left", A.name, "--right", B.name,
+            "--rounds", str(m), "--certificate", str(written),
+        ])
+        out, err = capsys.readouterr()
+        truth = "true" if answer else "false"
+        assert code == (0 if answer else 1)
+        assert out == (
+            f"equivalent: {truth}\nrounds: {m}\nmethod: derivative\noracle-agrees: true\n"
+        )
+        if certificate is None:
+            assert err == f"no certificate: not equivalent at {m} rounds\n"
+            assert not written.exists()
+        else:
+            assert err == ""
+            assert digest(written.read_bytes()) == certificate

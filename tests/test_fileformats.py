@@ -297,6 +297,35 @@ class TestParseByLookup:
         assert by_lookup == by_int
         assert {result[0] for result in by_lookup} == {"parsed", "rejected"}
 
+    OUT_OF_RANGE = {
+        "mul": "multiplication entry out of range",
+        "comp": "composition entry out of range",
+        "inv": "inverse table must list one in-range element per element",
+        "dom": "dom table must list one in-range morphism each",
+        "cod": "cod table must list one in-range morphism each",
+        "members": "member index out of range",
+    }
+
+    @pytest.mark.parametrize("parse", list(ODD_TOKEN_FILES), ids=lambda p: p.__name__)
+    def test_out_of_range_entries_are_still_caught(self, parse):
+        # only rows that fell back to int are range-checked after the
+        # parse: an entry of 12 in a table of 12 still names its line
+        lines = ODD_TOKEN_FILES[parse]
+        caught = 0
+        for at in range(2, len(lines)):
+            head, *tokens = lines[at].split()
+            if head == "star":
+                continue
+            for spot in (0, len(tokens) - 1):
+                edited = tokens[:spot] + ["12"] + tokens[spot + 1:]
+                text = "\n".join(lines[:at] + [" ".join([head, *edited])] + lines[at + 1:])
+                with pytest.raises(ParseError) as err:
+                    parse(text + "\n")
+                assert str(err.value) == f"line {at + 1}: {self.OUT_OF_RANGE[head]}"
+                assert (err.value.line, err.value.column) == (at + 1, None)
+                caught += 1
+        assert caught >= 26
+
     def test_odd_numerals_give_the_same_table(self):
         text = "semigroup\norder 12\n" + "\n".join(cyclic_rows("mul", 12)) + "\n"
         odd = text.replace("mul 0 1 2 ", "mul 000 +1 2 ", 1).replace(" 10 11\n", " 1_0 11\n", 1)

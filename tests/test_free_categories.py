@@ -2,15 +2,21 @@
 natural order, and the one-object correspondence with tables."""
 
 import gc
+import importlib.util
 import random
+import sys
 import weakref
+from functools import cache
+from pathlib import Path
 
 import pytest
 from dense_ambient import dense_table
+from generated import structure_pairs
+from hypothesis import given, settings
 from records import replace
 from reference_scans import check_category_by_pairs
 
-from modeloids import free_categories
+from modeloids import fileformats, free_categories
 from modeloids.ef_games import build_category_D
 from modeloids.errors import InputError
 from modeloids.free_categories import (
@@ -36,6 +42,7 @@ from modeloids.inverse_semigroups import (
     InverseSemigroupTable,
     from_partial_bijections,
     natural_leq as table_leq,
+    partners,
     verify_inverse_semigroup,
 )
 from modeloids.partial_bijections import Carrier, PartialBijection, enumerate_all
@@ -226,17 +233,20 @@ class TestInverseVerifiers:
 
     def test_partners_found_once_for_check_and_fill(self, monkeypatch):
         c = replace(c3_p3_category(), inv=None)
-        calls = []
-        real = free_categories.partners
+        reads = []
 
-        def counting(mul, x):
-            calls.append(x)
-            return real(mul, x)
+        class Row(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return tuple.__getitem__(self, i)
 
-        monkeypatch.setattr(free_categories, "partners", counting)
-        assert verify_inverse_category_unique(c).ok
-        filled = skolem_inverses(c)
-        assert sorted(calls) == list(range(c.morphism_count))
+        counted = replace(c, comp=tuple(Row(row) for row in c.comp))
+        assert verify_inverse_category_unique(counted).ok
+        assert reads
+        reads.clear()
+        filled = skolem_inverses(counted)
+        assert reads == []  # the partners and the category verdict are kept
+        assert filled.inv == skolem_inverses(c).inv
         # the category verdict does not read inv and carries over
         monkeypatch.setattr(free_categories, "_check_category", None)
         assert verify_category(filled).ok
@@ -417,3 +427,55 @@ class TestSharedLaws:
                 assert by_category == by_table
                 seen.add(by_table.axiom)
         assert seen == {None} | self.SHARED
+
+
+@cache
+def perfbench_games():
+    """The benchmark's generator of table files, which imports no modeloids."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "games.py"
+    spec = importlib.util.spec_from_file_location("perfbench_games", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPartnersPerHomset:
+    """The partner search reads only Hom(cod s, dom s) and finds what the
+    scan over every morphism finds."""
+
+    @staticmethod
+    def agrees_with_the_full_scan(c):
+        assert verify_category(c).ok
+        assert free_categories._partners(c) == tuple(
+            partners(c.comp, s) for s in range(c.morphism_count)
+        )
+
+    @settings(max_examples=30)
+    @given(structure_pairs())
+    def test_generated_categories(self, pair):
+        self.agrees_with_the_full_scan(dense_table(build_category_D(*pair).whole.ambient))
+
+    def test_rook_monoid_on_two_points(self):
+        self.agrees_with_the_full_scan(semigroup_to_one_object_category(f_table(2)[0]))
+
+    def test_several_partners_in_one_homset(self):
+        # a left-zero band with an identity adjoined: 1 and 2 are each
+        # other's partners and their own
+        band = InverseSemigroupTable.from_rows(
+            [[0, 1, 2], [1, 1, 1], [2, 2, 2]], [0, 1, 2], neutral=0
+        )
+        c = semigroup_to_one_object_category(band)
+        self.agrees_with_the_full_scan(c)
+        assert free_categories._partners(c)[1] == [1, 2]
+
+    @pytest.mark.parametrize("with_inv", [True, False])
+    def test_c4_p4_category_file(self, with_inv):
+        games = perfbench_games()
+        text = games.category_file(
+            games.cycle("C4", 4), games.path("P4", 4), random.Random(5), "category",
+            with_inv=with_inv,
+        )
+        c = fileformats.parse_category_file(text)
+        assert c.morphism_count == 213
+        self.agrees_with_the_full_scan(c)
+        assert verify_inverse_category_unique(c).ok
