@@ -18,8 +18,8 @@ table; this is how the one-object theory re-enters the categorical one.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import repeat
-from typing import Iterable
 
 from . import verdict as v
 from .derived import Frozen, fact, fixpoint_chain

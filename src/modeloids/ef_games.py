@@ -68,12 +68,27 @@ every relation only for members that no checked member proves (a
 restriction of a partial isomorphism that keeps the constant pairs is
 one again), and answers forth and back from the same kind of index of
 one-point extensions, built once per distinct level.
+
+The certificates of one pair for m = 0, 1, 2, ... are prefixes of one
+chain, and the certificate path reads each distinct level once across
+them.  ``extract_certificate`` makes each level's set of pair tuples
+once per D and keeps it there, so the certificates for m and m + 1 share
+their level objects; that costs one frozenset per distinct level, held
+as long as the D is.  ``verify_certificate`` keeps what it proved about
+its latest pair of structure objects: the codes of the valid members,
+the levels of the latest certificate that passed, by identity, with
+their members' codes, and its level pairs whose scan passed.  A level
+or a level pair met again is not checked again, and every verdict is a
+fresh check's.  No index of one-point extensions is kept: a passed pair
+is never scanned again, so the loop never reads one index twice.  A call
+on another pair drops all of it, so the module holds at most one code
+per map of Part(A,B) and one certificate's levels.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
 from . import verdict as v
 from .categorical import CategoricalModeloid, categorical_derivative
@@ -538,6 +553,15 @@ class BackAndForthCertificate(Frozen):
         vars(self).update(left=left, right=right, rounds=rounds, levels=levels)
 
 
+@fact
+def _level_maps(category: CategoryD, X: Structure, Y: Structure, j: int) -> frozenset[tuple]:
+    """Distinct level j of the (X, Y) homset chain as a set of pair
+    tuples, made once per category, so that the certificates of every m
+    share their level objects."""
+    _, maps = category._indexed(X, Y)
+    return frozenset(maps[i] for i in _homset_chain(category, X, Y).levels[j])
+
+
 def extract_certificate(
     A: Structure,
     B: Structure,
@@ -548,20 +572,68 @@ def extract_certificate(
     """I_j = D^j ∩ Part(A,B); absent when nothing survives m rounds.  The
     levels come from the chain stepped on Hom(A,B) alone, which the other
     homsets never feed back into (see ``homset_levels``).  Each distinct
-    level becomes one set of pair tuples, and the tail past the fixpoint
-    repeats the last by reference."""
+    level becomes one set of pair tuples, made once per D and kept on it:
+    the certificates for m and m + 1 share their level objects, which
+    ``verify_certificate`` then reads once.  That costs one frozenset per
+    distinct level of the chain, held as long as the D is.  The tail past
+    the fixpoint repeats the last level by reference."""
     if m < 0:
         raise InputError("rounds must be non-negative")
     if category is None:
         category = build_category_D(A, B, max_universe)
-    _, maps = category._indexed(A, B)
-    levels = tuple(
-        frozenset(maps[i] for i in level)
-        for level in _homset_chain(category, A, B).upto(m)
-    )
+    distinct = len(_homset_chain(category, A, B).upto(m))
+    levels = tuple(_level_maps(category, A, B, j) for j in range(distinct))
     if not levels[-1]:
         return None
     return BackAndForthCertificate(A, B, m, padded(levels, m))
+
+
+class _Level:
+    """A level as the check reads it: the level object, held so that its
+    id stays its own, and its members' codes in the level's own order.
+    Equal only to itself, so a pair of them is hashed without reading
+    the level."""
+
+    __slots__ = ("level", "codes")
+
+    def __init__(self, level, codes: list[int]):
+        self.level, self.codes = level, codes
+
+
+class _Proved:
+    """What ``verify_certificate`` proved about one pair of structure
+    objects, all of it true whatever certificate is checked next:
+
+    - ``codes``: each member found valid, by value, with the object
+      checked and its code; ``proven``: the codes of one-pair
+      restrictions of valid members that keep the constant pairs;
+    - ``levels``: by id, each level of the latest certificate that passed
+      membership, as its ``_Level``; only frozensets, whose members cannot
+      change, are kept;
+    - ``scanned``: the pairs (I_j, I_{j+1}) of those levels whose forth
+      and back scan passed.
+
+    No failure is kept, and the entries of ``levels`` and ``scanned`` are
+    replaced by each certificate's own, so the state is at most one code
+    per map of Part(A,B) plus the levels of one certificate."""
+
+    def __init__(self, left: Structure, right: Structure):
+        self.left, self.right = left, right
+        targets = right.universe_size
+        self.bit = {(a, b): 1 << a * targets + b for a in range(left.universe_size)
+                    for b in range(targets)}
+        self.fixed = 0  # the bits of the constant pairs, which a proof never drops
+        for p in zip(left.constants, right.constants):
+            self.fixed |= self.bit.get(p, 0)
+        self.longest = min(left.universe_size, targets)  # no partial iso is longer
+        self.codes: dict[tuple, tuple[tuple, int]] = {}
+        self.proven: set[int] = set()
+        self.levels: dict[int, _Level] = {}
+        self.scanned: set[tuple[_Level, _Level]] = set()
+
+
+# What ``verify_certificate`` proved about its latest pair, or None.
+_proved: _Proved | None = None
 
 
 def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
@@ -571,20 +643,20 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
     from A to B, each a strictly sorted tuple of pairs of ints inside the
     two universes.  Each distinct level is read once, and every member is
     shape-tested before any of its pairs is read; a member of another
-    shape is reported first, the least by ``repr``.  Each member is then
-    coded once through a table from each pair to its bit, as ``_code``
-    sets it: a pair missing from the table lies outside the universes,
-    and bits that do not strictly increase mean an unsorted tuple.  A
-    member already checked, compared by value, is not checked again, and
-    the very object already checked (by identity, as an extracted
-    certificate's levels share their tuples) is not shape-tested again;
-    a member equal by value to a checked one but another object is.
-    The rest are visited longest first: a restriction of a partial
-    isomorphism that keeps every constant pair is one again, so a member
-    whose code is a one-pair restriction of a checked member, keeping
-    the constant pairs, is proven without reading a relation, and every
-    other member gets one ``pairs_are_partial_iso``.  The least failing
-    member, in sorted order, is reported.
+    shape, or one that cannot be hashed, is reported first, the least by
+    ``repr``.  Each member is then coded once through a table from each
+    pair to its bit, as ``_code`` sets it: a pair missing from the table
+    lies outside the universes, and bits that do not strictly increase
+    mean an unsorted tuple.  A member already checked, compared by value,
+    is not checked again, and the very object already checked (by
+    identity, as an extracted certificate's levels share their tuples) is
+    not shape-tested again; a member equal by value to a checked one but
+    another object is.  The rest are visited longest first: a restriction
+    of a partial isomorphism that keeps every constant pair is one again,
+    so a member whose code is a one-pair restriction of a checked member,
+    keeping the constant pairs, is proven without reading a relation, and
+    every other member gets one ``pairs_are_partial_iso``.  The least
+    failing member, in sorted order, is reported.
 
     For each f in I_{j+1} every a in A needs some b with f ∪ {(a, b)} in
     I_j (forth), and every b in B some such a (back), read from the
@@ -594,87 +666,128 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
     ones are, any larger map would do.  A repeated level, found by
     identity first, is not read again, and a repeated level pair is not
     scanned again.
+
+    Asking one pair for m = 0, 1, 2, ... checks prefixes of one chain, so
+    the check keeps what it proved about its latest pair of structure
+    objects (``is``, not ``==``): the valid members' codes, and, for the
+    latest certificate only, its frozenset levels that passed membership,
+    by identity, with their members' codes, and the level pairs whose scan
+    passed.  A level met again by identity is not coded or tested again,
+    and a passed pair is not scanned again, so no index is kept; the verdict,
+    axiom and witness are those of a fresh check, since members and
+    frozenset levels cannot change.  No failure is kept.  A call on
+    another pair drops all of it first, so the module holds at most one
+    code per map of Part(A,B) and the levels of one certificate.
     """
-    sources, targets = cert.left.universe_size, cert.right.universe_size
-    ordered, failure = _coded_levels(cert)
+    global _proved
+    A, B = cert.left, cert.right
+    if _proved is None or _proved.left is not A or _proved.right is not B:
+        _proved = _Proved(A, B)  # what was kept about another pair is dropped
+    proved = _proved
+    ordered, failure = _coded_levels(cert, proved)
     if failure is not None:
         return failure
+    sources, targets = A.universe_size, B.universe_size
+    indexed = None  # the level that ``at`` indexes
     for j in range(cert.rounds):
-        if j and ordered[j + 1] is ordered[j] is ordered[j - 1]:
-            continue  # the same pair as the one before, which passed
-        if not j or ordered[j] is not ordered[j - 1]:
-            at = _extended_at(ordered[j][1], sources, targets)
+        upper, lower = pair = ordered[j], ordered[j + 1]
+        if pair in proved.scanned:
+            continue
+        if upper is not indexed:
+            at, indexed = _extended_at(upper.codes, sources, targets), upper
         missed = []
-        for f, code in zip(*ordered[j + 1]):
+        for f, code in zip(lower.level, lower.codes):
             a, b = _least_unextended(code, at, sources, targets)
             if a is not None or b is not None:
                 missed.append((f, a, b))
         if missed:
             f, a, b = min(missed)
             return v.violated("forth", (j, a, f)) if a is not None else v.violated("back", (j, b, f))
+        proved.scanned.add(pair)
     return v.passed()
 
 
 def _coded_levels(
-    cert: BackAndForthCertificate,
-) -> tuple[list[tuple[frozenset, list[int]]], v.Verdict | None]:
-    """Each level of ``cert`` with its members' codes in the level's own
-    order, a repeated level sharing the entry before it; or the first
-    non-empty or membership violation (see ``verify_certificate``)."""
-    A, B = cert.left, cert.right
-    bit = {(a, b): 1 << a * B.universe_size + b for a in range(A.universe_size)
-           for b in range(B.universe_size)}
-    fixed = 0  # the bits of the constant pairs, which a proof never drops
-    for p in zip(A.constants, B.constants):
-        fixed |= bit.get(p, 0)
-    longest = min(A.universe_size, B.universe_size)  # no partial iso is longer
-    # each member checked so far, by value: the object checked and its code
-    codes: dict[tuple, tuple[tuple, int]] = {}
-    proven: set[int] = set()  # one-pair restrictions of checked members
-    ordered: list[tuple[frozenset, list[int]]] = []
-    for j, level in enumerate(cert.levels):
-        if j and (level is cert.levels[j - 1] or level == cert.levels[j - 1]):
+    cert: BackAndForthCertificate, proved: _Proved
+) -> tuple[list[_Level], v.Verdict | None]:
+    """Each level of ``cert`` as a ``_Level``, a repeated level sharing
+    the entry before it; or the first non-empty or membership violation
+    (see ``verify_certificate``).  A level that ``proved`` holds, by
+    identity, is taken as it is.  The levels that passed then replace
+    those ``proved`` held, and its passed scans are kept only between
+    them."""
+    levels = cert.levels
+    ordered: list[_Level] = []
+    passed: dict[int, _Level] = {}  # this certificate's frozensets that passed
+    failure = None
+    for j, level in enumerate(levels):
+        if j and level is levels[j - 1]:
             ordered.append(ordered[-1])  # read where it first appeared
             continue
-        if not level:
-            return [], v.violated("non-empty", j)
+        entry = passed.get(id(level)) or proved.levels.get(id(level))
+        if entry is None:
+            if j and level == levels[j - 1]:
+                ordered.append(ordered[-1])
+                continue
+            entry, failure = _coded_level(j, level, proved)
+            if failure is not None:
+                break
+        ordered.append(entry)
+        if isinstance(level, frozenset):
+            passed[id(level)] = entry
+    live = set(passed.values())
+    proved.levels = passed
+    proved.scanned = {p for p in proved.scanned if p[0] in live and p[1] in live}
+    return ordered, failure
+
+
+def _coded_level(j: int, level, proved: _Proved) -> tuple[_Level | None, v.Verdict | None]:
+    """Level j as a ``_Level``, its valid members recorded in ``proved``;
+    or its non-empty or membership violation."""
+    if not level:
+        return None, v.violated("non-empty", j)
+    codes, proven, bit, fixed = proved.codes, proved.proven, proved.bit, proved.fixed
+    try:
         known = list(map(codes.get, level))
-        # the very object checked before needs no second shape test
-        malformed = [
-            f for f, k in zip(level, known)
-            if (k is None or k[0] is not f) and not _is_pair_tuple(f)
-        ]
-        if malformed:
-            return [], v.violated("membership", (j, min(malformed, key=repr)))
-        kept, failed = [], []
-        fresh = [([], []) for _ in range(longest + 1)]  # members and codes, by size
-        for f, k in zip(level, known):
-            if k is not None:
-                kept.append(k[1])
-                continue
-            code = _coded(f, bit)
-            if code is None or len(f) > longest:
+    except TypeError:  # a member that cannot be hashed cannot be coded either
+        malformed = [f for f in level if not (_is_pair_tuple(f) and _hashable(f))]
+        return None, v.violated("membership", (j, min(malformed, key=repr)))
+    # the very object checked before needs no second shape test
+    malformed = [
+        f for f, k in zip(level, known)
+        if (k is None or k[0] is not f) and not _is_pair_tuple(f)
+    ]
+    if malformed:
+        return None, v.violated("membership", (j, min(malformed, key=repr)))
+    kept, failed = [], []
+    longest = proved.longest
+    fresh = [([], []) for _ in range(longest + 1)]  # members and codes, by size
+    for f, k in zip(level, known):
+        if k is not None:
+            kept.append(k[1])
+            continue
+        code = _coded(f, bit)
+        if code is None or len(f) > longest:
+            failed.append(f)
+            continue
+        members, member_codes = fresh[len(f)]
+        members.append(f)
+        member_codes.append(code)
+        kept.append(code)
+    for members, member_codes in reversed(fresh):
+        for f, code in zip(members, member_codes):
+            if code in proven or pairs_are_partial_iso(proved.left, proved.right, f):
+                codes[f] = f, code
+                rest = code & ~fixed
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    proven.add(code ^ low)
+            else:
                 failed.append(f)
-                continue
-            members, member_codes = fresh[len(f)]
-            members.append(f)
-            member_codes.append(code)
-            kept.append(code)
-        for members, member_codes in reversed(fresh):
-            for f, code in zip(members, member_codes):
-                if code in proven or pairs_are_partial_iso(A, B, f):
-                    codes[f] = f, code
-                    rest = code & ~fixed
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        proven.add(code ^ low)
-                else:
-                    failed.append(f)
-        if failed:
-            return [], v.violated("membership", (j, min(failed)))
-        ordered.append((level, kept))
-    return ordered, None
+    if failed:
+        return None, v.violated("membership", (j, min(failed)))
+    return _Level(level, kept), None
 
 
 def _coded(f: tuple, bit: dict[tuple[int, int], int]) -> int | None:
@@ -696,6 +809,14 @@ def _is_pair_tuple(f: object) -> bool:
         isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], int) and isinstance(p[1], int)
         for p in f
     )
+
+
+def _hashable(f: object) -> bool:
+    try:
+        hash(f)
+    except TypeError:
+        return False
+    return True
 
 
 def format_certificate(cert: BackAndForthCertificate) -> str:

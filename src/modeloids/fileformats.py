@@ -41,7 +41,7 @@ Writers produce canonical text that parses back to an equal object.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .categorical import CategoricalModeloid
 from .derived import Frozen

@@ -21,8 +21,8 @@ tabulation that ``inverse_semigroups`` keeps for every collapse.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import compress
-from typing import Protocol, Sequence
 
 from . import verdict as v
 from .derived import Frozen, fact
@@ -38,14 +38,16 @@ from .inverse_semigroups import (
 )
 
 
-class Ambient(Protocol):
+class Ambient:
     """What the categorical derivative reads of an inverse category: the
     dom, cod and inv tables, composition one entry at a time, and the
     natural-order down-set of a morphism.  ``FreeCategory`` reads both
     from its table; the partial-isomorphism category of ``ef_games``
     computes them on demand.  An ambient may also declare ``associative``
     true when its composition is known to associate; closure checks then
-    close generators instead of scanning every pair."""
+    close generators instead of scanning every pair.  The class only
+    names that interface in annotations: no ambient derives from it, and
+    nothing checks it at run time."""
 
     morphism_count: int
     star: int

@@ -28,9 +28,9 @@ categorical derivative takes too; ``_atoms`` is the one atom test, of
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from . import verdict as v
 from .derived import Frozen, fact

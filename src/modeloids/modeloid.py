@@ -11,8 +11,8 @@ engine behind the equivalence checks elsewhere in the package.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations
-from typing import Iterable
 
 from . import verdict as v
 from .derived import Frozen, fact, fixpoint_chain

@@ -12,7 +12,7 @@ between them); it carries the structure this package is built on.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .derived import Frozen
 from .errors import BoundExceededError, InputError

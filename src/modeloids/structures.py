@@ -26,7 +26,7 @@ lists every actual partial isomorphism.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .derived import Frozen, fact
 from .errors import BoundExceededError, InputError, ParseError

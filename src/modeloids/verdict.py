@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from .derived import Frozen
 from .errors import InputError
 
@@ -16,7 +14,9 @@ class Verdict(Frozen):
     offending elements.
     """
 
-    def __init__(self, ok: bool, axiom: str | None = None, witness: tuple[Any, ...] | None = None):
+    def __init__(
+        self, ok: bool, axiom: str | None = None, witness: tuple[object, ...] | None = None
+    ):
         vars(self).update(ok=ok, axiom=axiom, witness=witness)
 
     def __bool__(self) -> bool:
@@ -39,5 +39,5 @@ def passed() -> Verdict:
     return Verdict(True)
 
 
-def violated(axiom: str, witness: tuple[Any, ...] | None = None) -> Verdict:
+def violated(axiom: str, witness: tuple[object, ...] | None = None) -> Verdict:
     return Verdict(False, axiom, witness)

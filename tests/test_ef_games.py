@@ -1193,3 +1193,166 @@ class TestNoTablesOnTheEfPath:
         else:
             assert err == ""
             assert digest(written.read_bytes()) == certificate
+
+
+class TestUnhashableMembers:
+    """A member that cannot be hashed, in a level given as a list, is no
+    pair tuple: it is a membership violation like any member of another
+    shape, never an error, and the least by ``repr`` is reported."""
+
+    @pytest.mark.parametrize("member", [
+        [(1, 1), (0, 0)],  # unsorted
+        [(0, 0), (0, 0)],  # a repeated pair
+        [(0, 2)],  # a target outside B
+        [(2, 0)],  # a source outside A
+    ], ids=["unsorted", "repeated", "target", "source"])
+    def test_the_reference_verdict(self, member):
+        # the one-point scan reads any sequence of pairs, and rejects these
+        A, B = pure("A", 2), pure("B", 2)
+        cert = extract_certificate(A, B, 1)
+        for j in (0, 1):
+            levels = list(cert.levels)
+            levels[j] = [member]
+            mutated = BackAndForthCertificate(A, B, 1, tuple(levels))
+            report = verify_certificate(mutated)
+            assert (report.axiom, report.witness) == ("membership", (j, member))
+            assert report == verify_certificate_by_one_point(mutated)
+
+    @pytest.mark.parametrize("member", [
+        [(0, 0)],  # the pairs of a map, as a list
+        {(0, 0)},
+        ((0, 0), [1, 1]),
+        [[0, 0]],
+    ], ids=["list", "set", "list-pair", "list-of-lists"])
+    def test_reported_among_valid_members(self, member):
+        # the scan above passes a list of a map's pairs, and cannot sort a
+        # level that mixes lists and tuples; the check rejects the shape
+        A, B = pure("A", 2), pure("B", 2)
+        cert = extract_certificate(A, B, 1)
+        for j in (0, 1):
+            levels = list(cert.levels)
+            levels[j] = [*sorted(levels[j]), member]
+            report = verify_certificate(BackAndForthCertificate(A, B, 1, tuple(levels)))
+            assert (report.axiom, report.witness) == ("membership", (j, member))
+        report = verify_certificate(BackAndForthCertificate(A, B, 0, ([member],)))
+        assert (report.axiom, report.witness) == ("membership", (0, member))
+
+    def test_least_by_repr_with_the_misshapen(self):
+        A, B = pure("A", 2), pure("B", 2)
+        for level, least in (([[(0, 0)], "ab"], "ab"), ([[(0, 0)], ((0, 0, 0),)], ((0, 0, 0),))):
+            report = verify_certificate(BackAndForthCertificate(A, B, 0, (level,)))
+            assert (report.axiom, report.witness) == ("membership", (0, least))
+
+
+def mutations(cert, data, others):
+    """The certificate with one map of I_j that I_{j+1} keeps deleted
+    from I_j, with a member that is no partial isomorphism added to a
+    level, or with two neighbouring levels swapped; every level it does
+    not change is the extracted object itself."""
+    levels, m = list(cert.levels), cert.rounds
+    move = data.draw(st.sampled_from(("drop-pivotal", "add-non-iso", "swap")))
+    if move == "drop-pivotal" and m:
+        j = data.draw(st.integers(0, m - 1))
+        levels[j] = levels[j] - {data.draw(st.sampled_from(sorted(levels[j + 1])))}
+    elif move == "add-non-iso" and others:
+        j = data.draw(st.integers(0, m))
+        levels[j] = levels[j] | {data.draw(st.sampled_from(others))}
+    elif move == "swap" and m:
+        j = data.draw(st.integers(0, m - 1))
+        levels[j], levels[j + 1] = levels[j + 1], levels[j]
+    return BackAndForthCertificate(cert.left, cert.right, m, tuple(levels))
+
+
+class TestCheckAcrossCalls:
+    """``verify_certificate`` keeps what it proved about its latest pair:
+    in the distinguishing-depth loop every verdict is a fresh check's,
+    the loop does the work of one check at its largest m, and only the
+    latest certificate's levels are held."""
+
+    @given(st.data())
+    def test_loop_verdicts_are_fresh_verdicts(self, data):
+        A, B = data.draw(structure_pairs())
+        grid = list(product(range(A.universe_size), range(B.universe_size)))
+        others = [f for k in range(4) for f in combinations(grid, k)
+                  if not pairs_are_partial_iso(A, B, f)]
+        for m in range(data.draw(st.integers(0, 3)) + 1):
+            cert = extract_certificate(A, B, m)
+            if cert is None:
+                break
+            # the certificate as extracted first, so that its levels and
+            # level pairs are held when the mutated ones meet them
+            for checked in [cert] + [mutations(cert, data, others)
+                                     for _ in range(data.draw(st.integers(1, 3)))]:
+                report = verify_certificate(checked)
+                with mock.patch.object(ef_games, "_proved", None):
+                    assert report == verify_certificate(checked)
+                assert report == verify_certificate_by_one_point(checked)
+
+    @pytest.mark.parametrize("A, B", [
+        (pure("A", 4), pure("B", 5)),
+        (chain("A", 3), chain("B", 3)),
+        (directed_cycle("A", range(5)), directed_cycle("B", (2, 4, 1, 0, 3))),
+    ], ids=["pure-4v5", "chain-3v3", "cycles"])
+    def test_the_loop_does_one_check_of_work(self, A, B, monkeypatch):
+        # the chain steps index their levels too: only the checks count
+        calls = {"pairs_are_partial_iso": 0, "_extended_at": 0}
+
+        def counted(name):
+            real = getattr(ef_games, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(ef_games, name, call)
+
+        def checked(certs):
+            before = dict(calls)
+            for cert in certs:
+                assert verify_certificate(cert).ok
+            return {name: calls[name] - before[name] for name in calls}
+
+        for name in calls:
+            counted(name)
+        monkeypatch.setattr(ef_games, "_proved", None)
+        looped = [checked([extract_certificate(A, B, m)]) for m in range(5)]
+        monkeypatch.setattr(ef_games, "_proved", None)
+        fresh = checked([extract_certificate(A, B, 4)])
+        assert {name: sum(step[name] for step in looped) for name in calls} == fresh
+        assert fresh["_extended_at"] >= 1 and fresh["pairs_are_partial_iso"] >= 1
+
+    def test_certificates_of_one_pair_share_their_levels(self):
+        A, B = pure("A", 3), pure("B", 4)
+        short, long = extract_certificate(A, B, 2), extract_certificate(A, B, 3)
+        assert all(a is b for a, b in zip(short.levels, long.levels))
+
+    def test_only_the_latest_levels_are_held(self, monkeypatch):
+        # levels are looked up by identity: one that hashes raises
+        class Level(frozenset):
+            def __hash__(self):
+                raise AssertionError("a level was hashed")
+
+        def copied(cert):
+            # new level objects, a repeated level still one object
+            new = {id(level): Level(level) for level in cert.levels}
+            levels = tuple(new[id(level)] for level in cert.levels)
+            return BackAndForthCertificate(cert.left, cert.right, cert.rounds, levels)
+
+        def alive(refs):
+            gc.collect()
+            return [r for r in refs if r() is not None]
+
+        monkeypatch.setattr(ef_games, "_proved", None)
+        A, B = pure("A", 3), pure("B", 4)
+        first = copied(extract_certificate(A, B, 3))
+        assert verify_certificate(first).ok
+        old = [weakref.ref(level) for level in first.levels]
+        del first
+        assert len(alive(old)) == 4  # the check holds them
+        second = copied(extract_certificate(A, B, 3))
+        assert verify_certificate(second).ok
+        assert alive(old) == []
+        new = [weakref.ref(level) for level in second.levels]
+        del second
+        assert verify_certificate(extract_certificate(pure("A", 2), pure("B", 2), 1)).ok
+        assert alive(new) == []

@@ -115,6 +115,20 @@ def test_startup_imports_neither_dataclasses_nor_inspect():
     assert done.stdout == "[]\n"
 
 
+def test_startup_imports_no_typing():
+    # annotations are never evaluated, so no module needs typing at run
+    # time; -S leaves out the site packages, whose .pth files may import it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = "import sys, modeloids.cli; assert 'typing' not in sys.modules"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+
+
 class TestRepr:
     def test_literal_strings(self):
         assert repr(Carrier(3)) == "Carrier(size=3)"
