@@ -63,11 +63,11 @@ the command-line front-end runs both.
 A positive derivative answer can be externalized: ``extract_certificate``
 returns the chain I_j = D^j ∩ Part(A,B) as sets of pair tuples, read
 from the same homset chain, which ``verify_certificate`` checks against
-the literal back-and-forth conditions.  It codes each member once, reads
-every relation only for members that no checked member proves (a
-restriction of a partial isomorphism that keeps the constant pairs is
-one again), and answers forth and back from the same kind of index of
-one-point extensions, built once per distinct level.
+the literal back-and-forth conditions.  It shape-tests and codes each
+member, reads every relation only for members that no valid member
+proves (a restriction of a partial isomorphism that keeps the constant
+pairs is one again), and answers forth and back from the same kind of
+index of one-point extensions.
 
 The certificates of one pair for m = 0, 1, 2, ... are prefixes of one
 chain, and the certificate path reads each distinct level once across
@@ -75,14 +75,16 @@ them.  ``extract_certificate`` makes each level's set of pair tuples
 once per D and keeps it there, so the certificates for m and m + 1 share
 their level objects; that costs one frozenset per distinct level, held
 as long as the D is.  ``verify_certificate`` keeps what it proved about
-its latest pair of structure objects: the codes of the valid members,
-the levels of the latest certificate that passed, by identity, with
-their members' codes, and its level pairs whose scan passed.  A level
-or a level pair met again is not checked again, and every verdict is a
-fresh check's.  No index of one-point extensions is kept: a passed pair
-is never scanned again, so the loop never reads one index twice.  A call
-on another pair drops all of it, so the module holds at most one code
-per map of Part(A,B) and one certificate's levels.
+its latest pair of structure objects, by one rule per kind: members by
+value (each valid member with its code), frozenset levels by identity
+(the latest certificate's levels that passed, held with their members'
+codes), and level pairs by the identity of both levels (the pairs of
+those levels whose scan passed).  A level met again by identity is not
+checked again, and a level pair met again is not scanned again; a level
+equal by value to one checked but another object has every member
+shape-tested again.  Every verdict is a fresh check's.  A call on
+another pair drops all of it, so the module holds at most one code per
+map of Part(A,B) and one certificate's levels.
 """
 
 from __future__ import annotations
@@ -588,34 +590,25 @@ def extract_certificate(
     return BackAndForthCertificate(A, B, m, padded(levels, m))
 
 
-class _Level:
-    """A level as the check reads it: the level object, held so that its
-    id stays its own, and its members' codes in the level's own order.
-    Equal only to itself, so a pair of them is hashed without reading
-    the level."""
-
-    __slots__ = ("level", "codes")
-
-    def __init__(self, level, codes: list[int]):
-        self.level, self.codes = level, codes
-
-
 class _Proved:
     """What ``verify_certificate`` proved about one pair of structure
-    objects, all of it true whatever certificate is checked next:
+    objects, one memo per kind of thing it remembers:
 
-    - ``codes``: each member found valid, by value, with the object
-      checked and its code; ``proven``: the codes of one-pair
-      restrictions of valid members that keep the constant pairs;
-    - ``levels``: by id, each level of the latest certificate that passed
-      membership, as its ``_Level``; only frozensets, whose members cannot
-      change, are kept;
-    - ``scanned``: the pairs (I_j, I_{j+1}) of those levels whose forth
-      and back scan passed.
+    - ``codes``: members, by value: each member found valid, with its
+      code; ``proven``: the codes of one-pair restrictions of valid
+      members that keep the constant pairs;
+    - ``levels``: levels, by identity: each frozenset level of the latest
+      certificate that passed membership, keyed by its id, as the pair
+      (level, its members' codes in the level's own order), which holds
+      the level so that its id stays its own;
+    - ``scanned``: level pairs, by identity: (id(I_j), id(I_{j+1})) for
+      each pair of those levels whose forth and back scan passed;
+      ``levels`` holds both, so the ids stay their own.
 
-    No failure is kept, and the entries of ``levels`` and ``scanned`` are
-    replaced by each certificate's own, so the state is at most one code
-    per map of Part(A,B) plus the levels of one certificate."""
+    No failure is kept, and ``levels`` and ``scanned`` are replaced by
+    those of each certificate whose levels pass membership, so the state
+    is at most one code per map of Part(A,B) plus the levels of one
+    certificate."""
 
     def __init__(self, left: Structure, right: Structure):
         self.left, self.right = left, right
@@ -626,10 +619,10 @@ class _Proved:
         for p in zip(left.constants, right.constants):
             self.fixed |= self.bit.get(p, 0)
         self.longest = min(left.universe_size, targets)  # no partial iso is longer
-        self.codes: dict[tuple, tuple[tuple, int]] = {}
+        self.codes: dict[tuple, int] = {}
         self.proven: set[int] = set()
-        self.levels: dict[int, _Level] = {}
-        self.scanned: set[tuple[_Level, _Level]] = set()
+        self.levels: dict[int, tuple[frozenset, list[int]]] = {}
+        self.scanned: set[tuple[int, int]] = set()
 
 
 # What ``verify_certificate`` proved about its latest pair, or None.
@@ -641,143 +634,110 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
 
     Every level must be a non-empty set of actual partial isomorphisms
     from A to B, each a strictly sorted tuple of pairs of ints inside the
-    two universes.  Each distinct level is read once, and every member is
-    shape-tested before any of its pairs is read; a member of another
-    shape, or one that cannot be hashed, is reported first, the least by
-    ``repr``.  Each member is then coded once through a table from each
-    pair to its bit, as ``_code`` sets it: a pair missing from the table
-    lies outside the universes, and bits that do not strictly increase
-    mean an unsorted tuple.  A member already checked, compared by value,
-    is not checked again, and the very object already checked (by
-    identity, as an extracted certificate's levels share their tuples) is
-    not shape-tested again; a member equal by value to a checked one but
-    another object is.  The rest are visited longest first: a restriction
-    of a partial isomorphism that keeps every constant pair is one again,
-    so a member whose code is a one-pair restriction of a checked member,
-    keeping the constant pairs, is proven without reading a relation, and
-    every other member gets one ``pairs_are_partial_iso``.  The least
-    failing member, in sorted order, is reported.
+    two universes.  Every member of a level not held (see below) is
+    shape-tested before anything hashes it or reads its pairs; a member
+    of another shape, hashable or not, is reported first, the least by
+    ``repr``.  Each member is then coded through a table from each pair
+    to its bit, as ``_code`` sets it: a pair missing from the table lies
+    outside the universes, and bits that do not strictly increase mean an
+    unsorted tuple.  The members not known valid are visited longest
+    first: a restriction of a partial isomorphism that keeps every
+    constant pair is one again, so a member whose code is a one-pair
+    restriction of a valid member, keeping the constant pairs, is proven
+    without reading a relation, and every other member gets one
+    ``pairs_are_partial_iso``.  The least failing member, in sorted
+    order, is reported.
 
     For each f in I_{j+1} every a in A needs some b with f ∪ {(a, b)} in
     I_j (forth), and every b in B some such a (back), read from the
-    kept codes and one index of I_j's one-point extensions
-    (``_extended_at``), built once per distinct level; the least failing
-    f is reported.  On levels closed under restriction, as extracted
-    ones are, any larger map would do.  A repeated level, found by
-    identity first, is not read again, and a repeated level pair is not
-    scanned again.
+    members' codes and one index of I_j's one-point extensions
+    (``_extended_at``); the least failing f is reported.  On levels closed
+    under restriction, as extracted ones are, any larger map would do.
 
     Asking one pair for m = 0, 1, 2, ... checks prefixes of one chain, so
     the check keeps what it proved about its latest pair of structure
-    objects (``is``, not ``==``): the valid members' codes, and, for the
-    latest certificate only, its frozenset levels that passed membership,
-    by identity, with their members' codes, and the level pairs whose scan
-    passed.  A level met again by identity is not coded or tested again,
-    and a passed pair is not scanned again, so no index is kept; the verdict,
-    axiom and witness are those of a fresh check, since members and
-    frozenset levels cannot change.  No failure is kept.  A call on
-    another pair drops all of it first, so the module holds at most one
-    code per map of Part(A,B) and the levels of one certificate.
+    objects (``is``, not ``==``) in ``_Proved``, by one rule per kind:
+    members by value, so a valid member is coded and proven once;
+    frozenset levels by identity, so a level of the latest certificate
+    met again, in this certificate or the next, is not shape-tested,
+    coded or indexed again; and level pairs by the identity of both
+    levels, so a passed pair is not scanned again.  No level is hashed or
+    compared.  The verdict, axiom and witness are those of a fresh check,
+    since members and frozensets cannot change.  No failure is kept.  A
+    call on another pair drops all of it first, so the module holds at
+    most one code per map of Part(A,B) and the levels of one certificate.
     """
     global _proved
     A, B = cert.left, cert.right
     if _proved is None or _proved.left is not A or _proved.right is not B:
         _proved = _Proved(A, B)  # what was kept about another pair is dropped
     proved = _proved
-    ordered, failure = _coded_levels(cert, proved)
-    if failure is not None:
-        return failure
+    levels: dict[int, tuple[frozenset, list[int]]] = {}  # this certificate's, by id
+    coded = []
+    for j, level in enumerate(cert.levels):
+        entry = levels.get(id(level)) or proved.levels.get(id(level))
+        if entry is None:
+            codes, failure = _coded_level(j, level, proved)
+            if failure is not None:
+                return failure
+            entry = level, codes
+        if isinstance(level, frozenset):
+            levels[id(level)] = entry
+        coded.append(entry)
+    # the levels of the certificate before are dropped; an id in
+    # ``scanned`` was a held level's when ``cert`` was made, so a level of
+    # ``cert`` with that id is that level
+    proved.levels = levels
+    scanned, proved.scanned = proved.scanned, set()
     sources, targets = A.universe_size, B.universe_size
     indexed = None  # the level that ``at`` indexes
     for j in range(cert.rounds):
-        upper, lower = pair = ordered[j], ordered[j + 1]
-        if pair in proved.scanned:
-            continue
-        if upper is not indexed:
-            at, indexed = _extended_at(upper.codes, sources, targets), upper
-        missed = []
-        for f, code in zip(lower.level, lower.codes):
-            a, b = _least_unextended(code, at, sources, targets)
-            if a is not None or b is not None:
-                missed.append((f, a, b))
-        if missed:
-            f, a, b = min(missed)
-            return v.violated("forth", (j, a, f)) if a is not None else v.violated("back", (j, b, f))
-        proved.scanned.add(pair)
+        (upper, upper_codes), (lower, lower_codes) = coded[j], coded[j + 1]
+        key = id(upper), id(lower)
+        if key not in scanned and key not in proved.scanned:
+            if upper is not indexed:
+                at, indexed = _extended_at(upper_codes, sources, targets), upper
+            missed = []
+            for f, code in zip(lower, lower_codes):
+                a, b = _least_unextended(code, at, sources, targets)
+                if a is not None or b is not None:
+                    missed.append((f, a, b))
+            if missed:
+                f, a, b = min(missed)
+                return v.violated("forth", (j, a, f)) if a is not None else v.violated("back", (j, b, f))
+        if key[0] in levels and key[1] in levels:
+            proved.scanned.add(key)
     return v.passed()
 
 
-def _coded_levels(
-    cert: BackAndForthCertificate, proved: _Proved
-) -> tuple[list[_Level], v.Verdict | None]:
-    """Each level of ``cert`` as a ``_Level``, a repeated level sharing
-    the entry before it; or the first non-empty or membership violation
-    (see ``verify_certificate``).  A level that ``proved`` holds, by
-    identity, is taken as it is.  The levels that passed then replace
-    those ``proved`` held, and its passed scans are kept only between
-    them."""
-    levels = cert.levels
-    ordered: list[_Level] = []
-    passed: dict[int, _Level] = {}  # this certificate's frozensets that passed
-    failure = None
-    for j, level in enumerate(levels):
-        if j and level is levels[j - 1]:
-            ordered.append(ordered[-1])  # read where it first appeared
-            continue
-        entry = passed.get(id(level)) or proved.levels.get(id(level))
-        if entry is None:
-            if j and level == levels[j - 1]:
-                ordered.append(ordered[-1])
-                continue
-            entry, failure = _coded_level(j, level, proved)
-            if failure is not None:
-                break
-        ordered.append(entry)
-        if isinstance(level, frozenset):
-            passed[id(level)] = entry
-    live = set(passed.values())
-    proved.levels = passed
-    proved.scanned = {p for p in proved.scanned if p[0] in live and p[1] in live}
-    return ordered, failure
-
-
-def _coded_level(j: int, level, proved: _Proved) -> tuple[_Level | None, v.Verdict | None]:
-    """Level j as a ``_Level``, its valid members recorded in ``proved``;
-    or its non-empty or membership violation."""
+def _coded_level(j: int, level, proved: _Proved) -> tuple[list[int], v.Verdict | None]:
+    """The codes of level j's members in the level's order, its valid
+    members recorded in ``proved``; or its non-empty or membership
+    violation."""
     if not level:
-        return None, v.violated("non-empty", j)
-    codes, proven, bit, fixed = proved.codes, proved.proven, proved.bit, proved.fixed
-    try:
-        known = list(map(codes.get, level))
-    except TypeError:  # a member that cannot be hashed cannot be coded either
-        malformed = [f for f in level if not (_is_pair_tuple(f) and _hashable(f))]
-        return None, v.violated("membership", (j, min(malformed, key=repr)))
-    # the very object checked before needs no second shape test
-    malformed = [
-        f for f, k in zip(level, known)
-        if (k is None or k[0] is not f) and not _is_pair_tuple(f)
-    ]
+        return [], v.violated("non-empty", j)
+    malformed = [f for f in level if not _is_pair_tuple(f)]
     if malformed:
-        return None, v.violated("membership", (j, min(malformed, key=repr)))
+        return [], v.violated("membership", (j, min(malformed, key=repr)))
+    codes, proven, bit, fixed = proved.codes, proved.proven, proved.bit, proved.fixed
     kept, failed = [], []
     longest = proved.longest
     fresh = [([], []) for _ in range(longest + 1)]  # members and codes, by size
-    for f, k in zip(level, known):
-        if k is not None:
-            kept.append(k[1])
-            continue
-        code = _coded(f, bit)
-        if code is None or len(f) > longest:
-            failed.append(f)
-            continue
-        members, member_codes = fresh[len(f)]
-        members.append(f)
-        member_codes.append(code)
+    for f in level:
+        code = codes.get(f)
+        if code is None:
+            code = _coded(f, bit)
+            if code is None or len(f) > longest:
+                failed.append(f)
+                continue
+            members, member_codes = fresh[len(f)]
+            members.append(f)
+            member_codes.append(code)
         kept.append(code)
     for members, member_codes in reversed(fresh):
         for f, code in zip(members, member_codes):
             if code in proven or pairs_are_partial_iso(proved.left, proved.right, f):
-                codes[f] = f, code
+                codes[f] = code
                 rest = code & ~fixed
                 while rest:
                     low = rest & -rest
@@ -786,8 +746,8 @@ def _coded_level(j: int, level, proved: _Proved) -> tuple[_Level | None, v.Verdi
             else:
                 failed.append(f)
     if failed:
-        return None, v.violated("membership", (j, min(failed)))
-    return _Level(level, kept), None
+        return [], v.violated("membership", (j, min(failed)))
+    return kept, None
 
 
 def _coded(f: tuple, bit: dict[tuple[int, int], int]) -> int | None:
@@ -811,30 +771,22 @@ def _is_pair_tuple(f: object) -> bool:
     )
 
 
-def _hashable(f: object) -> bool:
-    try:
-        hash(f)
-    except TypeError:
-        return False
-    return True
-
-
 def format_certificate(cert: BackAndForthCertificate) -> str:
     """Deterministic text rendering: rounds, then each level's maps as
-    sorted pair lists.  Identical certificates print identically.  A level
-    equal to the one before it repeats that level's lines."""
+    sorted pair lists.  Identical certificates print identically."""
     return "".join(certificate_lines(cert))
 
 
 def certificate_lines(cert: BackAndForthCertificate) -> Iterator[str]:
     """The text of ``format_certificate`` in pieces of whole lines, one
-    level at a time, so that a writer need not hold all of it.  Each
-    distinct level is rendered once, and a repeat yields the same piece."""
+    level at a time, so that a writer need not hold all of it.  A level
+    that is the very object before it, as the tail of an extracted
+    certificate is, yields the same piece without rendering it again."""
     yield f"certificate\nleft {cert.left.name}\nright {cert.right.name}\nrounds {cert.rounds}\n"
     rendered = ""
     for j, level in enumerate(cert.levels):
         yield f"level {j}\n"
-        if not j or (level is not cert.levels[j - 1] and level != cert.levels[j - 1]):
+        if not j or level is not cert.levels[j - 1]:
             rendered = "".join(
                 " ".join(("  map", *(f"({a},{b})" for a, b in p))) + "\n" for p in sorted(level)
             )

@@ -19,6 +19,7 @@ from .derived import Frozen, fact, fixpoint_chain
 from .errors import InputError
 from .inverse_semigroups import generators
 from .partial_bijections import (
+    DEFAULT_ENUMERATION_BOUND,
     Carrier,
     PartialBijection,
     _code,
@@ -42,7 +43,7 @@ class Modeloid(Frozen):
         return cls(carrier, frozenset(members))
 
 
-def full_modeloid(carrier: Carrier, max_size: int = 6) -> Modeloid:
+def full_modeloid(carrier: Carrier, max_size: int = DEFAULT_ENUMERATION_BOUND) -> Modeloid:
     """The modeloid of all partial bijections on the carrier."""
     return Modeloid(carrier, enumerate_all(carrier, max_size))
 

@@ -27,7 +27,8 @@ of each member in turn records, for the map one pair short, the sources
 and targets of its one-point extensions f ∪ {(a, b)} in the level; a
 certificate check skips a level pair it has checked, and reads the
 relations only for a member that is no one-pair restriction, keeping the
-constant pairs, of a member checked before.  One reference checks every
+constant pairs, of a member checked before.  One reference tests the
+shape of every member with its own loop, checks every well-shaped
 member with ``pairs_are_partial_iso``, builds every such union as a
 frozenset of pairs, looks it up among the level's maps read the same way
 and checks every level pair, and another indexes each level by
@@ -306,14 +307,30 @@ def categorical_derivative_by_covers(M) -> frozenset[int]:
     return frozenset(kept)
 
 
+def _is_map_shaped(f):
+    """f is a tuple, and each of its entries a tuple of exactly two ints."""
+    if not isinstance(f, tuple):
+        return False
+    for pair in f:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        if not all(isinstance(x, int) for x in pair):
+            return False
+    return True
+
+
 def _levels_are_partial_isos(cert):
     """The non-empty and membership conditions on every level, or None:
-    each member is its own set of pairs, in sorted order, and that set is
-    a partial isomorphism from A to B."""
+    each member is a tuple of pairs of ints (any other shape is reported
+    first, the least by ``repr``), its own set of pairs in sorted order,
+    and that set is a partial isomorphism from A to B."""
     A, B = cert.left, cert.right
     for j, level in enumerate(cert.levels):
         if not level:
             return v.violated("non-empty", j)
+        misshapen = [f for f in level if not _is_map_shaped(f)]
+        if misshapen:
+            return v.violated("membership", (j, min(misshapen, key=repr)))
         for f in sorted(level):
             if list(f) != sorted(set(f)) or not pairs_are_partial_iso(A, B, f):
                 return v.violated("membership", (j, f))

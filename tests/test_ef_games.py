@@ -732,6 +732,29 @@ class TestCertificates:
         cert = extract_certificate(A, B, 0)
         assert "\n  map\n" in format_certificate(cert)
 
+    def test_a_level_equal_to_the_one_before_is_checked_alone(self):
+        # I_1 equals I_0 by value but is another object, and its map
+        # ((0.0, 0),) has a float source: a membership violation at index
+        # 1, as in a fresh check and in a check of that level alone
+        A, B = pure("A", 1), pure("B", 1)
+        levels = (frozenset({(), ((0, 0),)}), frozenset({(), ((0.0, 0),)}))
+        assert levels[0] == levels[1]
+        cert = BackAndForthCertificate(A, B, 1, levels)
+        report = verify_certificate(cert)
+        assert (report.axiom, report.witness) == ("membership", (1, ((0.0, 0),)))
+        with mock.patch.object(ef_games, "_proved", None):
+            assert verify_certificate(cert) == report
+            alone = verify_certificate(BackAndForthCertificate(A, B, 0, levels[1:]))
+        assert (alone.axiom, alone.witness) == ("membership", (0, ((0.0, 0),)))
+        assert report == verify_certificate_by_one_point(cert)
+
+    def test_a_level_equal_to_the_one_before_is_rendered_alone(self):
+        # only the very object before a level shares its text
+        A, B = pure("A", 1), pure("B", 1)
+        levels = (frozenset({(), ((0, 0),)}), frozenset({(), ((0.0, 0),)}))
+        text = format_certificate(BackAndForthCertificate(A, B, 1, levels))
+        assert text.endswith("level 0\n  map\n  map (0,0)\nlevel 1\n  map\n  map (0.0,0)\n")
+
 
 class TestCertificateReference:
     """verify_certificate against the literal one-point scan, on the levels
@@ -1198,7 +1221,8 @@ class TestNoTablesOnTheEfPath:
 class TestUnhashableMembers:
     """A member that cannot be hashed, in a level given as a list, is no
     pair tuple: it is a membership violation like any member of another
-    shape, never an error, and the least by ``repr`` is reported."""
+    shape, never an error, and the least by ``repr`` is reported, as the
+    reference's own shape rule reports it."""
 
     @pytest.mark.parametrize("member", [
         [(1, 1), (0, 0)],  # unsorted
@@ -1207,7 +1231,7 @@ class TestUnhashableMembers:
         [(2, 0)],  # a source outside A
     ], ids=["unsorted", "repeated", "target", "source"])
     def test_the_reference_verdict(self, member):
-        # the one-point scan reads any sequence of pairs, and rejects these
+        # the one-point scan rejects these by shape too
         A, B = pure("A", 2), pure("B", 2)
         cert = extract_certificate(A, B, 1)
         for j in (0, 1):
@@ -1225,23 +1249,29 @@ class TestUnhashableMembers:
         [[0, 0]],
     ], ids=["list", "set", "list-pair", "list-of-lists"])
     def test_reported_among_valid_members(self, member):
-        # the scan above passes a list of a map's pairs, and cannot sort a
-        # level that mixes lists and tuples; the check rejects the shape
+        # a list of a map's pairs, or a level that mixes lists and tuples:
+        # the check and the reference both reject the shape
         A, B = pure("A", 2), pure("B", 2)
         cert = extract_certificate(A, B, 1)
         for j in (0, 1):
             levels = list(cert.levels)
             levels[j] = [*sorted(levels[j]), member]
-            report = verify_certificate(BackAndForthCertificate(A, B, 1, tuple(levels)))
+            mutated = BackAndForthCertificate(A, B, 1, tuple(levels))
+            report = verify_certificate(mutated)
             assert (report.axiom, report.witness) == ("membership", (j, member))
-        report = verify_certificate(BackAndForthCertificate(A, B, 0, ([member],)))
+            assert report == verify_certificate_by_one_point(mutated)
+        alone = BackAndForthCertificate(A, B, 0, ([member],))
+        report = verify_certificate(alone)
         assert (report.axiom, report.witness) == ("membership", (0, member))
+        assert report == verify_certificate_by_one_point(alone)
 
     def test_least_by_repr_with_the_misshapen(self):
         A, B = pure("A", 2), pure("B", 2)
         for level, least in (([[(0, 0)], "ab"], "ab"), ([[(0, 0)], ((0, 0, 0),)], ((0, 0, 0),))):
-            report = verify_certificate(BackAndForthCertificate(A, B, 0, (level,)))
+            cert = BackAndForthCertificate(A, B, 0, (level,))
+            report = verify_certificate(cert)
             assert (report.axiom, report.witness) == ("membership", (0, least))
+            assert report == verify_certificate_by_one_point(cert)
 
 
 def mutations(cert, data, others):
@@ -1261,6 +1291,25 @@ def mutations(cert, data, others):
         j = data.draw(st.integers(0, m - 1))
         levels[j], levels[j + 1] = levels[j + 1], levels[j]
     return BackAndForthCertificate(cert.left, cert.right, m, tuple(levels))
+
+
+def value_copy(cert, data):
+    """The certificate with every level a new frozenset of new tuples,
+    equal by value to the extracted one, so that the check meets no level
+    by identity.  In one drawn level, if any, the least pair of one
+    member may get a float source, which keeps the copy equal by value
+    but makes that member misshapen."""
+    spoiled = data.draw(st.one_of(st.none(), st.integers(0, cert.rounds)))
+    levels = []
+    for j, level in enumerate(cert.levels):
+        members = [tuple([tuple([a, b]) for a, b in f]) for f in level]
+        nonempty = sorted(f for f in members if f)
+        if j == spoiled and nonempty:
+            f = data.draw(st.sampled_from(nonempty))
+            (a, b), *rest = f
+            members[members.index(f)] = ((float(a), b), *rest)
+        levels.append(frozenset(members))
+    return BackAndForthCertificate(cert.left, cert.right, cert.rounds, tuple(levels))
 
 
 class TestCheckAcrossCalls:
@@ -1287,6 +1336,26 @@ class TestCheckAcrossCalls:
                 with mock.patch.object(ef_games, "_proved", None):
                     assert report == verify_certificate(checked)
                 assert report == verify_certificate_by_one_point(checked)
+
+    @given(st.data())
+    def test_value_equal_copies_get_fresh_verdicts(self, data):
+        # no level of a copy is met by identity, so every member of every
+        # level is shape-tested and looked up by value; the codes kept
+        # stay at most one per map of Part(A,B)
+        A, B = data.draw(structure_pairs())
+        with mock.patch.object(ef_games, "_proved", None):
+            for m in range(data.draw(st.integers(0, 3)) + 1):
+                cert = extract_certificate(A, B, m)
+                if cert is None:
+                    break
+                for _ in range(2):
+                    copy = value_copy(cert, data)
+                    report = verify_certificate(copy)
+                    with mock.patch.object(ef_games, "_proved", None):
+                        assert report == verify_certificate(copy)
+                    assert report == verify_certificate_by_one_point(copy)
+            proved = ef_games._proved
+            assert proved is None or len(proved.codes) <= len(build_category_D(A, B).forth)
 
     @pytest.mark.parametrize("A, B", [
         (pure("A", 4), pure("B", 5)),
