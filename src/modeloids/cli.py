@@ -24,42 +24,45 @@ import sys
 from bisect import bisect
 from pathlib import Path
 
-from . import fileformats as ff
-from .categorical import (
-    CategoricalModeloid,
-    categorical_derivative,
-    verify_categorical_modeloid,
-)
-from .ef_games import (
-    DEFAULT_EF_UNIVERSE_BOUND,
-    build_category_D,
-    certificate_lines,
-    ef_equiv_derivative,
-    ef_equiv_oracle,
-    extract_certificate,
-)
-from .derived import fixpoint_chain, padded
-from .errors import BoundExceededError, InputError
-from .free_categories import (
-    skolem_inverses,
-    verify_category,
-    verify_inverse_category_unique,
-)
-from .inverse_semigroups import (
-    InverseSemigroupTable,
-    Semimodeloid,
-    generators,
-    natural_leq,
-    resolve_inverses,
-    semimodeloid_derivative,
-    top_down,
-    verify_inverse_semigroup,
-    verify_semimodeloid,
-    wagner_preston,
-)
-from .modeloid import iterate_derivative, verify_modeloid
-from .structures import parse_structures
-from .verdict import Verdict
+from .derived import fixpoint_chain, lazy, padded
+from .errors import DEFAULT_EF_UNIVERSE_BOUND, BoundExceededError, InputError
+
+# The library names this module uses, by the module they come from (a
+# module's own name is the module).  A handler binds the names of the
+# layers it calls before it calls them, so a request loads only those
+# layers; a name bound before, as by a patch, is kept (``derived.lazy``).
+_CALLS = {
+    "structures": ("parse_structures",),
+    "ef_games": (
+        "build_category_D", "certificate_lines", "ef_equiv_derivative",
+        "ef_equiv_oracle", "extract_certificate",
+    ),
+    "fileformats": ("fileformats",),
+    "categorical": (
+        "CategoricalModeloid", "categorical_derivative", "verify_categorical_modeloid",
+    ),
+    "free_categories": (
+        "skolem_inverses", "verify_category", "verify_inverse_category_unique",
+    ),
+    "inverse_semigroups": (
+        "InverseSemigroupTable", "Semimodeloid", "generators", "natural_leq",
+        "resolve_inverses", "semimodeloid_derivative", "top_down",
+        "verify_inverse_semigroup", "verify_semimodeloid", "wagner_preston",
+    ),
+    "modeloid": ("iterate_derivative", "verify_modeloid"),
+    "verdict": ("Verdict",),
+}
+# what verify, derive and embed call: every layer of tables
+_TABLES = ("fileformats", "categorical", "free_categories", "inverse_semigroups", "modeloid")
+__getattr__ = lazy(globals(), _CALLS)
+
+
+def _bind(*layers: str):
+    """Bind every name the handlers take from ``layers``."""
+    for layer in layers:
+        for name in _CALLS[layer]:
+            __getattr__(name)
+
 
 VERIFY_KINDS = (
     "semigroup",
@@ -108,6 +111,7 @@ def _read(args: argparse.Namespace) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    _bind("structures")
     vocabulary, structures = parse_structures(_read(args))
     relations = " ".join(f"{n}/{a}" for n, a in vocabulary.relations) or "none"
     constants = " ".join(vocabulary.constants) or "none"
@@ -132,6 +136,7 @@ def _pick_structure(structures, name: str):
 
 
 def cmd_ef(args: argparse.Namespace) -> int:
+    _bind("structures", "ef_games")
     _, structures = parse_structures(_read(args))
     A = _pick_structure(structures, args.left)
     B = _pick_structure(structures, args.right)
@@ -173,7 +178,7 @@ def cmd_ef(args: argparse.Namespace) -> int:
 
 
 def _table_with_inverses(
-    sf: ff.SemigroupFile,
+    sf: fileformats.SemigroupFile,
 ) -> tuple[InverseSemigroupTable | None, Verdict]:
     if sf.inv is not None:
         table = sf.to_table()
@@ -182,7 +187,7 @@ def _table_with_inverses(
 
 
 def _semimodeloid_instance(text: str) -> tuple[Semimodeloid | None, Verdict]:
-    sf = ff.parse_semimodeloid_file(text)
+    sf = fileformats.parse_semimodeloid_file(text)
     table, verdict = _table_with_inverses(sf)
     if not verdict.ok:
         return None, verdict
@@ -191,7 +196,7 @@ def _semimodeloid_instance(text: str) -> tuple[Semimodeloid | None, Verdict]:
 
 
 def _categorical_instance(text: str) -> tuple[CategoricalModeloid | None, Verdict]:
-    c, members = ff.parse_categorical_modeloid_file(text)
+    c, members = fileformats.parse_categorical_modeloid_file(text)
     # a declared inv row skips no check: the table must be an inverse
     # category, and inv must list its unique partners
     verdict = verify_inverse_category_unique(c)
@@ -204,15 +209,16 @@ def _categorical_instance(text: str) -> tuple[CategoricalModeloid | None, Verdic
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _bind(*_TABLES)
     text = _read(args)
     if args.kind == "semigroup":
-        _, verdict = _table_with_inverses(ff.parse_semigroup_file(text))
+        _, verdict = _table_with_inverses(fileformats.parse_semigroup_file(text))
     elif args.kind == "category":
-        verdict = verify_category(ff.parse_category_file(text))
+        verdict = verify_category(fileformats.parse_category_file(text))
     elif args.kind == "inverse-category":
-        verdict = verify_inverse_category_unique(ff.parse_category_file(text))
+        verdict = verify_inverse_category_unique(fileformats.parse_category_file(text))
     elif args.kind == "modeloid":
-        verdict = verify_modeloid(ff.parse_modeloid_file(text))
+        verdict = verify_modeloid(fileformats.parse_modeloid_file(text))
     elif args.kind == "semimodeloid":
         _, verdict = _semimodeloid_instance(text)
     else:
@@ -221,9 +227,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    _bind(*_TABLES)
     text = _read(args)
     if args.kind == "modeloid":
-        M = ff.parse_modeloid_file(text)
+        M = fileformats.parse_modeloid_file(text)
         verdict = verify_modeloid(M)
         if not verdict.ok:
             return _emit_verdict(args, verdict)
@@ -260,7 +267,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    sf = ff.parse_semigroup_file(_read(args))
+    _bind(*_TABLES)
+    sf = fileformats.parse_semigroup_file(_read(args))
     table, verdict = _table_with_inverses(sf)
     if not verdict.ok:
         return _emit_verdict(args, verdict)

@@ -1,9 +1,11 @@
 """What every layer derives the same way: facts of an immutable instance,
-computed once, and derivative chains iterated to their fixpoint."""
+computed once, derivative chains iterated to their fixpoint, and module
+names bound on first read."""
 
 from __future__ import annotations
 
 from functools import wraps
+from importlib import import_module
 from operator import attrgetter
 
 from .errors import InputError
@@ -119,3 +121,37 @@ def fixpoint_chain(start, step, rounds: int) -> tuple[list, int | None]:
         raise InputError("rounds must be non-negative")
     levels = Chain(start, step).upto(rounds)
     return padded(levels, rounds), len(levels) - 1 if len(levels) <= rounds else None
+
+
+def lazy(namespace: dict, exports: dict[str, tuple[str, ...]]):
+    """The PEP 562 ``__getattr__`` of the module whose globals are
+    ``namespace``: its names are bound on first read, so a caller loads
+    (and, without cached byte code, compiles) only the layers it reads.
+
+    ``exports`` maps a submodule of the package to the names taken from
+    it; a name equal to the submodule's own stands for the submodule.
+    ``load(name)`` imports the name's submodule, binds the name in
+    ``namespace`` unless a value is bound there already, and returns the
+    bound value: a patch made before the first read is the one kept and
+    the one a caller gets.  A function of the module that calls
+    ``load(name)`` before it uses ``name`` loads that layer only when a
+    call needs it.  Any other name raises ``AttributeError``."""
+    homes = {name: home for home, names in exports.items() for name in names}
+    package = namespace["__package__"]
+
+    def load(name: str):
+        try:
+            return namespace[name]
+        except KeyError:
+            pass
+        try:
+            home = homes[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            ) from None
+        module = import_module(f"{package}.{home}")
+        return namespace.setdefault(name, module if name == home else getattr(module, name))
+
+    return load
+

@@ -41,7 +41,10 @@ built on first read of ``CategoryD.ambient`` (or ``morphisms``,
 test checks those pair tuples.  All of D, with the part as its index
 prefix, is built on first read of ``CategoryD.whole``; only
 ``derivative_levels`` and the endoset queries read it.  For A == B the
-part is all of D.
+part is all of D.  Only ``derivative_levels`` and ``CategoryD.part``
+(every homset but Hom(A,B) is read through it) call the table layers
+``categorical`` and ``free_categories``, which this module loads on
+their first call.
 
 Asking one pair for m = 0, 1, 2, ... builds D once.  ``build_category_D``
 keeps the D of its latest call and returns it again when called with the
@@ -93,10 +96,13 @@ from collections.abc import Iterator
 from itertools import product
 
 from . import verdict as v
-from .categorical import CategoricalModeloid, categorical_derivative
-from .derived import Chain, Frozen, fact, padded
-from .errors import BoundExceededError, InputError, OutsideAmbientError
-from .free_categories import homset
+from .derived import Chain, Frozen, fact, lazy, padded
+from .errors import (
+    DEFAULT_EF_UNIVERSE_BOUND,
+    BoundExceededError,
+    InputError,
+    OutsideAmbientError,
+)
 from .partial_bijections import _code, _extended_at, _least_unextended
 from .structures import (
     PartialIso,
@@ -106,7 +112,15 @@ from .structures import (
     pairs_are_partial_iso,
 )
 
-DEFAULT_EF_UNIVERSE_BOUND = 5
+# Only the paper's chain on all of D and ``CategoryD.part`` call the table
+# layers, so those are loaded on the first such call.
+__getattr__ = _load = lazy(
+    globals(),
+    {
+        "categorical": ("CategoricalModeloid", "categorical_derivative"),
+        "free_categories": ("homset",),
+    },
+)
 
 
 class PartialIsoAmbient(Frozen):
@@ -241,7 +255,7 @@ class CategoryD(Frozen):
         """Indices of Part(X,Y), i.e. Hom(id_X, id_Y), which holds no star;
         an endoset is read from all of D."""
         D = self._holding(X, Y)
-        return homset(D.ambient, D.object_of(X), D.object_of(Y))
+        return _load("homset")(D.ambient, D.object_of(X), D.object_of(Y))
 
     def _indexed(self, X: Structure, Y: Structure) -> tuple[range | tuple[int, ...], tuple]:
         """The indices of Hom(X,Y) and the pair tuples they index: for
@@ -372,8 +386,8 @@ def _whole(part: CategoryD) -> CategoryD:
 
 @fact
 def _derivative_chain(whole: CategoryD) -> Chain:
-    start = CategoricalModeloid.everything(whole.ambient)
-    return Chain(start, categorical_derivative)
+    start = _load("CategoricalModeloid").everything(whole.ambient)
+    return Chain(start, _load("categorical_derivative"))
 
 
 def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default size bound
+of the ``ef`` answer."""
 
 from __future__ import annotations
 
@@ -9,6 +10,12 @@ class InputError(ValueError):
 
 class BoundExceededError(RuntimeError):
     """A computation was refused because it exceeds a configured size bound."""
+
+
+# The largest universe ``ef_games`` and the ``ef`` subcommand accept unless
+# told otherwise; it lives here so that the command's parser can read it
+# without loading ``ef_games``.
+DEFAULT_EF_UNIVERSE_BOUND = 5
 
 
 class ParseError(InputError):

@@ -32,6 +32,7 @@ from modeloids.inverse_semigroups import Semimodeloid, from_partial_bijections
 from modeloids.modeloid import full_modeloid, iterate_derivative, modeloid_closure
 from modeloids.partial_bijections import Carrier, PartialBijection, enumerate_all
 from modeloids.structures import parse_structures
+from modeloids.verdict import Verdict
 
 PURE_SETS = """structure P2
   universe 2
@@ -328,6 +329,16 @@ class TestEf:
         assert code == 4
         assert "oracle-agrees: false" in out
         assert "invariant breach" in err
+
+    def test_table_name_patched_before_use_is_called(self, files, capsys, monkeypatch):
+        # cli binds its library names on first use and must keep one
+        # already bound, so the patch, not the library, decides
+        failing = Verdict(False, "closure", ((0, 1),))
+        monkeypatch.setattr(cli, "verify_modeloid", lambda M: failing)
+        code, out, err = run(capsys, "verify", "modeloid", files["shrink.txt"])
+        assert code == 1
+        assert out == "ok: false\naxiom: closure\nwitness: ((0, 1),)\n"
+        assert err == ""
 
     def test_high_arity_relation_answers(self, capsys, tmp_path):
         # the one 9-ary tuple of A spans all five elements: four picks
