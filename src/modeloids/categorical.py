@@ -22,10 +22,10 @@ from collections.abc import Iterable
 from itertools import repeat
 
 from . import verdict as v
-from .derived import Frozen, fact, fixpoint_chain
+from .derived import Frozen, fact, fixpoint_chain, generators
 from .errors import InputError
 from .free_categories import Ambient, has_all_zeros, objects
-from .inverse_semigroups import Semimodeloid, _atoms, _covered, _tabulate, absorbing, generators
+from .inverse_semigroups import Semimodeloid, _atoms, _covered, _tabulate, absorbing
 
 
 class CategoricalModeloid(Frozen):

@@ -24,7 +24,7 @@ import sys
 from bisect import bisect
 from pathlib import Path
 
-from .derived import fixpoint_chain, lazy, padded
+from .derived import fixpoint_chain, generators, lazy, padded
 from .errors import DEFAULT_EF_UNIVERSE_BOUND, BoundExceededError, InputError
 
 # The library names this module uses, by the module they come from (a
@@ -45,16 +45,24 @@ _CALLS = {
         "skolem_inverses", "verify_category", "verify_inverse_category_unique",
     ),
     "inverse_semigroups": (
-        "InverseSemigroupTable", "Semimodeloid", "generators", "natural_leq",
-        "resolve_inverses", "semimodeloid_derivative", "top_down",
-        "verify_inverse_semigroup", "verify_semimodeloid", "wagner_preston",
+        "InverseSemigroupTable", "Semimodeloid", "natural_leq", "resolve_inverses",
+        "semimodeloid_derivative", "top_down", "verify_inverse_semigroup",
+        "verify_semimodeloid", "wagner_preston",
     ),
     "modeloid": ("iterate_derivative", "verify_modeloid"),
     "verdict": ("Verdict",),
 }
-# what verify, derive and embed call: every layer of tables
-_TABLES = ("fileformats", "categorical", "free_categories", "inverse_semigroups", "modeloid")
 __getattr__ = lazy(globals(), _CALLS)
+# The layers each table kind calls besides ``fileformats``, in the order
+# ``verify`` lists the kinds; ``embed`` calls the semigroup kind's.
+_KINDS = {
+    "semigroup": ("inverse_semigroups",),
+    "category": ("free_categories",),
+    "inverse-category": ("free_categories",),
+    "modeloid": ("modeloid",),
+    "semimodeloid": ("inverse_semigroups",),
+    "categorical-modeloid": ("free_categories", "categorical"),
+}
 
 
 def _bind(*layers: str):
@@ -64,14 +72,7 @@ def _bind(*layers: str):
             __getattr__(name)
 
 
-VERIFY_KINDS = (
-    "semigroup",
-    "category",
-    "inverse-category",
-    "modeloid",
-    "semimodeloid",
-    "categorical-modeloid",
-)
+VERIFY_KINDS = tuple(_KINDS)
 DERIVE_KINDS = ("modeloid", "semimodeloid", "categorical-modeloid")
 EMIT_CHUNK = 256  # lines per write
 
@@ -209,7 +210,7 @@ def _categorical_instance(text: str) -> tuple[CategoricalModeloid | None, Verdic
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _bind(*_TABLES)
+    _bind("fileformats", *_KINDS[args.kind])
     text = _read(args)
     if args.kind == "semigroup":
         _, verdict = _table_with_inverses(fileformats.parse_semigroup_file(text))
@@ -227,7 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    _bind(*_TABLES)
+    _bind("fileformats", *_KINDS[args.kind])
     text = _read(args)
     if args.kind == "modeloid":
         M = fileformats.parse_modeloid_file(text)
@@ -267,7 +268,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    _bind(*_TABLES)
+    _bind("fileformats", *_KINDS["semigroup"])
     sf = fileformats.parse_semigroup_file(_read(args))
     table, verdict = _table_with_inverses(sf)
     if not verdict.ok:

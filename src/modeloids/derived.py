@@ -1,9 +1,11 @@
 """What every layer derives the same way: facts of an immutable instance,
-computed once, derivative chains iterated to their fixpoint, and module
-names bound on first read."""
+computed once, derivative chains iterated to their fixpoint, the
+generating sets that decide closure under a product, and module names
+bound on first read."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import wraps
 from importlib import import_module
 from operator import attrgetter
@@ -121,6 +123,43 @@ def fixpoint_chain(start, step, rounds: int) -> tuple[list, int | None]:
         raise InputError("rounds must be non-negative")
     levels = Chain(start, step).upto(rounds)
     return padded(levels, rounds), len(levels) - 1 if len(levels) <= rounds else None
+
+
+def generators(compose, elements: Sequence) -> list | None:
+    """A generating set G of ``elements`` under right multiplication, or
+    None at the first product it forms that falls outside them.
+
+    Scans ``elements`` in order and keeps one as a generator when it is
+    not yet reached, that is, not a product g1*g2*...*gk of generators so
+    far, multiplied left to right.  Every reached element is multiplied by
+    every generator exactly once, so the scan costs |elements|*|G|
+    products.  On return the reached set is all of ``elements`` and is
+    closed under right multiplication by G.  A null semigroup needs every
+    element as a generator.  Callers list the elements highest in the
+    natural order first (``inverse_semigroups.top_down``), as they reach
+    the most.
+    """
+    element_set = set(elements)
+    gens: list = []
+    reached: set = set()
+    for x in elements:
+        if x in reached:
+            continue
+        gens.append(x)
+        # elements reached before meet the new generator only, newly
+        # reached ones meet every generator
+        pending = [(r, (x,)) for r in reached] + [(x, gens)]
+        reached.add(x)
+        while pending:
+            a, by = pending.pop()
+            for g in by:
+                p = compose(a, g)
+                if p not in element_set:
+                    return None
+                if p not in reached:
+                    reached.add(p)
+                    pending.append((p, gens))
+    return gens
 
 
 def lazy(namespace: dict, exports: dict[str, tuple[str, ...]]):

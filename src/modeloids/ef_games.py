@@ -24,8 +24,8 @@ level is down-closed, so some member above f covers the atom at x
 exactly when f ∪ {(x, y)} is in the level for some y: a step keeps f
 when every point outside it extends it by one pair, forth and back, the
 classical back-and-forth step.  Each map of the homset is coded once
-per chain as an integer with one bit per pair (``_code``); each step
-indexes the one-point extensions of its level once from those codes
+per chain as an integer with one bit per pair (``codes._code``); each
+step indexes the one-point extensions of its level once from those codes
 (``_extended_at``) and reads every map's answer from that index.  The
 chain on all of D (``derivative_levels``, the paper's route through
 ``categorical_derivative``) stays as the reference it must agree with.
@@ -41,10 +41,14 @@ built on first read of ``CategoryD.ambient`` (or ``morphisms``,
 test checks those pair tuples.  All of D, with the part as its index
 prefix, is built on first read of ``CategoryD.whole``; only
 ``derivative_levels`` and the endoset queries read it.  For A == B the
-part is all of D.  Only ``derivative_levels`` and ``CategoryD.part``
-(every homset but Hom(A,B) is read through it) call the table layers
-``categorical`` and ``free_categories``, which this module loads on
-their first call.
+part is all of D.  Those tables, the ``PartialIsoAmbient`` and
+``derivative_levels`` live in ``ef_ambient``, which this module loads on
+the first such read or call; each of their names resolves from here
+too.  Only ``derivative_levels`` and ``CategoryD.part`` (every homset
+but Hom(A,B) is read through it) call the table layers ``categorical``
+and ``free_categories``, which are loaded on their first call.  So the
+``ef`` answer and its certificates load neither ``ef_ambient`` nor a
+table layer.
 
 Asking one pair for m = 0, 1, 2, ... builds D once.  ``build_category_D``
 keeps the D of its latest call and returns it again when called with the
@@ -93,17 +97,11 @@ map of Part(A,B) and one certificate's levels.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import product
 
 from . import verdict as v
+from .codes import _code, _extended_at, _least_unextended
 from .derived import Chain, Frozen, fact, lazy, padded
-from .errors import (
-    DEFAULT_EF_UNIVERSE_BOUND,
-    BoundExceededError,
-    InputError,
-    OutsideAmbientError,
-)
-from .partial_bijections import _code, _extended_at, _least_unextended
+from .errors import DEFAULT_EF_UNIVERSE_BOUND, BoundExceededError, InputError
 from .structures import (
     PartialIso,
     Structure,
@@ -112,76 +110,20 @@ from .structures import (
     pairs_are_partial_iso,
 )
 
-# Only the paper's chain on all of D and ``CategoryD.part`` call the table
-# layers, so those are loaded on the first such call.
+# D's tables and the paper's chain on all of D (``ef_ambient``), and the
+# table layers that only they and ``CategoryD.part`` call, are loaded on
+# the first such read; the ``ef`` answer and its certificates read none.
 __getattr__ = _load = lazy(
     globals(),
     {
         "categorical": ("CategoricalModeloid", "categorical_derivative"),
         "free_categories": ("homset",),
+        "ef_ambient": (
+            "PartialIsoAmbient", "_block", "_derivative_chain", "_identity", "_inverse",
+            "_restrictions", "_tables", "_tabulated", "_whole", "derivative_levels",
+        ),
     },
 )
-
-
-class PartialIsoAmbient(Frozen):
-    """Category D as the derivative reads it, composed on demand.
-
-    ``morphisms[i]`` is the partial isomorphism at index i as its sorted
-    pair tuple, and star sits at index ``len(morphisms)``.  ``dom``,
-    ``cod`` and ``inv`` are tables; ``index`` finds a map by (dom object,
-    cod object, pairs), and ``constants[X]`` lists the constant elements
-    of object X's structure.
-    No composition table is built: ``compose`` composes two maps and looks
-    the result up, and ``below`` enumerates restrictions.  An ambient may
-    hold only part of D; a composite outside it raises
-    ``OutsideAmbientError``.
-    """
-
-    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
-    associative = True  # partial isomorphisms compose associatively
-
-    def __init__(
-        self, morphism_count: int, star: int, dom: tuple[int, ...], cod: tuple[int, ...],
-        inv: tuple[int, ...], morphisms: tuple[tuple[tuple[int, int], ...], ...],
-        index: dict[tuple[int, int, tuple], int], constants: dict[int, tuple[int, ...]],
-    ):
-        vars(self).update(
-            morphism_count=morphism_count, star=star, dom=dom, cod=cod, inv=inv,
-            morphisms=morphisms, index=index, constants=constants,
-        )
-
-    @fact
-    def compose(self, f: int, g: int) -> int:
-        """f after g: map composition where dom f meets cod g, else star."""
-        if f == self.star or g == self.star or self.dom[f] != self.cod[g]:
-            return self.star
-        fwd = dict(self.morphisms[f])
-        composed = tuple((a, fwd[b]) for a, b in self.morphisms[g] if b in fwd)
-        try:
-            return self.index[(self.dom[g], self.cod[f], composed)]
-        except KeyError:
-            raise OutsideAmbientError(
-                f"{f} after {g} is not a morphism of this ambient"
-            ) from None
-
-    @fact
-    def below(self, t: int) -> frozenset[int]:
-        """Everything <= t.  In the natural order of partial isomorphisms
-        s <= t means s is a restriction of t, and every restriction that
-        keeps the constant pairs is a morphism: so these are the subsets
-        of t's pairs that contain the constant pairs."""
-        if t == self.star:
-            return frozenset((t,))
-        X, Y = self.dom[t], self.cod[t]
-        fixed = set(zip(self.constants[X], self.constants[Y]))
-        return frozenset(self.index[(X, Y, r)] for r in _restrictions(self.morphisms[t], fixed))
-
-
-def _restrictions(pairs: tuple, fixed) -> Iterator[tuple]:
-    """The sub-tuples of ``pairs`` that keep every pair in ``fixed``."""
-    # each pair is kept, or dropped unless it is a constant pair
-    choices = [((p,),) if p in fixed else ((p,), ()) for p in pairs]
-    return (sum(kept, ()) for kept in product(*choices))
 
 
 class CategoryD(Frozen):
@@ -214,19 +156,19 @@ class CategoryD(Frozen):
 
     @property
     def whole(self) -> "CategoryD":
-        return self if self.complete else _whole(self)
+        return self if self.complete else _load("_whole")(self)
 
     @property
     def ambient(self) -> PartialIsoAmbient:
-        return _tables(self)[0]
+        return _load("_tables")(self)[0]
 
     @property
     def object_a(self) -> int:
-        return _tables(self)[1]
+        return _load("_tables")(self)[1]
 
     @property
     def object_b(self) -> int:
-        return _tables(self)[2]
+        return _load("_tables")(self)[2]
 
     @property
     def star(self) -> int:
@@ -276,70 +218,9 @@ def _check_pair(A: Structure, B: Structure, max_universe: int):
             )
 
 
-def _identity(S: Structure) -> tuple[tuple[int, int], ...]:
-    return tuple((x, x) for x in range(S.universe_size))
-
-
-def _inverse(pairs: tuple) -> tuple:
-    return tuple(sorted((b, a) for a, b in pairs))
-
-
 def _enumerated(X: Structure, Y: Structure, max_universe: int) -> list[tuple]:
     """The pair tuples of ``enumerate_partial_isos(X, Y)``."""
     return [p.pairs for p in enumerate_partial_isos(X, Y, max_universe)]
-
-
-def _block(lt: int, rt: int, maps) -> list[tuple[int, int, tuple]]:
-    """The maps from side lt to side rt, sorted."""
-    return [(lt, rt, p) for p in sorted(maps)]
-
-
-@fact
-def _tables(category: CategoryD) -> tuple[PartialIsoAmbient, int, int]:
-    """The ambient of ``category`` and its two objects.  The layout is
-    ``forth``, then for two sides its inverses, the partial identities of
-    left and of right, and for all of D the other endomorphisms of each
-    side, each block sorted; star comes after the last map.  dom, cod
-    and inv are tabulated over it; composition is left to the ambient.
-    Only the endomorphisms of all of D are enumerated."""
-    left, right, forth = category.left, category.right, category.forth
-    if left == right:
-        return _tabulated((left,), [(0, 0, p) for p in forth])
-    layout = [(0, 1, p) for p in forth] + _block(1, 0, map(_inverse, forth))
-    for s, S in enumerate((left, right)):
-        # the partial identities: id_S's restrictions that fix the constants
-        fixed = {(c, c) for c in S.constants}
-        layout += _block(s, s, _restrictions(_identity(S), fixed))
-    if category.complete:
-        for s, S in enumerate((left, right)):
-            endos = _enumerated(S, S, S.universe_size)
-            layout += _block(s, s, (p for p in endos if any(a != b for a, b in p)))
-    return _tabulated((left, right), layout)
-
-
-def _tabulated(
-    sides: tuple[Structure, ...], layout: list[tuple[int, int, tuple]]
-) -> tuple[PartialIsoAmbient, int, int]:
-    """Tabulate dom, cod and inv over ``layout``, a list of (source side,
-    target side, map) in index order; star comes after the last map."""
-    morphisms = tuple(p for _, _, p in layout)
-    star = len(morphisms)
-    full = [_identity(S) for S in sides]
-    obj = [0] * len(sides)
-    for i, (lt, rt, p) in enumerate(layout):
-        if lt == rt and p == full[lt]:
-            obj[lt] = i
-    dom = tuple(obj[lt] for lt, _, _ in layout) + (star,)
-    cod = tuple(obj[rt] for _, rt, _ in layout) + (star,)
-    index = {(dom[i], cod[i], p): i for i, p in enumerate(morphisms)}
-    inv = [star] * (star + 1)
-    for i, p in enumerate(morphisms):
-        if inv[i] == star:  # each inverse pair is looked up once
-            inv[i] = j = index[(cod[i], dom[i], _inverse(p))]
-            inv[j] = i
-    constants = {obj[s]: S.constants for s, S in enumerate(sides)}
-    ambient = PartialIsoAmbient(star + 1, star, dom, cod, tuple(inv), morphisms, index, constants)
-    return ambient, obj[0], obj[-1]
 
 
 # The D of the latest ``build_category_D`` call, or None.
@@ -375,32 +256,6 @@ def build_category_D(
     forth = tuple(sorted(_enumerated(A, B, max_universe)))
     _latest = CategoryD(A, B, forth, complete=A == B)
     return _latest
-
-
-@fact
-def _whole(part: CategoryD) -> CategoryD:
-    """All of D: the part's morphisms in their order, then the other
-    endomorphisms of A and of B, then star."""
-    return CategoryD(part.left, part.right, part.forth, complete=True)
-
-
-@fact
-def _derivative_chain(whole: CategoryD) -> Chain:
-    start = _load("CategoricalModeloid").everything(whole.ambient)
-    return Chain(start, _load("categorical_derivative"))
-
-
-def derivative_levels(category: CategoryD, m: int) -> tuple[frozenset[int], ...]:
-    """Member sets of D^0 .. D^m starting from all morphisms: the paper's
-    chain on all of D, built for it if ``category`` is the part.  It is
-    one chain per D, stepped only as far as the largest m asked for; once
-    a step changes nothing the tail repeats that level.  Its first step
-    verifies all of D, once per D, as every categorical derivative
-    verifies its input."""
-    if m < 0:
-        raise InputError("rounds must be non-negative")
-    levels = _derivative_chain(category.whole).upto(m)
-    return padded(tuple(M.members for M in levels), m)
 
 
 @fact

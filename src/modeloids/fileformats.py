@@ -36,6 +36,13 @@ modeloid::
 ``semimodeloid`` is the semigroup layout plus one ``members`` line;
 ``categorical-modeloid`` is the category layout plus ``members``.
 Writers produce canonical text that parses back to an equal object.
+
+This module imports no layer at its top: the type a parser builds is
+bound on its first use (``derived.lazy``), so a request loads only the
+layer of the kind it reads.  ``parse_modeloid_file`` loads
+``modeloid``, the category parsers ``free_categories``, and
+``SemigroupFile.to_table`` ``inverse_semigroups``; the semigroup parsers
+and the writers, which only read their argument, load none.
 """
 
 from __future__ import annotations
@@ -43,13 +50,20 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator
 
-from .categorical import CategoricalModeloid
-from .derived import Frozen
+from .derived import Frozen, lazy
 from .errors import InputError, ParseError
-from .free_categories import FreeCategory
-from .inverse_semigroups import InverseSemigroupTable, Semimodeloid
-from .modeloid import Modeloid
-from .partial_bijections import Carrier, PartialBijection
+
+# the types the parsers build and the writers read, by their layer
+__getattr__ = _load = lazy(
+    globals(),
+    {
+        "categorical": ("CategoricalModeloid",),
+        "free_categories": ("FreeCategory",),
+        "inverse_semigroups": ("InverseSemigroupTable", "Semimodeloid"),
+        "modeloid": ("Modeloid",),
+        "partial_bijections": ("Carrier", "PartialBijection"),
+    },
+)
 
 _PAIR = re.compile(r"\((\d+),(\d+)\)")
 _NumberedLines = Iterator[tuple[int, list[str]]]
@@ -116,7 +130,7 @@ class SemigroupFile(Frozen):
         """Structural construction; requires the inv rows to be present."""
         if self.inv is None:
             raise InputError("file declares no inverse row")
-        return InverseSemigroupTable(
+        return _load("InverseSemigroupTable")(
             self.order, self.mul, self.inv, self.neutral, self.zero
         )
 
@@ -248,7 +262,7 @@ def parse_semimodeloid_file(text: str) -> SemigroupFile:
 
 def _category(fields: dict) -> FreeCategory:
     keys = ("morphisms", "star", "dom", "cod", "comp", "inv")
-    return FreeCategory(*map(fields.get, keys))
+    return _load("FreeCategory")(*map(fields.get, keys))
 
 
 def parse_category_file(text: str) -> FreeCategory:
@@ -276,7 +290,7 @@ def parse_modeloid_file(text: str) -> Modeloid:
             size = _int(rest[0], line_no, "carrier")
             if size < 1:
                 raise ParseError("carrier must be at least 1", line_no)
-            carrier = Carrier(size)
+            carrier = _load("Carrier")(size)
         elif head == "map":
             if carrier is None:
                 raise ParseError("carrier must come before maps", line_no)
@@ -289,14 +303,14 @@ def parse_modeloid_file(text: str) -> Modeloid:
                     )
                 pairs.append((int(match.group(1)), int(match.group(2))))
             try:
-                maps.append(PartialBijection.from_pairs(carrier, pairs))
+                maps.append(_load("PartialBijection").from_pairs(carrier, pairs))
             except InputError as err:
                 raise ParseError(str(err), line_no) from None
         else:
             raise ParseError(f"unexpected directive {head!r} in modeloid file", line_no)
     if carrier is None:
         raise ParseError("missing carrier line", 1)
-    return Modeloid.from_members(carrier, maps)
+    return _load("Modeloid").from_members(carrier, maps)
 
 
 def _render_pairs(pairs: Iterable[tuple[int, int]]) -> str:

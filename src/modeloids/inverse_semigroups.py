@@ -8,12 +8,13 @@ checked from scratch by ``characterize`` so the equivalence itself stays
 testable.  The laws read bare rows, so ``free_categories`` runs the same
 functions on the composition tables of inverse categories.
 Associativity is decided by Light's test on a generating set picked
-greedily from the top of the natural order down (``generators`` over
-``top_down``), which also serves the closure checks elsewhere, and
+greedily from the top of the natural order down (``derived.generators``
+over ``top_down``), which also serves the closure checks elsewhere, and
 idempotent commutation is tested on the distinct idempotents x*x'.
 ``from_partial_bijections`` turns a closed set of partial
 bijections into an abstract table, and ``wagner_preston`` goes the other
-way, realizing any verified table as partial bijections on itself.
+way, realizing any verified table as partial bijections on itself; only
+these two load ``partial_bijections``, on their first call.
 ``_tabulate`` is the one tabulation behind every collapse onto a table:
 this one, the one-object collapse of ``free_categories`` and the endoset
 collapse of ``categorical``.
@@ -33,9 +34,12 @@ from itertools import product
 from operator import itemgetter
 
 from . import verdict as v
-from .derived import Frozen, fact
+from .derived import Frozen, fact, generators, lazy
 from .errors import BoundExceededError, InputError
-from .partial_bijections import Carrier, PartialBijection
+
+# Only the two bridges to partial bijections read them, so that layer is
+# loaded on the first such call.
+__getattr__ = _load = lazy(globals(), {"partial_bijections": ("Carrier", "PartialBijection")})
 
 AXIOMATIC_SEARCH_CAP = 1_000_000
 
@@ -81,42 +85,6 @@ def _check_square(mul: MulTable, n: int) -> None:
         raise InputError("multiplication table must be order x order")
     if any(min(row) < 0 or max(row) >= n for row in mul):
         raise InputError("multiplication entry out of range")
-
-
-def generators(compose, elements: Sequence) -> list | None:
-    """A generating set G of ``elements`` under right multiplication, or
-    None at the first product it forms that falls outside them.
-
-    Scans ``elements`` in order and keeps one as a generator when it is
-    not yet reached, that is, not a product g1*g2*...*gk of generators so
-    far, multiplied left to right.  Every reached element is multiplied by
-    every generator exactly once, so the scan costs |elements|*|G|
-    products.  On return the reached set is all of ``elements`` and is
-    closed under right multiplication by G.  A null semigroup needs every
-    element as a generator.  Callers list the elements highest in the
-    natural order first (``top_down``), as they reach the most.
-    """
-    element_set = set(elements)
-    gens: list = []
-    reached: set = set()
-    for x in elements:
-        if x in reached:
-            continue
-        gens.append(x)
-        # elements reached before meet the new generator only, newly
-        # reached ones meet every generator
-        pending = [(r, (x,)) for r in reached] + [(x, gens)]
-        reached.add(x)
-        while pending:
-            a, by = pending.pop()
-            for g in by:
-                p = compose(a, g)
-                if p not in element_set:
-                    return None
-                if p not in reached:
-                    reached.add(p)
-                    pending.append((p, gens))
-    return gens
 
 
 def top_down(mul: MulTable, elements: Iterable[int]) -> list[int]:
@@ -406,7 +374,8 @@ def from_partial_bijections(
     elements = tuple(sorted(set(members), key=lambda f: f.pairs))
     if not elements:
         raise InputError("cannot build a table from no maps")
-    table = _tabulate(elements, lambda f: map(f.compose, elements), PartialBijection.inverse)
+    inverse = _load("PartialBijection").inverse
+    table = _tabulate(elements, lambda f: map(f.compose, elements), inverse)
     return table, elements
 
 
@@ -462,13 +431,13 @@ def wagner_preston(table: InverseSemigroupTable) -> tuple[PartialBijection, ...]
     faithfulness) are deliberately left to the caller's checks.
     """
     verify_inverse_semigroup(table).require("not an inverse semigroup")
-    carrier = Carrier(table.order)
+    carrier, from_pairs = _load("Carrier")(table.order), _load("PartialBijection").from_pairs
     mul, inv = table.mul, table.inv
     images = []
     for a in range(table.order):
         e = mul[inv[a]][a]
         domain = [x for x in range(table.order) if mul[e][x] == x]
-        images.append(PartialBijection.from_pairs(carrier, ((x, mul[a][x]) for x in domain)))
+        images.append(from_pairs(carrier, ((x, mul[a][x]) for x in domain)))
     return tuple(images)
 
 

@@ -15,16 +15,13 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from . import verdict as v
-from .derived import Frozen, fact, fixpoint_chain
+from .codes import _code, _extended_at, _least_unextended
+from .derived import Frozen, fact, fixpoint_chain, generators
 from .errors import InputError
-from .inverse_semigroups import generators
 from .partial_bijections import (
     DEFAULT_ENUMERATION_BOUND,
     Carrier,
     PartialBijection,
-    _code,
-    _extended_at,
-    _least_unextended,
     enumerate_all,
     identity_map,
 )

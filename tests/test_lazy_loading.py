@@ -30,17 +30,22 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # the submodules that carry no layer: what every entry point may load
 BASE = {"derived", "errors"}
-EF = BASE | {"cli", "structures", "ef_games", "verdict", "partial_bijections"}
-TABLES = BASE | {
-    "cli",
-    "fileformats",
-    "categorical",
-    "free_categories",
-    "inverse_semigroups",
-    "modeloid",
-    "partial_bijections",
-    "verdict",
+EF = BASE | {"cli", "codes", "ef_games", "structures", "verdict"}
+# what a table request loads, by the kind of table it reads
+TABLE = BASE | {"cli", "fileformats", "verdict"}
+SEMIGROUP = TABLE | {"inverse_semigroups"}
+CATEGORY = SEMIGROUP | {"free_categories"}
+MODELOID = TABLE | {"codes", "modeloid", "partial_bijections"}
+KINDS = {
+    "semigroup": SEMIGROUP,
+    "category": CATEGORY,
+    "inverse-category": CATEGORY,
+    "modeloid": MODELOID,
+    "semimodeloid": SEMIGROUP,
+    "categorical-modeloid": CATEGORY | {"categorical"},
 }
+# embed reads a semigroup file and realizes it as partial bijections
+EMBED = SEMIGROUP | {"partial_bijections"}
 
 # Run ``code`` in a fresh interpreter, then print the modeloids submodules
 # it loaded.
@@ -60,7 +65,7 @@ assert code == 0, code
 """
 
 # the ef-sweep loop of the benchmark: its timed steps must compile nothing
-SWEEP = """
+SWEEP_SETUP = """
 from modeloids import Structure, Vocabulary, ef_games
 E = Vocabulary(relations=(("E", 2),), constants=("c",))
 cycle = Structure.build("A", 3, E, {"E": [(0, 1), (1, 2), (2, 0)]}, {"c": 0})
@@ -70,6 +75,8 @@ pairs = [
     (cycle, path),
     (cycle, cycle),
 ]
+"""
+SWEEP_LOOP = """
 for A, B in pairs:
     for m in range(3):
         equivalent, _ = ef_games.ef_equiv_derivative(A, B, m)
@@ -77,6 +84,7 @@ for A, B in pairs:
         if equivalent:
             assert ef_games.verify_certificate(ef_games.extract_certificate(A, B, m)).ok
 """
+SWEEP = SWEEP_SETUP + SWEEP_LOOP
 
 
 def loaded(code: str, *argv: str) -> set[str]:
@@ -145,12 +153,39 @@ def test_validate_loads_structures_alone(inputs):
     + [("embed", "semigroup", ())],
 )
 def test_table_requests_load_no_structure_layer(inputs, command, kind, extra):
+    # each kind loads the layer it reads, and no other table layer
     argv = [command, *([] if command == "embed" else [kind]), inputs[kind], *extra]
-    assert loaded(CLI_REQUEST, *argv) == TABLES
+    assert loaded(CLI_REQUEST, *argv) == (EMBED if command == "embed" else KINDS[kind])
 
 
 def test_ef_sweep_loop_loads_no_table_layer():
     assert loaded(SWEEP) == EF - {"cli"}
+
+
+def test_ef_sweep_loop_loads_nothing_once_it_starts():
+    # the benchmark times each step of this loop, so every module a step
+    # calls, the certificate check's included, is loaded before the first
+    started = "started = {m for m in sys.modules if m.startswith('modeloids')}\n"
+    unchanged = "assert {m for m in sys.modules if m.startswith('modeloids')} == started\n"
+    assert loaded(SWEEP_SETUP + started + SWEEP_LOOP + unchanged) == EF - {"cli"}
+
+
+@pytest.mark.parametrize(
+    "module, expected",
+    [
+        ("codes", BASE | {"codes"}),
+        ("ef_ambient", EF - {"cli"} | {"ef_ambient"}),
+    ],
+)
+def test_a_split_module_imports_first(module, expected):
+    assert loaded(f"import modeloids.{module}") == expected
+
+
+def test_the_names_moved_out_of_ef_games_resolve_from_it():
+    from modeloids import ef_ambient, ef_games
+
+    assert ef_games.PartialIsoAmbient is ef_ambient.PartialIsoAmbient
+    assert ef_games.derivative_levels is ef_ambient.derivative_levels
 
 
 # a name bound before its layer is loaded stays bound when a request loads it
@@ -169,7 +204,7 @@ assert (code, out.getvalue()) == (1, "ok: false\\naxiom: closure\\nwitness: ((0,
 
 def test_a_name_bound_before_loading_is_kept(inputs):
     argv = ("verify", "modeloid", inputs["modeloid"])
-    assert loaded(PATCHED_REQUEST, *argv) == TABLES
+    assert loaded(PATCHED_REQUEST, *argv) == MODELOID
 
 
 # The names of the package, by the submodule they come from; a submodule

@@ -14,13 +14,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 from reference_scans import least_unextended_by_unions
 
+from modeloids.codes import _code, _extended_at, _least_unextended
 from modeloids.errors import BoundExceededError, InputError
 from modeloids.partial_bijections import (
     Carrier,
     PartialBijection,
-    _code,
-    _extended_at,
-    _least_unextended,
     empty_map,
     enumerate_all,
     identity_map,
