@@ -4,11 +4,11 @@ A directed 3-cycle and a directed 3-path have the same number of
 vertices and almost the same edges, yet the path has a dead end the
 cycle lacks.  The walkthrough builds the maps from the first digraph to
 the second once: the derivative chain reads only those.  The rest of
-the part of the category of partial isomorphisms around them, the maps
-back and the partial identities of each digraph, is built only on first
-read, here to count it.  It asks the derivative for every round count,
-and each answer is cross-checked against the game-tree oracle.  A reversed cycle then shows the equivalent case
-together with its certificate.
+the category of partial isomorphisms, the maps back and the
+endomorphisms of each digraph, is built only on first read, here to
+count it.  It asks the derivative for every round count, and each
+answer is cross-checked against the game-tree oracle.  A reversed cycle
+then shows the equivalent case together with its certificate.
 """
 
 from modeloids.ef_games import (
@@ -34,11 +34,8 @@ def compare(A, B, rounds):
         f"  built: the {len(category.forth)} partial isomorphisms {A.name} -> {B.name},"
         " all that the derivative chain reads"
     )
-    print(
-        f"  built on first read: {len(category.morphisms)} of the"
-        f" {len(category.whole.morphisms)} morphisms of the category,"
-    )
-    print(f"    the maps {A.name} -> {B.name} and back and the partial identities of both")
+    print(f"  built on first read: the {len(category.morphisms)} morphisms of the category,")
+    print(f"    the maps {A.name} -> {B.name} and back and the endomorphisms of both")
     for m in range(rounds + 1):
         answer, witness = ef_equiv_derivative(A, B, m, category=category)
         oracle = ef_equiv_oracle(A, B, m)

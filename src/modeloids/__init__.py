@@ -31,10 +31,7 @@ _EXPORTS = {
         "extract_certificate", "format_certificate", "homset_levels", "surviving_maps",
         "verify_certificate",
     ),
-    "errors": (
-        "errors", "BoundExceededError", "InputError", "OutsideAmbientError",
-        "ParseError",
-    ),
+    "errors": ("errors", "BoundExceededError", "InputError", "ParseError"),
     "fileformats": (
         "fileformats", "format_categorical_modeloid_file", "format_category_file",
         "format_modeloid_file", "format_semigroup_file", "format_semimodeloid_file",

@@ -108,7 +108,10 @@ def _emit_verdict(args: argparse.Namespace, verdict: Verdict) -> int:
 
 
 def _read(args: argparse.Namespace) -> str:
-    return args.file.read_text(encoding="utf-8")
+    try:
+        return args.file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise InputError(f"{args.file}: not UTF-8 text at byte {err.start}") from None
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -2,19 +2,19 @@
 
 ``ef_games`` decides m-round equivalence from Hom(A,B) alone, as sorted
 pair tuples, and never reads what this module builds; it loads this
-module on the first read of ``CategoryD.ambient``, ``whole``,
-``morphisms``, ``object_a``/``object_b`` or ``part``, or on the first
-call of ``derivative_levels``, and every name here also resolves from
+module on the first read of ``CategoryD.ambient``, ``morphisms``,
+``object_a``/``object_b`` or ``part``, or on the first call of
+``derivative_levels``, and every name here also resolves from
 ``ef_games``.
 
-``_tables`` lays out the part of D around Hom(A,B), or all of D, and
-tabulates its dom, cod, inv and index tables (``_tabulated``) into a
-``PartialIsoAmbient``, which composes two maps on demand and lists the
-down-set of a map as its restrictions that keep the constant pairs.
-``derivative_levels`` steps the paper's chain on all of D through
-``categorical_derivative``: the reference the ``ef`` chain must agree
-with.  The names this module reads of ``ef_games`` (``CategoryD``,
-``_enumerated``, ``CategoricalModeloid``, ``categorical_derivative``) are
+``_tables`` lays out all of D, one table form built once per D on first
+read, and tabulates its dom, cod, inv and index tables (``_tabulated``)
+into a ``PartialIsoAmbient``, which composes two maps on demand and
+lists the down-set of a map as its restrictions that keep the constant
+pairs.  ``derivative_levels`` steps the paper's chain on all of D
+through ``categorical_derivative``: the reference the ``ef`` chain must
+agree with.  The names this module reads of ``ef_games``
+(``CategoryD``, ``CategoricalModeloid``, ``categorical_derivative``) are
 read there at each call, so a patch or a tracer set on ``ef_games`` is
 the one called.
 """
@@ -24,9 +24,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import product
 
-from . import ef_games
+from . import ef_games, structures
 from .derived import Chain, Frozen, fact, padded
-from .errors import InputError, OutsideAmbientError
+from .errors import InputError
 from .structures import Structure
 
 
@@ -39,9 +39,7 @@ class PartialIsoAmbient(Frozen):
     cod object, pairs), and ``constants[X]`` lists the constant elements
     of object X's structure.
     No composition table is built: ``compose`` composes two maps and looks
-    the result up, and ``below`` enumerates restrictions.  An ambient may
-    hold only part of D; a composite outside it raises
-    ``OutsideAmbientError``.
+    the result up, and ``below`` enumerates restrictions.
     """
 
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
@@ -64,12 +62,7 @@ class PartialIsoAmbient(Frozen):
             return self.star
         fwd = dict(self.morphisms[f])
         composed = tuple((a, fwd[b]) for a, b in self.morphisms[g] if b in fwd)
-        try:
-            return self.index[(self.dom[g], self.cod[f], composed)]
-        except KeyError:
-            raise OutsideAmbientError(
-                f"{f} after {g} is not a morphism of this ambient"
-            ) from None
+        return self.index[(self.dom[g], self.cod[f], composed)]
 
     @fact
     def below(self, t: int) -> frozenset[int]:
@@ -106,24 +99,20 @@ def _block(lt: int, rt: int, maps) -> list[tuple[int, int, tuple]]:
 
 @fact
 def _tables(category: ef_games.CategoryD) -> tuple[PartialIsoAmbient, int, int]:
-    """The ambient of ``category`` and its two objects.  The layout is
-    ``forth``, then for two sides its inverses, the partial identities of
-    left and of right, and for all of D the other endomorphisms of each
-    side, each block sorted; star comes after the last map.  dom, cod
-    and inv are tabulated over it; composition is left to the ambient.
-    Only the endomorphisms of all of D are enumerated."""
+    """All of D and its two objects.  The layout is ``forth``, then for
+    two sides its inverses, End(left) and End(right), each block sorted;
+    star comes after the last map.  For one side it is the one block
+    End(left).  dom, cod and inv are tabulated over it; composition is
+    left to the ambient.  Only the endosets are enumerated, through
+    ``structures`` and not ``ef_games``, so that a patch or tracer on
+    ``ef_games.enumerate_partial_isos`` sees only the build's one call."""
     left, right, forth = category.left, category.right, category.forth
     if left == right:
         return _tabulated((left,), [(0, 0, p) for p in forth])
     layout = [(0, 1, p) for p in forth] + _block(1, 0, map(_inverse, forth))
     for s, S in enumerate((left, right)):
-        # the partial identities: id_S's restrictions that fix the constants
-        fixed = {(c, c) for c in S.constants}
-        layout += _block(s, s, _restrictions(_identity(S), fixed))
-    if category.complete:
-        for s, S in enumerate((left, right)):
-            endos = ef_games._enumerated(S, S, S.universe_size)
-            layout += _block(s, s, (p for p in endos if any(a != b for a, b in p)))
+        endos = structures.enumerate_partial_isos(S, S, S.universe_size)
+        layout += _block(s, s, (p.pairs for p in endos))
     return _tabulated((left, right), layout)
 
 
@@ -153,26 +142,18 @@ def _tabulated(
 
 
 @fact
-def _whole(part: ef_games.CategoryD) -> ef_games.CategoryD:
-    """All of D: the part's morphisms in their order, then the other
-    endomorphisms of A and of B, then star."""
-    return ef_games.CategoryD(part.left, part.right, part.forth, complete=True)
-
-
-@fact
-def _derivative_chain(whole: ef_games.CategoryD) -> Chain:
-    start = ef_games.CategoricalModeloid.everything(whole.ambient)
+def _derivative_chain(category: ef_games.CategoryD) -> Chain:
+    start = ef_games.CategoricalModeloid.everything(category.ambient)
     return Chain(start, ef_games.categorical_derivative)
 
 
 def derivative_levels(category: ef_games.CategoryD, m: int) -> tuple[frozenset[int], ...]:
     """Member sets of D^0 .. D^m starting from all morphisms: the paper's
-    chain on all of D, built for it if ``category`` is the part.  It is
-    one chain per D, stepped only as far as the largest m asked for; once
-    a step changes nothing the tail repeats that level.  Its first step
-    verifies all of D, once per D, as every categorical derivative
-    verifies its input."""
+    chain on all of D.  It is one chain per D, stepped only as far as the
+    largest m asked for; once a step changes nothing the tail repeats that
+    level.  Its first step verifies all of D, once per D, as every
+    categorical derivative verifies its input."""
     if m < 0:
         raise InputError("rounds must be non-negative")
-    levels = _derivative_chain(category.whole).upto(m)
+    levels = _derivative_chain(category).upto(m)
     return padded(tuple(M.members for M in levels), m)

@@ -32,21 +32,16 @@ chain on all of D (``derivative_levels``, the paper's route through
 
 So ``build_category_D`` makes only Hom(A,B), from one enumeration, as
 the sorted pair tuples ``CategoryD.forth``; the ``ef`` answer, its
-witness and its certificates read nothing else.  The rest of the part of
-D around Hom(A,B), Hom(B,A) as the inverses of its maps and the partial
-identities of A and B, generated as restrictions of id_A and id_B
-without a search, and the ambient's dom, cod, inv and index tables are
-built on first read of ``CategoryD.ambient`` (or ``morphisms``,
-``object_a``, ``object_b``, ``part``), with no enumeration; no second
-test checks those pair tuples.  All of D, with the part as its index
-prefix, is built on first read of ``CategoryD.whole``; only
-``derivative_levels`` and the endoset queries read it.  For A == B the
-part is all of D.  Those tables, the ``PartialIsoAmbient`` and
-``derivative_levels`` live in ``ef_ambient``, which this module loads on
-the first such read or call; each of their names resolves from here
-too.  Only ``derivative_levels`` and ``CategoryD.part`` (every homset
-but Hom(A,B) is read through it) call the table layers ``categorical``
-and ``free_categories``, which are loaded on their first call.  So the
+witness and its certificates read nothing else.  The rest of D has one
+table form, built on first read of ``CategoryD.ambient`` (or
+``morphisms``, ``object_a``, ``object_b``, ``star``, ``part``): Hom(B,A)
+as the inverses of ``forth``, End(A) and End(B), each from one
+enumeration, and the ambient's dom, cod, inv and index tables.  That
+table, the ``PartialIsoAmbient`` and ``derivative_levels`` live in
+``ef_ambient``, which this module loads on the first such read or call;
+each of their names resolves from here too.  Only ``derivative_levels``
+and ``CategoryD.part`` call the table layers ``categorical`` and
+``free_categories``, which are loaded on their first call.  So the
 ``ef`` answer and its certificates load neither ``ef_ambient`` nor a
 table layer.
 
@@ -110,7 +105,7 @@ from .structures import (
     pairs_are_partial_iso,
 )
 
-# D's tables and the paper's chain on all of D (``ef_ambient``), and the
+# D's table and the paper's chain on all of D (``ef_ambient``), and the
 # table layers that only they and ``CategoryD.part`` call, are loaded on
 # the first such read; the ``ef`` answer and its certificates read none.
 __getattr__ = _load = lazy(
@@ -118,45 +113,31 @@ __getattr__ = _load = lazy(
     {
         "categorical": ("CategoricalModeloid", "categorical_derivative"),
         "free_categories": ("homset",),
-        "ef_ambient": (
-            "PartialIsoAmbient", "_block", "_derivative_chain", "_identity", "_inverse",
-            "_restrictions", "_tables", "_tabulated", "_whole", "derivative_levels",
-        ),
+        "ef_ambient": ("PartialIsoAmbient", "_tables", "derivative_levels"),
     },
 )
 
 
 class CategoryD(Frozen):
-    """The partial-isomorphism category of a structure pair, or the part
-    of it that the ``ef`` chain reads.
+    """The partial-isomorphism category of a structure pair.
 
     ``forth`` holds Hom(left, right), the maps from ``left`` to
     ``right`` as sorted pair tuples, in sorted order; they are the indices
     0 .. len(forth) - 1 of the category, and the ``ef`` chain, its answer
-    and its certificates read nothing else.  The part (``complete``
-    false) also holds Hom(right, left), the inverses of ``forth``, and
-    the partial identities of both sides.  Those, and the tables of
-    ``ambient`` (dom, cod, inv, index), are built on first read of
-    ``ambient``, ``morphisms``, ``object_a``, ``object_b`` or ``part``,
-    with no enumeration.  ``whole`` is all of D, built on first read,
-    with the part's morphisms as its first indices.  So an index into the
-    part is the same morphism in D, and ``object_a`` and ``object_b`` are
-    the same in both.  When ``left`` and ``right`` are the same structure
-    the category has a single object, ``forth`` is End(left), and the
-    part is all of D.
+    and its certificates read nothing else.  The rest of D and its
+    tables (``ambient``: dom, cod, inv, index) are one table form, built
+    on first read of ``ambient``, ``morphisms``, ``object_a``,
+    ``object_b``, ``star`` or ``part``.  When ``left`` and ``right`` are
+    the same structure the category has a single object and ``forth`` is
+    End(left), all of D.
     """
 
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
     def __init__(
-        self, left: Structure, right: Structure,
-        forth: tuple[tuple[tuple[int, int], ...], ...], complete: bool,
+        self, left: Structure, right: Structure, forth: tuple[tuple[tuple[int, int], ...], ...]
     ):
-        vars(self).update(left=left, right=right, forth=forth, complete=complete)
-
-    @property
-    def whole(self) -> "CategoryD":
-        return self if self.complete else _load("_whole")(self)
+        vars(self).update(left=left, right=right, forth=forth)
 
     @property
     def ambient(self) -> PartialIsoAmbient:
@@ -188,24 +169,16 @@ class CategoryD(Frozen):
     def object_of(self, S: Structure) -> int:
         return (self.object_a, self.object_b)[self._side(S)]
 
-    def _holding(self, X: Structure, Y: Structure) -> "CategoryD":
-        """The D whose ambient holds Hom(X,Y): this one for the cross
-        homsets, all of D for an endoset."""
-        return self.whole if self._side(X) == self._side(Y) else self
-
     def part(self, X: Structure, Y: Structure) -> tuple[int, ...]:
-        """Indices of Part(X,Y), i.e. Hom(id_X, id_Y), which holds no star;
-        an endoset is read from all of D."""
-        D = self._holding(X, Y)
-        return _load("homset")(D.ambient, D.object_of(X), D.object_of(Y))
+        """Indices of Part(X,Y), i.e. Hom(id_X, id_Y), which holds no star."""
+        return _load("homset")(self.ambient, self.object_of(X), self.object_of(Y))
 
     def _indexed(self, X: Structure, Y: Structure) -> tuple[range | tuple[int, ...], tuple]:
         """The indices of Hom(X,Y) and the pair tuples they index: for
         (left, right) that is ``forth``, and no table is built."""
         if self._side(X) == 0 and self._side(Y) == self._side(self.right):
             return range(len(self.forth)), self.forth
-        D = self._holding(X, Y)
-        return D.part(X, Y), D.morphisms
+        return self.part(X, Y), self.morphisms
 
 
 def _check_pair(A: Structure, B: Structure, max_universe: int):
@@ -218,11 +191,6 @@ def _check_pair(A: Structure, B: Structure, max_universe: int):
             )
 
 
-def _enumerated(X: Structure, Y: Structure, max_universe: int) -> list[tuple]:
-    """The pair tuples of ``enumerate_partial_isos(X, Y)``."""
-    return [p.pairs for p in enumerate_partial_isos(X, Y, max_universe)]
-
-
 # The D of the latest ``build_category_D`` call, or None.
 _latest: CategoryD | None = None
 
@@ -230,16 +198,12 @@ _latest: CategoryD | None = None
 def build_category_D(
     A: Structure, B: Structure, max_universe: int = DEFAULT_EF_UNIVERSE_BOUND
 ) -> CategoryD:
-    """The part of D around the ``ef`` chain.  The build makes only
-    ``forth``: Hom(A,B) from one ``enumerate_partial_isos`` call, as
-    sorted pair tuples, in sorted order; only the enumeration builds
-    ``PartialIso`` objects.  The rest of the part (Hom(B,A), the inverses
-    of those maps, then the partial identities of A and of B, then star)
-    and its dom, cod, inv and index tables are built on first read of
-    ``ambient``, ``morphisms``, ``object_a``/``object_b`` or ``part``,
-    which the ``ef`` answer and its certificates never make.  All of D is
-    ``.whole``, built when first read.  For A == B this is all of D: the
-    one block End(A).
+    """Category D of the pair.  The build makes only ``forth``: Hom(A,B)
+    from one ``enumerate_partial_isos`` call, as sorted pair tuples, in
+    sorted order; only the enumeration builds ``PartialIso`` objects.
+    The rest of D and its tables are built on first read of ``ambient``,
+    ``morphisms``, ``object_a``/``object_b``, ``star`` or ``part``, which
+    the ``ef`` answer and its certificates never make.
 
     Called again with the same two structure objects (``is``, not ``==``),
     it returns the D it built last, with the compositions, down-sets and
@@ -253,8 +217,8 @@ def build_category_D(
     if _latest is not None and _latest.left is A and _latest.right is B:
         return _latest
     _latest = None
-    forth = tuple(sorted(_enumerated(A, B, max_universe)))
-    _latest = CategoryD(A, B, forth, complete=A == B)
+    forth = tuple(sorted(p.pairs for p in enumerate_partial_isos(A, B, max_universe)))
+    _latest = CategoryD(A, B, forth)
     return _latest
 
 
@@ -310,12 +274,9 @@ def homset_levels(
       (``_extended_at``), and ``_least_unextended`` reads each map's
       answer from it with one dict lookup.
 
-    Hom(A,B) is read from ``category.forth`` alone, with no table.
-    Hom(B,A) reads the part of D, whose tables are built on first read.
-    An endoset query, Hom(A,A) or Hom(B,B), reads all of D
-    (``category.whole``), built for it on first use.  The indices agree
-    in every case, since ``forth`` is the first block of the part and the
-    part is a prefix of D.
+    Hom(A,B) is read from ``category.forth`` alone, with no table; every
+    other homset reads the table of D, built on first read.  The indices
+    agree in both cases, since ``forth`` is the first block of D.
     """
     if m < 0:
         raise InputError("rounds must be non-negative")

@@ -27,7 +27,3 @@ class ParseError(InputError):
         where = f"line {line}" if column is None else f"line {line}, column {column}"
         super().__init__(f"{where}: {message}")
 
-
-class OutsideAmbientError(LookupError):
-    """A composite lies outside the morphisms an ambient holds, as when
-    the part of a category is asked for a composite only the whole has."""

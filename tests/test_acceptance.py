@@ -2,7 +2,7 @@
 
 Each test prints one ACCEPTANCE line with a PASS/FAIL verdict straight to
 the terminal (bypassing capture) before asserting, so a plain pytest run
-shows the eleven verdicts at a glance.
+shows the twelve verdicts at a glance.
 """
 
 import itertools
@@ -50,7 +50,7 @@ from modeloids.inverse_semigroups import (
 )
 from modeloids.errors import InputError
 from modeloids.modeloid import derivative, modeloid_closure, verify_modeloid
-from modeloids.partial_bijections import Carrier, PartialBijection, enumerate_all
+from modeloids.partial_bijections import Carrier, PartialBijection, enumerate_all, identity_map
 from modeloids.structures import Structure, Vocabulary
 
 POINTED_GRAPH = Vocabulary(relations=(("E", 2),), constants=("c",))
@@ -242,6 +242,23 @@ def test_05_three_characterizations_agree(announce):
     )
 
 
+def wagner_preston_embeds(t):
+    """``wagner_preston`` is injective, multiplicative and order-faithful on t."""
+    omegas = wagner_preston(t)
+    injective = len(set(omegas)) == t.order
+    multiplicative = all(
+        omegas[t.mul[a][b]] == omegas[a].compose(omegas[b])
+        for a in range(t.order)
+        for b in range(t.order)
+    )
+    faithful = all(
+        natural_leq(t, a, b) == omegas[a].is_restriction_of(omegas[b])
+        for a in range(t.order)
+        for b in range(t.order)
+    )
+    return injective and multiplicative and faithful
+
+
 def test_06_partial_bijection_representation_embeds(announce):
     failures = []
     checked = 0
@@ -249,19 +266,7 @@ def test_06_partial_bijection_representation_embeds(announce):
         if t.order > 40 or not verify_inverse_semigroup(t).ok:
             continue
         checked += 1
-        omegas = wagner_preston(t)
-        injective = len(set(omegas)) == t.order
-        multiplicative = all(
-            omegas[t.mul[a][b]] == omegas[a].compose(omegas[b])
-            for a in range(t.order)
-            for b in range(t.order)
-        )
-        faithful = all(
-            natural_leq(t, a, b) == omegas[a].is_restriction_of(omegas[b])
-            for a in range(t.order)
-            for b in range(t.order)
-        )
-        if not (injective and multiplicative and faithful):
+        if not wagner_preston_embeds(t):
             failures.append(t.order)
     announce(
         6,
@@ -276,7 +281,7 @@ def test_07_derivative_chain_stays_categorical(announce):
     for _ in range(20):
         A = random_pointed_structure(rng, "A", max_size=3)
         B = random_pointed_structure(rng, "B", max_size=3)
-        D = build_category_D(A, B).whole
+        D = build_category_D(A, B)
         M = CategoricalModeloid.everything(D.ambient)
         chain, stabilized = iterate_categorical(M, len(M.members))
         if stabilized is None or stabilized > len(M.members):
@@ -299,7 +304,7 @@ def test_08_unique_and_equational_inverse_checks_agree(announce):
     corpus.append(DISCRETE)
     corpus.append(
         dense_table(
-            build_category_D(pure_structure("P", 2), pure_structure("Q", 3)).whole.ambient
+            build_category_D(pure_structure("P", 2), pure_structure("Q", 3)).ambient
         )
     )
 
@@ -352,7 +357,7 @@ def test_09_collapses_round_trip(announce):
     ]
     endosets = 0
     for A, B in pairs:
-        D = build_category_D(A, B).whole
+        D = build_category_D(A, B)
         M = CategoricalModeloid.everything(D.ambient)
         for X in objects(D.ambient):
             sm, _ = endoset_as_semimodeloid(M, X)
@@ -437,4 +442,52 @@ def test_11_machine_output_reproducible(announce, tmp_path):
         11,
         identical and first.returncode == 0 and first.stdout != b"",
         "two runs of the ef subcommand are byte-identical",
+    )
+
+
+def rook_slice(n):
+    """Every inverse subsemigroup of R_n generated by one or two maps,
+    each closed naively under composition and inverse."""
+    maps = sorted(enumerate_all(Carrier(n)), key=lambda f: f.pairs)
+    seeds = itertools.chain(
+        itertools.combinations(maps, 1), itertools.combinations(maps, 2)
+    )
+    return {frozenset(compose_inverse_closure(seed)) for seed in seeds}
+
+
+def test_12_every_small_rook_subsemigroup_through_every_layer(announce):
+    # (a) three characterizations, (b) Wagner-Preston, (c) the one-object
+    # round trip and (d) the two inverse-category verifiers, on every case;
+    # (c) and (d) need an identity, so a semigroup without one runs them
+    # on S with id_3 adjoined (S^1, again an inverse semigroup)
+    start = time.monotonic()
+    identity = identity_map(Carrier(3))
+    cases = sorted(rook_slice(3), key=lambda S: (len(S), sorted(f.pairs for f in S)))
+    failures, monoids = [], 0
+    for S in cases:
+        t, _ = from_partial_bijections(S)
+        if find_neutral(t) is not None:
+            monoids += 1
+            monoid = t
+        else:
+            monoid, _ = from_partial_bijections(S | {identity})
+        category = semigroup_to_one_object_category(monoid)
+        collapsed = one_object_to_semigroup(category)
+        checks = {
+            "characterize": characterize(t.mul).as_tuple() == (True, True, True),
+            "wagner_preston": wagner_preston_embeds(t),
+            "round trip": (collapsed.mul, collapsed.inv) == (monoid.mul, monoid.inv),
+            "inverse checks agree": verify_inverse_category_unique(category).ok
+            == verify_inverse_category_equational(category).ok,
+        }
+        failed = [name for name, ok in checks.items() if not ok]
+        if failed:
+            failures.append((t.order, failed))
+    elapsed = time.monotonic() - start
+    announce(
+        12,
+        not failures,
+        f"{len(cases)} subsemigroups of R3 from one or two maps, {monoids} monoids and "
+        f"{len(cases) - monoids} through S^1, smallest failure "
+        f"{failures[0] if failures else 'none'}, {elapsed:.1f}s",
     )

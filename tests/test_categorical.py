@@ -157,7 +157,7 @@ def c3_p3_ambient() -> PartialIsoAmbient:
     E = Vocabulary(relations=(("E", 2),))
     C3 = Structure.build("C3", 3, E, {"E": [(0, 1), (1, 2), (2, 0)]})
     P3 = Structure.build("P3", 3, E, {"E": [(0, 1), (1, 2)]})
-    return build_category_D(C3, P3).whole.ambient
+    return build_category_D(C3, P3).ambient
 
 
 class TestClosureMatchesPairs:
@@ -205,7 +205,7 @@ class TestClosureMatchesPairs:
 class TestClosureOnGeneratorsOfD:
     def test_compositions_grow_with_members_times_generators(self, monkeypatch):
         V = Vocabulary()
-        c = build_category_D(Structure.build("A", 4, V), Structure.build("B", 4, V)).whole.ambient
+        c = build_category_D(Structure.build("A", 4, V), Structure.build("B", 4, V)).ambient
         M = CategoricalModeloid.everything(c)
         top_down = sorted(M.members, key=lambda m: -len(c.below(m)))
         gens = generators(c.compose, top_down)
@@ -268,7 +268,7 @@ class TestAtomsByDefinition:
 
     @given(structure_pairs())
     def test_endosets_of_d(self, pair):
-        c = build_category_D(*pair).whole.ambient
+        c = build_category_D(*pair).ambient
         everything = CategoricalModeloid.everything(c)
         leq = category_leq(c)
         for X in objects(c):
@@ -402,7 +402,7 @@ class TestOneCoverPass:
 
     @given(structure_pairs())
     def test_generated_pairs(self, pair):
-        ambient = build_category_D(*pair).whole.ambient
+        ambient = build_category_D(*pair).ambient
         assert len(objects(ambient)) == 2
         assert_chain_matches_reference(ambient)
 
@@ -410,7 +410,7 @@ class TestOneCoverPass:
         E = Vocabulary(relations=(("E", 2),))
         C4 = Structure.build("C4", 4, E, {"E": [(0, 1), (1, 2), (2, 3), (3, 0)]})
         P4 = Structure.build("P4", 4, E, {"E": [(0, 1), (1, 2), (2, 3)]})
-        table = dense_table(build_category_D(C4, P4).whole.ambient)
+        table = dense_table(build_category_D(C4, P4).ambient)
         assert assert_chain_matches_reference(table) > 1
 
     def test_atoms_found_once_per_end_object(self, monkeypatch):
@@ -423,7 +423,7 @@ class TestOneCoverPass:
 
         monkeypatch.setattr(categorical, "member_idempotent_atoms", counted)
         A, B = Structure.build("A", 2, Vocabulary()), Structure.build("B", 3, Vocabulary())
-        D = build_category_D(A, B).whole
+        D = build_category_D(A, B)
         categorical_derivative(CategoricalModeloid.everything(D.ambient))
         assert sorted(calls) == sorted([D.object_a, D.object_b, D.ambient.star])
 

@@ -525,6 +525,21 @@ class TestErrorPaths:
         path.write_text(text, encoding="utf-8")
         assert run(capsys, *argv, str(path)) == expected
 
+    @pytest.mark.parametrize("command, extra", [
+        (["validate"], []),
+        (["ef"], ["--left", "A", "--right", "A", "--rounds", "1"]),
+        (["verify", "semigroup"], []),
+        (["derive", "modeloid"], ["--rounds", "1"]),
+        (["embed"], []),
+    ], ids=["validate", "ef", "verify", "derive", "embed"])
+    def test_input_that_is_not_utf8_exits_2(self, capsys, tmp_path, command, extra):
+        # a byte that does not decode is a fault of the input, not of the program
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"structure A\n  universe 2\n\xff\n")
+        code, out, err = run(capsys, *command, str(path), *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text at byte 25\n"  # one line, no Traceback
+
 
 class TestDerive:
     def test_modeloid_machine_dump(self, files, capsys):
@@ -767,13 +782,13 @@ class TestEfDerivesOnce:
 
     def test_endosets_enter_only_as_partial_identities(self, capsys, monkeypatch, tmp_path):
         # the chain for Hom(S3,S4) steps on that homset alone: no
-        # endomorphism enters it, and all of D is never built
+        # endomorphism enters it, and the table of D is never built
         stepped = record_chain_steps(monkeypatch)
 
-        def unread(part):
-            raise AssertionError("all of D was built")
+        def unread(category):
+            raise AssertionError("the table of D was built")
 
-        monkeypatch.setattr(ef_games, "_whole", unread)
+        monkeypatch.setattr(ef_games, "_tables", unread)
         sets = tmp_path / "sets.txt"
         sets.write_text("structure S3\n  universe 3\n\nstructure S4\n  universe 4\n")
         code, _, _ = run(
@@ -783,15 +798,15 @@ class TestEfDerivesOnce:
         assert code == 0
         assert (tmp_path / "cert.txt").exists()
         assert stepped
+        monkeypatch.undo()  # the table of D may be read now
         D = ef_games._latest
         hom = set(D.part(D.left, D.right))
         assert [D.left.name, D.right.name] == ["S3", "S4"]
         assert all(level <= hom for level in stepped)
 
     def test_only_the_cross_blocks_are_enumerated(self, capsys, monkeypatch, tmp_path):
-        # Hom(S3,S4) is the one enumeration: Hom(S4,S3) holds its inverses,
-        # the partial identities are generated, and End(S3), End(S4) are
-        # never built: all of D is left to the paper's reference chain
+        # Hom(S3,S4) is the one enumeration, and no table of D is read:
+        # Hom(S4,S3), End(S3) and End(S4) are left to the table of D
         enumerated = []
         enumerate_isos = ef_games.enumerate_partial_isos
 
@@ -799,7 +814,11 @@ class TestEfDerivesOnce:
             enumerated.append((X.name, Y.name))
             return enumerate_isos(X, Y, *rest)
 
+        def unread(category):
+            raise AssertionError("the table of D was built")
+
         monkeypatch.setattr(ef_games, "enumerate_partial_isos", counting)
+        monkeypatch.setattr(ef_games, "_tables", unread)
         sets = tmp_path / "sets.txt"
         sets.write_text("structure S3\n  universe 3\n\nstructure S4\n  universe 4\n")
         code, _, _ = run(

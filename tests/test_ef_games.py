@@ -22,7 +22,7 @@ from reference_scans import (
     verify_certificate_by_one_point,
 )
 
-from modeloids import cli, ef_games, free_categories
+from modeloids import cli, ef_games, free_categories, structures
 from modeloids.categorical import (
     CategoricalModeloid,
     categorical_derivative,
@@ -40,7 +40,7 @@ from modeloids.ef_games import (
     surviving_maps,
     verify_certificate,
 )
-from modeloids.errors import BoundExceededError, InputError, OutsideAmbientError
+from modeloids.errors import BoundExceededError, InputError
 from modeloids.free_categories import (
     has_all_zeros,
     objects,
@@ -111,20 +111,14 @@ def part_count(p, q):
 
 class TestBuild:
     def test_morphism_count_pure_one_one(self):
-        cat = build_category_D(pure("A", 1), pure("B", 1)).whole
+        cat = build_category_D(pure("A", 1), pure("B", 1))
         assert len(cat.morphisms) == 8
         assert cat.star == 8
 
     def test_block_sizes_pure_two_three(self):
-        cat = build_category_D(pure("A", 2), pure("B", 3)).whole
+        cat = build_category_D(pure("A", 2), pure("B", 3))
         expected = part_count(2, 2) + 2 * part_count(2, 3) + part_count(3, 3)
         assert len(cat.morphisms) == expected == 67
-
-    def test_the_part_holds_cross_blocks_and_partial_identities(self):
-        cat = build_category_D(pure("A", 2), pure("B", 3))
-        assert not cat.complete
-        assert len(cat.morphisms) == 2 * part_count(2, 3) + 2**2 + 2**3 == 38
-        assert cat.star == 38
 
     def test_ambient_is_an_inverse_category_with_zeros(self):
         for A, B in [
@@ -135,7 +129,7 @@ class TestBuild:
                 Structure.build("B", 2, POINTED, {"E": [(1, 0)]}, {"c": 1}),
             ),
         ]:
-            table = dense_table(build_category_D(A, B).whole.ambient)
+            table = dense_table(build_category_D(A, B).ambient)
             assert verify_category(table).ok
             assert verify_inverse_category_unique(table).ok
             assert has_all_zeros(table)
@@ -150,7 +144,7 @@ class TestBuild:
         assert cat.morphisms[z] == ((0, 0),)
 
     def test_all_morphisms_form_a_categorical_modeloid(self):
-        cat = build_category_D(pure("A", 2), pure("B", 2)).whole
+        cat = build_category_D(pure("A", 2), pure("B", 2))
         assert verify_categorical_modeloid(
             CategoricalModeloid.everything(cat.ambient)
         ).ok
@@ -158,7 +152,6 @@ class TestBuild:
     def test_one_structure_gives_one_object(self):
         A = pure("A", 2)
         cat = build_category_D(A, A)
-        assert cat.whole is cat
         assert objects(cat.ambient) == (cat.object_a,)
         assert cat.object_a == cat.object_b
         table = one_object_to_semigroup(dense_table(cat.ambient))
@@ -203,7 +196,7 @@ class TestPartialIsoAmbient:
 
     def test_compose_is_map_composition(self):
         for A, B in self.pairs(31):
-            cat = build_category_D(A, B).whole
+            cat = build_category_D(A, B)
             amb = cat.ambient
             # each pair tuple as the map between its two structures
             side = {cat.object_a: A, cat.object_b: B}
@@ -222,7 +215,7 @@ class TestPartialIsoAmbient:
 
     def test_below_is_composition_with_idempotents(self):
         for A, B in self.pairs(32):
-            amb = build_category_D(A, B).whole.ambient
+            amb = build_category_D(A, B).ambient
             table = dense_table(amb)
             n = table.morphism_count
             for t in range(n):
@@ -243,36 +236,11 @@ class TestPartialIsoAmbient:
             return scan(c, X)
 
         monkeypatch.setattr(free_categories, "zero_of_endoset", counting)
-        # all of D: the part is no categorical modeloid, its composites
-        # leave it, and a derivative verifies its input
-        cat = build_category_D(pure("A", 2), pure("B", 3)).whole
+        cat = build_category_D(pure("A", 2), pure("B", 3))
         M = CategoricalModeloid.everything(cat.ambient)
         for _ in range(3):
             M = categorical_derivative(M)
         assert sorted(scanned) == sorted(objects(cat.ambient))
-
-    @given(structure_pairs())
-    def test_the_part_is_a_prefix_of_all_of_D(self, pair):
-        # the same morphisms and tables in the same first indices; the part
-        # composes as D does, or names a composite it does not hold
-        cat = build_category_D(*pair)
-        part, whole = cat.ambient, cat.whole.ambient
-        n = len(cat.morphisms)
-        assert cat.whole.morphisms[:n] == cat.morphisms
-        for table in ("dom", "cod", "inv"):
-            assert getattr(whole, table)[:n] == getattr(part, table)[:n]
-        assert (cat.whole.object_a, cat.whole.object_b) == (cat.object_a, cat.object_b)
-        for f in range(n):
-            assert part.below(f) == whole.below(f)
-            for g in range(n):
-                composite = whole.compose(f, g)
-                if composite == whole.star:
-                    assert part.compose(f, g) == part.star
-                elif composite < n:
-                    assert part.compose(f, g) == composite
-                else:
-                    with pytest.raises(OutsideAmbientError):
-                        part.compose(f, g)
 
     def test_pure_five_versus_five_at_four_rounds(self):
         A, B = pure("A", 5), pure("B", 5)
@@ -875,11 +843,10 @@ class TestUniverseFour:
     def test_levels_match_the_reach_above_chain(self, pair, m):
         A, B = pair
         cat = build_category_D(A, B)
-        D = cat.whole
         part = cat.part(A, B)
         full = derivative_levels(cat, m)
         levels = [
-            frozenset(D.morphisms[i] for i in part if i in members)
+            frozenset(cat.morphisms[i] for i in part if i in members)
             for members in full
         ]
         reference = reach_above_chain(A, B, m)
@@ -892,7 +859,7 @@ class TestUniverseFour:
                     members & block for members in full
                 )
                 assert surviving_maps(cat, m, X, Y) == tuple(
-                    PartialIso(X, Y, D.morphisms[i]) for i in sorted(full[-1] & block)
+                    PartialIso(X, Y, cat.morphisms[i]) for i in sorted(full[-1] & block)
                 )
 
 
@@ -1006,13 +973,12 @@ class TestSharedCategory:
         monkeypatch.setattr(PartialIso, "__eq__", counting)
         A, B = pure("S3", 3), pure("S4", 4)
         D = build_category_D(A, B)
-        whole = D.whole
+        D.ambient  # builds all of D
         assert compared == []
-        for category in (D, whole):
-            for S in (A, B):
-                X = category.object_of(S)
-                assert category.morphisms[X] == tuple((x, x) for x in range(S.universe_size))
-                assert category.ambient.dom[X] == category.ambient.cod[X] == X
+        for S in (A, B):
+            X = D.object_of(S)
+            assert D.morphisms[X] == tuple((x, x) for x in range(S.universe_size))
+            assert D.ambient.dom[X] == D.ambient.cod[X] == X
 
     @pytest.mark.parametrize("pair", [
         (pure("S3", 3), pure("S4", 4)),
@@ -1034,7 +1000,9 @@ class TestSharedCategory:
             return found
 
         monkeypatch.setattr(PartialIso, "__init__", counting)
+        # Hom(A,B) is enumerated in the build, End(A) and End(B) with D's table
         monkeypatch.setattr(ef_games, "enumerate_partial_isos", counted)
+        monkeypatch.setattr(structures, "enumerate_partial_isos", counted)
         A, B = (replace(S) for S in pair)
         cat = build_category_D(A, B)
         for X in (A, B):
@@ -1172,8 +1140,8 @@ def digest(data: bytes) -> str:
 
 class TestNoTablesOnTheEfPath:
     """The answer, its witness and its certificate read only Hom(A,B), the
-    sorted pair tuples of ``forth``: with the part's table builder made to
-    raise they come out as they did with every table built."""
+    sorted pair tuples of ``forth``: with D's table builder made to raise
+    they come out as they did with every table built."""
 
     @pytest.fixture(autouse=True)
     def no_tables(self, monkeypatch):

@@ -40,8 +40,7 @@ def test_demo_exits_0(demo):
 
 def test_readme_library_example(monkeypatch):
     # the two ef_equiv_derivative calls on C3/P3 share one D: Hom(C3,P3)
-    # is enumerated once, not once per call, Hom(P3,C3) holds its
-    # inverses, and the endosets are not enumerated at all
+    # is enumerated once, not once per call, and no table of D is read
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
     enumerated = []
@@ -51,6 +50,10 @@ def test_readme_library_example(monkeypatch):
         enumerated.append(tuple(S.name for S in args[:2]))
         return real(*args)
 
+    def unread(category):
+        raise AssertionError("the table of D was built")
+
     monkeypatch.setattr(ef_games, "enumerate_partial_isos", counted)
+    monkeypatch.setattr(ef_games, "_tables", unread)
     exec(block, {})
     assert enumerated == [("C3", "P3")]

@@ -121,7 +121,7 @@ def c3_p3_category() -> FreeCategory:
     E = Vocabulary(relations=(("E", 2),))
     C3 = Structure.build("C3", 3, E, {"E": [(0, 1), (1, 2), (2, 0)]})
     P3 = Structure.build("P3", 3, E, {"E": [(0, 1), (1, 2)]})
-    return dense_table(build_category_D(C3, P3).whole.ambient)
+    return dense_table(build_category_D(C3, P3).ambient)
 
 
 class TestComposabilityMatchesPairs:
@@ -453,7 +453,7 @@ class TestPartnersPerHomset:
     @settings(max_examples=30)
     @given(structure_pairs())
     def test_generated_categories(self, pair):
-        self.agrees_with_the_full_scan(dense_table(build_category_D(*pair).whole.ambient))
+        self.agrees_with_the_full_scan(dense_table(build_category_D(*pair).ambient))
 
     def test_rook_monoid_on_two_points(self):
         self.agrees_with_the_full_scan(semigroup_to_one_object_category(f_table(2)[0]))

@@ -83,7 +83,7 @@ FIELDS = {
     "PartialIsoAmbient": (
         "morphism_count", "star", "dom", "cod", "inv", "morphisms", "index", "constants"
     ),
-    "CategoryD": ("left", "right", "forth", "complete"),
+    "CategoryD": ("left", "right", "forth"),
     "BackAndForthCertificate": ("left", "right", "rounds", "levels"),
 }
 NAMES = list(FIELDS)

@@ -351,7 +351,7 @@ class TestAssociativityMatchesScan:
         E = Vocabulary(relations=(("E", 2),))
         C4 = Structure.build("C4", 4, E, {"E": [(0, 1), (1, 2), (2, 3), (3, 0)]})
         P4 = Structure.build("P4", 4, E, {"E": [(0, 1), (1, 2), (2, 3)]})
-        comp = dense_table(build_category_D(C4, P4).whole.ambient).comp
+        comp = dense_table(build_category_D(C4, P4).ambient).comp
         assert associativity_witness(comp) is None
         for mul in mutations(comp, random.Random(11), 4):
             assert associativity_witness(mul) == cubic_associativity_witness(mul)
@@ -646,7 +646,7 @@ def rook_semimodeloids(draw):
 def collapsed_endosets(draw):
     """The collapse of a member endoset of category D at one of its first
     derivative levels."""
-    D = build_category_D(*draw(structure_pairs())).whole
+    D = build_category_D(*draw(structure_pairs()))
     members = derivative_levels(D, draw(st.integers(0, 2)))[-1]
     X = draw(st.sampled_from(objects(D.ambient)))
     return endoset_as_semimodeloid(CategoricalModeloid(D.ambient, members), X)[0]

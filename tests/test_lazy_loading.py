@@ -77,6 +77,9 @@ pairs = [
 ]
 """
 SWEEP_LOOP = """
+def unread(category):
+    raise AssertionError("the table of D was built")
+ef_games._tables = unread
 for A, B in pairs:
     for m in range(3):
         equivalent, _ = ef_games.ef_equiv_derivative(A, B, m)
@@ -221,7 +224,7 @@ SURFACE = {
         "ef_equiv_derivative", "ef_equiv_oracle", "extract_certificate",
         "format_certificate", "homset_levels", "surviving_maps", "verify_certificate",
     ),
-    "errors": ("BoundExceededError", "InputError", "OutsideAmbientError", "ParseError"),
+    "errors": ("BoundExceededError", "InputError", "ParseError"),
     "fileformats": (
         "format_categorical_modeloid_file", "format_category_file",
         "format_modeloid_file", "format_semigroup_file", "format_semimodeloid_file",
@@ -262,7 +265,7 @@ NAMES = sorted(name for home, names in SURFACE.items() for name in (home, *names
 
 class TestSurface:
     def test_all_is_unchanged(self):
-        assert len(NAMES) == 100
+        assert len(NAMES) == 99
         assert modeloids.__all__ == NAMES
 
     @pytest.mark.parametrize("home", sorted(SURFACE))
