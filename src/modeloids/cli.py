@@ -150,6 +150,9 @@ def cmd_ef(args: argparse.Namespace) -> int:
     )
     by_oracle = ef_equiv_oracle(A, B, args.rounds, args.max_universe)
     agrees = by_derivative == by_oracle
+    # extracted before any output, so that a failure here gives no answer
+    certified = args.certificate is not None and agrees
+    cert = extract_certificate(A, B, args.rounds, category=category) if certified else None
 
     records = [
         ("equivalent", _bool(by_derivative)),
@@ -169,7 +172,6 @@ def cmd_ef(args: argparse.Namespace) -> int:
         return 4
 
     if args.certificate is not None:
-        cert = extract_certificate(A, B, args.rounds, category=category)
         if cert is None:
             print(
                 f"no certificate: not equivalent at {args.rounds} rounds",
@@ -371,6 +373,11 @@ def main(argv=None) -> int:
     try:
         if getattr(ns, "rounds", 0) < 0:
             raise InputError("--rounds must be non-negative")
+        # derive and ef --certificate list rounds + 1 levels, and no list
+        # is longer than sys.maxsize
+        listed = ns.command == "derive" or getattr(ns, "certificate", None) is not None
+        if listed and ns.rounds >= sys.maxsize:
+            raise InputError(f"--rounds must be below {sys.maxsize} to list its levels")
         if getattr(ns, "max_universe", 1) < 1:
             raise InputError("--max-universe must be positive")
         return handlers[ns.command](ns)

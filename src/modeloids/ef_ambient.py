@@ -1,20 +1,20 @@
 """The tables of category D and the paper's reference chain on all of D.
 
-``ef_games`` decides m-round equivalence from Hom(A,B) alone, as sorted
-pair tuples, and never reads what this module builds; it loads this
-module on the first read of ``CategoryD.ambient``, ``morphisms``,
-``object_a``/``object_b`` or ``part``, or on the first call of
-``derivative_levels``, and every name here also resolves from
-``ef_games``.
+``ef_games`` reads every homset of D from its own block
+(``CategoryD.hom``) and never reads what this module builds; it loads
+this module on the first read of ``CategoryD.ambient``, ``morphisms`` or
+``star``, or on the first call of ``derivative_levels``, and every name
+here also resolves from ``ef_games``.
 
-``_tables`` lays out all of D, one table form built once per D on first
-read, and tabulates its dom, cod, inv and index tables (``_tabulated``)
-into a ``PartialIsoAmbient``, which composes two maps on demand and
-lists the down-set of a map as its restrictions that keep the constant
-pairs.  ``derivative_levels`` steps the paper's chain on all of D
-through ``categorical_derivative``: the reference the ``ef`` chain must
-agree with.  The names this module reads of ``ef_games``
-(``CategoryD``, ``CategoricalModeloid``, ``categorical_derivative``) are
+``_tables`` lays out all of D as those blocks end to end, once per D on
+first read, so every index is the one its homset's block gives it, and
+tabulates its dom, cod, inv and index tables into a
+``PartialIsoAmbient``, which composes two maps on demand and lists the
+down-set of a map as its restrictions that keep the constant pairs.
+``derivative_levels`` steps the paper's chain on all of D through
+``categorical_derivative``: the reference the ``ef`` chain must agree
+with.  The names this module reads of ``ef_games`` (``CategoryD``,
+``_inverse``, ``CategoricalModeloid``, ``categorical_derivative``) are
 read there at each call, so a patch or a tracer set on ``ef_games`` is
 the one called.
 """
@@ -24,10 +24,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import product
 
-from . import ef_games, structures
+from . import ef_games
 from .derived import Chain, Frozen, fact, padded
 from .errors import InputError
-from .structures import Structure
 
 
 class PartialIsoAmbient(Frozen):
@@ -84,61 +83,30 @@ def _restrictions(pairs: tuple, fixed) -> Iterator[tuple]:
     return (sum(kept, ()) for kept in product(*choices))
 
 
-def _identity(S: Structure) -> tuple[tuple[int, int], ...]:
-    return tuple((x, x) for x in range(S.universe_size))
-
-
-def _inverse(pairs: tuple) -> tuple:
-    return tuple(sorted((b, a) for a, b in pairs))
-
-
-def _block(lt: int, rt: int, maps) -> list[tuple[int, int, tuple]]:
-    """The maps from side lt to side rt, sorted."""
-    return [(lt, rt, p) for p in sorted(maps)]
-
-
 @fact
-def _tables(category: ef_games.CategoryD) -> tuple[PartialIsoAmbient, int, int]:
-    """All of D and its two objects.  The layout is ``forth``, then for
-    two sides its inverses, End(left) and End(right), each block sorted;
-    star comes after the last map.  For one side it is the one block
-    End(left).  dom, cod and inv are tabulated over it; composition is
-    left to the ambient.  Only the endosets are enumerated, through
-    ``structures`` and not ``ef_games``, so that a patch or tracer on
-    ``ef_games.enumerate_partial_isos`` sees only the build's one call."""
-    left, right, forth = category.left, category.right, category.forth
-    if left == right:
-        return _tabulated((left,), [(0, 0, p) for p in forth])
-    layout = [(0, 1, p) for p in forth] + _block(1, 0, map(_inverse, forth))
-    for s, S in enumerate((left, right)):
-        endos = structures.enumerate_partial_isos(S, S, S.universe_size)
-        layout += _block(s, s, (p.pairs for p in endos))
-    return _tabulated((left, right), layout)
-
-
-def _tabulated(
-    sides: tuple[Structure, ...], layout: list[tuple[int, int, tuple]]
-) -> tuple[PartialIsoAmbient, int, int]:
-    """Tabulate dom, cod and inv over ``layout``, a list of (source side,
-    target side, map) in index order; star comes after the last map."""
-    morphisms = tuple(p for _, _, p in layout)
+def _tables(category: ef_games.CategoryD) -> PartialIsoAmbient:
+    """All of D: its homset blocks end to end in index order
+    (``CategoryD.hom``), Hom(A,B), Hom(B,A), End(A), End(B), or for one
+    side the one block End(A); star comes after the last map.  dom, cod
+    and inv are tabulated over them; composition is left to the ambient."""
+    A, B = category.left, category.right
+    obj = {S: category.object_of(S) for S in (A, B)}  # one entry for one side
+    morphisms, dom, cod = (), [], []
+    for X, Y in ((A, A),) if A == B else ((A, B), (B, A), (A, A), (B, B)):
+        maps = category.hom(X, Y)[1]
+        morphisms += maps
+        dom += [obj[X]] * len(maps)
+        cod += [obj[Y]] * len(maps)
     star = len(morphisms)
-    full = [_identity(S) for S in sides]
-    obj = [0] * len(sides)
-    for i, (lt, rt, p) in enumerate(layout):
-        if lt == rt and p == full[lt]:
-            obj[lt] = i
-    dom = tuple(obj[lt] for lt, _, _ in layout) + (star,)
-    cod = tuple(obj[rt] for _, rt, _ in layout) + (star,)
+    dom, cod = tuple(dom) + (star,), tuple(cod) + (star,)
     index = {(dom[i], cod[i], p): i for i, p in enumerate(morphisms)}
     inv = [star] * (star + 1)
     for i, p in enumerate(morphisms):
         if inv[i] == star:  # each inverse pair is looked up once
-            inv[i] = j = index[(cod[i], dom[i], _inverse(p))]
+            inv[i] = j = index[(cod[i], dom[i], ef_games._inverse(p))]
             inv[j] = i
-    constants = {obj[s]: S.constants for s, S in enumerate(sides)}
-    ambient = PartialIsoAmbient(star + 1, star, dom, cod, tuple(inv), morphisms, index, constants)
-    return ambient, obj[0], obj[-1]
+    constants = {obj[S]: S.constants for S in (A, B)}
+    return PartialIsoAmbient(star + 1, star, dom, cod, tuple(inv), morphisms, index, constants)
 
 
 @fact

@@ -32,18 +32,19 @@ chain on all of D (``derivative_levels``, the paper's route through
 
 So ``build_category_D`` makes only Hom(A,B), from one enumeration, as
 the sorted pair tuples ``CategoryD.forth``; the ``ef`` answer, its
-witness and its certificates read nothing else.  The rest of D has one
-table form, built on first read of ``CategoryD.ambient`` (or
-``morphisms``, ``object_a``, ``object_b``, ``star``, ``part``): Hom(B,A)
-as the inverses of ``forth``, End(A) and End(B), each from one
-enumeration, and the ambient's dom, cod, inv and index tables.  That
-table, the ``PartialIsoAmbient`` and ``derivative_levels`` live in
-``ef_ambient``, which this module loads on the first such read or call;
-each of their names resolves from here too.  Only ``derivative_levels``
-and ``CategoryD.part`` call the table layers ``categorical`` and
-``free_categories``, which are loaded on their first call.  So the
-``ef`` answer and its certificates load neither ``ef_ambient`` nor a
-table layer.
+witness and its certificates read nothing else.  D is its four homsets
+laid end to end, and each is built on its own, on its first read
+(``CategoryD.hom``): Hom(B,A) as the inverses of ``forth``, End(A) and
+End(B) from one enumeration each.  Every homset chain, ``part``,
+``object_a`` and ``object_b`` read those blocks and no table.  The
+table of all of D, the blocks' concatenation with its dom, cod, inv and
+index tables, is built on first read of ``CategoryD.ambient`` (or
+``morphisms``, ``star``).  That table, the ``PartialIsoAmbient`` and
+``derivative_levels`` live in ``ef_ambient``, which this module loads on
+the first such read or call; each of their names resolves from here
+too.  Only ``derivative_levels`` calls the table layer ``categorical``,
+loaded on its first call.  So the ``ef`` answer and its certificates
+load neither ``ef_ambient`` nor a table layer.
 
 Asking one pair for m = 0, 1, 2, ... builds D once.  ``build_category_D``
 keeps the D of its latest call and returns it again when called with the
@@ -93,7 +94,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from . import verdict as v
+from . import structures, verdict as v
 from .codes import _code, _extended_at, _least_unextended
 from .derived import Chain, Frozen, fact, lazy, padded
 from .errors import DEFAULT_EF_UNIVERSE_BOUND, BoundExceededError, InputError
@@ -106,13 +107,12 @@ from .structures import (
 )
 
 # D's table and the paper's chain on all of D (``ef_ambient``), and the
-# table layers that only they and ``CategoryD.part`` call, are loaded on
-# the first such read; the ``ef`` answer and its certificates read none.
+# table layer that only the chain calls, are loaded on the first such
+# read; the ``ef`` answer and its certificates read none.
 __getattr__ = _load = lazy(
     globals(),
     {
         "categorical": ("CategoricalModeloid", "categorical_derivative"),
-        "free_categories": ("homset",),
         "ef_ambient": ("PartialIsoAmbient", "_tables", "derivative_levels"),
     },
 )
@@ -121,15 +121,17 @@ __getattr__ = _load = lazy(
 class CategoryD(Frozen):
     """The partial-isomorphism category of a structure pair.
 
-    ``forth`` holds Hom(left, right), the maps from ``left`` to
-    ``right`` as sorted pair tuples, in sorted order; they are the indices
-    0 .. len(forth) - 1 of the category, and the ``ef`` chain, its answer
-    and its certificates read nothing else.  The rest of D and its
-    tables (``ambient``: dom, cod, inv, index) are one table form, built
-    on first read of ``ambient``, ``morphisms``, ``object_a``,
-    ``object_b``, ``star`` or ``part``.  When ``left`` and ``right`` are
-    the same structure the category has a single object and ``forth`` is
-    End(left), all of D.
+    D is its four homsets laid end to end (``hom``), each a block of
+    sorted pair tuples in sorted order: Hom(left, right), which is
+    ``forth`` and holds the indices 0 .. len(forth) - 1, then
+    Hom(right, left), End(left) and End(right).  Each block is built on
+    its own, on its first read, so a read of one homset builds no other
+    endoset and no table; the ``ef`` chain, its answer and its
+    certificates read ``forth`` alone.  The tables of all of D
+    (``ambient``: dom, cod, inv, index) are the blocks' concatenation,
+    built on first read of ``ambient``, ``morphisms`` or ``star``.  When
+    ``left`` and ``right`` are the same structure the category has a
+    single object and ``forth`` is End(left), all of D.
     """
 
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
@@ -141,15 +143,15 @@ class CategoryD(Frozen):
 
     @property
     def ambient(self) -> PartialIsoAmbient:
-        return _load("_tables")(self)[0]
+        return _load("_tables")(self)
 
     @property
     def object_a(self) -> int:
-        return _load("_tables")(self)[1]
+        return self.object_of(self.left)
 
     @property
     def object_b(self) -> int:
-        return _load("_tables")(self)[2]
+        return self.object_of(self.right)
 
     @property
     def star(self) -> int:
@@ -166,19 +168,38 @@ class CategoryD(Frozen):
             return 1
         raise InputError("structure is not a side of this category")
 
+    @fact
+    def hom(self, X: Structure, Y: Structure) -> tuple[int, tuple]:
+        """Hom(X,Y) as (the index in D of its first map, its maps as sorted
+        pair tuples, in sorted order).  Hom(right, left) is the inverses of
+        ``forth``.  An endoset is enumerated through ``structures``, not
+        this module's name, so a patch or tracer on
+        ``ef_games.enumerate_partial_isos`` sees only the build's call."""
+        x, y = self._side(X), self._side(Y)
+        if self.left == self.right or (x, y) == (0, 1):
+            return 0, self.forth
+        if x != y:
+            return len(self.forth), tuple(sorted(map(_inverse, self.forth)))
+        start = 2 * len(self.forth)
+        if x == 1:  # End(right) comes right after End(left)
+            start, before = self.hom(self.left, self.left)
+            start += len(before)
+        endos = structures.enumerate_partial_isos(X, X, X.universe_size)
+        return start, tuple(sorted(p.pairs for p in endos))
+
     def object_of(self, S: Structure) -> int:
-        return (self.object_a, self.object_b)[self._side(S)]
+        """The index of id_S, the full identity in End(S)'s block."""
+        start, maps = self.hom(S, S)
+        return start + maps.index(tuple((x, x) for x in range(S.universe_size)))
 
     def part(self, X: Structure, Y: Structure) -> tuple[int, ...]:
         """Indices of Part(X,Y), i.e. Hom(id_X, id_Y), which holds no star."""
-        return _load("homset")(self.ambient, self.object_of(X), self.object_of(Y))
+        start, maps = self.hom(X, Y)
+        return tuple(range(start, start + len(maps)))
 
-    def _indexed(self, X: Structure, Y: Structure) -> tuple[range | tuple[int, ...], tuple]:
-        """The indices of Hom(X,Y) and the pair tuples they index: for
-        (left, right) that is ``forth``, and no table is built."""
-        if self._side(X) == 0 and self._side(Y) == self._side(self.right):
-            return range(len(self.forth)), self.forth
-        return self.part(X, Y), self.morphisms
+
+def _inverse(pairs: tuple) -> tuple:
+    return tuple(sorted((b, a) for a, b in pairs))
 
 
 def _check_pair(A: Structure, B: Structure, max_universe: int):
@@ -201,9 +222,9 @@ def build_category_D(
     """Category D of the pair.  The build makes only ``forth``: Hom(A,B)
     from one ``enumerate_partial_isos`` call, as sorted pair tuples, in
     sorted order; only the enumeration builds ``PartialIso`` objects.
-    The rest of D and its tables are built on first read of ``ambient``,
-    ``morphisms``, ``object_a``/``object_b``, ``star`` or ``part``, which
-    the ``ef`` answer and its certificates never make.
+    Each other homset is built on its first read (``CategoryD.hom``), and
+    the tables of D on first read of ``ambient``, ``morphisms`` or
+    ``star``; the ``ef`` answer and its certificates make neither read.
 
     Called again with the same two structure objects (``is``, not ``==``),
     it returns the D it built last, with the compositions, down-sets and
@@ -227,11 +248,11 @@ def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> Chain:
     """D^j ∩ Hom(X,Y) as index sets; a step keeps a map when every point
     of X and of Y outside it extends it by one pair to a map of the level,
     read from one index of the level's one-point extensions.  Each map is
-    coded once, for every step of the chain.  Hom(left, right) is read
-    from ``forth`` alone."""
-    indices, maps = category._indexed(X, Y)
+    coded once, for every step of the chain.  It reads the one block
+    ``category.hom(X, Y)``, and no table."""
+    start, maps = category.hom(X, Y)
     sources, targets = X.universe_size, Y.universe_size
-    codes = {i: _code(maps[i], targets) for i in indices}
+    codes = {i: _code(p, targets) for i, p in enumerate(maps, start)}
 
     def step(level: frozenset[int]) -> frozenset[int]:
         at = _extended_at((codes[i] for i in level), sources, targets)
@@ -274,22 +295,14 @@ def homset_levels(
       (``_extended_at``), and ``_least_unextended`` reads each map's
       answer from it with one dict lookup.
 
-    Hom(A,B) is read from ``category.forth`` alone, with no table; every
-    other homset reads the table of D, built on first read.  The indices
-    agree in both cases, since ``forth`` is the first block of D.
+    Each homset is read from its own block (``CategoryD.hom``), with no
+    table: Hom(A,B) is ``category.forth``, Hom(B,A) its inverses, and an
+    endoset one enumeration.  The indices are those of the table of D,
+    which lays out the same blocks end to end.
     """
     if m < 0:
         raise InputError("rounds must be non-negative")
     return padded(tuple(_homset_chain(category, X, Y).upto(m)), m)
-
-
-def _survivors(category: CategoryD, m: int, X: Structure, Y: Structure) -> list[tuple]:
-    """The pair tuples of Part(X,Y) ∩ D^m, in index order."""
-    if m < 0:
-        raise InputError("rounds must be non-negative")
-    final = _homset_chain(category, X, Y).upto(m)[-1]
-    _, maps = category._indexed(X, Y)
-    return [maps[i] for i in sorted(final)]
 
 
 def surviving_maps(
@@ -297,7 +310,10 @@ def surviving_maps(
 ) -> tuple[PartialIso, ...]:
     """Part(X,Y) ∩ D^m for any side pair, star excluded; the general
     form of the equivalence query, sorted for determinism."""
-    return tuple(PartialIso(X, Y, p) for p in _survivors(category, m, X, Y))
+    if m < 0:
+        raise InputError("rounds must be non-negative")
+    final = _level_maps(category, X, Y, len(_homset_chain(category, X, Y).upto(m)) - 1)
+    return tuple(PartialIso(X, Y, p) for p in sorted(final))
 
 
 def ef_equiv_derivative(
@@ -316,7 +332,7 @@ def ef_equiv_derivative(
         raise InputError("rounds must be non-negative")
     if category is None:
         category = build_category_D(A, B, max_universe)
-    survivors = _survivors(category, m, A, B)
+    survivors = _level_maps(category, A, B, len(_homset_chain(category, A, B).upto(m)) - 1)
     if not survivors:
         return False, None
     return True, PartialIso(A, B, max(survivors, key=lambda p: (len(p), p)))
@@ -389,9 +405,10 @@ class BackAndForthCertificate(Frozen):
 def _level_maps(category: CategoryD, X: Structure, Y: Structure, j: int) -> frozenset[tuple]:
     """Distinct level j of the (X, Y) homset chain as a set of pair
     tuples, made once per category, so that the certificates of every m
-    share their level objects."""
-    _, maps = category._indexed(X, Y)
-    return frozenset(maps[i] for i in _homset_chain(category, X, Y).levels[j])
+    share their level objects; the witness and ``surviving_maps`` read
+    the last distinct level from here too."""
+    start, maps = category.hom(X, Y)
+    return frozenset(maps[i - start] for i in _homset_chain(category, X, Y).levels[j])
 
 
 def extract_certificate(

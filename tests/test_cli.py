@@ -540,6 +540,35 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: not UTF-8 text at byte 25\n"  # one line, no Traceback
 
+    @pytest.mark.parametrize("certified", [True, False], ids=["ef-certificate", "derive"])
+    def test_more_rounds_than_a_list_holds_exit_2(
+        self, files, capsys, monkeypatch, tmp_path, certified
+    ):
+        # both list rounds + 1 levels: the request is refused before its
+        # input is read, so nothing is built
+        def unread(args):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(cli, "_read", unread)
+        certificate = tmp_path / "cert.txt"
+        if certified:
+            argv = ["ef", files["sets.txt"], "--left", "P2", "--right", "P2",
+                    "--certificate", str(certificate)]
+        else:
+            argv = ["derive", "modeloid", files["shrink.txt"]]
+        code, out, err = run(capsys, *argv, "--rounds", "99999999999999999999")
+        assert (code, out) == (2, "")
+        assert err == f"error: --rounds must be below {sys.maxsize} to list its levels\n"
+        assert not certificate.exists()
+
+    def test_more_rounds_than_a_list_holds_still_answer_ef(self, files, capsys):
+        rounds = "99999999999999999999"
+        code, out, err = run(
+            capsys, "ef", files["sets.txt"], "--left", "P2", "--right", "P2", "--rounds", rounds
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["equivalent: true", f"rounds: {rounds}"]
+
 
 class TestDerive:
     def test_modeloid_machine_dump(self, files, capsys):
@@ -969,6 +998,19 @@ class TestSubprocess:
         assert err.startswith("error: internal RuntimeError")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_certificate_failure_gives_no_answer(self, files, capsys, monkeypatch, tmp_path):
+        # the certificate is extracted before the answer is written
+        def broken(*args, **kwargs):
+            raise RuntimeError("extraction failed")
+
+        monkeypatch.setattr(cli, "extract_certificate", broken)
+        code, out, err = run(
+            capsys, "ef", files["sets.txt"], "--left", "P2", "--right", "P3", "--rounds", "2",
+            "--certificate", str(tmp_path / "cert.txt"),
+        )
+        assert (code, out) == (5, "")
+        assert err == "error: internal RuntimeError: extraction failed\n"
 
     def test_thousands_of_rounds_answer(self, tmp_path):
         # the oracle's recursion depth is bounded by the universe, not by m

@@ -1103,6 +1103,67 @@ class TestBackIsForthInverted:
             assert {cat.morphisms[i] for i in here} == inverted
 
 
+class TestHomsetBlocks:
+    """D is its homsets laid end to end: each is read from its own block,
+    with no table of D, and the table lays out the same blocks."""
+
+    @pytest.fixture
+    def enumerated(self, monkeypatch):
+        # the build enumerates through the ef_games name, every endoset
+        # through structures: only the endosets are counted here
+        found = []
+        real = structures.enumerate_partial_isos
+
+        def counting(X, Y, *rest):
+            found.append((X.name, Y.name))
+            return real(X, Y, *rest)
+
+        def unread(category):
+            raise AssertionError("the table of D was built")
+
+        monkeypatch.setattr(structures, "enumerate_partial_isos", counting)
+        monkeypatch.setattr(ef_games, "_tables", unread)
+        return found
+
+    def test_hom_b_a_enumerates_nothing(self, enumerated):
+        A, B = pure("S3", 3), pure("S4", 4)
+        D = build_category_D(A, B)
+        levels = homset_levels(D, 3, B, A)
+        survivors = surviving_maps(D, 3, B, A)
+        assert D.part(B, A) == tuple(range(len(D.forth), 2 * len(D.forth)))
+        assert enumerated == []
+        back = {tuple(sorted((b, a) for a, b in p)) for p in D.forth}
+        assert set(D.hom(B, A)[1]) == back
+        assert len(levels) == 4 and levels[0] == frozenset(D.part(B, A))
+        assert all(f.pairs in back for f in survivors)
+
+    def test_end_a_enumerates_one_endoset(self, enumerated):
+        A, B = pure("S3", 3), pure("S4", 4)
+        D = build_category_D(A, B)
+        homset_levels(D, 3, A, A)
+        surviving_maps(D, 3, A, A)
+        start, maps = D.hom(A, A)
+        assert D.part(A, A) == tuple(range(start, start + part_count(3, 3)))
+        assert start == 2 * part_count(3, 4)
+        assert maps[D.object_a - start] == ((0, 0), (1, 1), (2, 2))
+        assert enumerated == [("S3", "S3")]
+
+    @given(structure_pairs())
+    def test_blocks_are_the_homsets_of_the_table(self, pair):
+        A, B = pair
+        for left, right in [(A, B), (A, A), (A, replace(A))]:
+            D = build_category_D(left, right)
+            sides = (right, left)  # End(right) first: its offset needs no table
+            blocks = {(X, Y): D.hom(X, Y) for X in sides for Y in sides}
+            for (X, Y), (start, maps) in blocks.items():
+                indices = D.part(X, Y)
+                assert indices == free_categories.homset(
+                    D.ambient, D.object_of(X), D.object_of(Y)
+                )
+                assert indices == tuple(range(start, start + len(maps)))
+                assert maps == tuple(D.morphisms[i] for i in indices)
+
+
 SETS = "structure S3\n  universe 3\n\nstructure S4\n  universe 4\n"
 CYCLE_AND_PATH = (
     "vocabulary\n  relation E 2\n\n"
