@@ -6,11 +6,11 @@ equivalence by derivative, cross-checked against the game oracle),
 chains), ``embed`` (partial-bijection representation of a table).
 
 Exit codes: 0 success or equivalent; 1 axiom violation or not
-equivalent; 2 malformed input or exceeded bound; 3 unreadable file;
-4 the two equivalence methods disagree (never reconciled silently);
-5 internal error (the program itself failed, e.g. an unexpected
-exception in a library call; one ``error: internal`` line on stderr, no
-answer is given).
+equivalent; 2 malformed input or exceeded bound; 3 a file that cannot
+be read or a certificate that cannot be written; 4 the two equivalence
+methods disagree (never reconciled silently); 5 internal error (the
+program itself failed, e.g. an unexpected exception in a library call;
+one ``error: internal`` line on stderr, no answer is given).
 
 ``--format machine`` prints the same key:value lines sorted by key,
 with booleans as lowercase true/false; repeated runs on identical
@@ -150,9 +150,13 @@ def cmd_ef(args: argparse.Namespace) -> int:
     )
     by_oracle = ef_equiv_oracle(A, B, args.rounds, args.max_universe)
     agrees = by_derivative == by_oracle
-    # extracted before any output, so that a failure here gives no answer
+    # extracted and written before any output, so that a failure here
+    # gives no answer
     certified = args.certificate is not None and agrees
     cert = extract_certificate(A, B, args.rounds, category=category) if certified else None
+    if cert is not None:
+        with args.certificate.open("w", encoding="utf-8") as out:
+            out.writelines(certificate_lines(cert))
 
     records = [
         ("equivalent", _bool(by_derivative)),
@@ -171,15 +175,8 @@ def cmd_ef(args: argparse.Namespace) -> int:
         )
         return 4
 
-    if args.certificate is not None:
-        if cert is None:
-            print(
-                f"no certificate: not equivalent at {args.rounds} rounds",
-                file=sys.stderr,
-            )
-        else:
-            with args.certificate.open("w", encoding="utf-8") as out:
-                out.writelines(certificate_lines(cert))
+    if args.certificate is not None and cert is None:
+        print(f"no certificate: not equivalent at {args.rounds} rounds", file=sys.stderr)
     return 0 if by_derivative else 1
 
 
@@ -192,16 +189,29 @@ def _table_with_inverses(
     return resolve_inverses(sf.mul, sf.neutral, sf.zero)
 
 
-def _semimodeloid_instance(text: str) -> tuple[Semimodeloid | None, Verdict]:
-    sf = fileformats.parse_semimodeloid_file(text)
-    table, verdict = _table_with_inverses(sf)
-    if not verdict.ok:
-        return None, verdict
-    sm = Semimodeloid(table, frozenset(sf.members))
-    return sm, verify_semimodeloid(sm)
-
-
-def _categorical_instance(text: str) -> tuple[CategoricalModeloid | None, Verdict]:
+def _instance(kind: str, text: str) -> tuple[object | None, Verdict]:
+    """Parse a table file of ``kind`` and check it against its layer's
+    axioms: the instance (None once a check before its own failed) and
+    the verdict."""
+    _bind("fileformats", *_KINDS[kind])
+    if kind == "semigroup":
+        return _table_with_inverses(fileformats.parse_semigroup_file(text))
+    if kind == "category":
+        c = fileformats.parse_category_file(text)
+        return c, verify_category(c)
+    if kind == "inverse-category":
+        c = fileformats.parse_category_file(text)
+        return c, verify_inverse_category_unique(c)
+    if kind == "modeloid":
+        M = fileformats.parse_modeloid_file(text)
+        return M, verify_modeloid(M)
+    if kind == "semimodeloid":
+        sf = fileformats.parse_semimodeloid_file(text)
+        table, verdict = _table_with_inverses(sf)
+        if not verdict.ok:
+            return None, verdict
+        sm = Semimodeloid(table, frozenset(sf.members))
+        return sm, verify_semimodeloid(sm)
     c, members = fileformats.parse_categorical_modeloid_file(text)
     # a declared inv row skips no check: the table must be an inverse
     # category, and inv must list its unique partners
@@ -215,45 +225,21 @@ def _categorical_instance(text: str) -> tuple[CategoricalModeloid | None, Verdic
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _bind("fileformats", *_KINDS[args.kind])
-    text = _read(args)
-    if args.kind == "semigroup":
-        _, verdict = _table_with_inverses(fileformats.parse_semigroup_file(text))
-    elif args.kind == "category":
-        verdict = verify_category(fileformats.parse_category_file(text))
-    elif args.kind == "inverse-category":
-        verdict = verify_inverse_category_unique(fileformats.parse_category_file(text))
-    elif args.kind == "modeloid":
-        verdict = verify_modeloid(fileformats.parse_modeloid_file(text))
-    elif args.kind == "semimodeloid":
-        _, verdict = _semimodeloid_instance(text)
-    else:
-        _, verdict = _categorical_instance(text)
-    return _emit_verdict(args, verdict)
+    return _emit_verdict(args, _instance(args.kind, _read(args))[1])
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    _bind("fileformats", *_KINDS[args.kind])
-    text = _read(args)
+    start, verdict = _instance(args.kind, _read(args))
+    if not verdict.ok:
+        return _emit_verdict(args, verdict)
     if args.kind == "modeloid":
-        M = fileformats.parse_modeloid_file(text)
-        verdict = verify_modeloid(M)
-        if not verdict.ok:
-            return _emit_verdict(args, verdict)
-        chain, stabilized = iterate_derivative(M, args.rounds)
+        chain, stabilized = iterate_derivative(start, args.rounds)
         render = lambda level: " ".join(
             "-" if not m else ",".join(f"{a}>{b}" for a, b in m)
             for m in sorted(x.pairs for x in level.members)
         )
     else:
-        if args.kind == "semimodeloid":
-            start, verdict = _semimodeloid_instance(text)
-            step = semimodeloid_derivative
-        else:
-            start, verdict = _categorical_instance(text)
-            step = categorical_derivative
-        if not verdict.ok:
-            return _emit_verdict(args, verdict)
+        step = semimodeloid_derivative if args.kind == "semimodeloid" else categorical_derivative
         chain, stabilized = fixpoint_chain(start, step, args.rounds)
         render = lambda level: " ".join(str(x) for x in sorted(level.members))
     # each distinct level is rendered once, and the stable tail repeats it
@@ -273,9 +259,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    _bind("fileformats", *_KINDS["semigroup"])
-    sf = fileformats.parse_semigroup_file(_read(args))
-    table, verdict = _table_with_inverses(sf)
+    table, verdict = _instance("semigroup", _read(args))
     if not verdict.ok:
         return _emit_verdict(args, verdict)
     omegas = wagner_preston(table)

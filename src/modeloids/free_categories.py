@@ -21,7 +21,6 @@ tabulation that ``inverse_semigroups`` keeps for every collapse.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import compress
 
 from . import verdict as v
@@ -103,24 +102,6 @@ class FreeCategory(Frozen):
         """Everything <= t; computed as the composites of t with the
         idempotents of End(dom t)."""
         return frozenset(self.comp[t][e] for e in _endoset_idempotents(self, self.dom[t]))
-
-    @classmethod
-    def from_rows(
-        cls,
-        star: int,
-        dom: Sequence[int],
-        cod: Sequence[int],
-        comp: Sequence[Sequence[int]],
-        inv: Sequence[int] | None = None,
-    ) -> "FreeCategory":
-        return cls(
-            len(dom),
-            star,
-            tuple(dom),
-            tuple(cod),
-            tuple(tuple(row) for row in comp),
-            None if inv is None else tuple(inv),
-        )
 
 
 def kleene_eq(c: FreeCategory, a: int, b: int) -> bool:

@@ -19,7 +19,6 @@ from .codes import _code, _extended_at, _least_unextended
 from .derived import Frozen, fact, fixpoint_chain, generators
 from .errors import InputError
 from .partial_bijections import (
-    DEFAULT_ENUMERATION_BOUND,
     Carrier,
     PartialBijection,
     enumerate_all,
@@ -40,9 +39,9 @@ class Modeloid(Frozen):
         return cls(carrier, frozenset(members))
 
 
-def full_modeloid(carrier: Carrier, max_size: int = DEFAULT_ENUMERATION_BOUND) -> Modeloid:
+def full_modeloid(carrier: Carrier) -> Modeloid:
     """The modeloid of all partial bijections on the carrier."""
-    return Modeloid(carrier, enumerate_all(carrier, max_size))
+    return Modeloid(carrier, enumerate_all(carrier))
 
 
 def _sorted_members(M: Modeloid) -> list[PartialBijection]:

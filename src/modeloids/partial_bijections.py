@@ -69,9 +69,6 @@ class PartialBijection(Frozen):
     def domain(self) -> frozenset[int]:
         return frozenset(a for a, _ in self.pairs)
 
-    def codomain(self) -> frozenset[int]:
-        return frozenset(b for _, b in self.pairs)
-
     def compose(self, other: "PartialBijection") -> "PartialBijection":
         """self after other, defined on other's preimage of dom(self).
 

@@ -158,12 +158,6 @@ class PartialIso(Frozen):
     ) -> "PartialIso":
         return cls(left, right, tuple(sorted(set((a, b) for a, b in pairs))))
 
-    def domain(self) -> frozenset[int]:
-        return frozenset(a for a, _ in self.pairs)
-
-    def codomain(self) -> frozenset[int]:
-        return frozenset(b for _, b in self.pairs)
-
     def compose(self, other: "PartialIso") -> "PartialIso":
         """self after other; defined where other lands in self's domain.
         Both maps are assumed functional (enumerated isos always are)."""

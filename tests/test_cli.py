@@ -320,6 +320,32 @@ class TestEf:
         assert "no certificate" in err
         assert not cert_path.exists()
 
+    def test_unwritable_certificate_gives_no_answer(self, files, capsys, tmp_path):
+        # the certificate is written before the answer
+        cert_path = tmp_path / "missing" / "c.txt"
+        code, out, err = run(
+            capsys, "ef", files["sets.txt"],
+            "--left", "P2", "--right", "P3", "--rounds", "2",
+            "--certificate", str(cert_path),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(cert_path) in err
+
+    def test_unwritable_certificate_path_is_unused_when_not_equivalent(
+        self, files, capsys, tmp_path
+    ):
+        cert_path = tmp_path / "missing" / "c.txt"
+        code, out, err = run(
+            capsys, "ef", files["sets.txt"],
+            "--left", "P2", "--right", "P3", "--rounds", "3",
+            "--certificate", str(cert_path),
+        )
+        assert code == 1
+        assert "equivalent: false" in out
+        assert err == "no certificate: not equivalent at 3 rounds\n"
+        assert not cert_path.parent.exists()
+
     def test_method_disagreement_is_loud(self, files, capsys, monkeypatch):
         monkeypatch.setattr(cli, "ef_equiv_oracle", lambda *a, **k: True)
         code, out, err = run(
