@@ -35,16 +35,18 @@ the sorted pair tuples ``CategoryD.forth``; the ``ef`` answer, its
 witness and its certificates read nothing else.  D is its four homsets
 laid end to end, and each is built on its own, on its first read
 (``CategoryD.hom``): Hom(B,A) as the inverses of ``forth``, End(A) and
-End(B) from one enumeration each.  Every homset chain, ``part``,
-``object_a`` and ``object_b`` read those blocks and no table.  The
-table of all of D, the blocks' concatenation with its dom, cod, inv and
-index tables, is built on first read of ``CategoryD.ambient`` (or
-``morphisms``, ``star``).  That table, the ``PartialIsoAmbient`` and
-``derivative_levels`` live in ``ef_ambient``, which this module loads on
-the first such read or call; each of their names resolves from here
-too.  Only ``derivative_levels`` calls the table layer ``categorical``,
-loaded on its first call.  So the ``ef`` answer and its certificates
-load neither ``ef_ambient`` nor a table layer.
+End(B) each as the pair tuples of the package's one growth loop
+(``structures._partial_iso_pairs``), with no ``PartialIso`` built.
+Every homset chain, ``part``, ``object_a`` and ``object_b`` read those
+blocks and no table.  The table of all of D, the blocks' concatenation
+with its dom, cod, inv and index tables, is built on first read of
+``CategoryD.ambient`` (or ``morphisms``, ``star``).  That table, the
+``PartialIsoAmbient`` and ``derivative_levels`` live in ``ef_ambient``,
+which this module loads on the first such read or call; each of their
+names resolves from here too.  Only ``derivative_levels`` calls the
+table layer ``categorical``, loaded on its first call.  So the ``ef``
+answer and its certificates load neither ``ef_ambient`` nor a table
+layer.
 
 Asking one pair for m = 0, 1, 2, ... builds D once.  ``build_category_D``
 keeps the D of its latest call and returns it again when called with the
@@ -97,7 +99,7 @@ from collections.abc import Iterator
 from . import structures, verdict as v
 from .codes import _code, _extended_at, _least_unextended
 from .derived import Chain, Frozen, fact, lazy, padded
-from .errors import DEFAULT_EF_UNIVERSE_BOUND, BoundExceededError, InputError
+from .errors import DEFAULT_EF_UNIVERSE_BOUND, InputError
 from .structures import (
     PartialIso,
     Structure,
@@ -172,9 +174,9 @@ class CategoryD(Frozen):
     def hom(self, X: Structure, Y: Structure) -> tuple[int, tuple]:
         """Hom(X,Y) as (the index in D of its first map, its maps as sorted
         pair tuples, in sorted order).  Hom(right, left) is the inverses of
-        ``forth``.  An endoset is enumerated through ``structures``, not
-        this module's name, so a patch or tracer on
-        ``ef_games.enumerate_partial_isos`` sees only the build's call."""
+        ``forth``, and an endoset the pair tuples of the package's one
+        growth loop (``structures._partial_iso_pairs``), with no
+        ``PartialIso`` built."""
         x, y = self._side(X), self._side(Y)
         if self.left == self.right or (x, y) == (0, 1):
             return 0, self.forth
@@ -184,8 +186,7 @@ class CategoryD(Frozen):
         if x == 1:  # End(right) comes right after End(left)
             start, before = self.hom(self.left, self.left)
             start += len(before)
-        endos = structures.enumerate_partial_isos(X, X, X.universe_size)
-        return start, tuple(sorted(p.pairs for p in endos))
+        return start, tuple(sorted(structures._partial_iso_pairs(X, X)))
 
     def object_of(self, S: Structure) -> int:
         """The index of id_S, the full identity in End(S)'s block."""
@@ -200,16 +201,6 @@ class CategoryD(Frozen):
 
 def _inverse(pairs: tuple) -> tuple:
     return tuple(sorted((b, a) for a, b in pairs))
-
-
-def _check_pair(A: Structure, B: Structure, max_universe: int):
-    if A.vocabulary != B.vocabulary:
-        raise InputError("both structures must share one vocabulary")
-    for S in (A, B):
-        if S.universe_size > max_universe:
-            raise BoundExceededError(
-                f"universe of {S.name} exceeds the bound {max_universe}"
-            )
 
 
 # The D of the latest ``build_category_D`` call, or None.
@@ -234,7 +225,7 @@ def build_category_D(
     ``category=``.
     """
     global _latest
-    _check_pair(A, B, max_universe)
+    structures._check_pair(A, B, max_universe)
     if _latest is not None and _latest.left is A and _latest.right is B:
         return _latest
     _latest = None
@@ -297,8 +288,8 @@ def homset_levels(
 
     Each homset is read from its own block (``CategoryD.hom``), with no
     table: Hom(A,B) is ``category.forth``, Hom(B,A) its inverses, and an
-    endoset one enumeration.  The indices are those of the table of D,
-    which lays out the same blocks end to end.
+    endoset the pair tuples of one growth.  The indices are those of the
+    table of D, which lays out the same blocks end to end.
     """
     if m < 0:
         raise InputError("rounds must be non-negative")
@@ -358,7 +349,7 @@ def ef_equiv_oracle(
     holds one entry per position and the recursion is never deeper than
     the smaller universe, whatever m is.
     """
-    _check_pair(A, B, max_universe)
+    structures._check_pair(A, B, max_universe)
     if m < 0:
         raise InputError("rounds must be non-negative")
     start = frozenset(constant_pairs(A, B))

@@ -12,7 +12,7 @@ between them); it carries the structure this package is built on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from .derived import Frozen
 from .errors import BoundExceededError, InputError
@@ -135,7 +135,9 @@ def partial_identity(carrier: Carrier, elements: Iterable[int]) -> PartialBiject
 def enumerate_all(
     carrier: Carrier, max_size: int = DEFAULT_ENUMERATION_BOUND
 ) -> frozenset[PartialBijection]:
-    """Every partial bijection on the carrier.
+    """Every partial bijection on the carrier: the partial automorphisms
+    of the structure on it with no relations and no constants, grown by
+    the package's one growth loop (``structures._partial_iso_pairs``).
 
     Refuses carriers beyond ``max_size`` (default 6, a 13327-element set)
     to keep accidental blow-ups out of interactive use.
@@ -144,17 +146,7 @@ def enumerate_all(
         raise BoundExceededError(
             f"carrier size {carrier.size} exceeds the enumeration bound {max_size}"
         )
-    n = carrier.size
+    from . import structures  # loaded only by a call, not with this module
 
-    def grow(source: int, used: set[int], acc: list[tuple[int, int]]) -> Iterator[PartialBijection]:
-        yield PartialBijection(carrier, tuple(acc))
-        for a in range(source, n):
-            for b in range(n):
-                if b not in used:
-                    used.add(b)
-                    acc.append((a, b))
-                    yield from grow(a + 1, used, acc)
-                    acc.pop()
-                    used.remove(b)
-
-    return frozenset(grow(0, set(), []))
+    pure = structures.Structure("pure", carrier.size, structures.Vocabulary(), (), ())
+    return frozenset(PartialBijection(carrier, p) for p in structures._partial_iso_pairs(pure, pure))

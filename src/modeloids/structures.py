@@ -243,10 +243,33 @@ def is_partial_iso(p: PartialIso) -> bool:
     return pairs_are_partial_iso(p.left, p.right, p.pairs)
 
 
+def _check_pair(A: Structure, B: Structure, max_universe: int):
+    """The checks of a pair before any map of it is made: one vocabulary,
+    then both universes within the bound."""
+    if A.vocabulary != B.vocabulary:
+        raise InputError("both structures must share one vocabulary")
+    for S in (A, B):
+        if S.universe_size > max_universe:
+            raise BoundExceededError(
+                f"universe of {S.name} exceeds the bound {max_universe}"
+            )
+
+
 def enumerate_partial_isos(
     A: Structure, B: Structure, max_universe: int = DEFAULT_UNIVERSE_BOUND
 ) -> frozenset[PartialIso]:
-    """Every partial isomorphism from A to B.
+    """Every partial isomorphism from A to B, one ``PartialIso`` per pair
+    tuple of ``_partial_iso_pairs``."""
+    _check_pair(A, B, max_universe)
+    return frozenset(PartialIso(A, B, p) for p in _partial_iso_pairs(A, B))
+
+
+def _partial_iso_pairs(A: Structure, B: Structure) -> list[tuple[tuple[int, int], ...]]:
+    """Every partial isomorphism from A to B as its sorted pair tuple, with
+    no bound: the one growth loop of the package, which
+    ``enumerate_partial_isos``, the endosets of ``ef_games.CategoryD`` and
+    ``partial_bijections.enumerate_all`` (on the structure with no
+    relations) read.
 
     Grows maps pair by pair from the constant base; a restriction of a
     partial isomorphism to any superset of the constant pairs is again
@@ -254,15 +277,10 @@ def enumerate_partial_isos(
     The growth adds each source once and keeps the map injective, so
     each map is built once from its sorted pairs, with no second pass.
     """
-    for S in (A, B):
-        if S.universe_size > max_universe:
-            raise BoundExceededError(
-                f"universe of {S.name} exceeds the bound {max_universe}"
-            )
     base = constant_pairs(A, B)
     if not pairs_are_partial_iso(A, B, base):
-        return frozenset()
-    found: list[PartialIso] = []
+        return []
+    found: list[tuple[tuple[int, int], ...]] = []
     forward = dict(base)
     backward = {b: a for a, b in base}
 
@@ -285,7 +303,7 @@ def enumerate_partial_isos(
     free_sources = [a for a in range(A.universe_size) if a not in forward]
 
     def grow(start: int):
-        found.append(PartialIso(A, B, tuple(sorted(forward.items()))))
+        found.append(tuple(sorted(forward.items())))
         for i in range(start, len(free_sources)):
             a = free_sources[i]
             for b in range(B.universe_size):
@@ -297,7 +315,7 @@ def enumerate_partial_isos(
                 del forward[a], backward[b]
 
     grow(0)
-    return frozenset(found)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -386,94 +404,89 @@ def parse_structures(text: str) -> tuple[Vocabulary, tuple[Structure, ...]]:
             continue
         (head, head_col), rest = tokens[0], tokens[1:]
 
-        try:
-            if head == "vocabulary":
-                if section != "start":
-                    raise ParseError("vocabulary must come first, once", line_no, head_col)
-                if rest:
-                    raise ParseError("vocabulary takes no arguments", line_no, rest[0][1])
-                section = "vocabulary"
-            elif head == "structure":
-                if len(rest) != 1:
-                    raise ParseError("structure needs exactly a name", line_no, head_col)
-                seal_vocabulary()
-                finish_structure(line_no)
-                name = rest[0][0]
-                if name in seen_names:
-                    raise ParseError(f"duplicate structure name {name}", line_no, rest[0][1])
-                seen_names.add(name)
-                section = "structure"
-                current = {
-                    "name": name,
-                    "line": line_no,
-                    "universe": None,
-                    "relations": {},
-                    "constants": {},
-                }
-            elif head == "relation" and section == "vocabulary":
-                if len(rest) != 2:
-                    raise ParseError("relation needs a name and an arity", line_no, head_col)
-                (name, _), (arity_tok, arity_col) = rest
-                arity = _int_token(arity_tok, line_no, arity_col, "arity")
-                if arity < 1:
-                    raise ParseError("arity must be at least 1", line_no, arity_col)
-                if any(name == n for n, _ in vocab_relations) or name in vocab_constants:
-                    raise ParseError(f"duplicate name {name}", line_no, rest[0][1])
-                vocab_relations.append((name, arity))
-            elif head == "constant" and section == "vocabulary":
-                if len(rest) != 1:
-                    raise ParseError("constant needs exactly a name", line_no, head_col)
-                name = rest[0][0]
-                if name in vocab_constants or any(name == n for n, _ in vocab_relations):
-                    raise ParseError(f"duplicate name {name}", line_no, rest[0][1])
-                vocab_constants.append(name)
-            elif head == "universe" and section == "structure":
-                if current["universe"] is not None:
-                    raise ParseError("universe declared twice", line_no, head_col)
-                if len(rest) != 1:
-                    raise ParseError("universe needs exactly a size", line_no, head_col)
-                size = _int_token(rest[0][0], line_no, rest[0][1], "universe size")
-                if size < 1:
-                    raise ParseError("universe size must be at least 1", line_no, rest[0][1])
-                current["universe"] = size
-            elif head == "constant" and section == "structure":
-                if len(rest) != 2:
-                    raise ParseError("constant needs a name and an element", line_no, head_col)
-                (name, name_col), (value_tok, value_col) = rest
-                if name not in vocabulary.constants:
-                    raise ParseError(f"unknown constant {name}", line_no, name_col)
-                if name in current["constants"]:
-                    raise ParseError(f"constant {name} interpreted twice", line_no, name_col)
-                if current["universe"] is None:
-                    raise ParseError("universe must come before interpretations", line_no, head_col)
-                value = _int_token(value_tok, line_no, value_col, "element")
-                if not (0 <= value < current["universe"]):
-                    raise ParseError(f"element {value} leaves the universe", line_no, value_col)
-                current["constants"][name] = value
-            elif head == "relation" and section == "structure":
-                if not rest:
-                    raise ParseError("relation needs a name", line_no, head_col)
-                (name, name_col) = rest[0]
-                try:
-                    arity = dict(vocabulary.relations)[name]
-                except KeyError:
-                    raise ParseError(f"unknown relation {name}", line_no, name_col) from None
-                if current["universe"] is None:
-                    raise ParseError("universe must come before interpretations", line_no, head_col)
-                tuples = current["relations"].setdefault(name, [])
-                for token, col in rest[1:]:
-                    values = _parse_tuple(token, line_no, col, arity)
-                    if any(not (0 <= x < current["universe"]) for x in values):
-                        raise ParseError(
-                            f"tuple {token} leaves the universe", line_no, col
-                        )
-                    tuples.append(values)
-            else:
-                raise ParseError(f"unexpected directive {head!r}", line_no, head_col)
-        except InputError as err:
-            if isinstance(err, ParseError):
-                raise
-            raise ParseError(str(err), line_no) from None
+        if head == "vocabulary":
+            if section != "start":
+                raise ParseError("vocabulary must come first, once", line_no, head_col)
+            if rest:
+                raise ParseError("vocabulary takes no arguments", line_no, rest[0][1])
+            section = "vocabulary"
+        elif head == "structure":
+            if len(rest) != 1:
+                raise ParseError("structure needs exactly a name", line_no, head_col)
+            seal_vocabulary()
+            finish_structure(line_no)
+            name = rest[0][0]
+            if name in seen_names:
+                raise ParseError(f"duplicate structure name {name}", line_no, rest[0][1])
+            seen_names.add(name)
+            section = "structure"
+            current = {
+                "name": name,
+                "line": line_no,
+                "universe": None,
+                "relations": {},
+                "constants": {},
+            }
+        elif head == "relation" and section == "vocabulary":
+            if len(rest) != 2:
+                raise ParseError("relation needs a name and an arity", line_no, head_col)
+            (name, _), (arity_tok, arity_col) = rest
+            arity = _int_token(arity_tok, line_no, arity_col, "arity")
+            if arity < 1:
+                raise ParseError("arity must be at least 1", line_no, arity_col)
+            if any(name == n for n, _ in vocab_relations) or name in vocab_constants:
+                raise ParseError(f"duplicate name {name}", line_no, rest[0][1])
+            vocab_relations.append((name, arity))
+        elif head == "constant" and section == "vocabulary":
+            if len(rest) != 1:
+                raise ParseError("constant needs exactly a name", line_no, head_col)
+            name = rest[0][0]
+            if name in vocab_constants or any(name == n for n, _ in vocab_relations):
+                raise ParseError(f"duplicate name {name}", line_no, rest[0][1])
+            vocab_constants.append(name)
+        elif head == "universe" and section == "structure":
+            if current["universe"] is not None:
+                raise ParseError("universe declared twice", line_no, head_col)
+            if len(rest) != 1:
+                raise ParseError("universe needs exactly a size", line_no, head_col)
+            size = _int_token(rest[0][0], line_no, rest[0][1], "universe size")
+            if size < 1:
+                raise ParseError("universe size must be at least 1", line_no, rest[0][1])
+            current["universe"] = size
+        elif head == "constant" and section == "structure":
+            if len(rest) != 2:
+                raise ParseError("constant needs a name and an element", line_no, head_col)
+            (name, name_col), (value_tok, value_col) = rest
+            if name not in vocabulary.constants:
+                raise ParseError(f"unknown constant {name}", line_no, name_col)
+            if name in current["constants"]:
+                raise ParseError(f"constant {name} interpreted twice", line_no, name_col)
+            if current["universe"] is None:
+                raise ParseError("universe must come before interpretations", line_no, head_col)
+            value = _int_token(value_tok, line_no, value_col, "element")
+            if not (0 <= value < current["universe"]):
+                raise ParseError(f"element {value} leaves the universe", line_no, value_col)
+            current["constants"][name] = value
+        elif head == "relation" and section == "structure":
+            if not rest:
+                raise ParseError("relation needs a name", line_no, head_col)
+            (name, name_col) = rest[0]
+            try:
+                arity = dict(vocabulary.relations)[name]
+            except KeyError:
+                raise ParseError(f"unknown relation {name}", line_no, name_col) from None
+            if current["universe"] is None:
+                raise ParseError("universe must come before interpretations", line_no, head_col)
+            tuples = current["relations"].setdefault(name, [])
+            for token, col in rest[1:]:
+                values = _parse_tuple(token, line_no, col, arity)
+                if any(not (0 <= x < current["universe"]) for x in values):
+                    raise ParseError(
+                        f"tuple {token} leaves the universe", line_no, col
+                    )
+                tuples.append(values)
+        else:
+            raise ParseError(f"unexpected directive {head!r}", line_no, head_col)
 
     seal_vocabulary()
     finish_structure(0)

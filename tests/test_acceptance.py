@@ -2,7 +2,7 @@
 
 Each test prints one ACCEPTANCE line with a PASS/FAIL verdict straight to
 the terminal (bypassing capture) before asserting, so a plain pytest run
-shows the twelve verdicts at a glance.
+shows the thirteen verdicts at a glance.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from modeloids.categorical import (
     endoset_as_semimodeloid,
     iterate_categorical,
 )
+from modeloids.derived import fixpoint_chain
 from modeloids.ef_games import (
     BackAndForthCertificate,
     build_category_D,
@@ -44,12 +45,13 @@ from modeloids.inverse_semigroups import (
     from_partial_bijections,
     natural_leq,
     semimodeloid_derivative,
+    table_from_rows,
     verify_inverse_semigroup,
     verify_semimodeloid,
     wagner_preston,
 )
 from modeloids.errors import InputError
-from modeloids.modeloid import derivative, modeloid_closure, verify_modeloid
+from modeloids.modeloid import derivative, iterate_derivative, modeloid_closure, verify_modeloid
 from modeloids.partial_bijections import Carrier, PartialBijection, enumerate_all, identity_map
 from modeloids.structures import Structure, Vocabulary
 
@@ -455,11 +457,66 @@ def rook_slice(n):
     return {frozenset(compose_inverse_closure(seed)) for seed in seeds}
 
 
+def meet_semilattices(max_order):
+    """Every meet-semilattice on 1 .. max_order elements up to isomorphism,
+    as the rows of its meet table.  Each is found as a naturally labelled
+    poset (i <= j only when i < j) that is transitive and gives every pair
+    a meet, and is kept once per class as its least table over all
+    relabellings."""
+    found = set()
+    for n in range(1, max_order + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        relabellings = list(itertools.permutations(range(n)))
+        for mask in range(1 << len(pairs)):
+            leq = {(i, i) for i in range(n)}
+            leq |= {p for k, p in enumerate(pairs) if mask >> k & 1}
+            if any((i, k) not in leq for i, j in leq for j2, k in leq if j == j2):
+                continue
+            rows = []
+            for x in range(n):
+                row = []
+                for y in range(n):
+                    lower = [z for z in range(n) if (z, x) in leq and (z, y) in leq]
+                    row += [z for z in lower if all((w, z) in leq for w in lower)]
+                rows.append(row)
+            if any(len(row) != n for row in rows):
+                continue  # some pair has no meet
+            found.add(min(
+                tuple(
+                    tuple(sigma[rows[x][y]] for y in sorted(range(n), key=sigma.__getitem__))
+                    for x in sorted(range(n), key=sigma.__getitem__)
+                )
+                for sigma in relabellings
+            ))
+    return sorted(found, key=lambda rows: (len(rows), rows))
+
+
+def with_identity(rows):
+    """The rows of S^1: S with one more element acting as the identity."""
+    n = len(rows)
+    return tuple(tuple(row) + (x,) for x, row in enumerate(rows)) + (tuple(range(n + 1)),)
+
+
+def through_every_layer(t, monoid):
+    """The names of the checks (a)-(d) that fail on t; (c) and (d) read
+    ``monoid``, which is t itself or, when t has no identity, S^1."""
+    category = semigroup_to_one_object_category(monoid)
+    collapsed = one_object_to_semigroup(category)
+    checks = {
+        "characterize": characterize(t.mul).as_tuple() == (True, True, True),
+        "wagner_preston": wagner_preston_embeds(t),
+        "round trip": (collapsed.mul, collapsed.inv) == (monoid.mul, monoid.inv),
+        "inverse checks agree": verify_inverse_category_unique(category).ok
+        == verify_inverse_category_equational(category).ok,
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
 def test_12_every_small_rook_subsemigroup_through_every_layer(announce):
     # (a) three characterizations, (b) Wagner-Preston, (c) the one-object
     # round trip and (d) the two inverse-category verifiers, on every case;
     # (c) and (d) need an identity, so a semigroup without one runs them
-    # on S with id_3 adjoined (S^1, again an inverse semigroup)
+    # on S with an identity adjoined (S^1, again an inverse semigroup)
     start = time.monotonic()
     identity = identity_map(Carrier(3))
     cases = sorted(rook_slice(3), key=lambda S: (len(S), sorted(f.pairs for f in S)))
@@ -471,23 +528,73 @@ def test_12_every_small_rook_subsemigroup_through_every_layer(announce):
             monoid = t
         else:
             monoid, _ = from_partial_bijections(S | {identity})
-        category = semigroup_to_one_object_category(monoid)
-        collapsed = one_object_to_semigroup(category)
-        checks = {
-            "characterize": characterize(t.mul).as_tuple() == (True, True, True),
-            "wagner_preston": wagner_preston_embeds(t),
-            "round trip": (collapsed.mul, collapsed.inv) == (monoid.mul, monoid.inv),
-            "inverse checks agree": verify_inverse_category_unique(category).ok
-            == verify_inverse_category_equational(category).ok,
-        }
-        failed = [name for name, ok in checks.items() if not ok]
+        failed = through_every_layer(t, monoid)
         if failed:
-            failures.append((t.order, failed))
+            failures.append(("rook", t.order, failed))
+    # every meet-semilattice on at most five elements, N5 and M3 among
+    # them: x*y is the meet and x' = x; one without a top runs (c) and (d)
+    # on S^1, the top adjoined
+    semilattices, topped = meet_semilattices(5), 0
+    for rows in semilattices:
+        t = table_from_rows(rows, range(len(rows)))
+        if t.neutral is not None:
+            topped += 1
+            monoid = t
+        else:
+            monoid = table_from_rows(with_identity(rows), range(len(rows) + 1))
+        failed = through_every_layer(t, monoid)
+        if failed:
+            failures.append(("semilattice", rows, failed))
     elapsed = time.monotonic() - start
     announce(
         12,
-        not failures,
+        not failures and [len(rows) for rows in semilattices] == [1, 2, 3, 3] + [4] * 5 + [5] * 15,
         f"{len(cases)} subsemigroups of R3 from one or two maps, {monoids} monoids and "
-        f"{len(cases) - monoids} through S^1, smallest failure "
-        f"{failures[0] if failures else 'none'}, {elapsed:.1f}s",
+        f"{len(cases) - monoids} through S^1; {len(semilattices)} meet-semilattices on "
+        f"1-5 elements, {topped} monoids and {len(semilattices) - topped} through S^1; "
+        f"smallest failure {failures[0] if failures else 'none'}, {elapsed:.1f}s",
+    )
+
+
+def test_13_modeloid_chains_agree_in_every_layer(announce):
+    # (e) every modeloid on carrier 3 that is the closure of one or two
+    # maps of R3: its modeloid, semimodeloid (ambient R3) and one-object
+    # categorical (ambient R3 with star) chains, as index sets of R3, are
+    # equal level by level through stabilization
+    start = time.monotonic()
+    carrier, rounds = Carrier(3), 6
+    table, elements = from_partial_bijections(enumerate_all(carrier))
+    index = {f: i for i, f in enumerate(elements)}
+    category = semigroup_to_one_object_category(table)
+    star = category.star
+    maps = sorted(elements, key=lambda f: f.pairs)
+    seeds = itertools.chain(
+        itertools.combinations(maps, 1), itertools.combinations(maps, 2)
+    )
+    cases = {modeloid_closure(seed, carrier) for seed in seeds}
+    disagreements = []
+    for M in sorted(cases, key=lambda M: (len(M.members), sorted(f.pairs for f in M.members))):
+        members = frozenset(index[f] for f in M.members)
+        modeloids, k_modeloid = iterate_derivative(M, rounds)
+        semimodeloids, k_semimodeloid = fixpoint_chain(
+            Semimodeloid(table, members), semimodeloid_derivative, rounds
+        )
+        categoricals, k_categorical = iterate_categorical(
+            CategoricalModeloid(category, members | {star}), rounds
+        )
+        chains = (
+            [frozenset(index[f] for f in level.members) for level in modeloids],
+            [level.members for level in semimodeloids],
+            [level.members - {star} for level in categoricals],
+        )
+        stabilized = (k_modeloid, k_semimodeloid, k_categorical)
+        if not (chains[0] == chains[1] == chains[2] and len(set(stabilized)) == 1):
+            disagreements.append((len(M.members), sorted(f.pairs for f in M.members)))
+    elapsed = time.monotonic() - start
+    announce(
+        13,
+        not disagreements and len(cases) == 51,
+        f"{len(cases)} modeloids on carrier 3 from one or two maps, modeloid, semimodeloid "
+        f"and categorical chains over {rounds} rounds, {len(disagreements)} disagreements, "
+        f"smallest {disagreements[0] if disagreements else 'none'}, {elapsed:.1f}s",
     )

@@ -1000,9 +1000,9 @@ class TestSharedCategory:
             return found
 
         monkeypatch.setattr(PartialIso, "__init__", counting)
-        # Hom(A,B) is enumerated in the build, End(A) and End(B) with D's table
+        # Hom(A,B) is enumerated in the build; End(A) and End(B) are read
+        # as pair tuples of the growth loop and build no PartialIso
         monkeypatch.setattr(ef_games, "enumerate_partial_isos", counted)
-        monkeypatch.setattr(structures, "enumerate_partial_isos", counted)
         A, B = (replace(S) for S in pair)
         cat = build_category_D(A, B)
         for X in (A, B):
@@ -1109,19 +1109,20 @@ class TestHomsetBlocks:
 
     @pytest.fixture
     def enumerated(self, monkeypatch):
-        # the build enumerates through the ef_games name, every endoset
-        # through structures: only the endosets are counted here
+        # the build's Hom(A,B) and every endoset are grown by the one
+        # growth loop: only the endosets (X is Y) are counted here
         found = []
-        real = structures.enumerate_partial_isos
+        real = structures._partial_iso_pairs
 
-        def counting(X, Y, *rest):
-            found.append((X.name, Y.name))
-            return real(X, Y, *rest)
+        def counting(X, Y):
+            if X is Y:
+                found.append((X.name, Y.name))
+            return real(X, Y)
 
         def unread(category):
             raise AssertionError("the table of D was built")
 
-        monkeypatch.setattr(structures, "enumerate_partial_isos", counting)
+        monkeypatch.setattr(structures, "_partial_iso_pairs", counting)
         monkeypatch.setattr(ef_games, "_tables", unread)
         return found
 
@@ -1147,6 +1148,33 @@ class TestHomsetBlocks:
         assert start == 2 * part_count(3, 4)
         assert maps[D.object_a - start] == ((0, 0), (1, 1), (2, 2))
         assert enumerated == [("S3", "S3")]
+
+    @pytest.mark.parametrize("pair", [
+        (pure("S3", 3), pure("S4", 4)),
+        (
+            Structure.build("A", 4, POINTED, {"E": [(0, 1), (1, 2), (2, 3)]}, {"c": 0}),
+            Structure.build("B", 3, POINTED, {"E": [(2, 1), (1, 0)]}, {"c": 2}),
+        ),
+    ], ids=["S3-S4", "pointed"])
+    def test_endosets_and_the_table_build_no_partial_iso(self, pair, monkeypatch):
+        # End(A) and End(B) are pair tuples of the growth loop; only the
+        # build's Hom(A,B) enumeration makes PartialIso objects
+        built = []
+        init = PartialIso.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        A, B = (replace(S) for S in pair)
+        monkeypatch.setattr(PartialIso, "__init__", counting)
+        D = build_category_D(A, B)
+        assert len(built) == len(D.forth) > 0
+        built.clear()
+        ends = D.hom(A, A)[1], D.hom(B, B)[1]
+        D.ambient
+        assert built == []
+        assert all(len(maps) > 1 for maps in ends)
 
     @given(structure_pairs())
     def test_blocks_are_the_homsets_of_the_table(self, pair):

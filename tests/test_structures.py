@@ -269,10 +269,19 @@ class TestEnumeration:
         assert len(enumerate_partial_isos(A, B)) == 3
 
     def test_self_enumeration_matches_partial_bijections(self):
-        A = Structure.build("A", 2, EMPTY)
-        part = enumerate_partial_isos(A, A)
-        bijections = {f.pairs for f in enumerate_all(Carrier(2))}
-        assert {p.pairs for p in part} == bijections
+        # the paper's full modeloid on n points is Part(P, P) for the
+        # n-point structure P with no relations
+        for n in range(1, 6):
+            P = Structure.build("P", n, EMPTY)
+            part = enumerate_partial_isos(P, P)
+            bijections = {f.pairs for f in enumerate_all(Carrier(n))}
+            assert {p.pairs for p in part} == bijections
+
+    def test_vocabulary_is_checked_before_the_bound(self):
+        A = Structure.build("A", 8, EMPTY)
+        B = Structure.build("B", 1, GRAPH, constants={"c": 0})
+        with pytest.raises(InputError, match="share one vocabulary"):
+            enumerate_partial_isos(A, B)
 
     def test_constants_clash_gives_nothing(self):
         P = Vocabulary(relations=(("P", 1),), constants=("c",))
