@@ -68,11 +68,12 @@ the command-line front-end runs both.
 A positive derivative answer can be externalized: ``extract_certificate``
 returns the chain I_j = D^j ∩ Part(A,B) as sets of pair tuples, read
 from the same homset chain, which ``verify_certificate`` checks against
-the literal back-and-forth conditions.  It shape-tests and codes each
-member, reads every relation only for members that no valid member
-proves (a restriction of a partial isomorphism that keeps the constant
-pairs is one again), and answers forth and back from the same kind of
-index of one-point extensions.
+the literal back-and-forth conditions.  It reads each member once, in
+one walk over its pairs that both tests its shape and codes it, reads
+every relation only for members whose code no valid member proves (a
+restriction of a partial isomorphism that keeps the constant pairs is
+one again), and answers forth and back from the same kind of index of
+one-point extensions.
 
 The certificates of one pair for m = 0, 1, 2, ... are prefixes of one
 chain, and the certificate path reads each distinct level once across
@@ -80,21 +81,23 @@ them.  ``extract_certificate`` makes each level's set of pair tuples
 once per D and keeps it there, so the certificates for m and m + 1 share
 their level objects; that costs one frozenset per distinct level, held
 as long as the D is.  ``verify_certificate`` keeps what it proved about
-its latest pair of structure objects, by one rule per kind: members by
-value (each valid member with its code), frozenset levels by identity
-(the latest certificate's levels that passed, held with their members'
-codes), and level pairs by the identity of both levels (the pairs of
-those levels whose scan passed).  A level met again by identity is not
-checked again, and a level pair met again is not scanned again; a level
-equal by value to one checked but another object has every member
-shape-tested again.  Every verdict is a fresh check's.  A call on
-another pair drops all of it, so the module holds at most one code per
-map of Part(A,B) and one certificate's levels.
+its latest pair of structure objects, by one rule per kind: codes
+proven valid (one set of integers), levels by identity (the latest
+certificate's frozenset levels that passed, held with their members'
+codes), and level pairs by identity (the pairs of those levels whose
+scan passed).  A level met again by identity is not read again, and a
+level pair met again is not scanned again; a level equal by value to
+one checked but another object has every member read and coded again,
+and proven again only when its code is not yet valid.  No member is
+hashed.  Every verdict is a fresh check's.  A call on another pair
+drops all of it, so the module holds at most one code per map of
+Part(A,B) and one certificate's levels.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import product
 
 from . import structures, verdict as v
 from .codes import _code, _extended_at, _least_unextended
@@ -219,14 +222,15 @@ def build_category_D(
 
     Called again with the same two structure objects (``is``, not ``==``),
     it returns the D it built last, with the compositions, down-sets and
-    homset chains already derived on it.  Only that one D is kept: a call
-    on another pair drops it before building, so the module never holds
-    more than one.  Callers that keep a D themselves pass it on as
-    ``category=``.
+    homset chains already derived on it, after the same pair check that
+    the enumeration makes on a fresh build (``structures._check_pair``).
+    Only that one D is kept: a call on another pair drops it before
+    building, so the module never holds more than one.  Callers that keep
+    a D themselves pass it on as ``category=``.
     """
     global _latest
-    structures._check_pair(A, B, max_universe)
     if _latest is not None and _latest.left is A and _latest.right is B:
+        structures._check_pair(A, B, max_universe)
         return _latest
     _latest = None
     forth = tuple(sorted(p.pairs for p in enumerate_partial_isos(A, B, max_universe)))
@@ -432,9 +436,10 @@ class _Proved:
     """What ``verify_certificate`` proved about one pair of structure
     objects, one memo per kind of thing it remembers:
 
-    - ``codes``: members, by value: each member found valid, with its
-      code; ``proven``: the codes of one-pair restrictions of valid
-      members that keep the constant pairs;
+    - ``valid``: codes proven valid: the code of each member found valid,
+      and of each one-pair restriction of such a member that keeps the
+      constant pairs; a code is made only for a member of the right
+      shape, and no member is hashed;
     - ``levels``: levels, by identity: each frozenset level of the latest
       certificate that passed membership, keyed by its id, as the pair
       (level, its members' codes in the level's own order), which holds
@@ -443,22 +448,19 @@ class _Proved:
       each pair of those levels whose forth and back scan passed;
       ``levels`` holds both, so the ids stay their own.
 
-    No failure is kept, and ``levels`` and ``scanned`` are replaced by
-    those of each certificate whose levels pass membership, so the state
-    is at most one code per map of Part(A,B) plus the levels of one
-    certificate."""
+    ``bit`` maps each pair inside the two universes to its bit, and
+    ``fixed`` holds the bits of the constant pairs, both as ``_code``
+    sets them.  No failure is kept, and ``levels`` and ``scanned`` are
+    replaced by those of each certificate whose levels pass membership,
+    so the state is at most one code per map of Part(A,B) plus the levels
+    of one certificate."""
 
     def __init__(self, left: Structure, right: Structure):
         self.left, self.right = left, right
         targets = right.universe_size
-        self.bit = {(a, b): 1 << a * targets + b for a in range(left.universe_size)
-                    for b in range(targets)}
-        self.fixed = 0  # the bits of the constant pairs, which a proof never drops
-        for p in zip(left.constants, right.constants):
-            self.fixed |= self.bit.get(p, 0)
-        self.longest = min(left.universe_size, targets)  # no partial iso is longer
-        self.codes: dict[tuple, int] = {}
-        self.proven: set[int] = set()
+        self.bit = {p: _code((p,), targets) for p in product(range(left.universe_size), range(targets))}
+        self.fixed = _code(zip(left.constants, right.constants), targets)  # a proof never drops them
+        self.valid: set[int] = set()
         self.levels: dict[int, tuple[frozenset, list[int]]] = {}
         self.scanned: set[tuple[int, int]] = set()
 
@@ -472,19 +474,19 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
 
     Every level must be a non-empty set of actual partial isomorphisms
     from A to B, each a strictly sorted tuple of pairs of ints inside the
-    two universes.  Every member of a level not held (see below) is
-    shape-tested before anything hashes it or reads its pairs; a member
-    of another shape, hashable or not, is reported first, the least by
-    ``repr``.  Each member is then coded through a table from each pair
-    to its bit, as ``_code`` sets it: a pair missing from the table lies
-    outside the universes, and bits that do not strictly increase mean an
-    unsorted tuple.  The members not known valid are visited longest
-    first: a restriction of a partial isomorphism that keeps every
-    constant pair is one again, so a member whose code is a one-pair
-    restriction of a valid member, keeping the constant pairs, is proven
-    without reading a relation, and every other member gets one
-    ``pairs_are_partial_iso``.  The least failing member, in sorted
-    order, is reported.
+    two universes.  Every member of a level not held (see below) is read
+    once, by one walk over its pairs (``_coded``) that both tests its
+    shape and codes it through a table from each pair to its bit, as
+    ``_code`` sets it: a pair missing from the table lies outside the
+    universes, and bits that do not strictly increase mean an unsorted
+    tuple.  A member of another shape, hashable or not, is reported
+    first, the least by ``repr``.  The members whose code is not known
+    valid are then proven longest first: a restriction of a partial
+    isomorphism that keeps every constant pair is one again, so a member
+    whose code is a one-pair restriction of a valid member, keeping the
+    constant pairs, is proven without reading a relation, and every
+    other member gets one ``pairs_are_partial_iso``.  The least failing
+    member, in sorted order, is reported.
 
     For each f in I_{j+1} every a in A needs some b with f ∪ {(a, b)} in
     I_j (forth), and every b in B some such a (back), read from the
@@ -495,15 +497,16 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
     Asking one pair for m = 0, 1, 2, ... checks prefixes of one chain, so
     the check keeps what it proved about its latest pair of structure
     objects (``is``, not ``==``) in ``_Proved``, by one rule per kind:
-    members by value, so a valid member is coded and proven once;
-    frozenset levels by identity, so a level of the latest certificate
-    met again, in this certificate or the next, is not shape-tested,
-    coded or indexed again; and level pairs by the identity of both
-    levels, so a passed pair is not scanned again.  No level is hashed or
-    compared.  The verdict, axiom and witness are those of a fresh check,
-    since members and frozensets cannot change.  No failure is kept.  A
-    call on another pair drops all of it first, so the module holds at
-    most one code per map of Part(A,B) and the levels of one certificate.
+    codes proven valid, so a member whose code is valid is coded again
+    but not proven again; levels by identity, so a frozenset level of the
+    latest certificate met again, in this certificate or the next, is not
+    read, coded or indexed again; and level pairs by identity, so a
+    passed pair of levels is not scanned again.  No level or member is
+    hashed, and a member is compared only to pick the reported one.  The
+    verdict, axiom and witness are those of a fresh check, since members
+    and frozensets cannot change.  No failure is kept.  A call on another
+    pair drops all of it first, so the module holds at most one code per
+    map of Part(A,B) and the levels of one certificate.
     """
     global _proved
     A, B = cert.left, cert.right
@@ -549,64 +552,57 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
 
 
 def _coded_level(j: int, level, proved: _Proved) -> tuple[list[int], v.Verdict | None]:
-    """The codes of level j's members in the level's order, its valid
-    members recorded in ``proved``; or its non-empty or membership
-    violation."""
+    """The codes of level j's members in the level's order, each member
+    read once (``_coded``), its valid members' codes recorded in
+    ``proved.valid``; or its non-empty or membership violation.  A member
+    whose code is not yet valid is proven longest first: its code is
+    valid when a valid member one pair longer restricts to it, and
+    otherwise when ``pairs_are_partial_iso`` holds for it."""
     if not level:
         return [], v.violated("non-empty", j)
-    malformed = [f for f in level if not _is_pair_tuple(f)]
-    if malformed:
+    codes = [_coded(f, proved.bit) for f in level]
+    if _MALFORMED in codes:
+        malformed = (f for f, code in zip(level, codes) if code == _MALFORMED)
         return [], v.violated("membership", (j, min(malformed, key=repr)))
-    codes, proven, bit, fixed = proved.codes, proved.proven, proved.bit, proved.fixed
-    kept, failed = [], []
-    longest = proved.longest
-    fresh = [([], []) for _ in range(longest + 1)]  # members and codes, by size
-    for f in level:
-        code = codes.get(f)
-        if code is None:
-            code = _coded(f, bit)
-            if code is None or len(f) > longest:
-                failed.append(f)
-                continue
-            members, member_codes = fresh[len(f)]
-            members.append(f)
-            member_codes.append(code)
-        kept.append(code)
-    for members, member_codes in reversed(fresh):
-        for f, code in zip(members, member_codes):
-            if code in proven or pairs_are_partial_iso(proved.left, proved.right, f):
-                codes[f] = code
-                rest = code & ~fixed
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    proven.add(code ^ low)
-            else:
-                failed.append(f)
+    valid, fixed = proved.valid, proved.fixed
+    failed = [f for f, code in zip(level, codes) if code == _OUTSIDE]
+    unproven = [(f, code) for f, code in zip(level, codes) if code >= 0 and code not in valid]
+    unproven.sort(key=lambda member: len(member[0]), reverse=True)
+    for f, code in unproven:
+        if code in valid or pairs_are_partial_iso(proved.left, proved.right, f):
+            valid.add(code)
+            rest = code & ~fixed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                valid.add(code ^ low)
+        else:
+            failed.append(f)
     if failed:
         return [], v.violated("membership", (j, min(failed)))
-    return kept, None
+    return codes, None
 
 
-def _coded(f: tuple, bit: dict[tuple[int, int], int]) -> int | None:
-    """The code of member f read through ``bit``, or None when a pair of f
-    lies outside the universes or its bits do not strictly increase."""
-    code = last = 0
+_MALFORMED, _OUTSIDE = -1, -2  # what ``_coded`` returns for a member with no code
+
+
+def _coded(f: object, bit: dict[tuple[int, int], int]) -> int:
+    """The code of member f read through ``bit``, in one walk over its
+    pairs; ``_MALFORMED`` when f is not a tuple of 2-tuples of ints, the
+    only shape the check reads, and ``_OUTSIDE`` when it is but a pair
+    lies outside the universes or the bits do not strictly increase."""
+    if not isinstance(f, tuple):
+        return _MALFORMED
+    code, fits = 0, True
     for p in f:
+        if not (isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], int) and isinstance(p[1], int)):
+            return _MALFORMED
         b = bit.get(p, 0)
-        if b <= last:
-            return None
-        code |= b
-        last = b
-    return code
-
-
-def _is_pair_tuple(f: object) -> bool:
-    """f is a tuple of 2-tuples of ints, the only shape the index reads."""
-    return isinstance(f, tuple) and all(
-        isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], int) and isinstance(p[1], int)
-        for p in f
-    )
+        if b > code:  # above every bit before it
+            code |= b
+        else:
+            fits = False  # no code; the rest of f is read for its shape only
+    return code if fits else _OUTSIDE
 
 
 def format_certificate(cert: BackAndForthCertificate) -> str:

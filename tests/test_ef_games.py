@@ -175,6 +175,25 @@ class TestBuild:
         with pytest.raises(BoundExceededError):
             ef_equiv_oracle(pure("A", 6), pure("B", 1), 1)
 
+    def test_the_pair_is_checked_once_per_call(self, monkeypatch):
+        # a fresh build is checked by its enumeration alone, a return of
+        # the kept D by one check, which still applies the bound
+        calls = []
+        real = structures._check_pair
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(structures, "_check_pair", counted)
+        A, B = pure("A", 3), pure("B", 4)
+        D = build_category_D(A, B)
+        assert len(calls) == 1
+        assert build_category_D(A, B) is D
+        assert len(calls) == 2
+        with pytest.raises(BoundExceededError):
+            build_category_D(A, B, 3)
+
 
 def random_pointed(rng, name):
     size = rng.randint(1, 3)
@@ -1412,7 +1431,7 @@ class TestCheckAcrossCalls:
                         assert report == verify_certificate(copy)
                     assert report == verify_certificate_by_one_point(copy)
             proved = ef_games._proved
-            assert proved is None or len(proved.codes) <= len(build_category_D(A, B).forth)
+            assert proved is None or len(proved.valid) <= len(build_category_D(A, B).forth)
 
     @pytest.mark.parametrize("A, B", [
         (pure("A", 4), pure("B", 5)),
@@ -1446,6 +1465,35 @@ class TestCheckAcrossCalls:
         fresh = checked([extract_certificate(A, B, 4)])
         assert {name: sum(step[name] for step in looped) for name in calls} == fresh
         assert fresh["_extended_at"] >= 1 and fresh["pairs_are_partial_iso"] >= 1
+
+    def test_no_member_is_hashed(self):
+        # each level rebuilt as a tuple, which is not held by identity, of
+        # members that raise when hashed: every member is read and proven
+        # by its code, with the verdict of the extracted certificate, and
+        # so is a copy with a member of I_1 dropped from I_0
+        class Member(tuple):
+            def __hash__(self):
+                raise AssertionError("a member was hashed")
+
+        def rebuilt(cert, levels):
+            levels = tuple(tuple(Member(f) for f in sorted(level)) for level in levels)
+            return BackAndForthCertificate(cert.left, cert.right, cert.rounds, levels)
+
+        image = (1, 2, 0)
+        A = Structure.build("A", 3, POINTED, {"E": [(i, (i + 1) % 3) for i in range(3)]}, {"c": 0})
+        B = Structure.build("B", 3, POINTED, {"E": [(image[i], image[(i + 1) % 3]) for i in range(3)]},
+                            {"c": image[0]})
+        for m in range(3):
+            cert = extract_certificate(A, B, m)
+            variants = [cert.levels]
+            if m:
+                dropped = cert.levels[0] - {max(cert.levels[1])}
+                variants.append((dropped, *cert.levels[1:]))
+            for levels in variants:
+                with mock.patch.object(ef_games, "_proved", None):
+                    expected = verify_certificate(BackAndForthCertificate(A, B, m, levels))
+                    assert verify_certificate(rebuilt(cert, levels)) == expected
+            assert verify_certificate(rebuilt(cert, cert.levels)).ok
 
     def test_certificates_of_one_pair_share_their_levels(self):
         A, B = pure("A", 3), pure("B", 4)
