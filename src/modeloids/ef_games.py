@@ -58,12 +58,20 @@ drops it first.  A caller that holds a D can still pass it as
 ``category=``.
 
 ``ef_equiv_oracle`` decides the same question by a memoized game-tree
-recursion that shares no code with the derivative:
-Spoiler plays only fresh elements, so each position fixes the rounds
-left, holds one memo entry and is pruned as soon as it is not a partial
-isomorphism, and the recursion is never deeper than the smaller
-universe, whatever the number of rounds.  The two must always agree;
-the command-line front-end runs both.
+recursion.  Spoiler plays only fresh elements, so each position fixes
+the rounds left, holds one memo entry and is pruned as soon as it is not
+a partial isomorphism, and the recursion is never deeper than the
+smaller universe, whatever the number of rounds.  It checks the constant
+base once with ``pairs_are_partial_iso`` and each further pair with the
+one-pair test the growth loop grows maps by
+(``structures._one_pair_test``), which reads only the relation tuples
+that mention the new pair.  A position is keyed by its integer code
+(bits from ``codes._code``), a child's by its parent's code with one bit
+more, so no position is built as a set.  Beyond those two checks of a
+partial isomorphism and the bit layout it shares nothing with the
+derivative: it reads no D, no chain, no enumeration and no level index,
+and decides by the game, not by one-point extensions within a level.
+The two must always agree; the command-line front-end runs both.
 
 A positive derivative answer can be externalized: ``extract_certificate``
 returns the chain I_j = D^j ∩ Part(A,B) as sets of pair tuples, read
@@ -106,6 +114,7 @@ from .errors import DEFAULT_EF_UNIVERSE_BOUND, InputError
 from .structures import (
     PartialIso,
     Structure,
+    _one_pair_test,
     constant_pairs,
     enumerate_partial_isos,
     pairs_are_partial_iso,
@@ -352,29 +361,54 @@ def ef_equiv_oracle(
     Every move adds one pair, so k follows from the position: the memo
     holds one entry per position and the recursion is never deeper than
     the smaller universe, whatever m is.
+
+    The constant base is checked once by ``pairs_are_partial_iso``, and
+    each further pair by the one-pair test the growth loop grows maps by
+    (``structures._one_pair_test``), which reads only the relation tuples
+    that mention the pair.  A position is keyed by its code
+    (``codes._code``), a child's by its parent's code with one bit more.
+    The oracle reads no D, no chain, no enumeration and no level index,
+    so the derivative's answer never enters its own.
     """
     structures._check_pair(A, B, max_universe)
     if m < 0:
         raise InputError("rounds must be non-negative")
-    start = frozenset(constant_pairs(A, B))
-    final_size = len(start) + m  # a position this large has no rounds left
-    memo: dict[frozenset[tuple[int, int]], bool] = {}
+    base = constant_pairs(A, B)
+    forward, backward = dict(base), {b: a for a, b in base}
+    extends = _one_pair_test(A, B, forward, backward)
+    sources, targets = range(A.universe_size), range(B.universe_size)
+    bit = [[_code(((a, b),), len(targets)) for b in targets] for a in sources]
+    final_size = len(base) + m  # a position this large has no rounds left
+    memo: dict[int, bool] = {}
 
-    def win(position: frozenset[tuple[int, int]]) -> bool:
-        if position not in memo:
-            memo[position] = pairs_are_partial_iso(A, B, position) and (
-                len(position) == final_size or every_pick_answered(position)
-            )
-        return memo[position]
+    def answers(child: int, a: int, b: int) -> bool:
+        if child not in memo:
+            forward[a], backward[b] = b, a
+            memo[child] = extends(a, b) and wins(child)
+            del forward[a], backward[b]
+        return memo[child]
 
-    def every_pick_answered(position: frozenset[tuple[int, int]]) -> bool:
-        fresh_a = set(range(A.universe_size)).difference(a for a, _ in position)
-        fresh_b = set(range(B.universe_size)).difference(b for _, b in position)
-        return all(
-            any(win(position | {(a, b)}) for b in fresh_b) for a in fresh_a
-        ) and all(any(win(position | {(a, b)}) for a in fresh_a) for b in fresh_b)
+    def wins(code: int) -> bool:
+        """Whether Duplicator wins at the partial isomorphism ``forward``."""
+        if len(forward) == final_size:
+            return True
+        fresh_a = [a for a in sources if a not in forward]
+        fresh_b = [b for b in targets if b not in backward]
+        for a in fresh_a:
+            for b in fresh_b:
+                if answers(code | bit[a][b], a, b):
+                    break
+            else:
+                return False
+        for b in fresh_b:
+            for a in fresh_a:
+                if answers(code | bit[a][b], a, b):
+                    break
+            else:
+                return False
+        return True
 
-    return win(start)
+    return pairs_are_partial_iso(A, B, base) and wins(_code(base, len(targets)))
 
 
 class BackAndForthCertificate(Frozen):

@@ -20,13 +20,15 @@ Universes are {0, ..., size-1}.  A partial isomorphism between two
 structures over one vocabulary is an injective partial map that contains
 every constant pair and preserves each relation in both directions over
 its domain.  ``is_partial_iso`` checks candidates; ``enumerate_partial_isos``
-lists every actual partial isomorphism.
+lists every actual partial isomorphism.  Maps grow one pair at a time by
+``_one_pair_test``, which reads each structure's index of the tuples
+that mention each element (``_by_element``), built once per structure.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .derived import Frozen, fact
 from .errors import BoundExceededError, InputError, ParseError
@@ -199,7 +201,7 @@ def pairs_are_partial_iso(
     if len(forward) != len(pairs) or len(backward) != len(pairs):
         return False
     # identity first: the structures of one file share one vocabulary
-    # object, and the game oracle asks this once per position
+    # object, and the certificate check asks this once per member it proves
     if A.vocabulary is not B.vocabulary and A.vocabulary != B.vocabulary:
         raise InputError("both structures must share one vocabulary")
     if not pairs.issuperset(zip(A.constants, B.constants)):
@@ -230,13 +232,34 @@ def _maps_into(f: dict[int, int], tuples: Iterable[tuple[int, ...]], target) -> 
     return True
 
 
-def _by_element(tuples: Iterable[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
-    """The tuples that mention each element."""
-    at: dict[int, list[tuple[int, ...]]] = {}
-    for t in tuples:
-        for x in set(t):
-            at.setdefault(x, []).append(t)
-    return at
+@fact
+def _by_element(S: Structure) -> tuple[dict[int, list[tuple[int, ...]]], ...]:
+    """For each relation of S, the tuples that mention each element."""
+    return tuple(
+        {x: [t for t in tuples if x in t] for x in range(S.universe_size)}
+        for tuples in S.relations
+    )
+
+
+def _one_pair_test(A: Structure, B: Structure, forward: dict, backward: dict) -> Callable:
+    """The test of one new pair (a, b) of a partial isomorphism from A to
+    B, held as ``forward`` and its inverse ``backward``, which already
+    hold the pair: whether the map stays a partial isomorphism.  It reads
+    only the relation tuples that mention a or b; the others were checked
+    when their pairs arrived.  The growth loop and the game oracle
+    (``ef_games.ef_equiv_oracle``) both grow maps by it."""
+    relations = list(zip(_by_element(A), B.relations, _by_element(B), A.relations))
+
+    def consistent_with(a: int, b: int) -> bool:
+        for at_a, tuples_b, at_b, tuples_a in relations:
+            if not (
+                _maps_into(forward, at_a.get(a, ()), tuples_b)
+                and _maps_into(backward, at_b.get(b, ()), tuples_a)
+            ):
+                return False
+        return True
+
+    return consistent_with
 
 
 def is_partial_iso(p: PartialIso) -> bool:
@@ -273,7 +296,8 @@ def _partial_iso_pairs(A: Structure, B: Structure) -> list[tuple[tuple[int, int]
 
     Grows maps pair by pair from the constant base; a restriction of a
     partial isomorphism to any superset of the constant pairs is again
-    one, so depth-first growth with incremental checks finds them all.
+    one, so depth-first growth that checks each new pair by
+    ``_one_pair_test`` finds them all.
     The growth adds each source once and keeps the map injective, so
     each map is built once from its sorted pairs, with no second pass.
     """
@@ -283,23 +307,7 @@ def _partial_iso_pairs(A: Structure, B: Structure) -> list[tuple[tuple[int, int]
     found: list[tuple[tuple[int, int], ...]] = []
     forward = dict(base)
     backward = {b: a for a, b in base}
-
-    # Only tuples mentioning the new pair need checking; older ones were
-    # checked when their pairs arrived.
-    relations = [
-        (_by_element(tuples_a), tuples_b, _by_element(tuples_b), tuples_a)
-        for tuples_a, tuples_b in zip(A.relations, B.relations)
-    ]
-
-    def consistent_with(a: int, b: int) -> bool:
-        for at_a, tuples_b, at_b, tuples_a in relations:
-            if not (
-                _maps_into(forward, at_a.get(a, ()), tuples_b)
-                and _maps_into(backward, at_b.get(b, ()), tuples_a)
-            ):
-                return False
-        return True
-
+    consistent_with = _one_pair_test(A, B, forward, backward)
     free_sources = [a for a in range(A.universe_size) if a not in forward]
 
     def grow(start: int):

@@ -2,7 +2,7 @@
 
 Each test prints one ACCEPTANCE line with a PASS/FAIL verdict straight to
 the terminal (bypassing capture) before asserting, so a plain pytest run
-shows the thirteen verdicts at a glance.
+shows the fourteen verdicts at a glance.
 """
 
 import itertools
@@ -57,6 +57,7 @@ from modeloids.structures import Structure, Vocabulary
 
 POINTED_GRAPH = Vocabulary(relations=(("E", 2),), constants=("c",))
 PURE = Vocabulary()
+ORDER = Vocabulary(relations=(("L", 2),))
 
 
 @pytest.fixture
@@ -596,5 +597,37 @@ def test_13_modeloid_chains_agree_in_every_layer(announce):
         not disagreements and len(cases) == 51,
         f"{len(cases)} modeloids on carrier 3 from one or two maps, modeloid, semimodeloid "
         f"and categorical chains over {rounds} rounds, {len(disagreements)} disagreements, "
+        f"smallest {disagreements[0] if disagreements else 'none'}, {elapsed:.1f}s",
+    )
+
+
+def linear_order(name, n):
+    return Structure.build(
+        name, n, ORDER, {"L": [(i, j) for i in range(n) for j in range(i + 1, n)]}
+    )
+
+
+def test_14_linear_orders_against_the_closed_form(announce):
+    # L_a and L_b agree on m rounds iff a = b or a, b >= 2^m - 1 (Libkin,
+    # Elements of Finite Model Theory, 2004, Thm 3.6): an answer that no
+    # route of the program computes
+    start = time.monotonic()
+    disagreements = []
+    cases = 0
+    for a, b in itertools.combinations_with_replacement(range(1, 9), 2):
+        A, B = linear_order("A", a), linear_order("B", b)
+        category = build_category_D(A, B, max_universe=8)
+        for m in range(5):
+            law = a == b or min(a, b) >= 2**m - 1
+            by_derivative, _ = ef_equiv_derivative(A, B, m, category=category)
+            if not (by_derivative == ef_equiv_oracle(A, B, m, max_universe=8) == law):
+                disagreements.append((a, b, m))
+            cases += 1
+    elapsed = time.monotonic() - start
+    announce(
+        14,
+        not disagreements and cases == 180,
+        f"{cases} cases L_a vs L_b, 1 <= a <= b <= 8, m <= 4, against a = b or "
+        f"a, b >= 2^m - 1, {len(disagreements)} disagreements, "
         f"smallest {disagreements[0] if disagreements else 'none'}, {elapsed:.1f}s",
     )

@@ -336,15 +336,23 @@ class TestOracle:
 
     @pytest.fixture
     def checks(self, monkeypatch):
-        """The stack depth of every position check the oracle makes."""
+        """The stack depth of every position check the oracle makes: the
+        full check of the constant base and the one-pair test of each
+        further position."""
         depths = []
-        check = ef_games.pairs_are_partial_iso
+        check, one_pair_test = ef_games.pairs_are_partial_iso, ef_games._one_pair_test
 
-        def counting(*args):
-            depths.append(stack_depth())
-            return check(*args)
+        def counting(test):
+            def counted(*args):
+                depths.append(stack_depth())
+                return test(*args)
 
-        monkeypatch.setattr(ef_games, "pairs_are_partial_iso", counting)
+            return counted
+
+        monkeypatch.setattr(ef_games, "pairs_are_partial_iso", counting(check))
+        monkeypatch.setattr(
+            ef_games, "_one_pair_test", lambda *args: counting(one_pair_test(*args))
+        )
         return depths
 
     def test_each_position_is_checked_once(self, checks):
@@ -355,7 +363,7 @@ class TestOracle:
         bound = 1 + 5 * 5 * len(enumerate_partial_isos(A, B))
         assert bound == 4526
         assert ef_equiv_oracle(A, B, 10)
-        assert len(checks) <= bound
+        assert 1 < len(checks) <= bound
 
     def test_rounds_beyond_the_universe_add_no_work(self, checks):
         C3 = directed_cycle("C3", (0, 1, 2))
@@ -364,6 +372,7 @@ class TestOracle:
             checks.clear()
             assert ef_equiv_oracle(C3, C3, m)
             seen.append((len(checks), max(checks)))
+        assert seen[0][0] > 1
         assert seen[0] == seen[1]
 
 

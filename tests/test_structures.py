@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from generated import structure_pairs, structures_over
 
+from modeloids import structures
+from modeloids.ef_games import ef_equiv_oracle
 from modeloids.errors import BoundExceededError, InputError, ParseError
 from modeloids.partial_bijections import Carrier, enumerate_all
 from modeloids.structures import (
@@ -325,6 +327,24 @@ class TestEnumeration:
             for keep in range(len(extra) + 1):
                 restricted = base | set(extra[:keep])
                 assert pairs_are_partial_iso(A, A, restricted)
+
+    def test_tuple_index_is_built_once_per_structure(self, monkeypatch):
+        # the growth loop and the game oracle both read each structure's
+        # index of the tuples that mention each element
+        A = Structure.build("A", 3, GRAPH, {"E": [(0, 1), (1, 2)]}, {"c": 0})
+        B = Structure.build("B", 3, GRAPH, {"E": [(1, 0), (0, 2)]}, {"c": 1})
+        read, index = [], structures._by_element
+
+        def recording(*args):
+            read.append(index(*args))
+            return read[-1]
+
+        monkeypatch.setattr(structures, "_by_element", recording)
+        for _ in range(2):
+            enumerate_partial_isos(A, B)
+            ef_equiv_oracle(A, B, 2)
+        assert len(read) == 8
+        assert len({id(at) for at in read}) == 2
 
     def test_universe_bound(self):
         A = Structure.build("A", 8, EMPTY)
