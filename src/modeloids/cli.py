@@ -15,14 +15,21 @@ one ``error: internal`` line on stderr, no answer is given).
 ``--format machine`` prints the same key:value lines sorted by key,
 with booleans as lowercase true/false; repeated runs on identical
 input are byte-identical.
+
+``COMMANDS`` describes the command line once.  A plain command line (the
+command first, each flag at most once as ``--flag value``, the
+positionals in order, no value that starts with ``-``) is read from it
+without importing argparse; help, usage errors and the rarer spellings
+(an abbreviated flag, ``--flag=value``, ``--``, a repeated flag) go to
+the argparse parser built from it, so their output is argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from bisect import bisect
 from pathlib import Path
+from types import SimpleNamespace
 
 from .derived import fixpoint_chain, generators, lazy, padded
 from .errors import DEFAULT_EF_UNIVERSE_BOUND, BoundExceededError, InputError
@@ -81,7 +88,7 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _emit(args: argparse.Namespace, records: list[tuple[str, str]], listing=()):
+def _emit(args: SimpleNamespace, records: list[tuple[str, str]], listing=()):
     """Write ``listing`` and then ``records`` as ``key: value`` lines.  The
     machine format orders the lines by key: ``records`` are few and
     sorted here, and ``listing``, already in key order, goes where its
@@ -98,7 +105,7 @@ def _emit(args: argparse.Namespace, records: list[tuple[str, str]], listing=()):
         sys.stdout.write("".join([f"{key}: {value}\n" for key, value in chunk]))
 
 
-def _emit_verdict(args: argparse.Namespace, verdict: Verdict) -> int:
+def _emit_verdict(args: SimpleNamespace, verdict: Verdict) -> int:
     records = [("ok", _bool(verdict.ok))]
     if not verdict.ok:
         records.append(("axiom", verdict.axiom))
@@ -107,14 +114,14 @@ def _emit_verdict(args: argparse.Namespace, verdict: Verdict) -> int:
     return 0 if verdict.ok else 1
 
 
-def _read(args: argparse.Namespace) -> str:
+def _read(args: SimpleNamespace) -> str:
     try:
         return args.file.read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise InputError(f"{args.file}: not UTF-8 text at byte {err.start}") from None
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: SimpleNamespace) -> int:
     _bind("structures")
     vocabulary, structures = parse_structures(_read(args))
     relations = " ".join(f"{n}/{a}" for n, a in vocabulary.relations) or "none"
@@ -139,7 +146,7 @@ def _pick_structure(structures, name: str):
     raise InputError(f"no structure named {name} in the file")
 
 
-def cmd_ef(args: argparse.Namespace) -> int:
+def cmd_ef(args: SimpleNamespace) -> int:
     _bind("structures", "ef_games")
     _, structures = parse_structures(_read(args))
     A = _pick_structure(structures, args.left)
@@ -224,11 +231,11 @@ def _instance(kind: str, text: str) -> tuple[object | None, Verdict]:
     return M, verify_categorical_modeloid(M)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     return _emit_verdict(args, _instance(args.kind, _read(args))[1])
 
 
-def cmd_derive(args: argparse.Namespace) -> int:
+def cmd_derive(args: SimpleNamespace) -> int:
     start, verdict = _instance(args.kind, _read(args))
     if not verdict.ok:
         return _emit_verdict(args, verdict)
@@ -258,7 +265,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
+def cmd_embed(args: SimpleNamespace) -> int:
     table, verdict = _instance("semigroup", _read(args))
     if not verdict.ok:
         return _emit_verdict(args, verdict)
@@ -295,65 +302,107 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return 0 if (injective and multiplicative and faithful) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command line, one entry per subcommand: its handler, its help line
+# and its arguments in the order the help lists them, each as a name and
+# the keywords argparse's ``add_argument`` takes.  ``build_parser`` hands
+# them to argparse; ``_plain`` reads them itself.
+_FILE = ("file", dict(type=Path, help="input file"))
+_FORMAT = (
+    "--format",
+    dict(choices=("text", "machine"), default="text", dest="fmt",
+         help="machine prints sorted key:value lines"),
+)
+COMMANDS = {
+    "validate": (cmd_validate, "parse and validate a structure file", (_FILE, _FORMAT)),
+    "ef": (cmd_ef, "decide m-round equivalence of two structures", (
+        _FILE,
+        _FORMAT,
+        ("--left", dict(required=True, help="name of the first structure")),
+        ("--right", dict(required=True, help="name of the second structure")),
+        ("--rounds", dict(required=True, type=int, help="number of rounds m")),
+        ("--certificate", dict(type=Path, default=None, help="write the level sets here")),
+        ("--max-universe", dict(type=int, default=DEFAULT_EF_UNIVERSE_BOUND,
+                                help="largest universe size accepted")),
+    )),
+    "verify": (cmd_verify, "check the axioms of a table file", (
+        ("kind", dict(choices=VERIFY_KINDS)), _FILE, _FORMAT,
+    )),
+    "derive": (cmd_derive, "iterate the derivative and print sizes", (
+        ("kind", dict(choices=DERIVE_KINDS)),
+        _FILE,
+        _FORMAT,
+        ("--rounds", dict(required=True, type=int, help="iterations to run")),
+    )),
+    "embed": (cmd_embed, "realize a table as partial bijections", (_FILE, _FORMAT)),
+}
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``: it prints the help and the
+    usage errors, and reads every spelling ``_plain`` leaves to it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="modeloids",
         description="Verify algebraic axioms, run derivatives, and decide "
         "m-round equivalence of finite relational structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("file", type=Path, help="input file")
-        p.add_argument(
-            "--format",
-            choices=("text", "machine"),
-            default="text",
-            dest="fmt",
-            help="machine prints sorted key:value lines",
-        )
-
-    p = sub.add_parser("validate", help="parse and validate a structure file")
-    common(p)
-
-    p = sub.add_parser("ef", help="decide m-round equivalence of two structures")
-    common(p)
-    p.add_argument("--left", required=True, help="name of the first structure")
-    p.add_argument("--right", required=True, help="name of the second structure")
-    p.add_argument("--rounds", required=True, type=int, help="number of rounds m")
-    p.add_argument(
-        "--certificate", type=Path, default=None, help="write the level sets here"
-    )
-    p.add_argument(
-        "--max-universe",
-        type=int,
-        default=DEFAULT_EF_UNIVERSE_BOUND,
-        help="largest universe size accepted",
-    )
-
-    p = sub.add_parser("verify", help="check the axioms of a table file")
-    p.add_argument("kind", choices=VERIFY_KINDS)
-    common(p)
-
-    p = sub.add_parser("derive", help="iterate the derivative and print sizes")
-    p.add_argument("kind", choices=DERIVE_KINDS)
-    common(p)
-    p.add_argument("--rounds", required=True, type=int, help="iterations to run")
-
-    p = sub.add_parser("embed", help="realize a table as partial bijections")
-    common(p)
+    for command, (_, summary, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
     return parser
 
 
+def _dest(name: str, keywords: dict) -> str:
+    return keywords.get("dest", name.lstrip("-").replace("-", "_"))
+
+
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives ``argv``, read without argparse when
+    ``argv`` is spelt the plain way, else None: the command first, each of
+    its flags at most once as ``--flag value``, its positionals in order,
+    no token that starts with ``-`` but a flag's own name, and every value
+    of its type (``int`` or ``Path``, called as argparse calls it) and
+    among its choices.  Help, abbreviated flags, ``--flag=value``, ``--``,
+    a repeated flag and every usage error are argparse's."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    arguments = COMMANDS[argv[0]][2]
+    flags = {name: keywords for name, keywords in arguments if name.startswith("-")}
+    positionals = iter([entry for entry in arguments if not entry[0].startswith("-")])
+    ns = SimpleNamespace(command=argv[0])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            name, keywords, value = token, flags.pop(token, None), next(tokens, None)
+            if keywords is None or value is None or value.startswith("-"):
+                return None
+        else:
+            (name, keywords), value = next(positionals, (None, None)), token
+            if name is None:
+                return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        setattr(ns, _dest(name, keywords), value)
+    if next(positionals, None) is not None:
+        return None
+    for name, keywords in flags.items():
+        if keywords.get("required"):
+            return None
+        setattr(ns, _dest(name, keywords), keywords.get("default"))
+    return ns
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
-    handlers = {
-        "validate": cmd_validate,
-        "ef": cmd_ef,
-        "verify": cmd_verify,
-        "derive": cmd_derive,
-        "embed": cmd_embed,
-    }
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = _plain(argv) or SimpleNamespace(**vars(build_parser().parse_args(argv)))
     try:
         if getattr(ns, "rounds", 0) < 0:
             raise InputError("--rounds must be non-negative")
@@ -364,7 +413,7 @@ def main(argv=None) -> int:
             raise InputError(f"--rounds must be below {sys.maxsize} to list its levels")
         if getattr(ns, "max_universe", 1) < 1:
             raise InputError("--max-universe must be positive")
-        return handlers[ns.command](ns)
+        return COMMANDS[ns.command][0](ns)
     except (BoundExceededError, InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,12 +1,17 @@
 """Command-line interface: output contracts and exit codes."""
 
 import io
+import json
+import re
 import subprocess
 import sys
 from collections import Counter
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modeloids import (
     categorical,
@@ -1063,3 +1068,137 @@ class TestSubprocess:
             "--left", "P2", "--right", "P3", "--rounds", "3",
         ]
         assert subprocess.run(cmd, capture_output=True).returncode == 1
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# tokens that only argparse reads: help, an abbreviated, joined or unknown
+# flag, the end of the flags, and values that start with "-"
+ODD = (
+    "--", "-h", "--help", "--round", "--lef", "--form", "--rounds=2", "--left=A",
+    "--format=machine", "--colour", "-1", "-x",
+)
+VALUES = ("3", "-1", "\u0663", "x", "", "0", "machine", "modeloid", "f.txt")
+DIGITS = ("3", "\u0663", "0", "12")  # an int, a path and a name alike
+FLAGS = sorted(
+    {name for _, _, arguments in cli.COMMANDS.values() for name, _ in arguments if name[0] == "-"}
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its arguments, each flag there or not, the positionals
+    in order among the flags, each value drawn from its choices or
+    ``DIGITS``, or from ``VALUES``; then up to two edits: a token inserted,
+    dropped or cut short, a flag joined to its value by ``=``, or a flag
+    repeated."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "help"]))
+    arguments = cli.COMMANDS[command][2] if command in cli.COMMANDS else ()
+    groups, positionals = [], []
+    for name, keywords in arguments:
+        value = draw(st.sampled_from(keywords.get("choices", DIGITS)) | st.sampled_from(VALUES))
+        if name[0] != "-":
+            groups.append(None)
+            positionals.append(value)
+        elif draw(st.integers(0, 3)):
+            groups.append([name, value])
+    argv = [command]
+    for group in draw(st.permutations(groups)):
+        argv += [positionals.pop(0)] if group is None else group
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        word = argv[at] if at < len(argv) else ""
+        edit = draw(st.sampled_from(("insert", "drop", "cut", "join", "repeat")))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from((*ODD, *VALUES, *FLAGS, *cli.COMMANDS))))
+        elif edit == "drop":
+            del argv[at : at + 1]
+        elif edit == "cut" and len(word) > 3:
+            argv[at] = word[: draw(st.integers(3, len(word) - 1))]
+        elif edit == "join" and word.startswith("--") and at + 1 < len(argv):
+            argv[at : at + 2] = [f"{word}={argv[at + 1]}"]
+        elif edit == "repeat" and word.startswith("--"):
+            argv += argv[at : at + 2]
+    return argv
+
+
+def parsed(argv):
+    """What argparse makes of ``argv``: the namespace's attributes, or the
+    exit code with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit as exit:
+        return exit.code, out.getvalue(), err.getvalue()
+
+
+def readme_command_lines():
+    """The command lines of the README's CLI block, each with its
+    bracketed options and without them, once per listed choice."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = []
+    for line in block.splitlines():
+        for spelt in (re.sub(r" \[[^]]*\]", "", line), re.sub(r"\[([^]]*)\]", r"\1", line)):
+            choices = re.search(r"\{([^}]*)\}", spelt)
+            for choice in choices.group(1).split("|") if choices else (None,):
+                chosen = spelt if choice is None else spelt.replace(choices.group(0), choice)
+                lines.append(chosen.split()[1:])
+    return lines
+
+
+# the argv of every request of the benchmark's CLI workloads at seed 1
+WORKLOAD_ARGV = """
+import json, sys, tempfile
+from pathlib import Path
+import workloads
+with tempfile.TemporaryDirectory() as work:
+    requests = [r for name in ("tables", "ef-wide", "ef-deep") for r in workloads.build(name, 1, Path(work)).requests]
+print(json.dumps([r.argv for r in requests]))
+"""
+
+
+class TestCommandLine:
+    @settings(max_examples=300)  # about one in five is plain
+    @given(command_lines())
+    def test_a_plain_reading_is_argparse_reading(self, argv):
+        plain = cli._plain(argv)
+        if plain is not None:
+            assert vars(plain) == parsed(argv)
+
+    def test_every_benchmark_and_readme_request_is_read_plainly(self):
+        done = subprocess.run(
+            [sys.executable, "-c", WORKLOAD_ARGV],
+            capture_output=True,
+            text=True,
+            cwd=ROOT / "perfbench",
+            check=True,
+        )
+        requests = json.loads(done.stdout) + readme_command_lines()
+        assert len(requests) > 30
+        for argv in requests:
+            plain = cli._plain(argv)
+            assert plain is not None, argv
+            assert vars(plain) == parsed(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["ef", "--help"],
+            ["ef", "f.txt", "--left", "A", "--right", "B", "--round", "2"],
+            ["ef", "f.txt", "--left", "A", "--right", "B", "--rounds=2"],
+            ["ef", "f.txt", "--left", "A", "--right", "B", "--rounds", "2", "--rounds", "3"],
+            ["ef", "f.txt", "--left", "A", "--right", "B", "--", "--rounds", "2"],
+            ["ef", "f.txt", "--left", "A", "--right", "B", "--rounds", "two"],
+            ["ef", "f.txt", "--left", "A", "--right", "B", "--rounds", "-1"],
+            ["ef", "f.txt", "--left", "-x", "--right", "B", "--rounds", "2"],
+            ["ef", "f.txt", "--right", "B", "--rounds", "2"],
+            ["validate", "f.txt", "--colour", "x"],
+            ["verify", "monoid", "f.txt"],
+        ],
+    )
+    def test_other_spellings_are_left_to_argparse(self, argv):
+        assert cli._plain(argv) is None

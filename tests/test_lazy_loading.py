@@ -161,6 +161,51 @@ def test_table_requests_load_no_structure_layer(inputs, command, kind, extra):
     assert loaded(CLI_REQUEST, *argv) == (EMBED if command == "embed" else KINDS[kind])
 
 
+# the standard library modules that only help and usage errors call for
+ARGPARSE = ("argparse", "gettext", "locale")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("ef", "{sets}", "--left", "P2", "--right", "P3", "--rounds", "2"),
+        ("validate", "{sets}"),
+        ("verify", "modeloid", "{modeloid}"),
+        ("derive", "semimodeloid", "{semimodeloid}", "--rounds", "2"),
+        ("embed", "{semigroup}"),
+    ],
+)
+def test_a_plain_command_line_loads_no_argparse(inputs, argv):
+    # () imports modeloids.cli alone
+    code = CLI_REQUEST if argv else "import sys\nimport modeloids.cli"
+    probe = f"{code}\nprint(sorted(set(sys.modules).intersection({ARGPARSE!r})))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *[word.format(**inputs) for word in argv]],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_help_and_usage_errors_are_argparse(capsys, monkeypatch, inputs):
+    from modeloids import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to it
+    with pytest.raises(SystemExit) as exit:
+        cli.main(["--help"])
+    out = capsys.readouterr().out
+    assert exit.value.code == 0
+    assert out.startswith("usage: modeloids [-h] {validate,ef,verify,derive,embed} ...\n")
+    with pytest.raises(SystemExit) as exit:
+        cli.main(["ef", inputs["sets"], "--left", "P2", "--right", "P3", "--rounds", "two"])
+    err = capsys.readouterr().err
+    assert exit.value.code == 2
+    assert err.startswith("usage: modeloids ef [-h] [--format {text,machine}] --left LEFT")
+    assert err.endswith("modeloids ef: error: argument --rounds: invalid int value: 'two'\n")
+
+
 def test_ef_sweep_loop_loads_no_table_layer():
     assert loaded(SWEEP) == EF - {"cli"}
 
