@@ -84,28 +84,24 @@ one again), and answers forth and back from the same kind of index of
 one-point extensions.
 
 The certificates of one pair for m = 0, 1, 2, ... are prefixes of one
-chain, and the certificate path reads each distinct level once across
-them.  ``extract_certificate`` makes each level's set of pair tuples
+chain.  ``extract_certificate`` makes each level's set of pair tuples
 once per D and keeps it there, so the certificates for m and m + 1 share
 their level objects; that costs one frozenset per distinct level, held
-as long as the D is.  ``verify_certificate`` keeps what it proved about
-its latest pair of structure objects, by one rule per kind: codes
-proven valid (one set of integers), levels by identity (the latest
-certificate's frozenset levels that passed, held with their members'
-codes), and level pairs by identity (the pairs of those levels whose
-scan passed).  A level met again by identity is not read again, and a
-level pair met again is not scanned again; a level equal by value to
-one checked but another object has every member read and coded again,
-and proven again only when its code is not yet valid.  No member is
-hashed.  Every verdict is a fresh check's.  A call on another pair
-drops all of it, so the module holds at most one code per map of
-Part(A,B) and one certificate's levels.
+as long as the D is.  ``verify_certificate`` keeps, for its latest pair
+of structure objects, the codes proven valid and the last certificate
+that passed, and reads again only what that certificate does not share
+by identity: a new certificate's leading levels that are the very
+objects held at the same positions are not read again, and their level
+pairs are not scanned again.  No member is hashed.  Every verdict is a
+fresh check's.  A call on another pair drops all of it, so the module
+holds at most one code per map of Part(A,B) and one certificate's
+levels.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import product
+from itertools import product, takewhile
 
 from . import structures, verdict as v
 from .codes import _code, _extended_at, _least_unextended
@@ -468,26 +464,16 @@ def extract_certificate(
 
 class _Proved:
     """What ``verify_certificate`` proved about one pair of structure
-    objects, one memo per kind of thing it remembers:
-
-    - ``valid``: codes proven valid: the code of each member found valid,
-      and of each one-pair restriction of such a member that keeps the
-      constant pairs; a code is made only for a member of the right
-      shape, and no member is hashed;
-    - ``levels``: levels, by identity: each frozenset level of the latest
-      certificate that passed membership, keyed by its id, as the pair
-      (level, its members' codes in the level's own order), which holds
-      the level so that its id stays its own;
-    - ``scanned``: level pairs, by identity: (id(I_j), id(I_{j+1})) for
-      each pair of those levels whose forth and back scan passed;
-      ``levels`` holds both, so the ids stay their own.
-
-    ``bit`` maps each pair inside the two universes to its bit, and
-    ``fixed`` holds the bits of the constant pairs, both as ``_code``
-    sets them.  No failure is kept, and ``levels`` and ``scanned`` are
-    replaced by those of each certificate whose levels pass membership,
-    so the state is at most one code per map of Part(A,B) plus the levels
-    of one certificate."""
+    objects: ``valid``, the codes proven valid (the code of each member
+    found valid, and of each one-pair restriction of such a member that
+    keeps the constant pairs; a code is made only for a member of the
+    right shape, and no member is hashed), and ``held``, the leading
+    frozenset levels of the last certificate that passed, each as the
+    pair (level, its members' codes in the level's own order).  ``bit``
+    maps each pair inside the two universes to its bit, and ``fixed``
+    holds the bits of the constant pairs, both as ``_code`` sets them.
+    So the state is at most one code per map of Part(A,B) plus the
+    levels of one certificate."""
 
     def __init__(self, left: Structure, right: Structure):
         self.left, self.right = left, right
@@ -495,8 +481,7 @@ class _Proved:
         self.bit = {p: _code((p,), targets) for p in product(range(left.universe_size), range(targets))}
         self.fixed = _code(zip(left.constants, right.constants), targets)  # a proof never drops them
         self.valid: set[int] = set()
-        self.levels: dict[int, tuple[frozenset, list[int]]] = {}
-        self.scanned: set[tuple[int, int]] = set()
+        self.held: list[tuple[frozenset, list[int]]] = []
 
 
 # What ``verify_certificate`` proved about its latest pair, or None.
@@ -529,59 +514,53 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
     under restriction, as extracted ones are, any larger map would do.
 
     Asking one pair for m = 0, 1, 2, ... checks prefixes of one chain, so
-    the check keeps what it proved about its latest pair of structure
-    objects (``is``, not ``==``) in ``_Proved``, by one rule per kind:
-    codes proven valid, so a member whose code is valid is coded again
-    but not proven again; levels by identity, so a frozenset level of the
-    latest certificate met again, in this certificate or the next, is not
-    read, coded or indexed again; and level pairs by identity, so a
-    passed pair of levels is not scanned again.  No level or member is
-    hashed, and a member is compared only to pick the reported one.  The
-    verdict, axiom and witness are those of a fresh check, since members
-    and frozensets cannot change.  No failure is kept.  A call on another
-    pair drops all of it first, so the module holds at most one code per
-    map of Part(A,B) and the levels of one certificate.
+    the check keeps, for its latest pair of structure objects (``is``,
+    not ``==``), the codes proven valid and the last certificate that
+    passed (``_Proved``).  A leading level that is the very object held at
+    its position, or a level that is the very object before it, is not
+    read again; a level pair of two such leading levels, or the very pair
+    before it, is not scanned again.  Only a certificate that passes is
+    held, and only its leading frozenset levels, so a failed check keeps
+    what the last one proved.  Every verdict, axiom and
+    witness is a fresh check's, since members and frozensets cannot
+    change, and no level or member is hashed.  A call on another pair
+    drops all of it first.
     """
     global _proved
     A, B = cert.left, cert.right
     if _proved is None or _proved.left is not A or _proved.right is not B:
         _proved = _Proved(A, B)  # what was kept about another pair is dropped
     proved = _proved
-    levels: dict[int, tuple[frozenset, list[int]]] = {}  # this certificate's, by id
+    held, kept = proved.held, 0  # the leading levels of ``cert`` that are held
     coded = []
     for j, level in enumerate(cert.levels):
-        entry = levels.get(id(level)) or proved.levels.get(id(level))
-        if entry is None:
+        if kept == j < len(held) and level is held[j][0]:
+            entry, kept = held[j], j + 1
+        elif j and level is coded[-1][0]:
+            entry = coded[-1]
+        else:
             codes, failure = _coded_level(j, level, proved)
             if failure is not None:
                 return failure
             entry = level, codes
-        if isinstance(level, frozenset):
-            levels[id(level)] = entry
         coded.append(entry)
-    # the levels of the certificate before are dropped; an id in
-    # ``scanned`` was a held level's when ``cert`` was made, so a level of
-    # ``cert`` with that id is that level
-    proved.levels = levels
-    scanned, proved.scanned = proved.scanned, set()
     sources, targets = A.universe_size, B.universe_size
     indexed = None  # the level that ``at`` indexes
-    for j in range(cert.rounds):
+    for j in range(max(kept - 1, 0), cert.rounds):
         (upper, upper_codes), (lower, lower_codes) = coded[j], coded[j + 1]
-        key = id(upper), id(lower)
-        if key not in scanned and key not in proved.scanned:
-            if upper is not indexed:
-                at, indexed = _extended_at(upper_codes, sources, targets), upper
-            missed = []
-            for f, code in zip(lower, lower_codes):
-                a, b = _least_unextended(code, at, sources, targets)
-                if a is not None or b is not None:
-                    missed.append((f, a, b))
-            if missed:
-                f, a, b = min(missed)
-                return v.violated("forth", (j, a, f)) if a is not None else v.violated("back", (j, b, f))
-        if key[0] in levels and key[1] in levels:
-            proved.scanned.add(key)
+        if j and upper is lower is coded[j - 1][0]:
+            continue  # the very pair before it, which passed
+        if upper is not indexed:
+            at, indexed = _extended_at(upper_codes, sources, targets), upper
+        missed = []
+        for f, code in zip(lower, lower_codes):
+            a, b = _least_unextended(code, at, sources, targets)
+            if a is not None or b is not None:
+                missed.append((f, a, b))
+        if missed:
+            f, a, b = min(missed)
+            return v.violated("forth", (j, a, f)) if a is not None else v.violated("back", (j, b, f))
+    proved.held = list(takewhile(lambda entry: isinstance(entry[0], frozenset), coded))
     return v.passed()
 
 

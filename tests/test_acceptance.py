@@ -2,7 +2,7 @@
 
 Each test prints one ACCEPTANCE line with a PASS/FAIL verdict straight to
 the terminal (bypassing capture) before asserting, so a plain pytest run
-shows the fourteen verdicts at a glance.
+shows the fifteen verdicts at a glance.
 """
 
 import itertools
@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from dense_ambient import dense_table
@@ -20,6 +21,7 @@ from modeloids.categorical import (
     endoset_as_semimodeloid,
     iterate_categorical,
 )
+from modeloids import ef_games
 from modeloids.derived import fixpoint_chain
 from modeloids.ef_games import (
     BackAndForthCertificate,
@@ -238,10 +240,37 @@ def test_05_three_characterizations_agree(announce):
                 rejected += 1
         except InputError:
             rejected += 1  # flagged non-associative, equally decisive
+
+    # every table of order 1-3: the three presentations agree on each
+    # associative one, and each other one is refused as input; a table
+    # that breaks either is counted as split
+    start = time.monotonic()
+    tables = associative = inverse = 0
+    split = []
+    for n in (1, 2, 3):
+        for cells in itertools.product(range(n), repeat=n * n):
+            rows = [cells[i * n:(i + 1) * n] for i in range(n)]
+            tables += 1
+            associates = all(
+                rows[rows[x][y]][z] == rows[x][rows[y][z]]
+                for x, y, z in itertools.product(range(n), repeat=3)
+            )
+            try:
+                report = characterize(rows).as_tuple()
+            except InputError:
+                report = None  # refused as not associative
+            associative += report is not None
+            inverse += report == (True, True, True)
+            if (report is not None) != associates or report and len(set(report)) != 1:
+                split.append(rows)
     announce(
         5,
-        all_good and rejected == len(negatives),
-        f"{len(positives)} positives three-way true, {rejected}/5 negatives rejected",
+        all_good and rejected == len(negatives) and not split
+        and (tables, associative, inverse) == (19700, 122, 29),
+        f"{len(positives)} positives three-way true, {rejected}/5 negatives rejected; "
+        f"{tables} tables of order 1-3, {associative} associative, {inverse} inverse "
+        f"semigroups, {len(split)} split, first {split[0] if split else 'none'}, "
+        f"{time.monotonic() - start:.2f}s",
     )
 
 
@@ -629,5 +658,64 @@ def test_14_linear_orders_against_the_closed_form(announce):
         not disagreements and cases == 180,
         f"{cases} cases L_a vs L_b, 1 <= a <= b <= 8, m <= 4, against a = b or "
         f"a, b >= 2^m - 1, {len(disagreements)} disagreements, "
+        f"smallest {disagreements[0] if disagreements else 'none'}, {elapsed:.1f}s",
+    )
+
+
+DIGRAPH = Vocabulary(relations=(("E", 2),))
+
+
+def digraph_classes(n):
+    """One directed graph (loops allowed) on n vertices per isomorphism
+    class, the least edge list of the class under relabelling."""
+    grid = list(itertools.product(range(n), repeat=2))
+    classes = set()
+    for k in range(len(grid) + 1):
+        for edges in itertools.combinations(grid, k):
+            classes.add(min(
+                tuple(sorted((perm[a], perm[b]) for a, b in edges))
+                for perm in itertools.permutations(range(n))
+            ))
+    return sorted(classes, key=lambda edges: (len(edges), edges))
+
+
+def test_15_every_small_digraph_through_both_routes(announce):
+    # every ordered pair of digraph classes on 1-3 vertices at every
+    # m <= the larger size + 1: the derivative equals the oracle; at equal
+    # sizes n and m = n Spoiler can pick all of A, so the answer holds
+    # exactly on the diagonal; every equivalent case's certificate is
+    # checked in increasing m per pair, each verdict a fresh check's
+    start = time.monotonic()
+    graphs = [(n, edges) for n in (1, 2, 3) for edges in digraph_classes(n)]
+    sides = [
+        [Structure.build(name, n, DIGRAPH, {"E": edges}) for n, edges in graphs]
+        for name in "AB"
+    ]
+    disagreements, cases, equivalent = [], 0, 0
+    for (i, A), (j, B) in itertools.product(*map(enumerate, sides)):
+        a, b = A.universe_size, B.universe_size
+        for m in range(max(a, b) + 2):
+            cases += 1
+            by_derivative, _ = ef_equiv_derivative(A, B, m)
+            agree = by_derivative == ef_equiv_oracle(A, B, m)
+            if a == b == m:
+                agree = agree and by_derivative == (i == j)
+            if by_derivative:
+                equivalent += 1
+                cert = extract_certificate(A, B, m)
+                report = verify_certificate(cert)
+                with mock.patch.object(ef_games, "_proved", None):
+                    agree = agree and report.ok and report == verify_certificate(cert)
+            if not agree:
+                disagreements.append((graphs[i], graphs[j], m))
+    elapsed = time.monotonic() - start
+    announce(
+        15,
+        not disagreements and cases == 67132
+        and [sum(n == k for n, _ in graphs) for k in (1, 2, 3)] == [2, 10, 104],
+        f"{len(graphs)} digraph classes on 1-3 vertices, {cases} cases of "
+        f"{len(graphs) ** 2} ordered pairs at m <= the larger size + 1, "
+        f"{equivalent} equivalent with certificates checked in increasing m, "
+        f"{len(disagreements)} disagreements, "
         f"smallest {disagreements[0] if disagreements else 'none'}, {elapsed:.1f}s",
     )

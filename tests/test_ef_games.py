@@ -1477,6 +1477,42 @@ class TestCheckAcrossCalls:
         assert {name: sum(step[name] for step in looped) for name in calls} == fresh
         assert fresh["_extended_at"] >= 1 and fresh["pairs_are_partial_iso"] >= 1
 
+    def test_a_failed_check_costs_no_work_afterwards(self, monkeypatch):
+        # pure 3v4: a copy of the m=1 certificate whose I_0 lacks the
+        # largest map of I_1 fails forth between m=1 and m=2, and the check
+        # of m=2 then does what it does straight after m=1
+        calls = {"pairs_are_partial_iso": 0, "_extended_at": 0}
+
+        def counted(name):
+            real = getattr(ef_games, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(ef_games, name, call)
+
+        def checked(cert):
+            before = dict(calls)
+            report = verify_certificate(cert)
+            return report, {name: calls[name] - before[name] for name in calls}
+
+        for name in calls:
+            counted(name)
+        A, B = pure("A", 3), pure("B", 4)
+        first, second = extract_certificate(A, B, 1), extract_certificate(A, B, 2)
+        dropped = (first.levels[0] - {max(first.levels[1])}, first.levels[1])
+        monkeypatch.setattr(ef_games, "_proved", None)
+        assert verify_certificate(first).ok
+        report, _ = checked(BackAndForthCertificate(A, B, 1, dropped))
+        assert report.axiom == "forth"
+        after_failure = checked(second)
+        monkeypatch.setattr(ef_games, "_proved", None)
+        assert verify_certificate(first).ok
+        straight = checked(second)
+        assert after_failure == straight
+        assert straight[0].ok and straight[1]["_extended_at"] == 1
+
     def test_no_member_is_hashed(self):
         # each level rebuilt as a tuple, which is not held by identity, of
         # members that raise when hashed: every member is read and proven
