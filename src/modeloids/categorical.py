@@ -8,12 +8,13 @@ member above it covers that atom on the domain side, and symmetrically at
 Y on the codomain side.  A down-set stays in its homset, so one cover
 pass over all members takes every homset at once, star included (its
 endoset has no atoms), with each end object's atoms found once: the
-cover step ``inverse_semigroups._covered`` and the atom test ``_atoms``,
-which the semimodeloid derivative runs on one object.
+cover step ``laws._covered`` and the atom test ``laws._atoms``, which
+the semimodeloid derivative runs on one object.
 
 Endosets of a categorical modeloid collapse to semimodeloids, through
 the tabulation that ``inverse_semigroups`` keeps for every collapse onto a
 table; this is how the one-object theory re-enters the categorical one.
+Only that collapse loads ``inverse_semigroups``, on its first call.
 """
 
 from __future__ import annotations
@@ -22,10 +23,14 @@ from collections.abc import Iterable
 from itertools import repeat
 
 from . import verdict as v
-from .derived import Frozen, fact, fixpoint_chain, generators
+from .derived import Frozen, fact, fixpoint_chain, generators, lazy
 from .errors import InputError
 from .free_categories import Ambient, has_all_zeros, objects
-from .inverse_semigroups import Semimodeloid, _atoms, _covered, _tabulate, absorbing
+from .laws import _atoms, _covered, absorbing
+
+# Only the endoset collapse reads them, so that layer is loaded on its
+# first call.
+__getattr__ = _load = lazy(globals(), {"inverse_semigroups": ("Semimodeloid", "_tabulate")})
 
 
 class CategoricalModeloid(Frozen):
@@ -184,5 +189,6 @@ def endoset_as_semimodeloid(
         raise InputError(f"object {X} is not a member")
     endos = _member_homset(M, X, X)
     _endoset_zero(M, X, endos)
-    table = _tabulate(endos, lambda f: map(c.compose, repeat(f), endos), c.inv.__getitem__)
-    return Semimodeloid(table, frozenset(range(table.order))), tuple(endos)
+    products = lambda f: map(c.compose, repeat(f), endos)
+    table = _load("_tabulate")(endos, products, c.inv.__getitem__)
+    return _load("Semimodeloid")(table, frozenset(range(table.order))), tuple(endos)

@@ -13,10 +13,12 @@ category additionally gives every existing morphism s a unique partner
 with s = s.partner.s and partner = partner.s.partner; the same class of
 tables is carved out by a quantifier-free equational axiom set, and both
 checks are provided so their agreement stays observable.  Both run the
-inverse-semigroup laws of ``inverse_semigroups`` on the composition table;
-strictness of the inverse on star is the only law of the category's own.
-A one-object category collapses onto its existing morphisms through the
-tabulation that ``inverse_semigroups`` keeps for every collapse.
+bare-row laws of ``laws``, which the inverse semigroups run too, on the
+composition table; strictness of the inverse on star is the only law of
+the category's own.  A one-object category collapses onto its existing
+morphisms through the tabulation that ``inverse_semigroups`` keeps for
+every collapse; only the two bridges to tables load that module, on
+their first call.
 """
 
 from __future__ import annotations
@@ -24,17 +26,13 @@ from __future__ import annotations
 from itertools import compress
 
 from . import verdict as v
-from .derived import Frozen, fact
+from .derived import Frozen, fact, lazy
 from .errors import InputError
-from .inverse_semigroups import (
-    InverseSemigroupTable,
-    _atoms,
-    _tabulate,
-    absorbing,
-    associativity_witness,
-    find_neutral,
-    inverse_laws,
-)
+from .laws import _atoms, absorbing, associativity_witness, inverse_laws
+
+# Only the two bridges to inverse semigroup tables read them, so that
+# layer is loaded on the first such call.
+__getattr__ = _load = lazy(globals(), {"inverse_semigroups": ("_tabulate", "find_neutral")})
 
 
 class Ambient:
@@ -295,7 +293,7 @@ def one_object_to_semigroup(c: FreeCategory) -> InverseSemigroupTable:
     if len(obj) != 1:
         raise InputError(f"expected exactly one object, found {len(obj)}")
     exists = [m != c.star for m in range(c.morphism_count)]
-    return _tabulate(
+    return _load("_tabulate")(
         tuple(compress(range(c.morphism_count), exists)),
         lambda f: compress(c.comp[f], exists),
         c.inv.__getitem__,
@@ -305,7 +303,7 @@ def one_object_to_semigroup(c: FreeCategory) -> InverseSemigroupTable:
 def semigroup_to_one_object_category(t: InverseSemigroupTable) -> FreeCategory:
     """View an inverse monoid as a category with a single object (the
     neutral element) plus an appended non-existing morphism."""
-    neutral = find_neutral(t)
+    neutral = _load("find_neutral")(t)
     if neutral is None:
         raise InputError("only a monoid yields an identity morphism for the object")
     n = t.order

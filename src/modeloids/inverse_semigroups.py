@@ -5,25 +5,23 @@ satisfying x*x'*x = x, (x')' = x, and commutation of the idempotents
 x*x' and y*y'.  Three classically equivalent presentations (the axioms,
 uniqueness of inverses, regularity plus commuting idempotents) are each
 checked from scratch by ``characterize`` so the equivalence itself stays
-testable.  The laws read bare rows, so ``free_categories`` runs the same
-functions on the composition tables of inverse categories.
-Associativity is decided by Light's test on a generating set picked
-greedily from the top of the natural order down (``derived.generators``
-over ``top_down``), which also serves the closure checks elsewhere, and
-idempotent commutation is tested on the distinct idempotents x*x'.
+testable.  The laws that read bare rows (associativity by Light's test,
+the inverse laws, the absorbing element, the atom test and the cover
+step) live in ``laws``, which ``free_categories`` and ``categorical``
+read too, so neither loads this module for them.
 ``from_partial_bijections`` turns a closed set of partial
 bijections into an abstract table, and ``wagner_preston`` goes the other
 way, realizing any verified table as partial bijections on itself; only
 these two load ``partial_bijections``, on their first call.
 ``_tabulate`` is the one tabulation behind every collapse onto a table:
 this one, the one-object collapse of ``free_categories`` and the endoset
-collapse of ``categorical``.
+collapse of ``categorical``, which load it on their first call.
 
 A semimodeloid is a subset of an inverse monoid with zero, closed under
 the product, inverses and the natural partial order, containing the
 neutral element.  Its derivative quantifies over the idempotent atoms of
-the ambient monoid, in the one cover step (``_covered``) that the
-categorical derivative takes too; ``_atoms`` is the one atom test, of
+the ambient monoid, in the one cover step (``laws._covered``) that the
+categorical derivative takes too; ``laws._atoms`` is the one atom test, of
 ``atoms``, ``free_categories.is_atom`` and ``member_idempotent_atoms``.
 """
 
@@ -36,6 +34,7 @@ from operator import itemgetter
 from . import verdict as v
 from .derived import Frozen, fact, generators, lazy
 from .errors import BoundExceededError, InputError
+from .laws import _atoms, _covered, absorbing, associativity_witness, inverse_laws, top_down
 
 # Only the two bridges to partial bijections read them, so that layer is
 # loaded on the first such call.
@@ -87,70 +86,6 @@ def _check_square(mul: MulTable, n: int) -> None:
         raise InputError("multiplication entry out of range")
 
 
-def top_down(mul: MulTable, elements: Iterable[int]) -> list[int]:
-    """``elements`` by decreasing number of distinct entries in their rows,
-    |x*S|, ties in the given order: x <= y in the natural order gives
-    xS within yS, so this lists the high elements first."""
-    return sorted(elements, key=lambda x: -len(set(mul[x])))
-
-
-def associativity_witness(mul: MulTable) -> tuple[int, int, int] | None:
-    """The first (x, y, z) in index order with (x*y)*z != x*(y*z), or None.
-
-    Light's test runs first: (x*g)*y = x*(g*y) for every generator g and
-    all x, y, at n^2*|G| lookups.  The elements a with (x*a)*y = x*(a*y)
-    for all x, y are closed under the product in any magma, and the
-    generators reach every element, so a pass proves associativity.  Only
-    a failure pays the cubic scan, which finds the first witness.
-    """
-    n = len(mul)
-    if n == 1:
-        # an itemgetter of one index returns a bare entry, not a row
-        return _first_associativity_witness(mul)
-    for g in generators(lambda x, y: mul[x][y], top_down(mul, range(n))):
-        times_g = itemgetter(*mul[g])  # row of x -> x*(g*y) for every y
-        for row_x in mul:
-            if mul[row_x[g]] != times_g(row_x):
-                return _first_associativity_witness(mul)
-    return None
-
-
-def _first_associativity_witness(mul: MulTable) -> tuple[int, int, int] | None:
-    n = len(mul)
-    for x in range(n):
-        row_x = mul[x]
-        for y in range(n):
-            xy = row_x[y]
-            row_xy = mul[xy]
-            row_y = mul[y]
-            for z in range(n):
-                if row_xy[z] != row_x[row_y[z]]:
-                    return (x, y, z)
-    return None
-
-
-def inverse_laws(mul: MulTable, inv: Sequence[int]) -> v.Verdict:
-    """In order: x*x'*x = x, (x')' = x, and x*x' commutes with y*y'."""
-    n = len(mul)
-    for x in range(n):
-        if mul[mul[x][inv[x]]][x] != x:
-            return v.violated("regularity", (x,))
-    for x in range(n):
-        if inv[inv[x]] != x:
-            return v.violated("involution", (x,))
-    # only the distinct x*x' can fail to commute; the scan over every
-    # pair runs after a failure, to name the first witness
-    idem = {mul[x][inv[x]] for x in range(n)}
-    if any(mul[e][f] != mul[f][e] for e in idem for f in idem):
-        for x in range(n):
-            e = mul[x][inv[x]]
-            for y in range(n):
-                f = mul[y][inv[y]]
-                if mul[e][f] != mul[f][e]:
-                    return v.violated("idempotent-commutation", (x, y))
-    return v.passed()
-
-
 def partners(mul: MulTable, x: int) -> list[int]:
     """Every y with x*y*x = x and y*x*y = y (the generalized inverses of
     x), in index order."""
@@ -166,15 +101,6 @@ def _noncommuting_idempotents(mul: MulTable) -> tuple[int, int] | None:
         for f in idem:
             if mul[e][f] != mul[f][e]:
                 return (e, f)
-    return None
-
-
-def absorbing(compose, elements: Sequence[int]) -> int | None:
-    """The first z of ``elements`` with compose(z, p) = compose(p, z) = z
-    for every p among them: the zero of that subset, if it has one."""
-    for z in elements:
-        if all(compose(z, p) == z and compose(p, z) == z for p in elements):
-            return z
     return None
 
 
@@ -350,12 +276,6 @@ def atoms(table: InverseSemigroupTable) -> frozenset[int]:
     return frozenset(_atoms(range(table.order), _below(table).__getitem__, zero))
 
 
-def _atoms(elements: Iterable, below, zero) -> list:
-    """The atoms among ``elements``, in their order: each x other than
-    ``zero`` whose down-set ``below(x)`` holds only x and ``zero``."""
-    return [x for x in elements if x != zero and below(x) <= {x, zero}]
-
-
 @fact
 def idempotent_atoms(table: InverseSemigroupTable) -> tuple[int, ...]:
     idem = set(idempotents(table))
@@ -399,30 +319,6 @@ def _tabulate(elements: Sequence, products, inverse) -> InverseSemigroupTable:
     return table_from_rows(tuple(rows), inv_row)
 
 
-def _covered(candidates: Iterable, ends, compose, inv, below) -> frozenset:
-    """One cover step of the semimodeloid or categorical derivative:
-    ``ends(h)`` gives the idempotent atoms at h's domain and codomain.  h
-    covers an atom a at its domain when a <= h'h, and one at its codomain
-    when a <= hh', for every f below h; the candidates kept are covered
-    for every atom at both ends.  Down-sets stay inside a homset, so a pass
-    over many homsets gives each homset's own answer."""
-    covers: tuple[dict, dict] = ({}, {})  # per side: atom -> maps covered for it
-    for h in candidates:
-        g = inv(h)
-        for cover, at_end, e in zip(covers, ends(h), (compose(g, h), compose(h, g))):
-            down = below(e)
-            for a in at_end:
-                if a in down:
-                    cover.setdefault(a, set()).update(below(h))
-    return frozenset(
-        f
-        for f in candidates
-        if all(
-            f in cover.get(a, ()) for cover, at_end in zip(covers, ends(f)) for a in at_end
-        )
-    )
-
-
 def wagner_preston(table: InverseSemigroupTable) -> tuple[PartialBijection, ...]:
     """Realize a verified table as partial bijections on its own elements.
 
@@ -431,14 +327,69 @@ def wagner_preston(table: InverseSemigroupTable) -> tuple[PartialBijection, ...]
     faithfulness) are deliberately left to the caller's checks.
     """
     verify_inverse_semigroup(table).require("not an inverse semigroup")
-    carrier, from_pairs = _load("Carrier")(table.order), _load("PartialBijection").from_pairs
-    mul, inv = table.mul, table.inv
+    carrier, bijection = _load("Carrier")(table.order), _load("PartialBijection")
+    mul, inv, n = table.mul, table.inv, table.order
+    idempotent = [mul[inv[a]][a] for a in range(n)]
+    # the fixed points of each idempotent a'*a, found once per idempotent
+    fixed = {e: [x for x in range(n) if mul[e][x] == x] for e in set(idempotent)}
     images = []
-    for a in range(table.order):
-        e = mul[inv[a]][a]
-        domain = [x for x in range(table.order) if mul[e][x] == x]
-        images.append(from_pairs(carrier, ((x, mul[a][x]) for x in domain)))
+    for a, e in enumerate(idempotent):
+        # the pairs are sorted and distinct: one checked construction each
+        domain = fixed[e]
+        images.append(bijection(carrier, tuple(zip(domain, map(mul[a].__getitem__, domain)))))
     return tuple(images)
+
+
+
+def _embedding(
+    table: InverseSemigroupTable, images: Sequence[PartialBijection]
+) -> tuple[bool, bool, bool]:
+    """Whether ``images``, one partial bijection per element of the
+    verified ``table`` (as ``wagner_preston`` gives them), are injective,
+    multiplicative and order-faithful, read from the images alone.
+
+    Each image is also a row over its carrier and one more point m, which
+    stands for "undefined" and maps to itself, so image(a) o image(g) is
+    row g read through row a (``itemgetter``).  The table is associative,
+    so comparing that with image(a*g) for the generators g carries the
+    product to every b by induction on b as a word in them: n*|G|
+    compositions.  image(a) lies below image(b) when its domain lies in
+    image(b)'s and row b reads as image(a) there, so one read of row b per
+    distinct domain inside its own finds every such a, to compare with
+    b's natural-order down-set.  Images over more than one carrier raise
+    ``InputError``, as composing them does.
+    """
+    if len({f.carrier for f in images}) > 1:
+        raise InputError("cannot compose maps over different carriers")
+    mul, n, m = table.mul, table.order, images[0].carrier.size
+    rows, domain_of = [], []
+    shapes = {}  # domain -> its point set, its reader, its images by the values read
+    for a, f in enumerate(images):
+        row = [m] * (m + 1)
+        for x, y in f.pairs:
+            row[x] = y
+        rows.append(tuple(row))
+        domain = tuple(map(itemgetter(0), f.pairs))
+        if domain not in shapes:
+            shapes[domain] = (frozenset(domain), itemgetter(*domain, m), {})
+        points, read, found = shapes[domain]
+        domain_of.append(points)
+        found.setdefault(read(row), set()).add(a)
+    inside = {
+        d: [(read, found) for e, read, found in shapes.values() if e <= d]
+        for d, _, _ in shapes.values()
+    }
+    gens = generators(lambda x, y: mul[x][y], top_down(mul, range(n)))
+    after = [(g, itemgetter(*rows[g])) for g in gens]
+    below = _below(table)
+    return (
+        len(set(images)) == n,
+        all(rows[mul[a][g]] == read(rows[a]) for a in range(n) for g, read in after),
+        all(
+            below[b] == {a for read, found in inside[d] for a in found.get(read(row), ())}
+            for b, (d, row) in enumerate(zip(domain_of, rows))
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,10 @@ both ways, and drops single pairs, until nothing new appears.  The library decid
 derivative on all of category D; the reference iterates that restriction
 cover on Part(A,B) alone.  The library steps a derivative chain lazily and
 keeps each distinct level once; the reference steps it eagerly for a
-fixed number of rounds and pads the tail.
+fixed number of rounds and pads the tail.  The library builds each
+Wagner-Preston image from its pairs, already sorted and distinct, at
+once; the reference hands them to ``PartialBijection.from_pairs``, which
+sorts and deduplicates them first.
 """
 
 from itertools import combinations
@@ -49,7 +52,7 @@ from modeloids import verdict as v
 from modeloids.errors import ParseError
 from modeloids.free_categories import objects
 from modeloids.modeloid import Modeloid
-from modeloids.partial_bijections import identity_map
+from modeloids.partial_bijections import Carrier, PartialBijection, identity_map
 from modeloids.structures import enumerate_partial_isos, pairs_are_partial_iso
 
 
@@ -430,3 +433,15 @@ def reach_above_chain(A, B, m):
         )
         levels.append(level)
     return levels
+
+
+def wagner_preston_by_from_pairs(table):
+    """Element a of a verified table as x -> a*x on the fixed points of
+    a'*a, each map built by ``from_pairs``."""
+    carrier, mul = Carrier(table.order), table.mul
+    images = []
+    for a in range(table.order):
+        e = mul[table.inv[a]][a]
+        domain = [x for x in range(table.order) if mul[e][x] == x]
+        images.append(PartialBijection.from_pairs(carrier, ((x, mul[a][x]) for x in domain)))
+    return tuple(images)

@@ -14,6 +14,7 @@ from unittest import mock
 
 import pytest
 from dense_ambient import dense_table
+from reference_scans import wagner_preston_by_from_pairs
 
 from modeloids.categorical import (
     CategoricalModeloid,
@@ -535,6 +536,7 @@ def through_every_layer(t, monoid):
     checks = {
         "characterize": characterize(t.mul).as_tuple() == (True, True, True),
         "wagner_preston": wagner_preston_embeds(t),
+        "wagner_preston from_pairs": wagner_preston(t) == wagner_preston_by_from_pairs(t),
         "round trip": (collapsed.mul, collapsed.inv) == (monoid.mul, monoid.inv),
         "inverse checks agree": verify_inverse_category_unique(category).ok
         == verify_inverse_category_equational(category).ok,
@@ -543,7 +545,8 @@ def through_every_layer(t, monoid):
 
 
 def test_12_every_small_rook_subsemigroup_through_every_layer(announce):
-    # (a) three characterizations, (b) Wagner-Preston, (c) the one-object
+    # (a) three characterizations, (b) Wagner-Preston, its images also
+    # against the from_pairs construction of the reference, (c) the one-object
     # round trip and (d) the two inverse-category verifiers, on every case;
     # (c) and (d) need an identity, so a semigroup without one runs them
     # on S with an identity adjoined (S^1, again an inverse semigroup)

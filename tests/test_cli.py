@@ -914,6 +914,28 @@ class TestEfDerivesOnce:
         assert called == []
 
 
+def mutated_images(images, kind):
+    """Every way to mutate ``images`` of one ``kind``: two images swapped,
+    one pair dropped from one image, or one image put in another's place."""
+    n = len(images)
+    if kind == "swapped":
+        for i in range(n):
+            for j in range(i + 1, n):
+                swapped = list(images)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                yield tuple(swapped)
+    elif kind == "dropped":
+        for a, f in enumerate(images):
+            for k in range(len(f.pairs)):
+                short = PartialBijection(f.carrier, f.pairs[:k] + f.pairs[k + 1 :])
+                yield images[:a] + (short,) + images[a + 1 :]
+    else:
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    yield images[:j] + (images[i],) + images[j + 1 :]
+
+
 class TestEmbed:
     def test_semilattice_representation(self, files, capsys):
         code, out, _ = run(capsys, "embed", files["semilattice.txt"])
@@ -956,24 +978,55 @@ class TestEmbed:
         assert code == 1
         assert "ok: false" in out
 
-    def test_swapped_images_match_the_check_on_every_pair(
-        self, files, capsys, monkeypatch
-    ):
+    # embed on images other than wagner_preston's prints what the
+    # definitions give, each read over every pair: natural_leq against
+    # is_restriction_of, and compose for every product
+    @pytest.mark.parametrize(
+        "kind, outcomes",
+        [
+            pytest.param("swapped", {(True, False, False), (True, False, True)}, id="swapped"),
+            pytest.param("dropped", {(True, False, False), (True, False, True)}, id="dropped"),
+            pytest.param("duplicated", {(False, False, False)}, id="duplicated"),
+        ],
+    )
+    def test_each_line_is_the_definition(self, files, capsys, monkeypatch, kind, outcomes):
         table, _ = from_partial_bijections(enumerate_all(Carrier(2)))
-        n = table.order
-        omegas = inverse_semigroups.wagner_preston(table)
-        for i in range(n):
-            for j in range(i + 1, n):
-                swapped = list(omegas)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                monkeypatch.setattr(cli, "wagner_preston", lambda t, s=tuple(swapped): s)
-                expected = all(
-                    swapped[table.mul[a][b]] == swapped[a].compose(swapped[b])
+        n, mul = table.order, table.mul
+        seen = set()
+        for images in mutated_images(inverse_semigroups.wagner_preston(table), kind):
+            monkeypatch.setattr(cli, "wagner_preston", lambda t, s=images: s)
+            expected = {
+                "injective": len(set(images)) == n,
+                "multiplicative": all(
+                    images[mul[a][b]] == images[a].compose(images[b])
                     for a in range(n)
                     for b in range(n)
-                )
-                out = run(capsys, "embed", files["f2.txt"])[1].splitlines()
-                assert out[-2] == f"multiplicative: {cli._bool(expected)}"
+                ),
+                "order-faithful": all(
+                    inverse_semigroups.natural_leq(table, a, b)
+                    == images[a].is_restriction_of(images[b])
+                    for a in range(n)
+                    for b in range(n)
+                ),
+            }
+            code, out, err = run(capsys, "embed", files["f2.txt"])
+            lines = [f"{key}: {cli._bool(value)}" for key, value in expected.items()]
+            assert (out.splitlines()[-3:], err) == (lines, "")
+            assert code == (0 if all(expected.values()) else 1)
+            seen.add(tuple(expected.values()))
+        # order-faithful comes out both ways, and no mutation embeds
+        assert seen == outcomes
+
+    def test_images_over_two_carriers_exit_2(self, files, capsys, monkeypatch):
+        table, _ = from_partial_bijections(enumerate_all(Carrier(2)))
+        images, n = inverse_semigroups.wagner_preston(table), table.order
+        with pytest.raises(InputError) as refused:
+            images[0].compose(PartialBijection(Carrier(n + 1), ()))
+        for a, f in enumerate(images):
+            odd = PartialBijection(Carrier(n + 1), f.pairs)
+            patched = images[:a] + (odd,) + images[a + 1 :]
+            monkeypatch.setattr(cli, "wagner_preston", lambda t, s=patched: s)
+            assert run(capsys, "embed", files["f2.txt"]) == (2, "", f"error: {refused.value}\n")
 
 
 class TestModeloidClosureOnGenerators:

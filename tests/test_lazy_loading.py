@@ -31,10 +31,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # the submodules that carry no layer: what every entry point may load
 BASE = {"derived", "errors"}
 EF = BASE | {"cli", "codes", "ef_games", "structures", "verdict"}
-# what a table request loads, by the kind of table it reads
+# what a table request loads, by the kind of table it reads; the laws that
+# read bare rows are both table layers', so a category loads no semigroup
 TABLE = BASE | {"cli", "fileformats", "verdict"}
-SEMIGROUP = TABLE | {"inverse_semigroups"}
-CATEGORY = SEMIGROUP | {"free_categories"}
+SEMIGROUP = TABLE | {"inverse_semigroups", "laws"}
+CATEGORY = TABLE | {"free_categories", "laws"}
 MODELOID = TABLE | {"codes", "modeloid", "partial_bijections"}
 KINDS = {
     "semigroup": SEMIGROUP,
@@ -222,11 +223,35 @@ def test_ef_sweep_loop_loads_nothing_once_it_starts():
     "module, expected",
     [
         ("codes", BASE | {"codes"}),
+        ("laws", BASE | {"laws", "verdict"}),
+        ("free_categories", BASE | {"free_categories", "laws", "verdict"}),
+        ("categorical", BASE | {"categorical", "free_categories", "laws", "verdict"}),
         ("ef_ambient", EF - {"cli"} | {"ef_ambient"}),
     ],
 )
 def test_a_split_module_imports_first(module, expected):
     assert loaded(f"import modeloids.{module}") == expected
+
+
+# the categorical layers run on bare-row laws alone, and load the
+# semigroup layer only in the two bridges that build its tables
+BRIDGES = """
+from modeloids import categorical, free_categories
+semilattice = ((0, 1, 2), (1, 1, 2), (2, 2, 2))  # 1 <= 0, star 2
+c = free_categories.FreeCategory(3, 2, (0, 0, 2), (0, 0, 2), semilattice, (0, 1, 2))
+M = categorical.CategoricalModeloid.everything(c)
+assert categorical.categorical_derivative(M).members == {0, 1, 2}
+assert "modeloids.inverse_semigroups" not in sys.modules
+assert free_categories.one_object_to_semigroup(c).mul == ((0, 1), (1, 1))
+sm, endos = categorical.endoset_as_semimodeloid(M, 0)
+assert (sm.ambient.mul, sm.members, endos) == (((0, 1), (1, 1)), {0, 1}, (0, 1))
+"""
+
+
+def test_the_bridges_to_tables_load_the_semigroup_layer_on_their_call():
+    assert loaded(BRIDGES) == BASE | {
+        "categorical", "free_categories", "inverse_semigroups", "laws", "verdict"
+    }
 
 
 def test_the_names_moved_out_of_ef_games_resolve_from_it():
