@@ -223,10 +223,10 @@ def test_ef_sweep_loop_loads_nothing_once_it_starts():
     "module, expected",
     [
         ("codes", BASE | {"codes"}),
+        ("ef_ambient", EF - {"cli"} | {"ef_ambient"}),
         ("laws", BASE | {"laws", "verdict"}),
         ("free_categories", BASE | {"free_categories", "laws", "verdict"}),
         ("categorical", BASE | {"categorical", "free_categories", "laws", "verdict"}),
-        ("ef_ambient", EF - {"cli"} | {"ef_ambient"}),
     ],
 )
 def test_a_split_module_imports_first(module, expected):
