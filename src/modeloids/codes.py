@@ -2,7 +2,9 @@
 integer codes.
 
 A map from {0..sources-1} to {0..targets-1} is coded as one integer
-(``_code``); ``_extended_at`` indexes the one-point extensions of a
+(``_code``), the form in which the growth loop of ``structures`` finds
+the maps of the ``ef`` build, and ``_decoded`` reads their sorted pair
+tuples back.  ``_extended_at`` indexes the one-point extensions of a
 level of codes once, and ``_least_unextended`` reads a map's least
 unextended source and target from that index with one dict lookup.  The
 ``ef`` chain, the certificate check and the modeloid derivative read
@@ -22,6 +24,23 @@ def _code(pairs: Iterable[tuple[int, int]], targets: int) -> int:
     for a, b in pairs:
         code |= 1 << a * targets + b
     return code
+
+
+def _decoded(codes: Iterable[int], targets: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The sorted pair tuple of each of ``codes``, in order: the inverse
+    of ``_code``.  A code's tuple is the tuple of the code without its
+    highest bit, plus that bit's pair, so each distinct prefix is built
+    once and its pairs are shared by the tuples that extend it."""
+    memo = {0: ()}
+
+    def pairs(code: int) -> tuple:
+        found = memo.get(code)
+        if found is None:
+            top = code.bit_length() - 1
+            found = memo[code] = pairs(code ^ 1 << top) + (divmod(top, targets),)
+        return found
+
+    return tuple(map(pairs, codes))
 
 
 def _extended_at(codes: Iterable[int], sources: int, targets: int) -> dict[int, int]:

@@ -5,10 +5,11 @@ pair is the free-logic inverse category whose existing morphisms are
 the partial isomorphisms between the four side pairs (A,A), (A,B),
 (B,A), (B,B).  Its objects are the full identities id_A and id_B, the
 zero of each endoset is the constants-only map, and the full morphism
-set is a categorical modeloid.  A map of D is held in one form, its
-sorted tuple of pairs: the category, its chains and its certificates
-all read pair tuples, and a ``PartialIso`` is built only where a map is
-handed out, as the witness of ``ef_equiv_derivative`` or by
+set is a categorical modeloid.  The build holds each map of Hom(A,B)
+as its integer code, one bit per pair (``codes._code``), as the growth
+loop of ``structures`` finds it; the other homsets and the certificates
+hold sorted pair tuples, and a ``PartialIso`` is built only where a map
+is handed out, as the witness of ``ef_equiv_derivative`` or by
 ``surviving_maps``.  No composition table is built: the
 ``PartialIsoAmbient`` composes two maps on demand and looks the result
 up, and it lists the natural-order down-set of a map as its
@@ -23,20 +24,25 @@ are the partial identities on the constants plus one point.  Every
 level is down-closed, so some member above f covers the atom at x
 exactly when f ∪ {(x, y)} is in the level for some y: a step keeps f
 when every point outside it extends it by one pair, forth and back, the
-classical back-and-forth step.  Each map of the homset is coded once
-per chain as an integer with one bit per pair (``codes._code``); each
-step indexes the one-point extensions of its level once from those codes
-(``_extended_at``) and reads every map's answer from that index.  The
-chain on all of D (``derivative_levels``, the paper's route through
-``categorical_derivative``) stays as the reference it must agree with.
+classical back-and-forth step.  The chain reads the codes of Hom(A,B)
+as the build made them (a map of another homset is coded once per
+chain); each step indexes the one-point extensions of its level once
+from those codes (``_extended_at``) and reads every map's answer from
+that index.  The chain on all of D (``derivative_levels``, the paper's
+route through ``categorical_derivative``) stays as the reference it
+must agree with.
 
 So ``build_category_D`` makes only Hom(A,B), from one enumeration, as
-the sorted pair tuples ``CategoryD.forth``; the ``ef`` answer, its
-witness and its certificates read nothing else.  D is its four homsets
-laid end to end, and each is built on its own, on its first read
-(``CategoryD.hom``): Hom(B,A) as the inverses of ``forth``, End(A) and
-End(B) each as the pair tuples of the package's one growth loop
-(``structures._partial_iso_pairs``), with no ``PartialIso`` built.
+the codes ``CategoryD.forth``, in the sorted order of their pair
+tuples; the ``ef`` answer, its witness and its certificates read
+nothing else.  The answer picks its witness by code and decodes that
+one map (``codes._decoded``).  D is its four homsets laid end to end,
+and each is built on its own, on its first read (``CategoryD.hom``):
+Hom(A,B) as ``forth`` decoded, which the certificate levels read,
+Hom(B,A) as the inverses of those maps, End(A) and End(B) each as the
+codes of the package's one growth loop
+(``structures._partial_iso_codes``), decoded, with no ``PartialIso``
+built.
 Every homset chain, ``part``, ``object_a`` and ``object_b`` read those
 blocks and no table.  The table of all of D, the blocks' concatenation
 with its dom, cod, inv and index tables, is built on first read of
@@ -75,7 +81,8 @@ The two must always agree; the command-line front-end runs both.
 
 A positive derivative answer can be externalized: ``extract_certificate``
 returns the chain I_j = D^j ∩ Part(A,B) as sets of pair tuples, read
-from the same homset chain, which ``verify_certificate`` checks against
+from the same homset chain and the decoded ``forth``, which
+``verify_certificate``, sharing no code with the chain, checks against
 the literal back-and-forth conditions.  It reads each member once, in
 one walk over its pairs that both tests its shape and codes it, reads
 every relation only for members whose code no valid member proves (a
@@ -104,17 +111,10 @@ from collections.abc import Iterator
 from itertools import product, takewhile
 
 from . import structures, verdict as v
-from .codes import _code, _extended_at, _least_unextended
+from .codes import _code, _decoded, _extended_at, _least_unextended
 from .derived import Chain, Frozen, fact, lazy, padded
 from .errors import DEFAULT_EF_UNIVERSE_BOUND, InputError
-from .structures import (
-    PartialIso,
-    Structure,
-    _one_pair_test,
-    constant_pairs,
-    enumerate_partial_isos,
-    pairs_are_partial_iso,
-)
+from .structures import PartialIso, Structure, _one_pair_test, constant_pairs, pairs_are_partial_iso
 
 # D's table and the paper's chain on all of D (``ef_ambient``), and the
 # table layer that only the chain calls, are loaded on the first such
@@ -131,24 +131,24 @@ __getattr__ = _load = lazy(
 class CategoryD(Frozen):
     """The partial-isomorphism category of a structure pair.
 
-    D is its four homsets laid end to end (``hom``), each a block of
-    sorted pair tuples in sorted order: Hom(left, right), which is
+    D is its four homsets laid end to end (``hom``), each a block of maps
+    in the sorted order of their pair tuples: Hom(left, right), which is
     ``forth`` and holds the indices 0 .. len(forth) - 1, then
-    Hom(right, left), End(left) and End(right).  Each block is built on
-    its own, on its first read, so a read of one homset builds no other
-    endoset and no table; the ``ef`` chain, its answer and its
-    certificates read ``forth`` alone.  The tables of all of D
-    (``ambient``: dom, cod, inv, index) are the blocks' concatenation,
-    built on first read of ``ambient``, ``morphisms`` or ``star``.  When
-    ``left`` and ``right`` are the same structure the category has a
-    single object and ``forth`` is End(left), all of D.
+    Hom(right, left), End(left) and End(right).  ``forth`` holds the
+    codes of its maps (``codes._code``), as the growth loop found them,
+    and ``hom`` gives every block as sorted pair tuples.  Each block is
+    built on its own, on its first read, so a read of one homset builds no
+    other endoset and no table; the ``ef`` chain and its answer read
+    ``forth`` alone, and a certificate its tuples.  The tables of
+    all of D (``ambient``: dom, cod, inv, index) are the blocks'
+    concatenation, built on first read of ``ambient``, ``morphisms`` or
+    ``star``.  When ``left`` and ``right`` are the same structure the
+    category has a single object and ``forth`` is End(left), all of D.
     """
 
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __init__(
-        self, left: Structure, right: Structure, forth: tuple[tuple[tuple[int, int], ...], ...]
-    ):
+    def __init__(self, left: Structure, right: Structure, forth: tuple[int, ...]):
         vars(self).update(left=left, right=right, forth=forth)
 
     @property
@@ -181,20 +181,20 @@ class CategoryD(Frozen):
     @fact
     def hom(self, X: Structure, Y: Structure) -> tuple[int, tuple]:
         """Hom(X,Y) as (the index in D of its first map, its maps as sorted
-        pair tuples, in sorted order).  Hom(right, left) is the inverses of
-        ``forth``, and an endoset the pair tuples of the package's one
-        growth loop (``structures._partial_iso_pairs``), with no
-        ``PartialIso`` built."""
+        pair tuples, in sorted order).  Hom(left, right) is ``forth``
+        decoded, Hom(right, left) its inverses, and an endoset the codes
+        of the package's one growth loop (``structures._partial_iso_codes``)
+        decoded, with no ``PartialIso`` built."""
         x, y = self._side(X), self._side(Y)
         if self.left == self.right or (x, y) == (0, 1):
-            return 0, self.forth
+            return 0, _decoded(self.forth, Y.universe_size)
         if x != y:
-            return len(self.forth), tuple(sorted(map(_inverse, self.forth)))
+            return len(self.forth), tuple(sorted(map(_inverse, self.hom(Y, X)[1])))
         start = 2 * len(self.forth)
         if x == 1:  # End(right) comes right after End(left)
             start, before = self.hom(self.left, self.left)
             start += len(before)
-        return start, tuple(sorted(structures._partial_iso_pairs(X, X)))
+        return start, _decoded(structures._partial_iso_codes(X, X), X.universe_size)
 
     def object_of(self, S: Structure) -> int:
         """The index of id_S, the full identity in End(S)'s block."""
@@ -218,12 +218,12 @@ _latest: CategoryD | None = None
 def build_category_D(
     A: Structure, B: Structure, max_universe: int = DEFAULT_EF_UNIVERSE_BOUND
 ) -> CategoryD:
-    """Category D of the pair.  The build makes only ``forth``: Hom(A,B)
-    from one ``enumerate_partial_isos`` call, as sorted pair tuples, in
-    sorted order; only the enumeration builds ``PartialIso`` objects.
-    Each other homset is built on its first read (``CategoryD.hom``), and
-    the tables of D on first read of ``ambient``, ``morphisms`` or
-    ``star``; the ``ef`` answer and its certificates make neither read.
+    """Category D of the pair.  The build makes only ``forth``: the codes
+    of Hom(A,B) from one ``enumerate_partial_isos`` call, in the sorted
+    order of their pair tuples, with no ``PartialIso`` built.  Each other
+    homset is built on its first read (``CategoryD.hom``), and the tables
+    of D on first read of ``ambient``, ``morphisms`` or ``star``; the
+    ``ef`` answer and its certificates make neither read.
 
     Called again with the same two structure objects (``is``, not ``==``),
     it returns the D it built last, with the compositions, down-sets and
@@ -238,30 +238,43 @@ def build_category_D(
         structures._check_pair(A, B, max_universe)
         return _latest
     _latest = None
-    forth = tuple(sorted(p.pairs for p in enumerate_partial_isos(A, B, max_universe)))
-    _latest = CategoryD(A, B, forth)
+    _latest = CategoryD(A, B, tuple(enumerate_partial_isos(A, B, max_universe)))
     return _latest
+
+
+def enumerate_partial_isos(A: Structure, B: Structure, max_universe: int) -> list[int]:
+    """The build's enumeration of Hom(A,B): the pair check
+    (``structures._check_pair``), then the codes of the one growth loop
+    (``structures._partial_iso_codes``), in the sorted order of their pair
+    tuples.  ``perfbench/spans.py`` wraps this name to time the
+    enumeration inside the build and count its maps; the name stays until
+    ROADMAP item 1(d) moves that tracer to the CLI's own records."""
+    structures._check_pair(A, B, max_universe)
+    return structures._partial_iso_codes(A, B)
 
 
 @fact
 def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> Chain:
     """D^j ∩ Hom(X,Y) as index sets; a step keeps a map when every point
     of X and of Y outside it extends it by one pair to a map of the level,
-    read from one index of the level's one-point extensions.  Each map is
-    coded once, for every step of the chain.  It reads the one block
-    ``category.hom(X, Y)``, and no table."""
-    start, maps = category.hom(X, Y)
+    read from one index of the level's one-point extensions.  It reads one
+    block and no table: for Hom(A,B) the codes of ``forth`` as built, for
+    another homset the codes of its tuples (``category.hom(X, Y)``)."""
     sources, targets = X.universe_size, Y.universe_size
-    codes = {i: _code(p, targets) for i, p in enumerate(maps, start)}
+    if (category._side(X), category._side(Y)) == (0, 1) or category.left == category.right:
+        start, codes = 0, category.forth
+    else:
+        start, maps = category.hom(X, Y)
+        codes = tuple(_code(p, targets) for p in maps)
 
     def step(level: frozenset[int]) -> frozenset[int]:
-        at = _extended_at((codes[i] for i in level), sources, targets)
+        at = _extended_at((codes[i - start] for i in level), sources, targets)
         return frozenset(
             i for i in level
-            if _least_unextended(codes[i], at, sources, targets) == (None, None)
+            if _least_unextended(codes[i - start], at, sources, targets) == (None, None)
         )
 
-    return Chain(frozenset(codes), step)
+    return Chain(frozenset(range(start, start + len(codes))), step)
 
 
 def homset_levels(
@@ -332,10 +345,12 @@ def ef_equiv_derivative(
         raise InputError("rounds must be non-negative")
     if category is None:
         category = build_category_D(A, B, max_universe)
-    survivors = _level_maps(category, A, B, len(_homset_chain(category, A, B).upto(m)) - 1)
+    survivors, forth = _homset_chain(category, A, B).upto(m)[-1], category.forth
     if not survivors:
         return False, None
-    return True, PartialIso(A, B, max(survivors, key=lambda p: (len(p), p)))
+    # the most pairs, then the last in the sorted order, which is index order
+    largest = max(survivors, key=lambda i: (forth[i].bit_count(), i))
+    return True, PartialIso(A, B, _decoded((forth[largest],), B.universe_size)[0])
 
 
 def ef_equiv_oracle(
@@ -429,9 +444,10 @@ class BackAndForthCertificate(Frozen):
 @fact
 def _level_maps(category: CategoryD, X: Structure, Y: Structure, j: int) -> frozenset[tuple]:
     """Distinct level j of the (X, Y) homset chain as a set of pair
-    tuples, made once per category, so that the certificates of every m
-    share their level objects; the witness and ``surviving_maps`` read
-    the last distinct level from here too."""
+    tuples, made once per category from the block's tuples
+    (``CategoryD.hom``, which decodes each code of ``forth`` once), so
+    that the certificates of every m share their level objects and their
+    maps; ``surviving_maps`` reads the last distinct level from here too."""
     start, maps = category.hom(X, Y)
     return frozenset(maps[i - start] for i in _homset_chain(category, X, Y).levels[j])
 

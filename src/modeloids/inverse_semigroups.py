@@ -130,7 +130,7 @@ def verify_inverse_semigroup(table: InverseSemigroupTable) -> v.Verdict:
 
 def _check_inverse_semigroup(table: InverseSemigroupTable) -> v.Verdict:
     mul, n = table.mul, table.order
-    bad = associativity_witness(mul)
+    bad = associativity_witness(mul, _top_down(table)[1])
     if bad is not None:
         return v.violated("associativity", bad)
     laws = inverse_laws(mul, table.inv)
@@ -147,6 +147,16 @@ def _check_inverse_semigroup(table: InverseSemigroupTable) -> v.Verdict:
             if mul[z][x] != z or mul[x][z] != z:
                 return v.violated("zero", (z, x))
     return v.passed()
+
+
+@fact
+def _top_down(table: InverseSemigroupTable) -> tuple[list[int], list[int]]:
+    """Every element by ``laws.top_down``, highest first, and the
+    generating set that ``derived.generators`` picks in that order: each
+    row's |x*S| and the generators read once per table, for the
+    associativity test, ``_embedding`` and ``_check_semimodeloid``."""
+    order = top_down(table.mul, range(table.order))
+    return order, generators(lambda x, y: table.mul[x][y], order)
 
 
 @fact
@@ -332,12 +342,11 @@ def wagner_preston(table: InverseSemigroupTable) -> tuple[PartialBijection, ...]
     idempotent = [mul[inv[a]][a] for a in range(n)]
     # the fixed points of each idempotent a'*a, found once per idempotent
     fixed = {e: [x for x in range(n) if mul[e][x] == x] for e in set(idempotent)}
-    images = []
-    for a, e in enumerate(idempotent):
-        # the pairs are sorted and distinct: one checked construction each
-        domain = fixed[e]
-        images.append(bijection(carrier, tuple(zip(domain, map(mul[a].__getitem__, domain)))))
-    return tuple(images)
+    # the pairs are sorted and distinct: one checked construction each
+    return tuple(
+        bijection(carrier, tuple(zip(fixed[e], map(mul[a].__getitem__, fixed[e]))))
+        for a, e in enumerate(idempotent)
+    )
 
 
 
@@ -379,8 +388,7 @@ def _embedding(
         d: [(read, found) for e, read, found in shapes.values() if e <= d]
         for d, _, _ in shapes.values()
     }
-    gens = generators(lambda x, y: mul[x][y], top_down(mul, range(n)))
-    after = [(g, itemgetter(*rows[g])) for g in gens]
+    after = [(g, itemgetter(*rows[g])) for g in _top_down(table)[1]]
     below = _below(table)
     return (
         len(set(images)) == n,
@@ -435,11 +443,11 @@ _carry_semimodeloid_verdict = verify_semimodeloid.carry
 def _check_semimodeloid(sm: Semimodeloid) -> v.Verdict:
     neutral, _zero = _require_inverse_monoid_with_zero(sm.ambient)
     mul, inv = sm.ambient.mul, sm.ambient.inv
-    members = sorted(sm.members)
-    member_set = sm.members
+    members, member_set = sorted(sm.members), sm.members
     # the ambient is associative, so members closed under right products
-    # by their generators are closed under all products
-    if generators(lambda x, y: mul[x][y], top_down(mul, members)) is None:
+    # by their generators are closed under all products; the members in
+    # the ambient's top-down order are ``top_down(mul, members)``
+    if generators(lambda x, y: mul[x][y], [x for x in _top_down(sm.ambient)[0] if x in member_set]) is None:
         for x in members:
             for y in members:
                 if mul[x][y] not in member_set:
@@ -467,8 +475,7 @@ def semimodeloid_derivative(sm: Semimodeloid) -> Semimodeloid:
     the result carries M's verdict and a chain checks no derived level.
     """
     verify_semimodeloid(sm).require("not a semimodeloid")
-    table = sm.ambient
-    mul = table.mul
+    table, mul = sm.ambient, sm.ambient.mul
     both = (idempotent_atoms(table),) * 2
     survivors = _covered(
         sm.members, lambda x: both, lambda x, y: mul[x][y], table.inv.__getitem__,

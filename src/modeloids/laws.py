@@ -26,20 +26,22 @@ def top_down(mul, elements: Iterable[int]) -> list[int]:
     return sorted(elements, key=lambda x: -len(set(mul[x])))
 
 
-def associativity_witness(mul) -> tuple[int, int, int] | None:
+def associativity_witness(mul, gens: list[int] | None = None) -> tuple[int, int, int] | None:
     """The first (x, y, z) in index order with (x*y)*z != x*(y*z), or None.
 
     Light's test runs first: (x*g)*y = x*(g*y) for every generator g and
     all x, y, at n^2*|G| lookups.  The elements a with (x*a)*y = x*(a*y)
     for all x, y are closed under the product in any magma, and the
     generators reach every element, so a pass proves associativity.  Only
-    a failure pays the cubic scan, which finds the first witness.
+    a failure pays the cubic scan, which finds the first witness.  The
+    generators are ``gens`` when a caller that keeps them per table
+    passes them, else picked here from all elements, highest first.
     """
     n = len(mul)
     if n == 1:
         # an itemgetter of one index returns a bare entry, not a row
         return _first_associativity_witness(mul)
-    for g in generators(lambda x, y: mul[x][y], top_down(mul, range(n))):
+    for g in gens or generators(lambda x, y: mul[x][y], top_down(mul, range(n))):
         times_g = itemgetter(*mul[g])  # row of x -> x*(g*y) for every y
         for row_x in mul:
             if mul[row_x[g]] != times_g(row_x):

@@ -137,7 +137,8 @@ def enumerate_all(
 ) -> frozenset[PartialBijection]:
     """Every partial bijection on the carrier: the partial automorphisms
     of the structure on it with no relations and no constants, grown by
-    the package's one growth loop (``structures._partial_iso_pairs``).
+    the package's one growth loop (``structures._partial_iso_codes``),
+    decoded to sorted pair tuples (``codes._decoded``).
 
     Refuses carriers beyond ``max_size`` (default 6, a 13327-element set)
     to keep accidental blow-ups out of interactive use.
@@ -147,6 +148,8 @@ def enumerate_all(
             f"carrier size {carrier.size} exceeds the enumeration bound {max_size}"
         )
     from . import structures  # loaded only by a call, not with this module
+    from .codes import _decoded
 
     pure = structures.Structure("pure", carrier.size, structures.Vocabulary(), (), ())
-    return frozenset(PartialBijection(carrier, p) for p in structures._partial_iso_pairs(pure, pure))
+    maps = _decoded(structures._partial_iso_codes(pure, pure), carrier.size)
+    return frozenset(PartialBijection(carrier, p) for p in maps)

@@ -20,9 +20,14 @@ Universes are {0, ..., size-1}.  A partial isomorphism between two
 structures over one vocabulary is an injective partial map that contains
 every constant pair and preserves each relation in both directions over
 its domain.  ``is_partial_iso`` checks candidates; ``enumerate_partial_isos``
-lists every actual partial isomorphism.  Maps grow one pair at a time by
-``_one_pair_test``, which reads each structure's index of the tuples
-that mention each element (``_by_element``), built once per structure.
+lists every actual partial isomorphism.  Every enumeration runs the one
+growth loop ``_partial_iso_codes``, which hands the maps over in the
+sorted order of their pair tuples, each as its integer code (one bit per
+pair, the form the ``ef`` build of ``ef_games`` holds), decoded to pair
+tuples by ``codes._decoded`` where tuples are read.  Maps grow one pair
+at a time by ``_one_pair_test``, which reads each structure's index of
+the tuples that mention each element (``_by_element``), built once per
+structure.
 """
 
 from __future__ import annotations
@@ -281,48 +286,56 @@ def _check_pair(A: Structure, B: Structure, max_universe: int):
 def enumerate_partial_isos(
     A: Structure, B: Structure, max_universe: int = DEFAULT_UNIVERSE_BOUND
 ) -> frozenset[PartialIso]:
-    """Every partial isomorphism from A to B, one ``PartialIso`` per pair
-    tuple of ``_partial_iso_pairs``."""
+    """Every partial isomorphism from A to B, one ``PartialIso`` per code
+    of ``_partial_iso_codes``, decoded to its sorted pair tuple."""
+    from .codes import _decoded  # loaded by a call, not with this module
+
     _check_pair(A, B, max_universe)
-    return frozenset(PartialIso(A, B, p) for p in _partial_iso_pairs(A, B))
+    return frozenset(PartialIso(A, B, p) for p in _decoded(_partial_iso_codes(A, B), B.universe_size))
 
 
-def _partial_iso_pairs(A: Structure, B: Structure) -> list[tuple[tuple[int, int], ...]]:
-    """Every partial isomorphism from A to B as its sorted pair tuple, with
-    no bound: the one growth loop of the package, which
-    ``enumerate_partial_isos``, the endosets of ``ef_games.CategoryD`` and
-    ``partial_bijections.enumerate_all`` (on the structure with no
-    relations) read.
+def _partial_iso_codes(A: Structure, B: Structure) -> list[int]:
+    """Every partial isomorphism from A to B as its code (bit a·|B| + b
+    set for each pair (a, b), as ``codes._code`` sets it), in the sorted
+    order of their pair tuples, with no bound: the one growth loop of the
+    package, which the build of ``ef_games.CategoryD``, its endosets,
+    ``enumerate_partial_isos`` and ``partial_bijections.enumerate_all``
+    (on the structure with no relations) read, the last three through
+    ``codes._decoded``.
 
-    Grows maps pair by pair from the constant base; a restriction of a
-    partial isomorphism to any superset of the constant pairs is again
-    one, so depth-first growth that checks each new pair by
-    ``_one_pair_test`` finds them all.
-    The growth adds each source once and keeps the map injective, so
-    each map is built once from its sorted pairs, with no second pass.
+    Grows maps pair by pair, sources in increasing order, from the
+    constant base; a restriction of a partial isomorphism to any superset
+    of the constant pairs is again one, so depth-first growth that checks
+    each new pair by ``_one_pair_test`` finds them all.  A constant
+    source takes its constant pair and is never skipped, and a map is
+    found once every constant source lies behind it, before its
+    extensions: so the maps come out in sorted order, each built once by
+    setting one bit of its parent's code.
     """
     base = constant_pairs(A, B)
     if not pairs_are_partial_iso(A, B, base):
         return []
-    found: list[tuple[tuple[int, int], ...]] = []
-    forward = dict(base)
-    backward = {b: a for a, b in base}
+    found: list[int] = []
+    forward, backward = dict(base), {b: a for a, b in base}
     consistent_with = _one_pair_test(A, B, forward, backward)
-    free_sources = [a for a in range(A.universe_size) if a not in forward]
+    last = max(forward, default=-1)  # the last constant source
+    sources, targets = range(A.universe_size), range(B.universe_size)
+    bit = [[1 << a * len(targets) + b for b in targets] for a in sources]
 
-    def grow(start: int):
-        found.append(tuple(sorted(forward.items())))
-        for i in range(start, len(free_sources)):
-            a = free_sources[i]
-            for b in range(B.universe_size):
-                if b in backward:
-                    continue
-                forward[a], backward[b] = b, a
-                if consistent_with(a, b):
-                    grow(i + 1)
-                del forward[a], backward[b]
+    def grow(start: int, code: int):
+        if start > last:
+            found.append(code)
+        for a in sources[start:]:
+            if a in forward:  # a constant source: the map holds its pair
+                return grow(a + 1, code | bit[a][forward[a]])
+            for b in targets:
+                if b not in backward:
+                    forward[a], backward[b] = b, a
+                    if consistent_with(a, b):
+                        grow(a + 1, code | bit[a][b])
+                    del forward[a], backward[b]
 
-    grow(0)
+    grow(0, 0)
     return found
 
 

@@ -1015,8 +1015,9 @@ class TestSharedCategory:
         (directed_cycle("C5", range(5)), directed_path("P5", 5)),
     ], ids=["S3-S4", "C5-P5"])
     def test_maps_are_built_only_as_answers(self, pair, monkeypatch):
-        # D, its chains and its certificates hold pair tuples: the only
-        # PartialIso objects are the enumerated ones and the one witness
+        # D holds codes, its chains indices and its certificates pair
+        # tuples: the build, every chain, the table of D and a certificate
+        # make no PartialIso, and the derivative makes one, its witness
         built, enumerated = [], []
         init, enumerate_isos = PartialIso.__init__, ef_games.enumerate_partial_isos
 
@@ -1030,8 +1031,7 @@ class TestSharedCategory:
             return found
 
         monkeypatch.setattr(PartialIso, "__init__", counting)
-        # Hom(A,B) is enumerated in the build; End(A) and End(B) are read
-        # as pair tuples of the growth loop and build no PartialIso
+        # Hom(A,B) is enumerated in the build, as codes
         monkeypatch.setattr(ef_games, "enumerate_partial_isos", counted)
         A, B = (replace(S) for S in pair)
         cat = build_category_D(A, B)
@@ -1040,11 +1040,10 @@ class TestSharedCategory:
                 homset_levels(cat, 4, X, Y)
         cert = extract_certificate(A, B, 1, category=cat)
         assert cert is not None and verify_certificate(cert).ok
-        assert len(built) == sum(enumerated) > 0
-        built.clear()
+        cat.ambient
+        assert built == [] and enumerated == [len(cat.forth)] and cat.forth
         equivalent, witness = ef_equiv_derivative(A, B, 1, category=cat)
-        assert equivalent and len(built) == 1
-        assert built[0] == (A, B, witness.pairs)
+        assert equivalent and built == [(A, B, witness.pairs)]
 
     def test_only_the_latest_category_is_kept(self):
         A, B = pure("A", 3), pure("B", 3)
@@ -1142,7 +1141,7 @@ class TestHomsetBlocks:
         # the build's Hom(A,B) and every endoset are grown by the one
         # growth loop: only the endosets (X is Y) are counted here
         found = []
-        real = structures._partial_iso_pairs
+        real = structures._partial_iso_codes
 
         def counting(X, Y):
             if X is Y:
@@ -1152,7 +1151,7 @@ class TestHomsetBlocks:
         def unread(category):
             raise AssertionError("the table of D was built")
 
-        monkeypatch.setattr(structures, "_partial_iso_pairs", counting)
+        monkeypatch.setattr(structures, "_partial_iso_codes", counting)
         monkeypatch.setattr(ef_games, "_tables", unread)
         return found
 
@@ -1163,7 +1162,7 @@ class TestHomsetBlocks:
         survivors = surviving_maps(D, 3, B, A)
         assert D.part(B, A) == tuple(range(len(D.forth), 2 * len(D.forth)))
         assert enumerated == []
-        back = {tuple(sorted((b, a) for a, b in p)) for p in D.forth}
+        back = {tuple(sorted((b, a) for a, b in p)) for p in D.hom(A, B)[1]}
         assert set(D.hom(B, A)[1]) == back
         assert len(levels) == 4 and levels[0] == frozenset(D.part(B, A))
         assert all(f.pairs in back for f in survivors)
@@ -1187,8 +1186,8 @@ class TestHomsetBlocks:
         ),
     ], ids=["S3-S4", "pointed"])
     def test_endosets_and_the_table_build_no_partial_iso(self, pair, monkeypatch):
-        # End(A) and End(B) are pair tuples of the growth loop; only the
-        # build's Hom(A,B) enumeration makes PartialIso objects
+        # Hom(A,B) is codes, End(A) and End(B) the growth loop's codes
+        # decoded: neither the build nor the table of D makes a PartialIso
         built = []
         init = PartialIso.__init__
 
@@ -1199,8 +1198,7 @@ class TestHomsetBlocks:
         A, B = (replace(S) for S in pair)
         monkeypatch.setattr(PartialIso, "__init__", counting)
         D = build_category_D(A, B)
-        assert len(built) == len(D.forth) > 0
-        built.clear()
+        assert built == [] and len(D.forth) > 0
         ends = D.hom(A, A)[1], D.hom(B, B)[1]
         D.ambient
         assert built == []
@@ -1259,7 +1257,7 @@ def digest(data: bytes) -> str:
 
 class TestNoTablesOnTheEfPath:
     """The answer, its witness and its certificate read only Hom(A,B), the
-    sorted pair tuples of ``forth``: with D's table builder made to raise
+    codes of ``forth``: with D's table builder made to raise
     they come out as they did with every table built."""
 
     @pytest.fixture(autouse=True)

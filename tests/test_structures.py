@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from generated import structure_pairs, structures_over
 
-from modeloids import structures
+from modeloids import ef_games, structures
+from modeloids.codes import _code, _decoded
 from modeloids.ef_games import ef_equiv_oracle
 from modeloids.errors import BoundExceededError, InputError, ParseError
 from modeloids.partial_bijections import Carrier, enumerate_all
@@ -307,6 +308,20 @@ class TestEnumeration:
                 for targets in itertools.permutations(range(B.universe_size), size):
                     pairs = frozenset(zip(sources, targets))
                     assert pairs_are_partial_iso(A, B, pairs) == (pairs in literal)
+
+    @given(structure_pairs())
+    def test_codes_decode_to_the_sorted_pair_tuples(self, pair):
+        # the growth loop hands over codes in the sorted order of their
+        # pair tuples, constants too: they decode to the literal oracle's
+        # maps, sorted, and to those of enumerate_partial_isos; the ef
+        # build's enumeration returns the same codes
+        A, B = pair
+        codes = structures._partial_iso_codes(A, B)
+        decoded = list(_decoded(codes, B.universe_size))
+        assert decoded == sorted(tuple(sorted(p)) for p in oracle_partial_isos(A, B))
+        assert decoded == sorted(p.pairs for p in enumerate_partial_isos(A, B))
+        assert codes == [_code(p, B.universe_size) for p in decoded]
+        assert ef_games.enumerate_partial_isos(A, B, 3) == codes
 
     def test_oracle_agreement_on_pure_sets(self):
         A = Structure.build("A", 3, EMPTY)
