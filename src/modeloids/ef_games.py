@@ -70,14 +70,17 @@ a partial isomorphism, and the recursion is never deeper than the
 smaller universe, whatever the number of rounds.  It checks the constant
 base once with ``pairs_are_partial_iso`` and each further pair with the
 one-pair test the growth loop grows maps by
-(``structures._one_pair_test``), which reads only the relation tuples
-that mention the new pair.  A position is keyed by its integer code
-(bits from ``codes._code``), a child's by its parent's code with one bit
-more, so no position is built as a set.  Beyond those two checks of a
-partial isomorphism and the bit layout it shares nothing with the
-derivative: it reads no D, no chain, no enumeration and no level index,
-and decides by the game, not by one-point extensions within a level.
-The two must always agree; the command-line front-end runs both.
+(``structures._one_pair_test``): one AND of the new pair's entry of the
+pair-clash table of A and B (``structures._clashes``) against the
+position's code, plus a scan of the tuples that mention the pair for
+relations of arity ≥ 3.  A position is keyed by its integer code (bits
+from ``codes._code``), a child's by its parent's code with one bit more,
+so no position is built as a set.  Beyond those two checks of a partial
+isomorphism, the pair-clash table and the bit layout it shares nothing
+with the derivative: it reads no D, no chain, no enumeration and no
+level index, and decides by the game, not by one-point extensions
+within a level.  The two must always agree; the command-line front-end
+runs both.
 
 A positive derivative answer can be externalized: ``extract_certificate``
 returns the chain I_j = D^j ∩ Part(A,B) as sets of pair tuples, read
@@ -375,9 +378,10 @@ def ef_equiv_oracle(
 
     The constant base is checked once by ``pairs_are_partial_iso``, and
     each further pair by the one-pair test the growth loop grows maps by
-    (``structures._one_pair_test``), which reads only the relation tuples
-    that mention the pair.  A position is keyed by its code
-    (``codes._code``), a child's by its parent's code with one bit more.
+    (``structures._one_pair_test``), which ANDs the pair's entry of the
+    pair-clash table against the child's code.  A position is keyed by
+    its code (``codes._code``), a child's by its parent's code with one
+    bit more.
     The oracle reads no D, no chain, no enumeration and no level index,
     so the derivative's answer never enters its own.
     """
@@ -395,7 +399,7 @@ def ef_equiv_oracle(
     def answers(child: int, a: int, b: int) -> bool:
         if child not in memo:
             forward[a], backward[b] = b, a
-            memo[child] = extends(a, b) and wins(child)
+            memo[child] = extends(a, b, child) and wins(child)
             del forward[a], backward[b]
         return memo[child]
 

@@ -25,9 +25,11 @@ growth loop ``_partial_iso_codes``, which hands the maps over in the
 sorted order of their pair tuples, each as its integer code (one bit per
 pair, the form the ``ef`` build of ``ef_games`` holds), decoded to pair
 tuples by ``codes._decoded`` where tuples are read.  Maps grow one pair
-at a time by ``_one_pair_test``, which reads each structure's index of
-the tuples that mention each element (``_by_element``), built once per
-structure.
+at a time by ``_one_pair_test``: one AND of the new pair's entry of the
+pair-clash table (``_clashes``, built once per pair of structures)
+against the map's code for relations of arity ≤ 2, and, for higher
+arities, a scan of each structure's index of the tuples that mention
+each element (``_by_element``, built once per structure).
 """
 
 from __future__ import annotations
@@ -238,33 +240,77 @@ def _maps_into(f: dict[int, int], tuples: Iterable[tuple[int, ...]], target) -> 
 
 
 @fact
-def _by_element(S: Structure) -> tuple[dict[int, list[tuple[int, ...]]], ...]:
-    """For each relation of S, the tuples that mention each element."""
+def _by_element(S: Structure) -> tuple[tuple[dict[int, list[tuple[int, ...]]], frozenset], ...]:
+    """For each relation of S of arity at least 3: the tuples that
+    mention each element, and the relation."""
     return tuple(
-        {x: [t for t in tuples if x in t] for x in range(S.universe_size)}
-        for tuples in S.relations
+        ({x: [t for t in tuples if x in t] for x in range(S.universe_size)}, tuples)
+        for (_, arity), tuples in zip(S.vocabulary.relations, S.relations) if arity > 2
     )
+
+
+@fact
+def _clashes(A: Structure, B: Structure) -> tuple[int | None, ...]:
+    """The pair-clash table of A against B, kept on A.  At a·|B| + b it
+    holds None when the map {(a, b)} breaks a unary relation or a loop,
+    else the code (``codes._code``) of every pair (a2, b2), a2 ≠ a and
+    b2 ≠ b, whose map with (a, b) breaks a binary relation either way:
+    the (a2, b2) where (a, a2) and (b, b2) are of different kinds.  So
+    over relations of arity ≤ 2 the partial isomorphisms are the maps
+    with no pair None and no two pairs clashing: the cliques of the
+    pair-compatibility graph (Barrow and Burstall 1976)."""
+    def kinds(S):  # of (x, y): bit 2i if the i-th relation of arity ≤ 2 has (x, y), 2i + 1 (y, x)
+        kind = [[0] * S.universe_size for _ in range(S.universe_size)]
+        low = [R for (_, arity), R in zip(S.vocabulary.relations, S.relations) if arity < 3]
+        for i, relation in enumerate(low):
+            for t in relation:  # a unary (x) as (x, x)
+                kind[t[0]][t[-1]] |= 1 << 2 * i
+                kind[t[-1]][t[0]] |= 2 << 2 * i
+        return kind
+
+    def grouped(kind, x, shift):  # the y ≠ x of each kind of (x, y), as bits y·shift
+        groups: dict[int, int] = {}
+        for y, of_y in enumerate(kind[x]):
+            if y != x:
+                groups[of_y] = groups.get(of_y, 0) | 1 << y * shift
+        return groups
+
+    n, kind_a, kind_b = B.universe_size, kinds(A), kinds(B)
+    same, table = [grouped(kind_b, b, 1) for b in range(n)], []
+    for a in range(A.universe_size):
+        row = [0] * n
+        for of_a2, block in grouped(kind_a, a, n).items():  # bit a2·n per a2 of one kind
+            for b in range(n):  # times the b2 ≠ b of the other kinds: those pairs clash
+                row[b] |= ((1 << n) - 1 ^ 1 << b ^ same[b].get(of_a2, 0)) * block
+        table += (None if kind_a[a][a] != kind_b[b][b] else row[b] for b in range(n))
+    return tuple(table)
 
 
 def _one_pair_test(A: Structure, B: Structure, forward: dict, backward: dict) -> Callable:
     """The test of one new pair (a, b) of a partial isomorphism from A to
     B, held as ``forward`` and its inverse ``backward``, which already
-    hold the pair: whether the map stays a partial isomorphism.  It reads
-    only the relation tuples that mention a or b; the others were checked
-    when their pairs arrived.  The growth loop and the game oracle
+    hold the pair, and as ``code`` (``codes._code``), which holds at
+    least its other pairs: whether the map stays a partial isomorphism.
+    Relations of arity ≤ 2 take one AND of the pair's ``_clashes`` entry
+    with ``code``; the others are read only at their tuples that mention
+    a or b (``_by_element``).  The growth loop and the game oracle
     (``ef_games.ef_equiv_oracle``) both grow maps by it."""
-    relations = list(zip(_by_element(A), B.relations, _by_element(B), A.relations))
+    clashes, n = _clashes(A, B), B.universe_size
+    relations = list(zip(_by_element(A), _by_element(B)))
 
-    def consistent_with(a: int, b: int) -> bool:
-        for at_a, tuples_b, at_b, tuples_a in relations:
-            if not (
-                _maps_into(forward, at_a.get(a, ()), tuples_b)
-                and _maps_into(backward, at_b.get(b, ()), tuples_a)
-            ):
-                return False
-        return True
+    def consistent_with(a: int, b: int, code: int) -> bool:
+        clash = clashes[a * n + b]
+        return clash is not None and not clash & code
 
-    return consistent_with
+    def and_tuples(a: int, b: int, code: int) -> bool:
+        return consistent_with(a, b, code) and all(
+            _maps_into(forward, at_a[a], tuples_b) and _maps_into(backward, at_b[b], tuples_a)
+            for (at_a, tuples_a), (at_b, tuples_b) in relations
+        )
+
+    # two closures, not one: the scan's generator makes a and b cells of
+    # the function that holds it, which costs every call
+    return and_tuples if relations else consistent_with
 
 
 def is_partial_iso(p: PartialIso) -> bool:
@@ -306,11 +352,11 @@ def _partial_iso_codes(A: Structure, B: Structure) -> list[int]:
     Grows maps pair by pair, sources in increasing order, from the
     constant base; a restriction of a partial isomorphism to any superset
     of the constant pairs is again one, so depth-first growth that checks
-    each new pair by ``_one_pair_test`` finds them all.  A constant
-    source takes its constant pair and is never skipped, and a map is
-    found once every constant source lies behind it, before its
-    extensions: so the maps come out in sorted order, each built once by
-    setting one bit of its parent's code.
+    each new pair by ``_one_pair_test`` finds them all.  Every code holds
+    the constant pairs from the start, so each test sees them; a constant
+    source is never skipped, and a map is found once every constant
+    source lies behind it, before its extensions: so the maps come out in
+    sorted order, each built once by setting one bit of its parent's code.
     """
     base = constant_pairs(A, B)
     if not pairs_are_partial_iso(A, B, base):
@@ -326,16 +372,16 @@ def _partial_iso_codes(A: Structure, B: Structure) -> list[int]:
         if start > last:
             found.append(code)
         for a in sources[start:]:
-            if a in forward:  # a constant source: the map holds its pair
-                return grow(a + 1, code | bit[a][forward[a]])
+            if a in forward:  # a constant source: the code holds its pair
+                return grow(a + 1, code)
             for b in targets:
                 if b not in backward:
                     forward[a], backward[b] = b, a
-                    if consistent_with(a, b):
+                    if consistent_with(a, b, code):
                         grow(a + 1, code | bit[a][b])
                     del forward[a], backward[b]
 
-    grow(0, 0)
+    grow(0, sum(bit[a][b] for a, b in base))
     return found
 
 

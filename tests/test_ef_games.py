@@ -28,6 +28,7 @@ from modeloids.categorical import (
     categorical_derivative,
     verify_categorical_modeloid,
 )
+from modeloids.codes import _code
 from modeloids.ef_games import (
     BackAndForthCertificate,
     build_category_D,
@@ -339,7 +340,7 @@ class TestOracle:
         """The stack depth and the position of every check the oracle
         makes: the full check of the constant base and the one-pair test
         of each further position, which reads the position from
-        ``forward`` with the new pair in it."""
+        ``forward`` with the new pair in it and from its code."""
         checks = []
         check, one_pair_test = ef_games.pairs_are_partial_iso, ef_games._one_pair_test
 
@@ -350,9 +351,10 @@ class TestOracle:
         def counting(A, B, forward, backward):
             test = one_pair_test(A, B, forward, backward)
 
-            def counted(a, b):
+            def counted(a, b, code):
                 checks.append((stack_depth(), frozenset(forward.items())))
-                return test(a, b)
+                assert code == _code(forward.items(), B.universe_size)
+                return test(a, b, code)
 
             return counted
 

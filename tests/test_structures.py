@@ -300,7 +300,14 @@ class TestEnumeration:
 
     @given(structure_pairs())
     def test_generated_pairs_against_literal_oracle(self, pair):
-        A, B = pair
+        self.check_against_literal_oracle(*pair)
+
+    @given(structure_pairs(max_universe=4))
+    def test_four_element_pairs_against_literal_oracle(self, pair):
+        self.check_against_literal_oracle(*pair)
+
+    @staticmethod
+    def check_against_literal_oracle(A, B):
         literal = oracle_partial_isos(A, B)
         assert {frozenset(p.pairs) for p in enumerate_partial_isos(A, B)} == literal
         for size in range(min(A.universe_size, B.universe_size) + 1):
@@ -308,6 +315,17 @@ class TestEnumeration:
                 for targets in itertools.permutations(range(B.universe_size), size):
                     pairs = frozenset(zip(sources, targets))
                     assert pairs_are_partial_iso(A, B, pairs) == (pairs in literal)
+        # the one-pair test, for every literal partial isomorphism f and
+        # every fresh pair (a, b), answers as the check of f ∪ {(a, b)}
+        for f in literal:
+            forward, backward = dict(f), {b: a for a, b in f}
+            test = structures._one_pair_test(A, B, forward, backward)
+            for a, b in itertools.product(range(A.universe_size), range(B.universe_size)):
+                if a not in forward and b not in backward:
+                    forward[a], backward[b] = b, a
+                    extended = pairs_are_partial_iso(A, B, f | {(a, b)})
+                    assert test(a, b, _code(f, B.universe_size)) == extended
+                    del forward[a], backward[b]
 
     @given(structure_pairs())
     def test_codes_decode_to_the_sorted_pair_tuples(self, pair):
@@ -344,22 +362,27 @@ class TestEnumeration:
                 assert pairs_are_partial_iso(A, A, restricted)
 
     def test_tuple_index_is_built_once_per_structure(self, monkeypatch):
-        # the growth loop and the game oracle both read each structure's
-        # index of the tuples that mention each element
-        A = Structure.build("A", 3, GRAPH, {"E": [(0, 1), (1, 2)]}, {"c": 0})
-        B = Structure.build("B", 3, GRAPH, {"E": [(1, 0), (0, 2)]}, {"c": 1})
-        read, index = [], structures._by_element
+        # the growth loop and the game oracle both read the pair-clash
+        # table of the pair, built once, and each structure's index of the
+        # tuples of its ternary relations that mention each element
+        vocabulary = Vocabulary(relations=(("E", 2), ("T", 3)), constants=("c",))
+        A = Structure.build("A", 3, vocabulary, {"E": [(0, 1)], "T": [(0, 1, 2)]}, {"c": 0})
+        B = Structure.build("B", 3, vocabulary, {"E": [(1, 0)], "T": [(1, 2, 0)]}, {"c": 1})
+        read = {"_by_element": [], "_clashes": []}
+        for name, found in read.items():
+            def recording(*args, real=getattr(structures, name), found=found):
+                found.append(real(*args))
+                return found[-1]
 
-        def recording(*args):
-            read.append(index(*args))
-            return read[-1]
-
-        monkeypatch.setattr(structures, "_by_element", recording)
+            monkeypatch.setattr(structures, name, recording)
         for _ in range(2):
             enumerate_partial_isos(A, B)
             ef_equiv_oracle(A, B, 2)
-        assert len(read) == 8
-        assert len({id(at) for at in read}) == 2
+        assert len(read["_by_element"]) == 8
+        assert len({id(at) for at in read["_by_element"]}) == 2
+        assert all(len(at) == 1 for at in read["_by_element"])
+        assert len(read["_clashes"]) == 4
+        assert len({id(table) for table in read["_clashes"]}) == 1
 
     def test_universe_bound(self):
         A = Structure.build("A", 8, EMPTY)
