@@ -72,8 +72,8 @@ base once with ``pairs_are_partial_iso`` and each further pair with the
 one-pair test the growth loop grows maps by
 (``structures._one_pair_test``): one AND of the new pair's entry of the
 pair-clash table of A and B (``structures._clashes``) against the
-position's code, plus a scan of the tuples that mention the pair for
-relations of arity ≥ 3.  A position is keyed by its integer code (bits
+position's code, when a relation has arity ≤ 2, plus a scan of the tuples
+that mention the pair for relations of arity ≥ 3.  A position is keyed by its integer code (bits
 from ``codes._code``), a child's by its parent's code with one bit more,
 so no position is built as a set.  Beyond those two checks of a partial
 isomorphism, the pair-clash table and the bit layout it shares nothing

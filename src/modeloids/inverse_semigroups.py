@@ -34,7 +34,9 @@ from operator import itemgetter
 from . import verdict as v
 from .derived import Frozen, fact, generators, lazy
 from .errors import BoundExceededError, InputError
-from .laws import _atoms, _covered, absorbing, associativity_witness, inverse_laws, top_down
+from .laws import (
+    _atoms, _covered, absorbing, associativity_witness, inverse_laws, row_kernel, top_down,
+)
 
 # Only the two bridges to partial bijections read them, so that layer is
 # loaded on the first such call.
@@ -359,25 +361,26 @@ def _embedding(
 
     Each image is also a row over its carrier and one more point m, which
     stands for "undefined" and maps to itself, so image(a) o image(g) is
-    row g read through row a (``itemgetter``).  The table is associative,
-    so comparing that with image(a*g) for the generators g carries the
-    product to every b by induction on b as a word in them: n*|G|
-    compositions.  image(a) lies below image(b) when its domain lies in
-    image(b)'s and row b reads as image(a) there, so one read of row b per
-    distinct domain inside its own finds every such a, to compare with
-    b's natural-order down-set.  Images over more than one carrier raise
-    ``InputError``, as composing them does.
+    row g read through row a, one product of ``laws.row_kernel``.  The
+    table is associative, so comparing that with image(a*g) for the
+    generators g carries the product to every b by induction on b as a
+    word in them: n*|G| compositions.  image(a) lies below image(b) when
+    its domain lies in image(b)'s and row b reads as image(a) there, so
+    one read of row b per distinct domain inside its own finds every such
+    a, to compare with b's natural-order down-set.  Images over more than
+    one carrier raise ``InputError``, as composing them does.
     """
     if len({f.carrier for f in images}) > 1:
         raise InputError("cannot compose maps over different carriers")
     mul, n, m = table.mul, table.order, images[0].carrier.size
+    hold, held_table, reader = row_kernel(m + 1)
     rows, domain_of = [], []
     shapes = {}  # domain -> its point set, its reader, its images by the values read
     for a, f in enumerate(images):
         row = [m] * (m + 1)
         for x, y in f.pairs:
             row[x] = y
-        rows.append(tuple(row))
+        rows.append(hold(row))
         domain = tuple(map(itemgetter(0), f.pairs))
         if domain not in shapes:
             shapes[domain] = (frozenset(domain), itemgetter(*domain, m), {})
@@ -388,11 +391,11 @@ def _embedding(
         d: [(read, found) for e, read, found in shapes.values() if e <= d]
         for d, _, _ in shapes.values()
     }
-    after = [(g, itemgetter(*rows[g])) for g in _top_down(table)[1]]
-    below = _below(table)
+    after = [(g, reader(rows[g])) for g in _top_down(table)[1]]
+    tables, below = list(map(held_table, rows)), _below(table)
     return (
         len(set(images)) == n,
-        all(rows[mul[a][g]] == read(rows[a]) for a in range(n) for g, read in after),
+        all(rows[mul[a][g]] == read(tables[a]) for a in range(n) for g, read in after),
         all(
             below[b] == {a for read, found in inside[d] for a in found.get(read(row), ())}
             for b, (d, row) in enumerate(zip(domain_of, rows))

@@ -1,4 +1,5 @@
-"""The laws that read bare rows, shared by both table layers.
+"""The laws that read bare rows, shared by both table layers, and the
+row-composition kernel that they and the modeloid check compose rows by.
 
 An inverse semigroup (``inverse_semigroups``) and the composition table
 of an inverse category (``free_categories``) are both square tables of
@@ -8,12 +9,22 @@ the natural order down (``top_down``), the inverse laws, the absorbing
 element of a subset, the atom test ``_atoms`` and the cover step
 ``_covered`` of both derivatives.  Neither layer's classes are read, so a
 request for one kind of table loads the other layer's module not at all.
+
+Every product of rows runs through one kernel, ``row_kernel``: Light's
+test here, the multiplicativity check of ``inverse_semigroups._embedding``
+and the composition closure of ``modeloid._check_modeloid``.  A row over
+0 .. w-1 is held as ``bytes`` when w <= 256, and row g read through row x
+(the row of x*g in a table, of x after g for maps) is one
+``row_g.translate(row_x + pad)``, the row x padded to the 256 entries a
+translation table has.  A wider row cannot be bytes, so it is held as a
+tuple and read by ``itemgetter(*row_g)``.  Callers keep their rows as
+tuples; the held form lives only inside the check that made it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from operator import itemgetter
+from collections.abc import Callable, Iterable, Sequence
+from operator import attrgetter, itemgetter
 
 from . import verdict as v
 from .derived import generators
@@ -26,25 +37,45 @@ def top_down(mul, elements: Iterable[int]) -> list[int]:
     return sorted(elements, key=lambda x: -len(set(mul[x])))
 
 
+def row_kernel(width: int) -> tuple[Callable, Callable, Callable]:
+    """The row-composition kernel for rows over 0 .. width - 1, as
+    (hold, table, reader): ``hold(row)`` is the row in the kernel's form,
+    ``table(held)`` the form it is read through, and ``reader(held_g)``
+    the function that takes row x's table to row g read through row x,
+    held.  A caller takes each reader and each table once and reads many
+    pairs with them.
+
+    >>> hold, table, reader = row_kernel(3)
+    >>> x, g = hold((1, 2, 0)), hold((2, 2, 1))
+    >>> tuple(reader(g)(table(x)))
+    (0, 0, 2)
+    """
+    if width <= 256:
+        pad = bytes(256 - width)
+        return bytes, lambda row: row + pad, attrgetter("translate")
+    return tuple, lambda row: row, lambda row: itemgetter(*row)
+
+
 def associativity_witness(mul, gens: list[int] | None = None) -> tuple[int, int, int] | None:
     """The first (x, y, z) in index order with (x*y)*z != x*(y*z), or None.
 
     Light's test runs first: (x*g)*y = x*(g*y) for every generator g and
-    all x, y, at n^2*|G| lookups.  The elements a with (x*a)*y = x*(a*y)
-    for all x, y are closed under the product in any magma, and the
-    generators reach every element, so a pass proves associativity.  Only
-    a failure pays the cubic scan, which finds the first witness.  The
-    generators are ``gens`` when a caller that keeps them per table
-    passes them, else picked here from all elements, highest first.
+    all x, y, as row x*g against row g read through row x (``row_kernel``),
+    n*|G| row products.  The elements a with (x*a)*y = x*(a*y) for all
+    x, y are closed under the product in any magma, and the generators
+    reach every element, so a pass proves associativity.  Only a failure
+    pays the cubic scan, which finds the first witness.  The generators
+    are ``gens`` when a caller that keeps them per table passes them, else
+    picked here from all elements, highest first.
     """
     n = len(mul)
-    if n == 1:
-        # an itemgetter of one index returns a bare entry, not a row
-        return _first_associativity_witness(mul)
+    hold, table, reader = row_kernel(n)
+    rows = list(map(hold, mul))
+    tables = list(map(table, rows))
     for g in gens or generators(lambda x, y: mul[x][y], top_down(mul, range(n))):
-        times_g = itemgetter(*mul[g])  # row of x -> x*(g*y) for every y
-        for row_x in mul:
-            if mul[row_x[g]] != times_g(row_x):
+        times_g = reader(rows[g])  # table of row x -> x*(g*y) for every y
+        for row_x, table_x in zip(rows, tables):
+            if rows[row_x[g]] != times_g(table_x):
                 return _first_associativity_witness(mul)
     return None
 

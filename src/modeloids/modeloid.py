@@ -18,6 +18,7 @@ from . import verdict as v
 from .codes import _code, _extended_at, _least_unextended
 from .derived import Frozen, fact, fixpoint_chain, generators
 from .errors import InputError
+from .laws import row_kernel
 from .partial_bijections import (
     Carrier,
     PartialBijection,
@@ -67,8 +68,20 @@ def _check_modeloid(M: Modeloid) -> v.Verdict:
     # under right products by their generators are closed under all
     # products.  Only a failure pays the pair scan, for its first witness.
     # The largest maps go first: they reach the most (see ``generators``).
-    top_down = sorted(members, key=lambda f: -len(f.pairs))
-    if generators(PartialBijection.compose, top_down) is None:
+    # Each member is a row over the points the members touch, numbered
+    # 0 .. u-1, and one more, u, which stands for "undefined" and maps to
+    # itself, so f o g is row g read through row f (``laws.row_kernel``);
+    # the declared carrier may be far larger than the points touched.
+    points = {x: i for i, x in enumerate(sorted({x for f in members for p in f.pairs for x in p}))}
+    u = len(points)
+    hold, table, reader = row_kernel(u + 1)
+    rows = []
+    for f in sorted(members, key=lambda f: -len(f.pairs)):
+        row = [u] * (u + 1)
+        for x, y in f.pairs:
+            row[points[x]] = points[y]
+        rows.append(hold(row))
+    if generators(lambda f, g: reader(g)(table(f)), rows) is None:
         for f in members:
             for g in members:
                 if f.compose(g) not in member_set:

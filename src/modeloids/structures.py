@@ -250,7 +250,7 @@ def _by_element(S: Structure) -> tuple[tuple[dict[int, list[tuple[int, ...]]], f
 
 
 @fact
-def _clashes(A: Structure, B: Structure) -> tuple[int | None, ...]:
+def _clashes(A: Structure, B: Structure) -> tuple[int | None, ...] | None:
     """The pair-clash table of A against B, kept on A.  At a·|B| + b it
     holds None when the map {(a, b)} breaks a unary relation or a loop,
     else the code (``codes._code``) of every pair (a2, b2), a2 ≠ a and
@@ -258,7 +258,11 @@ def _clashes(A: Structure, B: Structure) -> tuple[int | None, ...]:
     the (a2, b2) where (a, a2) and (b, b2) are of different kinds.  So
     over relations of arity ≤ 2 the partial isomorphisms are the maps
     with no pair None and no two pairs clashing: the cliques of the
-    pair-compatibility graph (Barrow and Burstall 1976)."""
+    pair-compatibility graph (Barrow and Burstall 1976).  Without a
+    relation of arity ≤ 2 nothing clashes, and no table is built: None."""
+    if all(arity > 2 for _, arity in A.vocabulary.relations):
+        return None
+
     def kinds(S):  # of (x, y): bit 2i if the i-th relation of arity ≤ 2 has (x, y), 2i + 1 (y, x)
         kind = [[0] * S.universe_size for _ in range(S.universe_size)]
         low = [R for (_, arity), R in zip(S.vocabulary.relations, S.relations) if arity < 3]
@@ -292,15 +296,17 @@ def _one_pair_test(A: Structure, B: Structure, forward: dict, backward: dict) ->
     hold the pair, and as ``code`` (``codes._code``), which holds at
     least its other pairs: whether the map stays a partial isomorphism.
     Relations of arity ≤ 2 take one AND of the pair's ``_clashes`` entry
-    with ``code``; the others are read only at their tuples that mention
-    a or b (``_by_element``).  The growth loop and the game oracle
-    (``ef_games.ef_equiv_oracle``) both grow maps by it."""
+    with ``code``, when there are any; the others are read only at their
+    tuples that mention a or b (``_by_element``).  The growth loop and
+    the game oracle (``ef_games.ef_equiv_oracle``) both grow maps by it."""
     clashes, n = _clashes(A, B), B.universe_size
     relations = list(zip(_by_element(A), _by_element(B)))
 
-    def consistent_with(a: int, b: int, code: int) -> bool:
+    def clash_free(a: int, b: int, code: int) -> bool:
         clash = clashes[a * n + b]
         return clash is not None and not clash & code
+
+    consistent_with = _any_pair if clashes is None else clash_free
 
     def and_tuples(a: int, b: int, code: int) -> bool:
         return consistent_with(a, b, code) and all(
@@ -311,6 +317,11 @@ def _one_pair_test(A: Structure, B: Structure, forward: dict, backward: dict) ->
     # two closures, not one: the scan's generator makes a and b cells of
     # the function that holds it, which costs every call
     return and_tuples if relations else consistent_with
+
+
+def _any_pair(a: int, b: int, code: int) -> bool:
+    """No relation of arity ≤ 2 to break: every pair passes."""
+    return True
 
 
 def is_partial_iso(p: PartialIso) -> bool:

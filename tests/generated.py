@@ -2,7 +2,10 @@
 constants and two relations of arity 1 to 3, universes of up to three
 elements unless a larger bound is passed.  In about half of the pairs B
 agrees with A on the constants, so that the constants-only map is a
-partial isomorphism and the pair reaches the derivative."""
+partial isomorphism and the pair reaches the derivative.  Those pairs
+rarely hold a binary relation on three or more elements, so directed
+graphs on 3 to 5 vertices, with any set of edges and loops, have a
+strategy of their own."""
 
 from hypothesis import strategies as st
 
@@ -56,6 +59,17 @@ def structure_pairs(draw, max_universe=3):
     if draw(st.booleans()):
         return A, draw(agreeing_on_constants(A, "B", max_universe))
     return A, draw(structures_over(vocabulary, "B", max_universe))
+
+
+DIGRAPH = Vocabulary(relations=(("E", 2),))
+
+
+@st.composite
+def directed_graphs(draw, name, min_vertices=3, max_vertices=5):
+    size = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    vertex = st.sampled_from(range(size))
+    edges = draw(st.sets(st.tuples(vertex, vertex), max_size=size * size))
+    return Structure.build(name, size, DIGRAPH, {"E": edges})
 
 
 def relabel(S: Structure, perm, name: str) -> Structure:

@@ -1039,14 +1039,25 @@ class TestModeloidClosureOnGenerators:
         path = tmp_path / "mod4.txt"
         path.write_text(format_modeloid_file(M), encoding="utf-8")
         calls = 0
-        compose = PartialBijection.compose
+        kernel = modeloid.row_kernel
 
-        def counting(f, g):
-            nonlocal calls
-            calls += 1
-            return compose(f, g)
+        def counting_kernel(width):
+            hold, table, reader = kernel(width)
 
-        monkeypatch.setattr(PartialBijection, "compose", counting)
+            def counting_reader(g):
+                read = reader(g)
+
+                def counted(table_f):
+                    nonlocal calls
+                    calls += 1
+                    return read(table_f)
+
+                return counted
+
+            return hold, table, counting_reader
+
+        # every composition of the check is one product of the row kernel
+        monkeypatch.setattr(modeloid, "row_kernel", counting_kernel)
         assert run(capsys, "verify", "modeloid", str(path)) == (0, "ok: true\n", "")
         # a scan over all pairs makes 209 * 209 = 43 681
         assert 0 < calls <= len(members) * (len(gens) + 1)

@@ -32,10 +32,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 BASE = {"derived", "errors"}
 EF = BASE | {"cli", "codes", "ef_games", "structures", "verdict"}
 # what a table request loads, by the kind of table it reads; the laws that
-# read bare rows are both table layers', so a category loads no semigroup
-TABLE = BASE | {"cli", "fileformats", "verdict"}
-SEMIGROUP = TABLE | {"inverse_semigroups", "laws"}
-CATEGORY = TABLE | {"free_categories", "laws"}
+# read bare rows, with their row-composition kernel, are every table
+# layer's, so a category loads no semigroup
+TABLE = BASE | {"cli", "fileformats", "laws", "verdict"}
+SEMIGROUP = TABLE | {"inverse_semigroups"}
+CATEGORY = TABLE | {"free_categories"}
 MODELOID = TABLE | {"codes", "modeloid", "partial_bijections"}
 KINDS = {
     "semigroup": SEMIGROUP,

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from generated import structure_pairs, structures_over
+from generated import directed_graphs, structure_pairs, structures_over
 
 from modeloids import ef_games, structures
 from modeloids.codes import _code, _decoded
@@ -325,6 +325,21 @@ class TestEnumeration:
                     forward[a], backward[b] = b, a
                     extended = pairs_are_partial_iso(A, B, f | {(a, b)})
                     assert test(a, b, _code(f, B.universe_size)) == extended
+                    del forward[a], backward[b]
+
+    @given(directed_graphs("A"), directed_graphs("B"))
+    def test_one_pair_test_on_directed_graphs(self, A, B):
+        # every one-pair extension of every partial isomorphism of two
+        # digraphs on 3 to 5 vertices: the pair-clash table reads both
+        # directions of each edge, and loops
+        n = B.universe_size
+        for f in enumerate_partial_isos(A, B):
+            forward, backward = dict(f.pairs), {b: a for a, b in f.pairs}
+            test, code = structures._one_pair_test(A, B, forward, backward), _code(f.pairs, n)
+            for a, b in itertools.product(range(A.universe_size), range(n)):
+                if a not in forward and b not in backward:
+                    forward[a], backward[b] = b, a
+                    assert test(a, b, code) == pairs_are_partial_iso(A, B, f.pairs + ((a, b),))
                     del forward[a], backward[b]
 
     @given(structure_pairs())
