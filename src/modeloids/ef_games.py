@@ -1,111 +1,32 @@
 """Ehrenfeucht-Fraissé equivalence by two independent routes.
 
-Given structures A and B over one vocabulary, the category D of the
-pair is the free-logic inverse category whose existing morphisms are
-the partial isomorphisms between the four side pairs (A,A), (A,B),
-(B,A), (B,B).  Its objects are the full identities id_A and id_B, the
-zero of each endoset is the constants-only map, and the full morphism
-set is a categorical modeloid.  The build holds each map of Hom(A,B)
-as its integer code, one bit per pair (``codes._code``), as the growth
-loop of ``structures`` finds it; the other homsets and the certificates
-hold sorted pair tuples, and a ``PartialIso`` is built only where a map
-is handed out, as the witness of ``ef_equiv_derivative`` or by
-``surviving_maps``.  No composition table is built: the
-``PartialIsoAmbient`` composes two maps on demand and looks the result
-up, and it lists the natural-order down-set of a map as its
-restrictions that keep the constant pairs.
+The category: ``build_category_D`` makes ``CategoryD``, the category D
+of partial isomorphisms of a structure pair.  Only Hom(A,B) is
+enumerated, as integer codes (``codes._code``); each other homset is
+built on its first read (``CategoryD.hom``), and the table of all of D
+(``ef_ambient``, loaded then) on the first read of ``CategoryD.ambient``.
+The D of the latest call is kept for the next call on the same two
+structure objects.
 
-``ef_equiv_derivative`` decides m-round equivalence by applying the
-categorical derivative m times and asking whether any map from id_A to
-id_B survives.  The chain it steps (``homset_levels``) holds only
-Hom(A,B), not all of D: the step decides a map from the maps above it,
-which share its homset, and from the idempotent atoms at its ends, which
-are the partial identities on the constants plus one point.  Every
-level is down-closed, so some member above f covers the atom at x
-exactly when f ∪ {(x, y)} is in the level for some y: a step keeps f
-when every point outside it extends it by one pair, forth and back, the
-classical back-and-forth step.  The chain reads the codes of Hom(A,B)
-as the build made them (a map of another homset is coded once per
-chain); each step indexes the one-point extensions of its level once
-from those codes (``_extended_at``) and reads every map's answer from
-that index.  The chain on all of D (``derivative_levels``, the paper's
-route through ``categorical_derivative``) stays as the reference it
-must agree with.
+The answers:
 
-So ``build_category_D`` makes only Hom(A,B), from one enumeration, as
-the codes ``CategoryD.forth``, in the sorted order of their pair
-tuples; the ``ef`` answer, its witness and its certificates read
-nothing else.  The answer picks its witness by code and decodes that
-one map (``codes._decoded``).  D is its four homsets laid end to end,
-and each is built on its own, on its first read (``CategoryD.hom``):
-Hom(A,B) as ``forth`` decoded, which the certificate levels read,
-Hom(B,A) as the inverses of those maps, End(A) and End(B) each as the
-codes of the package's one growth loop
-(``structures._partial_iso_codes``), decoded, with no ``PartialIso``
-built.
-Every homset chain, ``part``, ``object_a`` and ``object_b`` read those
-blocks and no table.  The table of all of D, the blocks' concatenation
-with its dom, cod, inv and index tables, is built on first read of
-``CategoryD.ambient`` (or ``morphisms``, ``star``).  That table, the
-``PartialIsoAmbient`` and ``derivative_levels`` live in ``ef_ambient``,
-which this module loads on the first such read or call; each of their
-names resolves from here too.  Only ``derivative_levels`` calls the
-table layer ``categorical``, loaded on its first call.  So the ``ef``
-answer and its certificates load neither ``ef_ambient`` nor a table
-layer.
+- ``ef_equiv_derivative`` decides m-round equivalence by the categorical
+  derivative, stepped on Hom(A,B) alone (``homset_levels``, whose
+  docstring proves this exact), and hands out a largest surviving map as
+  its witness; ``surviving_maps`` answers the same for any side pair.
+- ``ef_equiv_oracle`` decides it by the game itself, a memoized recursion
+  over integer codes that shares only the one-pair test of ``structures``
+  with the derivative.  The two must always agree; the command line runs
+  both.
 
-Asking one pair for m = 0, 1, 2, ... builds D once.  ``build_category_D``
-keeps the D of its latest call and returns it again when called with the
-same two structure objects, so its compositions, down-sets and homset
-chains carry over from one call to the next.  Each chain holds each
-distinct level once, stepped only as far as the largest m asked for and
-not past its fixpoint.  At most one D is kept: a call on another pair
-drops it first.  A caller that holds a D can still pass it as
-``category=``.
+The reference route: ``derivative_levels`` (in ``ef_ambient``) runs the
+paper's chain on all of D through ``categorical``; the derivative's
+chain on Hom(A,B) must agree with it.
 
-``ef_equiv_oracle`` decides the same question by a memoized game-tree
-recursion.  Spoiler plays only fresh elements, so each position fixes
-the rounds left, holds one memo entry and is pruned as soon as it is not
-a partial isomorphism, and the recursion is never deeper than the
-smaller universe, whatever the number of rounds.  It checks the constant
-base once with ``pairs_are_partial_iso`` and each further pair with the
-one-pair test the growth loop grows maps by
-(``structures._one_pair_test``): one AND of the new pair's entry of the
-pair-clash table of A and B (``structures._clashes``) against the
-position's code, when a relation has arity ≤ 2, plus a scan of the tuples
-that mention the pair for relations of arity ≥ 3.  A position is keyed by its integer code (bits
-from ``codes._code``), a child's by its parent's code with one bit more,
-so no position is built as a set.  Beyond those two checks of a partial
-isomorphism, the pair-clash table and the bit layout it shares nothing
-with the derivative: it reads no D, no chain, no enumeration and no
-level index, and decides by the game, not by one-point extensions
-within a level.  The two must always agree; the command-line front-end
-runs both.
-
-A positive derivative answer can be externalized: ``extract_certificate``
-returns the chain I_j = D^j ∩ Part(A,B) as sets of pair tuples, read
-from the same homset chain and the decoded ``forth``, which
-``verify_certificate``, sharing no code with the chain, checks against
-the literal back-and-forth conditions.  It reads each member once, in
-one walk over its pairs that both tests its shape and codes it, reads
-every relation only for members whose code no valid member proves (a
-restriction of a partial isomorphism that keeps the constant pairs is
-one again), and answers forth and back from the same kind of index of
-one-point extensions.
-
-The certificates of one pair for m = 0, 1, 2, ... are prefixes of one
-chain.  ``extract_certificate`` makes each level's set of pair tuples
-once per D and keeps it there, so the certificates for m and m + 1 share
-their level objects; that costs one frozenset per distinct level, held
-as long as the D is.  ``verify_certificate`` keeps, for its latest pair
-of structure objects, the codes proven valid and the last certificate
-that passed, and reads again only what that certificate does not share
-by identity: a new certificate's leading levels that are the very
-objects held at the same positions are not read again, and their level
-pairs are not scanned again.  No member is hashed.  Every verdict is a
-fresh check's.  A call on another pair drops all of it, so the module
-holds at most one code per map of Part(A,B) and one certificate's
-levels.
+The evidence: ``extract_certificate`` reads a back-and-forth certificate
+(``BackAndForthCertificate``) from the derivative's chain,
+``verify_certificate`` checks one against the literal conditions, and
+``format_certificate`` and ``certificate_lines`` print it.
 """
 
 from __future__ import annotations
@@ -257,18 +178,24 @@ def enumerate_partial_isos(A: Structure, B: Structure, max_universe: int) -> lis
 
 
 @fact
+def _block(category: CategoryD, X: Structure, Y: Structure) -> tuple[int, tuple[int, ...]]:
+    """Hom(X,Y) as (the index in D of its first map, the codes of its maps
+    in index order): for Hom(left, right) ``forth`` as built, for another
+    homset the codes of its tuples (``category.hom(X, Y)``)."""
+    if (category._side(X), category._side(Y)) == (0, 1) or category.left == category.right:
+        return 0, category.forth
+    start, maps = category.hom(X, Y)
+    return start, tuple(_code(p, Y.universe_size) for p in maps)
+
+
+@fact
 def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> Chain:
     """D^j ∩ Hom(X,Y) as index sets; a step keeps a map when every point
     of X and of Y outside it extends it by one pair to a map of the level,
     read from one index of the level's one-point extensions.  It reads one
-    block and no table: for Hom(A,B) the codes of ``forth`` as built, for
-    another homset the codes of its tuples (``category.hom(X, Y)``)."""
+    block (``_block``) and no table."""
     sources, targets = X.universe_size, Y.universe_size
-    if (category._side(X), category._side(Y)) == (0, 1) or category.left == category.right:
-        start, codes = 0, category.forth
-    else:
-        start, maps = category.hom(X, Y)
-        codes = tuple(_code(p, targets) for p in maps)
+    start, codes = _block(category, X, Y)
 
     def step(level: frozenset[int]) -> frozenset[int]:
         at = _extended_at((codes[i - start] for i in level), sources, targets)
@@ -343,17 +270,19 @@ def ef_equiv_derivative(
     surviving map from id_A to id_B, or None if none survive.  The chain
     is stepped on Hom(A,B) alone, which gives the same D^m ∩ Hom(A,B) as
     all of D (see ``homset_levels``).  The witness is the one
-    ``PartialIso`` built: the largest pair tuple is picked first."""
+    ``PartialIso`` built: the largest pair tuple is picked first, by its
+    code in the block the chain steps on (``_block``), which is not
+    ``forth`` in a D built for (B, A)."""
     if m < 0:
         raise InputError("rounds must be non-negative")
     if category is None:
         category = build_category_D(A, B, max_universe)
-    survivors, forth = _homset_chain(category, A, B).upto(m)[-1], category.forth
+    survivors, (start, codes) = _homset_chain(category, A, B).upto(m)[-1], _block(category, A, B)
     if not survivors:
         return False, None
     # the most pairs, then the last in the sorted order, which is index order
-    largest = max(survivors, key=lambda i: (forth[i].bit_count(), i))
-    return True, PartialIso(A, B, _decoded((forth[largest],), B.universe_size)[0])
+    largest = max(survivors, key=lambda i: (codes[i - start].bit_count(), i))
+    return True, PartialIso(A, B, _decoded((codes[largest - start],), B.universe_size)[0])
 
 
 def ef_equiv_oracle(
@@ -378,37 +307,35 @@ def ef_equiv_oracle(
 
     The constant base is checked once by ``pairs_are_partial_iso``, and
     each further pair by the one-pair test the growth loop grows maps by
-    (``structures._one_pair_test``), which ANDs the pair's entry of the
-    pair-clash table against the child's code.  A position is keyed by
-    its code (``codes._code``), a child's by its parent's code with one
-    bit more.
-    The oracle reads no D, no chain, no enumeration and no level index,
-    so the derivative's answer never enters its own.
+    (``structures._one_pair_test``), which reads the child's code alone.
+    A position is its code (``codes._code``), a child's its parent's
+    code with one bit more: its size is the code's bit count, and its
+    fresh points are those whose row (source) or column (target) of bits
+    the code misses.  The oracle reads no D, no chain, no enumeration and
+    no level index, so the derivative's answer never enters its own.
     """
     structures._check_pair(A, B, max_universe)
     if m < 0:
         raise InputError("rounds must be non-negative")
     base = constant_pairs(A, B)
-    forward, backward = dict(base), {b: a for a, b in base}
-    extends = _one_pair_test(A, B, forward, backward)
+    extends = _one_pair_test(A, B)
     sources, targets = range(A.universe_size), range(B.universe_size)
     bit = [[_code(((a, b),), len(targets)) for b in targets] for a in sources]
+    row, column = [sum(bits) for bits in bit], [sum(bits) for bits in zip(*bit)]  # a's pairs, b's pairs
     final_size = len(base) + m  # a position this large has no rounds left
     memo: dict[int, bool] = {}
 
     def answers(child: int, a: int, b: int) -> bool:
         if child not in memo:
-            forward[a], backward[b] = b, a
             memo[child] = extends(a, b, child) and wins(child)
-            del forward[a], backward[b]
         return memo[child]
 
     def wins(code: int) -> bool:
-        """Whether Duplicator wins at the partial isomorphism ``forward``."""
-        if len(forward) == final_size:
+        """Whether Duplicator wins at the partial isomorphism ``code``."""
+        if code.bit_count() == final_size:
             return True
-        fresh_a = [a for a in sources if a not in forward]
-        fresh_b = [b for b in targets if b not in backward]
+        fresh_a = [a for a in sources if not code & row[a]]
+        fresh_b = [b for b in targets if not code & column[b]]
         for a in fresh_a:
             for b in fresh_b:
                 if answers(code | bit[a][b], a, b):

@@ -25,11 +25,11 @@ growth loop ``_partial_iso_codes``, which hands the maps over in the
 sorted order of their pair tuples, each as its integer code (one bit per
 pair, the form the ``ef`` build of ``ef_games`` holds), decoded to pair
 tuples by ``codes._decoded`` where tuples are read.  Maps grow one pair
-at a time by ``_one_pair_test``: one AND of the new pair's entry of the
-pair-clash table (``_clashes``, built once per pair of structures)
-against the map's code for relations of arity ≤ 2, and, for higher
-arities, a scan of each structure's index of the tuples that mention
-each element (``_by_element``, built once per structure).
+at a time by ``_one_pair_test``, which reads the map's code alone: one
+AND of the new pair's entry of the pair-clash table (``_clashes``, built
+once per pair of structures) against the code for relations of arity
+≤ 2, and, only when a relation has arity ≥ 3, ``pairs_are_partial_iso``
+on the grown map.
 """
 
 from __future__ import annotations
@@ -240,16 +240,6 @@ def _maps_into(f: dict[int, int], tuples: Iterable[tuple[int, ...]], target) -> 
 
 
 @fact
-def _by_element(S: Structure) -> tuple[tuple[dict[int, list[tuple[int, ...]]], frozenset], ...]:
-    """For each relation of S of arity at least 3: the tuples that
-    mention each element, and the relation."""
-    return tuple(
-        ({x: [t for t in tuples if x in t] for x in range(S.universe_size)}, tuples)
-        for (_, arity), tuples in zip(S.vocabulary.relations, S.relations) if arity > 2
-    )
-
-
-@fact
 def _clashes(A: Structure, B: Structure) -> tuple[int | None, ...] | None:
     """The pair-clash table of A against B, kept on A.  At a·|B| + b it
     holds None when the map {(a, b)} breaks a unary relation or a loop,
@@ -290,33 +280,32 @@ def _clashes(A: Structure, B: Structure) -> tuple[int | None, ...] | None:
     return tuple(table)
 
 
-def _one_pair_test(A: Structure, B: Structure, forward: dict, backward: dict) -> Callable:
+def _one_pair_test(A: Structure, B: Structure) -> Callable:
     """The test of one new pair (a, b) of a partial isomorphism from A to
-    B, held as ``forward`` and its inverse ``backward``, which already
-    hold the pair, and as ``code`` (``codes._code``), which holds at
-    least its other pairs: whether the map stays a partial isomorphism.
+    B held as its ``code`` (``codes._code``), which holds at least the
+    map's other pairs: whether ``code`` with (a, b) is one again.
     Relations of arity ≤ 2 take one AND of the pair's ``_clashes`` entry
-    with ``code``, when there are any; the others are read only at their
-    tuples that mention a or b (``_by_element``).  The growth loop and
-    the game oracle (``ef_games.ef_equiv_oracle``) both grow maps by it."""
+    with ``code``, when there are any; only when a relation has arity
+    ≥ 3 is the grown map then decoded and checked whole by
+    ``pairs_are_partial_iso``.  The growth loop and the game oracle
+    (``ef_games.ef_equiv_oracle``) both grow maps by it."""
     clashes, n = _clashes(A, B), B.universe_size
-    relations = list(zip(_by_element(A), _by_element(B)))
 
     def clash_free(a: int, b: int, code: int) -> bool:
         clash = clashes[a * n + b]
         return clash is not None and not clash & code
 
     consistent_with = _any_pair if clashes is None else clash_free
+    if all(arity < 3 for _, arity in A.vocabulary.relations):
+        return consistent_with
+    from .codes import _decoded  # loaded by a call, not with this module
 
-    def and_tuples(a: int, b: int, code: int) -> bool:
-        return consistent_with(a, b, code) and all(
-            _maps_into(forward, at_a[a], tuples_b) and _maps_into(backward, at_b[b], tuples_a)
-            for (at_a, tuples_a), (at_b, tuples_b) in relations
-        )
+    def whole(a: int, b: int, code: int) -> bool:
+        if not consistent_with(a, b, code):
+            return False
+        return pairs_are_partial_iso(A, B, _decoded((code | 1 << a * n + b,), n)[0])
 
-    # two closures, not one: the scan's generator makes a and b cells of
-    # the function that holds it, which costs every call
-    return and_tuples if relations else consistent_with
+    return whole
 
 
 def _any_pair(a: int, b: int, code: int) -> bool:
@@ -368,31 +357,30 @@ def _partial_iso_codes(A: Structure, B: Structure) -> list[int]:
     source is never skipped, and a map is found once every constant
     source lies behind it, before its extensions: so the maps come out in
     sorted order, each built once by setting one bit of its parent's code.
+    Beside the code, the loop carries ``used``, bit b set for each
+    target b the map holds.
     """
     base = constant_pairs(A, B)
     if not pairs_are_partial_iso(A, B, base):
         return []
     found: list[int] = []
-    forward, backward = dict(base), {b: a for a, b in base}
-    consistent_with = _one_pair_test(A, B, forward, backward)
-    last = max(forward, default=-1)  # the last constant source
+    consistent_with = _one_pair_test(A, B)
+    fixed = {a for a, _ in base}  # the constant sources
+    last = max(fixed, default=-1)
     sources, targets = range(A.universe_size), range(B.universe_size)
     bit = [[1 << a * len(targets) + b for b in targets] for a in sources]
 
-    def grow(start: int, code: int):
+    def grow(start: int, code: int, used: int):
         if start > last:
             found.append(code)
         for a in sources[start:]:
-            if a in forward:  # a constant source: the code holds its pair
-                return grow(a + 1, code)
+            if a in fixed:  # the code holds its pair
+                return grow(a + 1, code, used)
             for b in targets:
-                if b not in backward:
-                    forward[a], backward[b] = b, a
-                    if consistent_with(a, b, code):
-                        grow(a + 1, code | bit[a][b])
-                    del forward[a], backward[b]
+                if not used >> b & 1 and consistent_with(a, b, code):
+                    grow(a + 1, code | bit[a][b], used | 1 << b)
 
-    grow(0, sum(bit[a][b] for a, b in base))
+    grow(0, sum(bit[a][b] for a, b in base), sum(1 << b for _, b in base))
     return found
 
 

@@ -5,7 +5,7 @@ agrees with A on the constants, so that the constants-only map is a
 partial isomorphism and the pair reaches the derivative.  Those pairs
 rarely hold a binary relation on three or more elements, so directed
 graphs on 3 to 5 vertices, with any set of edges and loops, have a
-strategy of their own."""
+strategy of their own, and so do pairs with a ternary relation."""
 
 from hypothesis import strategies as st
 
@@ -70,6 +70,30 @@ def directed_graphs(draw, name, min_vertices=3, max_vertices=5):
     vertex = st.sampled_from(range(size))
     edges = draw(st.sets(st.tuples(vertex, vertex), max_size=size * size))
     return Structure.build(name, size, DIGRAPH, {"E": edges})
+
+
+TERNARY = (Vocabulary(relations=(("E", 2), ("T", 3))), Vocabulary(relations=(("T", 3),)))
+
+
+@st.composite
+def ternary_pairs(draw, min_vertices=3, max_vertices=5):
+    """Two structures on 3 to 5 elements with a ternary relation T, with
+    or without a binary relation E; in about half of the pairs B is a
+    relabelling of A, so that maps grow to the whole universe."""
+    vocabulary = draw(st.sampled_from(TERNARY))
+
+    def structure(name):
+        size = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+        vertex = st.sampled_from(range(size))
+        relations = {"T": draw(st.sets(st.tuples(vertex, vertex, vertex), max_size=2 * size))}
+        if len(vocabulary.relations) == 2:
+            relations["E"] = draw(st.sets(st.tuples(vertex, vertex), max_size=size))
+        return Structure.build(name, size, vocabulary, relations)
+
+    A = structure("A")
+    if draw(st.booleans()):
+        return A, relabel(A, draw(st.permutations(range(A.universe_size))), "B")
+    return A, structure("B")
 
 
 def relabel(S: Structure, perm, name: str) -> Structure:

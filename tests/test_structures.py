@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from generated import directed_graphs, structure_pairs, structures_over
+from generated import directed_graphs, structure_pairs, structures_over, ternary_pairs
 
 from modeloids import ef_games, structures
 from modeloids.codes import _code, _decoded
@@ -317,30 +317,27 @@ class TestEnumeration:
                     assert pairs_are_partial_iso(A, B, pairs) == (pairs in literal)
         # the one-pair test, for every literal partial isomorphism f and
         # every fresh pair (a, b), answers as the check of f ∪ {(a, b)}
+        test = structures._one_pair_test(A, B)
         for f in literal:
-            forward, backward = dict(f), {b: a for a, b in f}
-            test = structures._one_pair_test(A, B, forward, backward)
+            code = _code(f, B.universe_size)
             for a, b in itertools.product(range(A.universe_size), range(B.universe_size)):
-                if a not in forward and b not in backward:
-                    forward[a], backward[b] = b, a
+                if all(a != x and b != y for x, y in f):
                     extended = pairs_are_partial_iso(A, B, f | {(a, b)})
-                    assert test(a, b, _code(f, B.universe_size)) == extended
-                    del forward[a], backward[b]
+                    assert test(a, b, code) == extended
 
-    @given(directed_graphs("A"), directed_graphs("B"))
-    def test_one_pair_test_on_directed_graphs(self, A, B):
+    @given(st.one_of(st.tuples(directed_graphs("A"), directed_graphs("B")), ternary_pairs()))
+    def test_one_pair_test_on_directed_graphs(self, pair):
         # every one-pair extension of every partial isomorphism of two
         # digraphs on 3 to 5 vertices: the pair-clash table reads both
-        # directions of each edge, and loops
-        n = B.universe_size
+        # directions of each edge, and loops; and of two structures with
+        # a ternary relation, which the test checks whole
+        A, B = pair
+        n, test = B.universe_size, structures._one_pair_test(A, B)
         for f in enumerate_partial_isos(A, B):
-            forward, backward = dict(f.pairs), {b: a for a, b in f.pairs}
-            test, code = structures._one_pair_test(A, B, forward, backward), _code(f.pairs, n)
+            code = _code(f.pairs, n)
             for a, b in itertools.product(range(A.universe_size), range(n)):
-                if a not in forward and b not in backward:
-                    forward[a], backward[b] = b, a
+                if all(a != x and b != y for x, y in f.pairs):
                     assert test(a, b, code) == pairs_are_partial_iso(A, B, f.pairs + ((a, b),))
-                    del forward[a], backward[b]
 
     @given(structure_pairs())
     def test_codes_decode_to_the_sorted_pair_tuples(self, pair):
@@ -378,26 +375,22 @@ class TestEnumeration:
 
     def test_tuple_index_is_built_once_per_structure(self, monkeypatch):
         # the growth loop and the game oracle both read the pair-clash
-        # table of the pair, built once, and each structure's index of the
-        # tuples of its ternary relations that mention each element
+        # table of the pair, built once
         vocabulary = Vocabulary(relations=(("E", 2), ("T", 3)), constants=("c",))
         A = Structure.build("A", 3, vocabulary, {"E": [(0, 1)], "T": [(0, 1, 2)]}, {"c": 0})
         B = Structure.build("B", 3, vocabulary, {"E": [(1, 0)], "T": [(1, 2, 0)]}, {"c": 1})
-        read = {"_by_element": [], "_clashes": []}
-        for name, found in read.items():
-            def recording(*args, real=getattr(structures, name), found=found):
-                found.append(real(*args))
-                return found[-1]
+        read = []
 
-            monkeypatch.setattr(structures, name, recording)
+        def recording(*args, real=structures._clashes):
+            read.append(real(*args))
+            return read[-1]
+
+        monkeypatch.setattr(structures, "_clashes", recording)
         for _ in range(2):
             enumerate_partial_isos(A, B)
             ef_equiv_oracle(A, B, 2)
-        assert len(read["_by_element"]) == 8
-        assert len({id(at) for at in read["_by_element"]}) == 2
-        assert all(len(at) == 1 for at in read["_by_element"])
-        assert len(read["_clashes"]) == 4
-        assert len({id(table) for table in read["_clashes"]}) == 1
+        assert len(read) == 4
+        assert len({id(table) for table in read}) == 1
 
     def test_universe_bound(self):
         A = Structure.build("A", 8, EMPTY)
