@@ -4,11 +4,13 @@ integer codes.
 A map from {0..sources-1} to {0..targets-1} is coded as one integer
 (``_code``), the form in which the growth loop of ``structures`` finds
 the maps of the ``ef`` build, and ``_decoded`` reads their sorted pair
-tuples back.  ``_extended_at`` indexes the one-point extensions of a
-level of codes once, and ``_least_unextended`` reads a map's least
-unextended source and target from that index with one dict lookup.  The
-``ef`` chain, the certificate check and the modeloid derivative read
-them; the module imports nothing of the package.
+tuples back.  ``_unextended`` is the one round of back and forth: it
+indexes the one-point extensions of a level of codes once
+(``_extended_at``) and answers, for each map of another level or the
+same one, whether every point extends it, else its least unextended
+source and target.  The ``ef`` chain, the certificate check and the
+modeloid derivative each call it; the module imports nothing of the
+package.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections.abc import Iterable
 def _code(pairs: Iterable[tuple[int, int]], targets: int) -> int:
     """A map from {0..sources-1} to {0..targets-1} as one integer, with
     bit a·targets + b set for each of its pairs (a, b): the form that
-    ``_extended_at`` and ``_least_unextended`` read."""
+    ``_unextended`` reads."""
     code = 0
     for a, b in pairs:
         code |= 1 << a * targets + b
@@ -46,7 +48,7 @@ def _decoded(codes: Iterable[int], targets: int) -> tuple[tuple[tuple[int, int],
 def _extended_at(codes: Iterable[int], sources: int, targets: int) -> dict[int, int]:
     """The one-point extensions of a level of maps from {0..sources-1} to
     {0..targets-1}, given by their codes (``_code``), indexed once for
-    ``_least_unextended``.
+    ``_unextended``.
 
     The entry of the code of f has bit a and bit sources + b set for each
     one-point extension f ∪ {(a, b)} in the level, found in one pass by
@@ -69,19 +71,28 @@ def _extended_at(codes: Iterable[int], sources: int, targets: int) -> dict[int, 
     return at
 
 
-def _least_unextended(
-    code: int, at: dict[int, int], sources: int, targets: int
-) -> tuple[int | None, int | None]:
-    """The least source a < ``sources`` with no b such that f ∪ {(a, b)} is
-    in the level indexed by ``at`` (``_extended_at``), and the least target
-    b < ``targets`` with no such a, each None when there is none, for f
-    given by its ``code``: one dict lookup.  For a in dom f (b in ran f)
-    the only union that is a map is f, so those points are missed exactly
-    when f is not in the level."""
-    reached = at.get(code, 0)
-    a = _lowest_zero(reached & (1 << sources) - 1)
-    b = _lowest_zero(reached >> sources)
-    return (a if a < sources else None), (b if b < targets else None)
+def _unextended(
+    lower: Iterable[int], upper: Iterable[int], sources: int, targets: int
+) -> list[tuple[int | None, int | None] | None]:
+    """For each map f of ``lower``, given by its code: None when every
+    source a < ``sources`` has some b with f ∪ {(a, b)} in the level
+    ``upper``, and every target b < ``targets`` some such a; otherwise
+    the least source and the least target with no such partner, each None
+    when there is none.  ``upper`` is indexed once (``_extended_at``) and
+    each map is answered by one lookup and one compare with the full mask.
+    For a in dom f (b in ran f) the only union that is a map is f, so
+    those points are missed exactly when f is not in ``upper``."""
+    at = _extended_at(upper, sources, targets)
+    full = (1 << sources + targets) - 1
+    answers = []
+    for code in lower:
+        reached = at.get(code, 0)
+        if reached == full:
+            answers.append(None)
+        else:
+            a, b = _lowest_zero(reached), _lowest_zero(reached >> sources)
+            answers.append((a if a < sources else None, b if b < targets else None))
+    return answers
 
 
 def _lowest_zero(bits: int) -> int:

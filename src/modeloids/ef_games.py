@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from itertools import product, takewhile
 
 from . import structures, verdict as v
-from .codes import _code, _decoded, _extended_at, _least_unextended
+from .codes import _code, _decoded, _unextended
 from .derived import Chain, Frozen, fact, lazy, padded
 from .errors import DEFAULT_EF_UNIVERSE_BOUND, InputError
 from .structures import PartialIso, Structure, _one_pair_test, constant_pairs, pairs_are_partial_iso
@@ -191,18 +191,16 @@ def _block(category: CategoryD, X: Structure, Y: Structure) -> tuple[int, tuple[
 @fact
 def _homset_chain(category: CategoryD, X: Structure, Y: Structure) -> Chain:
     """D^j ∩ Hom(X,Y) as index sets; a step keeps a map when every point
-    of X and of Y outside it extends it by one pair to a map of the level,
-    read from one index of the level's one-point extensions.  It reads one
+    of X and of Y outside it extends it by one pair to a map of the level
+    (``codes._unextended`` of the level against itself).  It reads one
     block (``_block``) and no table."""
     sources, targets = X.universe_size, Y.universe_size
     start, codes = _block(category, X, Y)
 
     def step(level: frozenset[int]) -> frozenset[int]:
-        at = _extended_at((codes[i - start] for i in level), sources, targets)
-        return frozenset(
-            i for i in level
-            if _least_unextended(codes[i - start], at, sources, targets) == (None, None)
-        )
+        maps = [codes[i - start] for i in level]
+        answers = _unextended(maps, maps, sources, targets)
+        return frozenset(i for i, answer in zip(level, answers) if answer is None)
 
     return Chain(frozenset(range(start, start + len(codes))), step)
 
@@ -233,10 +231,9 @@ def homset_levels(
     - So f survives exactly when every point of X outside its domain has
       some y with f ∪ {(x, y)} in the level, and every point of Y outside
       its range some such x.  Each map is coded once per chain as an
-      integer with one bit per pair (``_code``).  Each step builds one
-      index of the level's one-point extensions from those codes
-      (``_extended_at``), and ``_least_unextended`` reads each map's
-      answer from it with one dict lookup.
+      integer with one bit per pair (``_code``), and each step asks
+      ``codes._unextended`` of the level against itself: one index of
+      the level's one-point extensions, one lookup per map.
 
     Each homset is read from its own block (``CategoryD.hom``), with no
     table: Hom(A,B) is ``category.forth``, Hom(B,A) its inverses, and an
@@ -456,9 +453,12 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
 
     For each f in I_{j+1} every a in A needs some b with f ∪ {(a, b)} in
     I_j (forth), and every b in B some such a (back), read from the
-    members' codes and one index of I_j's one-point extensions
-    (``_extended_at``); the least failing f is reported.  On levels closed
-    under restriction, as extracted ones are, any larger map would do.
+    members' codes by ``codes._unextended`` of I_{j+1} against I_j, once
+    per scanned level pair; the least failing f is reported.  That is the
+    reader the derivative's chain steps with, so a fault in it would pass
+    both; the game oracle is the route independent of it.  On levels
+    closed under restriction, as extracted ones are, any larger map would
+    do.
 
     Asking one pair for m = 0, 1, 2, ... checks prefixes of one chain, so
     the check keeps, for its latest pair of structure objects (``is``,
@@ -492,20 +492,14 @@ def verify_certificate(cert: BackAndForthCertificate) -> v.Verdict:
             entry = level, codes
         coded.append(entry)
     sources, targets = A.universe_size, B.universe_size
-    indexed = None  # the level that ``at`` indexes
     for j in range(max(kept - 1, 0), cert.rounds):
         (upper, upper_codes), (lower, lower_codes) = coded[j], coded[j + 1]
         if j and upper is lower is coded[j - 1][0]:
             continue  # the very pair before it, which passed
-        if upper is not indexed:
-            at, indexed = _extended_at(upper_codes, sources, targets), upper
-        missed = []
-        for f, code in zip(lower, lower_codes):
-            a, b = _least_unextended(code, at, sources, targets)
-            if a is not None or b is not None:
-                missed.append((f, a, b))
+        answers = _unextended(lower_codes, upper_codes, sources, targets)
+        missed = [(f, answer) for f, answer in zip(lower, answers) if answer is not None]
         if missed:
-            f, a, b = min(missed)
+            f, (a, b) = min(missed)
             return v.violated("forth", (j, a, f)) if a is not None else v.violated("back", (j, b, f))
     proved.held = list(takewhile(lambda entry: isinstance(entry[0], frozenset), coded))
     return v.passed()

@@ -127,14 +127,16 @@ _carry_category_verdict = verify_category.carry
 def _check_category(c: FreeCategory) -> v.Verdict:
     n, star, dom, cod, comp = c.morphism_count, c.star, c.dom, c.cod, c.comp
     # row f exists exactly at the existing g with cod g = dom f, listed
-    # per object; the first row that differs holds the first witness
+    # per object: as many entries other than star as those g, and none of
+    # them star.  The first row that differs holds the first witness
     by_cod: dict[int, list[int]] = {}
     for g in range(n):
         if g != star:
             by_cod.setdefault(cod[g], []).append(g)
     for f in range(n):
+        row = comp[f]
         expected = by_cod.get(dom[f], []) if f != star else []
-        if list(compress(range(n), map(star.__ne__, comp[f]))) != expected:
+        if n - row.count(star) != len(expected) or star in map(row.__getitem__, expected):
             g = next(g for g in range(n) if (comp[f][g] != star) != (g in expected))
             return v.violated("composability", (f, g))
     bad = associativity_witness(comp)

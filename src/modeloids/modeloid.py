@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from . import verdict as v
-from .codes import _code, _extended_at, _least_unextended
+from .codes import _code, _unextended
 from .derived import Frozen, fact, fixpoint_chain, generators
 from .errors import InputError
 from .laws import row_kernel
@@ -139,10 +139,9 @@ def derivative(M: Modeloid) -> Modeloid:
     already in the domain the only functional union is f itself, so the
     condition there collapses to membership of f.  This is decided as
     written: each member is coded once as an integer with one bit per
-    pair (``_code``), one pass over the codes indexes, for each map one
-    pair short of a member, the sources and targets of its one-point
-    extensions in M (``_extended_at``), and each member's answer is one
-    lookup of its code in that index.
+    pair (``_code``), and ``codes._unextended`` of the codes against
+    themselves answers every member from one index of M's one-point
+    extensions, the reader the ``ef`` chain steps with.
 
     M is verified once; the derivative of a modeloid is again one, so
     the result carries M's verdict and a chain checks no derived level.
@@ -150,11 +149,8 @@ def derivative(M: Modeloid) -> Modeloid:
     verify_modeloid(M).require("not a modeloid")
     n = M.carrier.size
     codes = [_code(f.pairs, n) for f in M.members]
-    at = _extended_at(codes, n, n)
-    survivors = frozenset(
-        f for f, code in zip(M.members, codes)
-        if _least_unextended(code, at, n, n) == (None, None)
-    )
+    answers = _unextended(codes, codes, n, n)
+    survivors = frozenset(f for f, answer in zip(M.members, answers) if answer is None)
     derived = Modeloid(M.carrier, survivors)
     _carry_modeloid_verdict(M, derived)
     return derived

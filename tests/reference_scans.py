@@ -21,7 +21,8 @@ the definitions.  The library finds atoms by comparing each down-set
 with {x, zero}; the reference asks, for every pair of elements, whether
 one lies strictly between the other and zero, with the natural order
 read literally.  The library steps the ``ef`` chain, checks certificates
-and takes the modeloid derivative from one index per level: each map is
+and takes the modeloid derivative through one reader, ``codes._unextended``,
+which indexes one level per call: each map is
 coded once as an integer with one bit per pair, and dropping each set bit
 of each member in turn records, for the map one pair short, the sources
 and targets of its one-point extensions f ∪ {(a, b)} in the level; a

@@ -361,6 +361,35 @@ class TestEf:
         assert "oracle-agrees: false" in out
         assert "invariant breach" in err
 
+    def test_a_fault_in_the_shared_reader_is_caught(self, capsys, monkeypatch, tmp_path):
+        """The certificate check asks the derivative's own reader,
+        ``codes._unextended`` as ``ef_games`` binds it (ROADMAP item 2(c)),
+        so a fault there would pass both the chain and the check; the game
+        oracle is the route independent of it.  Directed C3 against P3 is
+        not 2-round equivalent; with a reader that answers None for every
+        map every map survives, the oracle disagrees, and ``ef`` exits 4
+        with no certificate written."""
+        source, cert_path = tmp_path / "pair.txt", tmp_path / "cert.txt"
+        source.write_text(
+            "vocabulary\n  relation E 2\n"
+            "structure C3\n  universe 3\n  relation E (0,1) (1,2) (2,0)\n"
+            "structure P3\n  universe 3\n  relation E (0,1) (1,2)\n",
+            encoding="utf-8",
+        )
+        argv = ("ef", str(source), "--left", "C3", "--right", "P3", "--rounds", "2",
+                "--certificate", str(cert_path))
+        assert run(capsys, *argv)[0] == 1
+
+        def every_point_extends(lower, upper, sources, targets):
+            return [None] * len(lower)
+
+        monkeypatch.setattr(ef_games, "_unextended", every_point_extends)
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert "equivalent: true" in out and "oracle-agrees: false" in out
+        assert "invariant breach" in err
+        assert not cert_path.exists()
+
     def test_table_name_patched_before_use_is_called(self, files, capsys, monkeypatch):
         # cli binds its library names on first use and must keep one
         # already bound, so the patch, not the library, decides

@@ -12,7 +12,14 @@ from unittest import mock
 
 import pytest
 from dense_ambient import dense_table
-from generated import agreeing_on_constants, relabel, structure_pairs, structures_over
+from generated import (
+    agreeing_on_constants,
+    directed_graphs,
+    relabel,
+    structure_pairs,
+    structures_over,
+    ternary_pairs,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 from records import replace
@@ -51,6 +58,8 @@ from modeloids.free_categories import (
     zero_of_endoset,
 )
 from modeloids.inverse_semigroups import verify_inverse_semigroup
+from modeloids.modeloid import Modeloid, iterate_derivative
+from modeloids.partial_bijections import Carrier, PartialBijection
 from modeloids.structures import (
     PartialIso,
     Structure,
@@ -461,61 +470,57 @@ class TestCertificates:
         assert verify_certificate(cert).ok
 
     def test_equal_levels_build_one_cover(self, monkeypatch):
-        # pure 3v3 is stable from level 0: five equal levels, one index
-        # of I_0 that every lookup of the check reads
-        sets = []
-        real = ef_games._least_unextended
+        # pure 3v3 is stable from level 0: five equal levels, one call of
+        # the reader, so one index, of I_0, that every lookup of the check
+        # reads
+        uppers = []
+        real = ef_games._unextended
 
-        def counted(code, maps, sources, targets):
-            sets.append(maps)
-            return real(code, maps, sources, targets)
+        def counted(lower, upper, sources, targets):
+            uppers.append(len(upper))
+            return real(lower, upper, sources, targets)
 
         cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
-        monkeypatch.setattr(ef_games, "_least_unextended", counted)
+        monkeypatch.setattr(ef_games, "_unextended", counted)
         assert len(set(cert.levels)) == 1
         assert verify_certificate(cert).ok
-        assert len({id(maps) for maps in sets}) == 1
+        assert uppers == [len(cert.levels[0])]
 
     def test_repeated_level_pairs_are_scanned_once(self, monkeypatch):
         # pure 3v3 at m=4: four equal level pairs, one forth and back scan
-        calls = []
-        real = ef_games._least_unextended
+        lookups = []
+        real = ef_games._unextended
 
-        def counted(code, maps, sources, targets):
-            calls.append(code)
-            return real(code, maps, sources, targets)
+        def counted(lower, upper, sources, targets):
+            lookups.append(len(lower))
+            return real(lower, upper, sources, targets)
 
         cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
-        monkeypatch.setattr(ef_games, "_least_unextended", counted)
+        monkeypatch.setattr(ef_games, "_unextended", counted)
         assert len(set(cert.levels)) == 1
         assert verify_certificate(cert).ok
-        assert len(calls) == len(cert.levels[0])
+        assert sum(lookups) == len(cert.levels[0])
 
     def test_one_index_per_distinct_level_pair(self, monkeypatch):
         # pure 3v3 at m=4 is stable from level 0: one index, of I_0, and
         # one lookup per member of I_1.  Levels I_0, I_1, I_1, I_1, {f} of
-        # chain 3v3 scan three distinct level pairs but index two levels:
-        # the pair (I_1, {f}) reads the index of (I_1, I_1)
+        # chain 3v3 scan three distinct level pairs, each with an index of
+        # its upper level, and look up each member of each lower level once
         builds, lookups = [], []
-        real_index, real_lookup = ef_games._extended_at, ef_games._least_unextended
+        real = ef_games._unextended
 
-        def index(codes, sources, targets):
-            codes = list(codes)
-            builds.append(len(codes))
-            return real_index(codes, sources, targets)
+        def counted(lower, upper, sources, targets):
+            builds.append(len(upper))
+            lookups.append(len(lower))
+            return real(lower, upper, sources, targets)
 
-        def lookup(code, at, sources, targets):
-            lookups.append(code)
-            return real_lookup(code, at, sources, targets)
-
-        monkeypatch.setattr(ef_games, "_extended_at", index)
-        monkeypatch.setattr(ef_games, "_least_unextended", lookup)
+        monkeypatch.setattr(ef_games, "_unextended", counted)
         cert = extract_certificate(pure("A", 3), pure("B", 3), 4)
         builds.clear()
         lookups.clear()
         assert verify_certificate(cert).ok
         assert builds == [len(cert.levels[0])]
-        assert len(lookups) == len(cert.levels[1])
+        assert sum(lookups) == len(cert.levels[1])
 
         A, B = chain("A", 3), chain("B", 3)
         cert = extract_certificate(A, B, 1)
@@ -524,33 +529,28 @@ class TestCertificates:
         builds.clear()
         lookups.clear()
         assert verify_certificate(BackAndForthCertificate(A, B, 4, levels)).ok
-        assert builds == [len(cert.levels[0]), len(stable)]
-        assert len(lookups) == 2 * len(stable) + 1
+        assert builds == [len(cert.levels[0]), len(stable), len(stable)]
+        assert sum(lookups) == 2 * len(stable) + 1
 
     def test_each_chain_step_builds_one_index(self, monkeypatch):
         # directed C4 vs C5 shrinks 81 -> 21 -> 1 -> 0 maps, and a fourth
         # step finds the empty level stable; every step indexes the level
-        # it steps once and looks each of its members up once
-        builds, lookups = [], []
-        real_index, real_lookup = ef_games._extended_at, ef_games._least_unextended
+        # it steps once (one call of the reader, with the level as both
+        # its lower and its upper) and looks each of its members up once
+        calls = []
+        real = ef_games._unextended
 
-        def index(codes, sources, targets):
-            at = real_index(list(codes), sources, targets)
-            builds.append(at)
-            return at
+        def counted(lower, upper, sources, targets):
+            calls.append((len(lower), lower is upper))
+            return real(lower, upper, sources, targets)
 
-        def lookup(code, at, sources, targets):
-            lookups.append(at)
-            return real_lookup(code, at, sources, targets)
-
-        monkeypatch.setattr(ef_games, "_extended_at", index)
-        monkeypatch.setattr(ef_games, "_least_unextended", lookup)
+        monkeypatch.setattr(ef_games, "_unextended", counted)
         A, B = directed_cycle("A", range(4)), directed_cycle("B", range(5))
         category = build_category_D(A, B)
         levels = homset_levels(category, 6, A, B)
         stepped = [level for j, level in enumerate(levels) if j == 0 or levels[j - 1] != level]
-        assert len(builds) == len(stepped) >= 3
-        assert [sum(at is built for at in lookups) for built in builds] == list(map(len, stepped))
+        assert len(calls) == len(stepped) >= 3
+        assert calls == [(len(level), True) for level in stepped]
 
     @pytest.mark.parametrize("member", [
         PartialIso(pure("A", 2), pure("B", 2), ((0, 0),)),
@@ -1268,6 +1268,31 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+class TestModeloidOfPartialAutomorphisms:
+    """The paper's origin of modeloids: the partial automorphisms of a
+    constant-free structure A form a modeloid, and its derivative chain is
+    the ef chain on End(A).  The two routes call the one reader,
+    ``codes._unextended``, from ``modeloid.derivative`` and from the
+    chain's step; they must agree level by level."""
+
+    @given(st.one_of(
+        st.tuples(directed_graphs("A", 1, 4), directed_graphs("B", 1, 4)),
+        ternary_pairs(1, 4),
+    ))
+    def test_derivative_chain_is_the_ef_chain_on_end(self, pair):
+        A, B = pair
+        n = A.universe_size
+        D = build_category_D(A, B)
+        start, maps = D.hom(A, A)
+        M = Modeloid.from_members(Carrier(n), (PartialBijection(Carrier(n), p) for p in maps))
+        rounds = n + 1
+        chain, _ = iterate_derivative(M, rounds)
+        levels = homset_levels(D, rounds, A, A)
+        assert [{f.pairs for f in level.members} for level in chain] == [
+            {maps[i - start] for i in level} for level in levels
+        ]
+
+
 class TestNoTablesOnTheEfPath:
     """The answer, its witness and its certificate read only Hom(A,B), the
     codes of ``forth``: with D's table builder made to raise
@@ -1462,13 +1487,15 @@ class TestCheckAcrossCalls:
     ], ids=["pure-4v5", "chain-3v3", "cycles"])
     def test_the_loop_does_one_check_of_work(self, A, B, monkeypatch):
         # the chain steps index their levels too: only the checks count
-        calls = {"pairs_are_partial_iso": 0, "_extended_at": 0}
+        calls = {"pairs_are_partial_iso": 0, "_unextended": 0, "lookups": 0}
 
         def counted(name):
             real = getattr(ef_games, name)
 
             def call(*args):
                 calls[name] += 1
+                if name == "_unextended":
+                    calls["lookups"] += len(args[0])  # the maps of its lower level
                 return real(*args)
 
             monkeypatch.setattr(ef_games, name, call)
@@ -1479,26 +1506,28 @@ class TestCheckAcrossCalls:
                 assert verify_certificate(cert).ok
             return {name: calls[name] - before[name] for name in calls}
 
-        for name in calls:
+        for name in ("pairs_are_partial_iso", "_unextended"):
             counted(name)
         monkeypatch.setattr(ef_games, "_proved", None)
         looped = [checked([extract_certificate(A, B, m)]) for m in range(5)]
         monkeypatch.setattr(ef_games, "_proved", None)
         fresh = checked([extract_certificate(A, B, 4)])
         assert {name: sum(step[name] for step in looped) for name in calls} == fresh
-        assert fresh["_extended_at"] >= 1 and fresh["pairs_are_partial_iso"] >= 1
+        assert fresh["_unextended"] >= 1 and fresh["pairs_are_partial_iso"] >= 1
 
     def test_a_failed_check_costs_no_work_afterwards(self, monkeypatch):
         # pure 3v4: a copy of the m=1 certificate whose I_0 lacks the
         # largest map of I_1 fails forth between m=1 and m=2, and the check
         # of m=2 then does what it does straight after m=1
-        calls = {"pairs_are_partial_iso": 0, "_extended_at": 0}
+        calls = {"pairs_are_partial_iso": 0, "_unextended": 0, "lookups": 0}
 
         def counted(name):
             real = getattr(ef_games, name)
 
             def call(*args):
                 calls[name] += 1
+                if name == "_unextended":
+                    calls["lookups"] += len(args[0])  # the maps of its lower level
                 return real(*args)
 
             monkeypatch.setattr(ef_games, name, call)
@@ -1508,7 +1537,7 @@ class TestCheckAcrossCalls:
             report = verify_certificate(cert)
             return report, {name: calls[name] - before[name] for name in calls}
 
-        for name in calls:
+        for name in ("pairs_are_partial_iso", "_unextended"):
             counted(name)
         A, B = pure("A", 3), pure("B", 4)
         first, second = extract_certificate(A, B, 1), extract_certificate(A, B, 2)
@@ -1522,7 +1551,7 @@ class TestCheckAcrossCalls:
         assert verify_certificate(first).ok
         straight = checked(second)
         assert after_failure == straight
-        assert straight[0].ok and straight[1]["_extended_at"] == 1
+        assert straight[0].ok and straight[1]["_unextended"] == 1
 
     def test_no_member_is_hashed(self):
         # each level rebuilt as a tuple, which is not held by identity, of

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from records import replace
 from reference_scans import check_category_by_pairs
 
-from modeloids import fileformats, free_categories
+from modeloids import fileformats, free_categories, verdict as v
 from modeloids.ef_games import build_category_D
 from modeloids.errors import InputError
 from modeloids.free_categories import (
@@ -151,6 +151,80 @@ class TestComposabilityMatchesPairs:
             assert verdict == check_category_by_pairs(d)
             axioms.add(verdict.axiom)
         assert axioms == {None, "composability", "associativity"}
+
+    @staticmethod
+    def composability_by_listed_positions(c):
+        """The composability scan as first written: each row's positions
+        other than star, listed, against the morphisms listed per
+        codomain; the first row that differs names the first witness."""
+        n, star, dom, cod, comp = c.morphism_count, c.star, c.dom, c.cod, c.comp
+        by_cod = {}
+        for g in range(n):
+            if g != star:
+                by_cod.setdefault(cod[g], []).append(g)
+        for f in range(n):
+            expected = by_cod.get(dom[f], []) if f != star else []
+            if [g for g in range(n) if comp[f][g] != star] != expected:
+                g = next(g for g in range(n) if (comp[f][g] != star) != (g in expected))
+                return v.violated("composability", (f, g))
+        return None
+
+    @staticmethod
+    def table(name):
+        if name == "rook-2":
+            return semigroup_to_one_object_category(f_table(2)[0])
+        if name == "c3-p3":
+            return c3_p3_category()
+        games = perfbench_games()
+        text = games.category_file(
+            games.cycle("C4", 4), games.path("P4", 4), random.Random(5), "category",
+            with_inv=False,
+        )
+        return fileformats.parse_category_file(text)
+
+    @pytest.mark.parametrize("name", ["rook-2", "c3-p3", "c4-p4"])
+    def test_one_flipped_composite_matches_the_listed_positions(self, name):
+        # one composite flipped from star to a morphism or from a morphism
+        # to star, in every cell of the rook monoid's one-object view and
+        # in 150 drawn cells of each larger table; the count of entries
+        # other than star and the read at the expected positions give the
+        # first scan's verdict and witness
+        c = self.table(name)
+        n, star = c.morphism_count, c.star
+        assert verify_category(c).ok
+        rng = random.Random(29)
+        cells = [(f, g) for f in range(n) for g in range(n)]
+        if len(cells) > 150:
+            cells = rng.sample(cells, 150) + [(star, 0), (0, star), (star, star)]
+        for f, g in cells:
+            val = star if c.comp[f][g] != star else rng.choice([x for x in range(n) if x != star])
+            d = mutate_comp(c, f, g, val)
+            expected = self.composability_by_listed_positions(d)
+            assert expected == v.violated("composability", (f, g))
+            assert free_categories._check_category(d) == expected
+
+    @pytest.mark.parametrize("name", ["rook-2", "c3-p3", "c4-p4"])
+    def test_one_moved_composite_matches_the_listed_positions(self, name):
+        # a composite set to star and a star entry of the same row set to
+        # a morphism: the row keeps its count of entries other than star,
+        # so only the read at the expected positions finds it
+        c = self.table(name)
+        n, star = c.morphism_count, c.star
+        rng = random.Random(31)
+        moved = 0
+        for f in rng.sample(range(n), min(n, 40)):
+            row = c.comp[f]
+            present = [g for g in range(n) if row[g] != star]
+            absent = [g for g in range(n) if row[g] == star]
+            if not (present and absent):
+                continue
+            g, h = rng.choice(present), rng.choice(absent)
+            d = mutate_comp(mutate_comp(c, f, g, star), f, h, row[g])
+            expected = self.composability_by_listed_positions(d)
+            assert expected == v.violated("composability", (f, min(g, h)))
+            assert free_categories._check_category(d) == expected
+            moved += 1
+        assert moved >= 3
 
     def test_star_row_and_column(self):
         c = c3_p3_category()

@@ -297,26 +297,22 @@ class TestDerivative:
     def test_one_index_per_step(self, monkeypatch):
         # the closure of a 3-cycle on carrier 4 shrinks 30 -> 16 members
         # and then is stable: each of the two steps indexes its input's
-        # one-point extensions once and looks each input member up once
-        builds, lookups = [], []
-        real_index, real_lookup = modeloid._extended_at, modeloid._least_unextended
+        # one-point extensions once (one call of the reader, with the
+        # input as both its lower and its upper) and looks each input
+        # member up once
+        calls = []
+        real = modeloid._unextended
 
-        def index(codes, sources, targets):
-            at = real_index(list(codes), sources, targets)
-            builds.append(at)
-            return at
+        def counted(lower, upper, sources, targets):
+            calls.append((len(lower), lower is upper))
+            return real(lower, upper, sources, targets)
 
-        def lookup(code, at, sources, targets):
-            lookups.append(at)
-            return real_lookup(code, at, sources, targets)
-
-        monkeypatch.setattr(modeloid, "_extended_at", index)
-        monkeypatch.setattr(modeloid, "_least_unextended", lookup)
+        monkeypatch.setattr(modeloid, "_unextended", counted)
         c = Carrier(4)
         M = modeloid_closure([PartialBijection(c, ((0, 1), (1, 2), (2, 0)))], c)
         chain, stabilized = iterate_derivative(M, 3)
         assert (stabilized, len(M.members), len(chain[1].members)) == (1, 30, 16)
-        assert [sum(at is built for at in lookups) for built in builds] == [30, 16]
+        assert calls == [(30, True), (16, True)]
 
     def test_rejects_non_modeloid(self):
         c = Carrier(2)

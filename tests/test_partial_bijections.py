@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from reference_scans import least_unextended_by_unions
 
-from modeloids.codes import _code, _extended_at, _least_unextended
+from modeloids.codes import _code, _unextended
 from modeloids.errors import BoundExceededError, InputError
 from modeloids.partial_bijections import (
     Carrier,
@@ -259,15 +259,21 @@ def levels_and_maps(draw):
     return sources, targets, family, f
 
 
-def index_of(family, sources, targets):
-    """``_extended_at`` of a family of maps in sorted pair form."""
-    return _extended_at([_code(g, targets) for g in family], sources, targets)
+def answers_of(maps, family, sources, targets):
+    """``_unextended`` of maps against a family, both in sorted pair form,
+    each None answer written as the scan writes it, (None, None); the
+    reader itself writes that answer as None only."""
+    answers = _unextended(
+        [_code(f, targets) for f in maps], [_code(g, targets) for g in family], sources, targets
+    )
+    assert (None, None) not in answers
+    return [(None, None) if answer is None else answer for answer in answers]
 
 
 class TestOnePointIndex:
-    """``_least_unextended`` read from ``_extended_at``, both on maps coded
-    by ``_code``, names the same (a, b) as a literal scan over frozenset
-    unions."""
+    """``_unextended``, on maps coded by ``_code``, names the same (a, b)
+    as a literal scan over frozenset unions, and None exactly when that
+    scan finds no unextended point."""
 
     @given(levels_and_maps())
     @example((3, 2, set(), ()))  # the empty family
@@ -278,10 +284,9 @@ class TestOnePointIndex:
     @example((3, 3, {((0, 0), (1, 1))}, ((0, 0),)))  # f outside, its extension in
     def test_matches_the_scan_over_unions(self, drawn):
         sources, targets, family, f = drawn
-        at = index_of(family, sources, targets)
-        assert _least_unextended(_code(f, targets), at, sources, targets) == least_unextended_by_unions(
-            f, family, sources, targets
-        )
+        assert answers_of([f], family, sources, targets) == [
+            least_unextended_by_unions(f, family, sources, targets)
+        ]
 
     def test_one_index_serves_every_map(self):
         # all of Part({0,1,2}, {0,1,2,3}) but the map (0,0), queried for
@@ -289,13 +294,11 @@ class TestOnePointIndex:
         # source and target, while () still reaches 0 through (0,1)
         pool = maps_between(3, 4)
         family = set(pool) - {((0, 0),)}
-        at = index_of(family, 3, 4)
-        for f in pool:
-            assert _least_unextended(_code(f, 4), at, 3, 4) == least_unextended_by_unions(
-                f, family, 3, 4
-            )
-        assert _least_unextended(_code((), 4), at, 3, 4) == (None, None)
-        assert _least_unextended(_code(((0, 0),), 4), at, 3, 4) == (0, 0)
+        assert answers_of(pool, family, 3, 4) == [
+            least_unextended_by_unions(f, family, 3, 4) for f in pool
+        ]
+        coded = [_code(g, 4) for g in family]
+        assert _unextended([_code((), 4), _code(((0, 0),), 4)], coded, 3, 4) == [None, (0, 0)]
 
     def test_code_sets_one_bit_per_pair(self):
         # bit a·targets + b for each pair (a, b): distinct maps, distinct codes
